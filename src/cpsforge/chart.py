@@ -153,15 +153,58 @@ class Chart:
 
     # -- derivatives -----------------------------------------------------------------
 
-    def total_derivative(self, axis: int, expr: sp.Expr) -> sp.Expr:
-        """Total derivative D_axis: chain rule through x^axis and every jet symbol."""
-        expr = sp.sympify(expr)
-        out = sp.diff(expr, self.xs[axis])
-        for sym, field, mi in self.jets_in(expr):
-            d = sp.diff(expr, sym)
+    def _factor_derivative(self, axis: int, f: sp.Expr) -> tuple[sp.Expr, bool]:
+        """D_axis of one factor of a monomial; the flag marks a sympy fallback,
+        whose result may need expanding."""
+        x = self.xs[axis]
+        if f.is_Symbol or (f.is_Pow and f.base.is_Symbol and f.exp.is_Number):
+            base, e = f.as_base_exp()
+            if base == x:
+                inner = sp.S.One
+            elif base in self._jet_by_symbol:
+                field, mi = self._jet_by_symbol[base]
+                inner = self.jet(field, mi.union(axis))
+            else:
+                return sp.S.Zero, False
+            return e * base ** (e - 1) * inner, False
+        if not f.free_symbols:
+            return sp.S.Zero, False
+        out = sp.diff(f, x)
+        for sym, field, mi in self.jets_in(f):
+            d = sp.diff(f, sym)
             if d != 0:
                 out += self.jet(field, mi.union(axis)) * d
-        return out
+        return out, True
+
+    def total_derivative(self, axis: int, expr: sp.Expr) -> sp.Expr:
+        """Total derivative D_axis, returned expanded.
+
+        The input is expanded once; on each monomial the chain rule acts
+        factor by factor (Leibniz rule).  A jet power s**e with numeric e gives
+        e*s**(e-1)*s_{J+axis} and a power of x^axis its ordinary derivative;
+        any other factor that depends on x^axis or on a jet (a formal function
+        or its derivative, a symbolic exponent, a non-polynomial power) is
+        differentiated by sympy on its own.  Constants and parameters give
+        nothing.  JetOrderError is raised only when a jet at the cap occurs
+        with a nonzero derivative.
+        """
+        expr = sp.expand(sp.sympify(expr))
+        memo: dict[sp.Expr, tuple[sp.Expr, bool]] = {}
+        terms = []
+        needs_expand = False
+        for mono in sp.Add.make_args(expr):
+            factors = sp.Mul.make_args(mono)
+            for i, f in enumerate(factors):
+                got = memo.get(f)
+                if got is None:
+                    got = memo[f] = self._factor_derivative(axis, f)
+                d, fallback = got
+                if d == 0:
+                    continue
+                needs_expand |= fallback
+                terms.append(sp.Mul(*factors[:i], d, *factors[i + 1:]))
+        out = sp.Add(*terms)
+        return sp.expand(out) if needs_expand else out
 
     def total_derivative_multi(self, mi: MultiIndex, expr: sp.Expr) -> sp.Expr:
         out = sp.sympify(expr)

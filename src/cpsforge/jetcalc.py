@@ -92,14 +92,6 @@ class SourceForm:
         return {a: self.coefficient(a) for a in self.components}
 
 
-def total_derivative(chart: Chart, axis: int, expr: sp.Expr) -> sp.Expr:
-    return chart.total_derivative(axis, expr)
-
-
-def total_derivative_multi(chart: Chart, mi: MultiIndex, expr: sp.Expr) -> sp.Expr:
-    return chart.total_derivative_multi(mi, expr)
-
-
 def _top_coefficient(chart: Chart, L: Form) -> sp.Expr:
     word = tuple(("x", i) for i in range(chart.n))
     extra = [w for w in L.terms if w != word]

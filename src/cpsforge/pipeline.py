@@ -379,6 +379,7 @@ class OnShellIdeal:
 
     def __init__(self, chart: Chart, equations: list[sp.Expr], strict: bool = False):
         self.chart = chart
+        self.generators = list(equations)
         self.rules: list[tuple[str, MultiIndex, sp.Expr]] = []
         self.skipped: list[sp.Expr] = []
         for eq in equations:
@@ -637,7 +638,7 @@ def gauge_residual(
         corner = corner - translate_form(piece, bslice.schart, ctx.cchart)
     corner = kill_dirichlet(corner, dirichlet)
     if not corner.is_zero() and lp.has_boundary:
-        cideal = _corner_ideal(lp, v, ctx, bulk_eqs)
+        cideal = _corner_ideal(lp, v, ctx, ideal.generators)
         corner = corner.map_coeffs(cideal.reduce_expr)
     return GaugeResidual(bulk_res, corner)
 
@@ -663,15 +664,15 @@ def translate_form(f: Form, src: Chart, dst: Chart) -> Form:
 
 
 def _corner_ideal(
-    lp: LagrangianPair, v: VariationDecomposition, ctx: SliceContext, bulk_eqs
+    lp: LagrangianPair, v: VariationDecomposition, ctx: SliceContext, slice_gens
 ) -> OnShellIdeal:
-    """On-shell ideal on the slice corner: bulk equations restricted twice
-    (with prolongations each time) plus the boundary equations restricted to
-    the corner, all relabeled to the canonical corner chart."""
+    """On-shell ideal on the slice corner: the slice ideal's generators (bulk
+    equations restricted to the slice with their time prolongations) restricted
+    again with their normal prolongations, plus the boundary equations
+    restricted to the corner, all relabeled to the canonical corner chart."""
     from .chart import translate_expr
 
-    chart, bchart = lp.pair.chart, lp.pair.bchart
-    slice_gens = prolonged_restricted_generators(chart, ctx.schart, 0, bulk_eqs)
+    bchart = lp.pair.bchart
     corner_gens = prolonged_restricted_generators(
         ctx.schart, ctx.cchart, ctx.schart.n - 1, slice_gens, value=sp.Integer(0)
     )

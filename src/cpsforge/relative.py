@@ -15,7 +15,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .chart import Chart, NonTangentError
+from .chart import Chart, JetOrderError, NonTangentError
 from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, lie_x, restrict, wedge, word_bidegree
 
 
@@ -73,7 +73,7 @@ class BoundaryPair:
                     break
                 try:
                     bumped = chart.total_derivative(self.axis, bumped)
-                except Exception:
+                except JetOrderError:
                     break
                 out[name] = chart.restrict_expr(bumped, bchart, self.axis, value=sp.Integer(0))
         return out

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 
-from cpsforge.chart import Chart, MultiIndex
+from cpsforge.chart import Chart, JetOrderError, MultiIndex
 from cpsforge.forms import Form, d_h, dd, hodge, restrict, vol, boundary_volume, wedge
 from cpsforge.jetcalc import (
     NonDecomposableError,
@@ -28,7 +28,67 @@ UTX = CH.jet("u", MultiIndex.make(0, 1))
 VOL_WORD = (("x", 0), ("x", 1))
 
 
+def reference_total_derivative(chart: Chart, axis: int, expr) -> sp.Expr:
+    """D_axis by its definition: the partial derivative in x^axis plus, for
+    every jet symbol of expr, sympy's derivative in that jet times the raised
+    jet.  Independent of the chart's factor-wise kernel."""
+    expr = sp.sympify(expr)
+    out = sp.diff(expr, chart.xs[axis])
+    for sym, field, mi in chart.jets_in(expr):
+        d = sp.diff(expr, sym)
+        if d != 0:
+            out += chart.jet(field, mi.union(axis)) * d
+    return out
+
+
+V = sp.Function("V")
+K = sp.Symbol("k")
+EXPLICIT = [
+    V(U),
+    sp.Derivative(V(U), U),
+    sp.Function("lam")(T, X),
+    1 / (1 + U),
+    U**-2,
+    U**K,
+    U**X,
+    sp.exp(U + X),
+    sp.sqrt(2) * UX,
+    T * V(U) * UX**2 + K * U * UTX,
+    sp.Function("f")(T) * U**2 / (1 + UX),
+]
+
+
 class TestTotalDerivative:
+    @given(exprs(CH, max_order=2))
+    def test_matches_reference(self, e):
+        for axis in range(CH.n):
+            got = CH.total_derivative(axis, e)
+            assert sp.expand(got - reference_total_derivative(CH, axis, e)) == 0
+            assert got == sp.expand(got)
+
+    @pytest.mark.parametrize("e", EXPLICIT, ids=str)
+    def test_explicit_matches_reference(self, e):
+        for axis in range(CH.n):
+            got = CH.total_derivative(axis, e)
+            assert sp.expand(got - reference_total_derivative(CH, axis, e)) == 0
+            assert got == sp.expand(got)
+
+    def test_jet_cap_only_when_cap_jet_occurs(self):
+        ch = make_chart(2, ("u", "v"), max_jet_order=2)
+        u = ch.jet("u", MultiIndex())
+        u_t = ch.jet("u", MultiIndex.make(0))
+        u_tx = ch.jet("u", MultiIndex.make(0, 1))
+        below = u_t**2 * ch.jet("v", MultiIndex.make(1)) + V(u) + ch.xs[1] * u
+        for axis in range(ch.n):
+            assert sp.expand(
+                ch.total_derivative(axis, below) - reference_total_derivative(ch, axis, below)
+            ) == 0
+            for e in (u_tx, u * u_tx**2, V(u_tx), ch.xs[0] + u_tx / (1 + u)):
+                with pytest.raises(JetOrderError):
+                    ch.total_derivative(axis, e)
+            # the cap jet cancels once the input is expanded
+            assert ch.total_derivative(axis, (u + 1) * u_tx - u * u_tx - u_tx) == 0
+
     def test_first_jet(self):
         assert CH.total_derivative(0, U) == UT
 

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from cpsforge.chart import MultiIndex, NonTangentError
+from cpsforge.chart import Chart, MultiIndex, NonTangentError
 from cpsforge.forms import Form, d_h, iota_x, restrict
 from cpsforge.relative import (
     BoundaryPair,
@@ -70,6 +70,30 @@ class TestPullback:
     def test_commutes_with_tangent_contraction(self, xi, f):
         xibar = PAIR.restrict_vector(xi)
         assert PAIR.pullback(iota_x(xi, f)) == iota_x(xibar, PAIR.pullback(f))
+
+
+class TestRestrictEv:
+    def test_families_stop_exactly_at_jet_cap(self):
+        ch = make_chart(2, ("u", "v"), max_jet_order=3)
+        pair = BoundaryPair(ch)
+        ut = ch.jet("u", MultiIndex.make(0))
+        out = pair.restrict_ev({"u": ut, "v": ch.jet("v", MultiIndex())})
+        # D_x^k u_t has order k + 1: the families of u end one short of the cap
+        assert sorted(a for a in out if a.startswith("u")) == ["u", "u.n1", "u.n2"]
+        assert sorted(a for a in out if a.startswith("v")) == ["v", "v.n1", "v.n2", "v.n3"]
+        assert out["u.n2"] == pair.bchart.jet("u.n2", MultiIndex.make(0))
+        assert out["v.n3"] == pair.bchart.jet("v.n3", MultiIndex())
+
+    def test_other_errors_propagate(self, monkeypatch):
+        ch = make_chart(2, ("u",))
+        pair = BoundaryPair(ch)
+
+        def broken(self, axis, expr):
+            raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr(Chart, "total_derivative", broken)
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            pair.restrict_ev({"u": ch.jet("u", MultiIndex())})
 
 
 class TestRelD:
