@@ -153,7 +153,7 @@ class Chart:
 
     # -- derivatives -----------------------------------------------------------------
 
-    def _factor_derivative(self, axis: int, f: sp.Expr) -> tuple[sp.Expr, bool]:
+    def factor_derivative(self, axis: int, f: sp.Expr) -> tuple[sp.Expr, bool]:
         """D_axis of one factor of a monomial; the flag marks a sympy fallback,
         whose result may need expanding."""
         x = self.xs[axis]
@@ -197,7 +197,7 @@ class Chart:
             for i, f in enumerate(factors):
                 got = memo.get(f)
                 if got is None:
-                    got = memo[f] = self._factor_derivative(axis, f)
+                    got = memo[f] = self.factor_derivative(axis, f)
                 d, fallback = got
                 if d == 0:
                     continue
@@ -262,6 +262,11 @@ class Chart:
         tag = getattr(sub, "restriction_tag", "n")
         return f"{field}.{tag}{transversal_order}"
 
+    def restricted_jet(self, field: str, mi: MultiIndex, sub: "Chart", axis: int) -> sp.Symbol:
+        """The jet of sub that restriction along axis relabels u^field_mi to."""
+        kept, k = mi.split_axis(axis)
+        return sub.jet(self.restricted_label(field, k, sub), kept.shift_down(axis))
+
     def restrict_expr(
         self, expr: sp.Expr, sub: "Chart", axis: int, value: sp.Expr | None = None
     ) -> sp.Expr:
@@ -271,11 +276,10 @@ class Chart:
         given (the numeric layer binds it per face; the pipeline pins it to the
         canonical face).
         """
-        repl = {}
-        for sym, field, mi in self.jets_in(expr):
-            kept, k = mi.split_axis(axis)
-            rfield = self.restricted_label(field, k, sub)
-            repl[sym] = sub.jet(rfield, kept.shift_down(axis))
+        repl = {
+            sym: self.restricted_jet(field, mi, sub, axis)
+            for sym, field, mi in self.jets_in(expr)
+        }
         if value is not None:
             repl[self.xs[axis]] = sp.sympify(value)
         return expr.xreplace(repl)
@@ -304,18 +308,17 @@ def translate_expr(expr: sp.Expr, src: "Chart", dst: "Chart") -> sp.Expr:
     """Relabel the jets of expr between charts whose restricted-field labels
     differ only in tag composition order (e.g. corner charts reached via
     slice-then-boundary vs boundary-then-slice)."""
-    repl = {}
-    for sym, field, mi in src.jets_in(expr):
-        base, n_ord, t_ord = parse_restricted_label(field)
-        target = None
-        for cand in dst.fields:
-            if parse_restricted_label(cand) == (base, n_ord, t_ord):
-                target = cand
-                break
-        if target is None:
-            raise KeyError(f"no field in target chart matching {field!r}")
-        repl[sym] = dst.jet(target, mi)
+    repl = {sym: dst.jet(translated_field(field, dst), mi) for sym, field, mi in src.jets_in(expr)}
     return expr.xreplace(repl)
+
+
+def translated_field(field: str, dst: "Chart") -> str:
+    """The field of dst whose restricted label parses like field's."""
+    key = parse_restricted_label(field)
+    for cand in dst.fields:
+        if parse_restricted_label(cand) == key:
+            return cand
+    raise KeyError(f"no field in target chart matching {field!r}")
 
 
 @functools.lru_cache(maxsize=None)

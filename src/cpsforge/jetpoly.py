@@ -1,0 +1,319 @@
+"""Sparse polynomials in jet symbols: the coefficient kernel of the on-shell ideals.
+
+A polynomial is a dict ``{monomial: rational}`` with no zero values; a
+monomial is a sorted tuple of ``(atom index, exponent)`` pairs with positive
+integer exponents, and ``()`` is the constant monomial.  A ``JetRing`` numbers
+the atoms in order of first appearance.  Atoms are symbols (jets, coordinates,
+parameters) and formal-function atoms: an undefined function of distinct
+symbols, such as ``V(u)`` or ``lam(t, x, y)``, or its derivative in some of
+them.  A formal-function atom gets its chain rule from sympy's ``diff`` on that
+atom alone, as ``Chart.factor_derivative`` does.
+
+Any other input -- a non-rational constant, a power with a negative or
+symbolic exponent, any other function -- raises ``NotRepresentable``; callers
+then redo the work on expanded sympy expressions through ``ExprRing``, which
+has the same interface.  Such factors cannot be atoms without making the zero
+test unsound: ``u*u**-3`` and ``u**-2`` would be distinct monomials.
+
+A ring and its memos belong to the computation that created it; nothing here
+is cached at module level.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import sympy as sp
+from sympy.core.function import AppliedUndef
+
+from .chart import Chart, translate_expr
+
+
+class NotRepresentable(Exception):
+    """An expression outside the sparse kernel's atoms and rational coefficients."""
+
+
+def _is_function_atom(e: sp.Expr) -> bool:
+    if isinstance(e, AppliedUndef):
+        return all(a.is_Symbol for a in e.args) and len(set(e.args)) == len(e.args)
+    if isinstance(e, sp.Derivative):
+        return _is_function_atom(e.expr) and all(v in e.expr.args for v in e.variables)
+    return False
+
+
+def _add_to(out: dict, mono: tuple, c) -> None:
+    c = out.get(mono, 0) + c
+    if c:
+        out[mono] = c
+    else:
+        out.pop(mono, None)
+
+
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    acc = dict(m1)
+    for i, e in m2:
+        acc[i] = acc.get(i, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def _mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            _add_to(out, _mono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def _number(q: Fraction):
+    """Integral coefficients stay Python ints, whose arithmetic is cheaper."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _rational(c) -> sp.Rational:
+    return sp.Integer(c) if c.denominator == 1 else sp.Rational(c.numerator, c.denominator)
+
+
+class JetRing:
+    """Atom table and operations of sparse jet polynomials.
+
+    The jet-dependent operations take the chart that interprets the symbols,
+    so one ring serves a chart and its restrictions.  Images of atoms under a
+    total derivative, a partial derivative or a relabeling are memoised on the
+    ring.
+    """
+
+    def __init__(self):
+        self.atoms: list[sp.Expr] = []
+        self._index: dict[sp.Expr, int] = {}
+        self._memo: dict[tuple, dict[int, dict | None]] = {}
+
+    def _atom(self, a: sp.Expr) -> int:
+        i = self._index.get(a)
+        if i is None:
+            i = self._index[a] = len(self.atoms)
+            self.atoms.append(a)
+        return i
+
+    # -- conversion ------------------------------------------------------------------
+
+    def poly(self, e) -> dict:
+        """The polynomial of a sympy expression; raises NotRepresentable."""
+        e = sp.sympify(e)
+        if e.is_Add:
+            out: dict = {}
+            for t in e.args:
+                for m, c in self.poly(t).items():
+                    _add_to(out, m, c)
+            return out
+        if e.is_Mul:
+            out = {(): 1}
+            for f in e.args:
+                out = _mul(out, self.poly(f))
+            return out
+        if e.is_Pow:
+            n = e.exp
+            if not (n.is_Integer and n > 0):
+                raise NotRepresentable(f"power with exponent {n}: {e}")
+            base = self.poly(e.base)
+            if len(base) == 1:
+                ((m, c),) = base.items()
+                return {tuple((i, k * int(n)) for i, k in m): c ** int(n)}
+            out = {(): 1}
+            for _ in range(int(n)):
+                out = _mul(out, base)
+            return out
+        if e.is_Rational:
+            return {(): _number(Fraction(int(e.p), int(e.q)))} if e != 0 else {}
+        if e.is_Symbol or _is_function_atom(e):
+            return {((self._atom(e), 1),): 1}
+        raise NotRepresentable(f"not a polynomial in jet atoms: {e}")
+
+    def expr(self, p: dict) -> sp.Expr:
+        """The expanded sympy expression of a polynomial."""
+        atoms = self.atoms
+        return sp.Add(*[
+            sp.Mul(_rational(c), *[atoms[i] if k == 1 else atoms[i] ** k for i, k in m])
+            for m, c in p.items()
+        ])
+
+    @staticmethod
+    def is_zero(p: dict) -> bool:
+        return not p
+
+    # -- jets ------------------------------------------------------------------------
+
+    def jets(self, chart: Chart, p: dict) -> list:
+        """Jet symbols of the chart in p, also inside formal-function atoms,
+        ordered as ``Chart.jets_in`` orders them."""
+        found = {}
+        for i in {i for m in p for i, _ in m}:
+            a = self.atoms[i]
+            if a.is_Symbol:
+                key = chart.jet_key(a)
+                if key is not None:
+                    found[a] = (a, key[0], key[1])
+            else:
+                for t in chart.jets_in(a):
+                    found[t[0]] = t
+        return sorted(found.values(), key=lambda t: (t[1], t[2].order, t[2].entries))
+
+    # -- atom maps -------------------------------------------------------------------
+
+    def _images(self, key: tuple, make):
+        """image(i): the polynomial of make(atom i), None for zero, memoised
+        on the ring under key (one key per chart map)."""
+        table = self._memo.setdefault(key, {})
+        atoms = self.atoms
+
+        def image(i):
+            try:
+                return table[i]
+            except KeyError:
+                img = table[i] = self.poly(make(atoms[i])) or None
+                return img
+
+        return image
+
+    def _derive(self, p: dict, image) -> dict:
+        """Apply the derivation that sends atom i to image(i), by the Leibniz
+        rule on every monomial."""
+        out: dict = {}
+        for m, c in p.items():
+            for pos, (i, k) in enumerate(m):
+                d = image(i)
+                if d is None:
+                    continue
+                rest = m[:pos] + ((i, k - 1),) + m[pos + 1:] if k > 1 else m[:pos] + m[pos + 1:]
+                ck = c * k
+                for dm, dc in d.items():
+                    _add_to(out, _mono_mul(rest, dm), ck * dc)
+        return out
+
+    def total_derivative(self, chart: Chart, axis: int, p: dict) -> dict:
+        """D_axis on the chart; JetOrderError exactly where Chart.total_derivative
+        raises it, at a cap jet whose derivative is needed."""
+        return self._derive(p, self._images(
+            ("D", chart, axis), lambda a: chart.factor_derivative(axis, a)[0]
+        ))
+
+    def diff(self, p: dict, sym: sp.Symbol) -> dict:
+        """Partial derivative by one symbol, through formal-function atoms too."""
+        j = self._index.get(sym)
+        inner = self._images(("d", sym), lambda a: 0 if a.is_Symbol else sp.diff(a, sym))
+        return self._derive(p, lambda i: {(): 1} if i == j else inner(i))
+
+    def _relabel(self, p: dict, image) -> dict:
+        """Substitute image(i) for every atom i."""
+        out: dict = {}
+        for m, c in p.items():
+            exps: dict[int, int] = {}
+            sums = []
+            for i, k in m:
+                img = image(i)
+                if img is None:
+                    c = 0
+                    break
+                if len(img) > 1:
+                    sums += [img] * k
+                    continue
+                ((im, ic),) = img.items()
+                c *= ic ** k
+                for j, e in im:
+                    exps[j] = exps.get(j, 0) + e * k
+            if not c:
+                continue
+            term = {tuple(sorted(exps.items())): c}
+            for img in sums:
+                term = _mul(term, img)
+            for tm, tc in term.items():
+                _add_to(out, tm, tc)
+        return out
+
+    def restrict(self, chart: Chart, sub: Chart, axis: int, p: dict, value=None) -> dict:
+        """Chart.restrict_expr on polynomials."""
+
+        def image(a):
+            if not a.is_Symbol:
+                return chart.restrict_expr(a, sub, axis, value=value)
+            key = chart.jet_key(a)
+            if key is not None:
+                return chart.restricted_jet(key[0], key[1], sub, axis)
+            return value if value is not None and a == chart.xs[axis] else a
+
+        return self._relabel(p, self._images(("r", chart, sub, axis, value), image))
+
+    def translate(self, src: Chart, dst: Chart, p: dict) -> dict:
+        """chart.translate_expr on polynomials."""
+        image = self._images(("t", src, dst), lambda a: translate_expr(a, src, dst))
+        return self._relabel(p, image)
+
+    # -- solving ---------------------------------------------------------------------
+
+    def solve(self, p: dict, sym: sp.Symbol, c: dict) -> dict:
+        """Solve p = 0 for sym, given c = dp/dsym free of jets: -(p - c*sym)/c.
+
+        A non-constant c would need rational functions, so it is not
+        representable."""
+        if len(c) != 1 or () not in c:
+            raise NotRepresentable(f"leading coefficient is not a rational number: {c}")
+        q = c[()]
+        lead = ((self._index[sym], 1),)
+        if q in (1, -1):
+            return {m: -v * q for m, v in p.items() if m != lead}
+        return {m: _number(-Fraction(v) / q) for m, v in p.items() if m != lead}
+
+
+class ExprRing:
+    """The JetRing interface on expanded sympy expressions: the path for
+    inputs the sparse kernel cannot represent, and its reference in tests."""
+
+    @staticmethod
+    def poly(e) -> sp.Expr:
+        return sp.expand(e)
+
+    @staticmethod
+    def expr(p: sp.Expr) -> sp.Expr:
+        return p
+
+    @staticmethod
+    def is_zero(p: sp.Expr) -> bool:
+        return p == 0
+
+    @staticmethod
+    def jets(chart: Chart, p: sp.Expr) -> list:
+        return chart.jets_in(p)
+
+    @staticmethod
+    def total_derivative(chart: Chart, axis: int, p: sp.Expr) -> sp.Expr:
+        return chart.total_derivative(axis, p)
+
+    @staticmethod
+    def diff(p: sp.Expr, sym: sp.Symbol) -> sp.Expr:
+        return sp.diff(p, sym)
+
+    @staticmethod
+    def restrict(chart: Chart, sub: Chart, axis: int, p: sp.Expr, value=None) -> sp.Expr:
+        return sp.expand(chart.restrict_expr(p, sub, axis, value=value))
+
+    @staticmethod
+    def translate(src: Chart, dst: Chart, p: sp.Expr) -> sp.Expr:
+        return translate_expr(p, src, dst)
+
+    @staticmethod
+    def solve(p: sp.Expr, sym: sp.Symbol, c: sp.Expr) -> sp.Expr:
+        return sp.expand(-(p - c * sym) / c)
+
+
+EXPR = ExprRing()
+
+
+def on_kernel(build):
+    """build(ring) on a fresh JetRing, or on EXPR when the kernel cannot
+    represent its inputs; ``build`` converts them with ``ring.poly``."""
+    try:
+        return build(JetRing())
+    except NotRepresentable:
+        return build(EXPR)

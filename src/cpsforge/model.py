@@ -530,7 +530,7 @@ class ModelParser:
             raise ModelError("model needs chart, fields, and lagrangian blocks")
         coords: tuple[str, ...] = ()
         has_boundary = True
-        domain = None
+        domain_stmt = None
         periodic: tuple[str, ...] = ()
         for stmt in blocks["chart"]:
             key = stmt[0].text
@@ -539,16 +539,23 @@ class ModelParser:
             elif key == "boundary":
                 has_boundary = stmt[2].text == "true"
             elif key == "domain":
-                nums = self._domain_numbers(stmt)
-                domain = tuple((nums[2 * i], nums[2 * i + 1]) for i in range(len(nums) // 2))
+                domain_stmt = stmt
             elif key == "periodic":
                 periodic = tuple(t.text for t in stmt[2:] if t.kind == "ident")
             else:
                 raise ModelError(f"unknown chart entry {key!r}", stmt[0].line, stmt[0].col)
         if not coords:
             raise ModelError("chart declares no coordinates")
-        if domain is None:
+        if domain_stmt is None:
             domain = tuple((0.0, 1.0) for _ in coords)
+        else:
+            nums = self._domain_numbers(domain_stmt)
+            if len(nums) != 2 * len(coords):
+                raise ModelError(
+                    f"domain needs one interval per coordinate ({len(coords)}), "
+                    f"got {len(nums)} number(s)", domain_stmt[0].line, domain_stmt[0].col,
+                )
+            domain = tuple((nums[2 * i], nums[2 * i + 1]) for i in range(len(coords)))
 
         field_decls: list[FieldDecl] = []
         for stmt in blocks["fields"]:
@@ -575,7 +582,12 @@ class ModelParser:
             if key == "metric":
                 entries = []
                 texts = [t.text for t in stmt]
-                inner = texts[texts.index("(") + 1: len(texts) - 1]
+                if texts[1:4] != ["=", "diag", "("] or texts[-1] != ")":
+                    raise ModelError(
+                        "metric declarations look like `metric = diag(-1, 1);`",
+                        stmt[0].line, stmt[0].col,
+                    )
+                inner = texts[4: len(texts) - 1]
                 cur = []
                 for t in inner:
                     if t == ",":
@@ -585,14 +597,29 @@ class ModelParser:
                         cur.append(t)
                 if cur:
                     entries.append("".join(cur))
-                metric = tuple(sp.sympify(e) for e in entries)
+                try:
+                    metric = tuple(sp.sympify(e) for e in entries)
+                except (sp.SympifyError, TypeError, ValueError) as err:
+                    raise ModelError(
+                        f"unreadable metric entry: {err}", stmt[0].line, stmt[0].col
+                    ) from None
+                if len(metric) != len(coords):
+                    raise ModelError(
+                        f"metric needs one diagonal entry per coordinate ({len(coords)})",
+                        stmt[0].line, stmt[0].col,
+                    )
             elif len(stmt) >= 3 and stmt[1].text == ":":
                 argnames = tuple(t.text for t in stmt[4:] if t.kind == "ident")
                 backgrounds.append(BackgroundDecl(key, "function", args=argnames))
             elif len(stmt) >= 3 and stmt[1].text == "=":
                 valtext = "".join(t.text for t in stmt[2:])
                 backgrounds.append(BackgroundDecl(key, "value", value=valtext))
-                bindings[key] = float(sp.sympify(valtext))
+                try:
+                    bindings[key] = float(sp.sympify(valtext))
+                except (sp.SympifyError, TypeError, ValueError):
+                    raise ModelError(
+                        f"background value {valtext!r} is not a number", stmt[0].line, stmt[0].col
+                    ) from None
             else:
                 backgrounds.append(BackgroundDecl(key, "const"))
 
@@ -609,7 +636,13 @@ class ModelParser:
 
         bc: dict[str, str] = {}
         for stmt in blocks.get("bc", []):
-            bc[stmt[0].text] = stmt[2].text
+            texts = [t.text for t in stmt]
+            if len(texts) != 3 or texts[1] != "=" or texts[2] not in ("free", "dirichlet", "robin"):
+                raise ModelError(
+                    "boundary conditions look like `u = free;` (free, dirichlet or robin)",
+                    stmt[0].line, stmt[0].col,
+                )
+            bc[texts[0]] = texts[2]
 
         vector_srcs: dict[str, tuple[str, ...]] = {}
         vec_tokens: dict[str, list[list[Token]]] = {}

@@ -25,6 +25,7 @@ from .jetcalc import (
     euler_operator,
     integrate_by_parts,
 )
+from .jetpoly import EXPR, NotRepresentable, on_kernel
 from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
 
 
@@ -371,40 +372,62 @@ def noether_current_xi(
 class OnShellIdeal:
     """Rewriting modulo the equations of motion and their total derivatives.
 
-    Every generator must be solvable for its leading jet (linear, jet-free
-    coefficient); reduction substitutes leading jets (and their prolongations)
-    to a fixpoint under the chart's jet cap.  Contact factors reduce through
-    the linearized rows of the same generators.
+    Each generator is solved for its leading jet when that jet occurs linearly
+    with a jet-free coefficient; a generator that is not solvable this way is
+    kept in ``skipped`` and takes no part in the reduction, which it weakens
+    but never makes unsound (``strict`` raises instead).  Reduction substitutes
+    leading jets (and their prolongations) to a fixpoint under the chart's jet
+    cap.  Contact factors reduce through the linearized rows of the same
+    generators.
+
+    With ``ring``, the equations are polynomials of that ring (see
+    ``jetpoly``); without it they are sympy expressions, solved on the sparse
+    kernel when it represents all of them.  A rule's right-hand side becomes
+    a sympy expression the first time ``_match`` returns it.
     """
 
-    def __init__(self, chart: Chart, equations: list[sp.Expr], strict: bool = False):
+    def __init__(self, chart: Chart, equations: list, strict: bool = False, ring=None):
         self.chart = chart
-        self.generators = list(equations)
-        self.rules: list[tuple[str, MultiIndex, sp.Expr]] = []
-        self.skipped: list[sp.Expr] = []
-        for eq in equations:
-            eq = sp.expand(eq)
-            if eq == 0:
+        if ring is not None:
+            self._solve(ring, list(equations), strict)
+        else:
+            on_kernel(lambda r: self._solve(r, [r.poly(e) for e in equations], strict))
+
+    def _solve(self, ring, gens: list, strict: bool) -> None:
+        chart = self.chart
+        self.ring = ring
+        self.generators = gens
+        self.rules: list[tuple[str, MultiIndex, object]] = []
+        self.skipped: list = []
+        self._rhs: dict[int, sp.Expr] = {}
+        for eq in gens:
+            if ring.is_zero(eq):
                 continue
-            jets = chart.jets_in(eq)
+            jets = ring.jets(chart, eq)
             if not jets:
-                raise ValueError(f"equation without jets: {eq}")
+                raise ValueError(f"equation without jets: {ring.expr(eq)}")
             sym, a, mi = max(
                 jets, key=lambda t: (t[2].order, t[2].count(0), t[2].entries, t[1])
             )
-            c = sp.diff(eq, sym)
-            if c.has(sym) or chart.jets_in(c):
-                # not solvable for its leading jet: a skipped generator weakens the
-                # reduction but never makes it unsound
+            c = ring.diff(eq, sym)
+            if ring.jets(chart, c):
                 if strict:
-                    raise ValueError(f"equation not solvable for leading jet {sym}: {eq}")
+                    raise ValueError(
+                        f"equation not solvable for leading jet {sym}: {ring.expr(eq)}"
+                    )
                 self.skipped.append(eq)
                 continue
-            rhs = sp.expand(-(eq - c * sym) / c)
-            self.rules.append((a, mi, rhs))
+            self.rules.append((a, mi, ring.solve(eq, sym, c)))
+
+    def rhs(self, k: int) -> sp.Expr:
+        """Right-hand side of rule k as a sympy expression, converted once."""
+        got = self._rhs.get(k)
+        if got is None:
+            got = self._rhs[k] = self.ring.expr(self.rules[k][2])
+        return got
 
     def _match(self, a: str, mi: MultiIndex):
-        for ra, rmi, rhs in self.rules:
+        for k, (ra, rmi, _) in enumerate(self.rules):
             if ra != a:
                 continue
             rem = list(mi.entries)
@@ -416,7 +439,7 @@ class OnShellIdeal:
                     ok = False
                     break
             if ok:
-                return MultiIndex(tuple(rem)), rhs
+                return MultiIndex(tuple(rem)), self.rhs(k)
         return None
 
     def reduce_expr(self, e: sp.Expr, max_passes: int = 64) -> sp.Expr:
@@ -470,30 +493,36 @@ class OnShellIdeal:
 
 
 def prolonged_restricted_generators(
-    chart: Chart, sub: Chart, axis: int, equations: list[sp.Expr], value=None
-) -> list[sp.Expr]:
+    chart: Chart, sub: Chart, axis: int, equations: list, value=None, ring=EXPR
+) -> list:
     """Restrict each generator and its axis-prolongations (up to the jet cap)
     to a hypersurface chart; this is how "all differential consequences" of an
-    equation survive the loss of the transversal direction."""
-    gens: list[sp.Expr] = []
+    equation survive the loss of the transversal direction.  The equations
+    are polynomials of ``ring`` (expanded sympy expressions by default), and
+    so are the generators returned."""
+    gens: list = []
     for eq in equations:
-        if sp.expand(eq) == 0:
+        if ring.is_zero(eq):
             continue
-        order = max((mi.order for _, _, mi in chart.jets_in(eq)), default=0)
+        order = max((mi.order for _, _, mi in ring.jets(chart, eq)), default=0)
         bumped = eq
         for k in range(chart.max_jet_order - order + 1):
-            gens.append(chart.restrict_expr(bumped, sub, axis, value=value))
+            gens.append(ring.restrict(chart, sub, axis, bumped, value=value))
             if k < chart.max_jet_order - order:
-                bumped = chart.total_derivative(axis, bumped)
+                bumped = ring.total_derivative(chart, axis, bumped)
     return gens
 
 
 def slice_ideal(chart: Chart, ctx: SliceContext, equations: list[sp.Expr]) -> OnShellIdeal:
     """The on-shell ideal relabeled to a Cauchy slice, including the time
     prolongations of every generator up to the jet cap."""
-    return OnShellIdeal(
-        ctx.schart, prolonged_restricted_generators(chart, ctx.schart, 0, equations)
-    )
+
+    def build(ring):
+        eqs = [ring.poly(e) for e in equations]
+        gens = prolonged_restricted_generators(chart, ctx.schart, 0, eqs, ring=ring)
+        return OnShellIdeal(ctx.schart, gens, ring=ring)
+
+    return on_kernel(build)
 
 
 # -- gauge diagnostics --------------------------------------------------------------------
@@ -508,21 +537,22 @@ class GaugeResidual:
         return self.bulk.is_zero() and self.boundary.is_zero()
 
 
-def _linearized_row(schart: Chart, c: sp.Expr, gen: sp.Expr):
+def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
     """Sweep c * dd(gen) ^ vol on the slice chart: returns (sources, kappa).
 
     These are the on-shell-trivial source rows (terms proportional to the
     linearized equations, integrated by parts) against which a gauge residual
     is reduced; kappa is the boundary term the integration by parts sheds.
+    ``gen`` is a polynomial of ``ring``.
     """
     from .jetcalc import _sweep
 
     vol_word = tuple(("x", i) for i in range(schart.n))
     raw = []
-    for sym, b, mi in schart.jets_in(gen):
-        dcoef = sp.diff(gen, sym)
-        if dcoef != 0:
-            raw.append((c * dcoef, vol_word + (("v", b, mi.entries),)))
+    for sym, b, mi in ring.jets(schart, gen):
+        dcoef = ring.diff(gen, sym)
+        if not ring.is_zero(dcoef):
+            raw.append((c * ring.expr(dcoef), vol_word + (("v", b, mi.entries),)))
     row = Form.from_terms(schart, schart.n, 1, raw)
     if row.is_zero():
         return {}, Form.zero(schart, schart.n - 1, 1)
@@ -530,7 +560,8 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen: sp.Expr):
 
 
 def _monomials(src: Mapping[str, sp.Expr]) -> int:
-    return sum(len(sp.Add.make_args(sp.expand(e))) for e in src.values() if sp.expand(e) != 0)
+    """Term count of reduced (expanded, nonzero) source coefficients."""
+    return sum(len(sp.Add.make_args(e)) for e in src.values())
 
 
 def gauge_multiplier_candidates(
@@ -590,35 +621,45 @@ def gauge_residual(
     from .jetcalc import _sweep
 
     src, kappa = _sweep(Gs)
-    bulk_eqs = [sp.expand(e) for e in v.equations().values()]
+    bulk_eqs = list(v.equations().values())
     ideal = slice_ideal(chart, ctx, bulk_eqs)
     src = {a: ideal.reduce_expr(c) for a, c in src.items()}
     src = {a: c for a, c in src.items() if c != 0}
-    # absorb rows proportional to linearized equations of motion
+    # absorb rows proportional to linearized equations of motion.  The sweep
+    # and the reduction are linear and src is reduced, so each row is swept
+    # and reduced once, the row of -c is the negated row of c, and a trial is
+    # a sum of expanded expressions, which sympy keeps expanded.
+    ring = ideal.ring
     base_gens = [
-        chart.restrict_expr(e, ctx.schart, 0, value=None) for e in bulk_eqs if e != 0
+        ring.restrict(chart, ctx.schart, 0, p)
+        for p in map(ring.poly, bulk_eqs) if not ring.is_zero(p)
     ]
     cands = gauge_multiplier_candidates(lp, ctx, W, xi, meta)
+    rows: dict[tuple[int, int], tuple] = {}
+    size = _monomials(src)
     improved = True
     while improved and src:
         improved = False
-        for c in cands:
-            for gen in base_gens:
-                for alpha in (1, -1):
-                    row_src, row_kappa = _linearized_row(ctx.schart, alpha * c, gen)
-                    if not row_src:
-                        continue
+        for ci, c in enumerate(cands):
+            for gi, gen in enumerate(base_gens):
+                if (ci, gi) not in rows:
+                    row_src, row_kappa = _linearized_row(ctx.schart, c, gen, ring)
+                    row_src = {a: ideal.reduce_expr(e) for a, e in row_src.items()}
+                    rows[ci, gi] = row_src, row_kappa
+                row_src, row_kappa = rows[ci, gi]
+                if not row_src:
+                    continue
+                for sign in (1, -1):
                     trial = dict(src)
                     for a, e in row_src.items():
-                        trial[a] = sp.expand(trial.get(a, sp.Integer(0)) - e)
-                    trial = {a: ideal.reduce_expr(e) for a, e in trial.items()}
+                        old = trial.get(a, sp.Integer(0))
+                        trial[a] = old - e if sign > 0 else old + e
                     trial = {a: e for a, e in trial.items() if e != 0}
-                    if _monomials(trial) < _monomials(src):
-                        src = trial
-                        kappa = kappa - row_kappa
+                    trial_size = _monomials(trial)
+                    if trial_size < size:
+                        src, size = trial, trial_size
+                        kappa = kappa - row_kappa if sign > 0 else kappa + row_kappa
                         improved = True
-        if _monomials(src) == 0:
-            break
     vol_word = tuple(("x", i) for i in range(ctx.schart.n))
     bulk_res = Form.zero(ctx.schart, ctx.schart.n, 1)
     for a, coeff in sorted(src.items()):
@@ -638,48 +679,49 @@ def gauge_residual(
         corner = corner - translate_form(piece, bslice.schart, ctx.cchart)
     corner = kill_dirichlet(corner, dirichlet)
     if not corner.is_zero() and lp.has_boundary:
-        cideal = _corner_ideal(lp, v, ctx, ideal.generators)
+        cideal = _corner_ideal(lp, v, ctx, ideal)
         corner = corner.map_coeffs(cideal.reduce_expr)
     return GaugeResidual(bulk_res, corner)
 
 
 def translate_form(f: Form, src: Chart, dst: Chart) -> Form:
     """Relabel a form between corner charts reached by restriction in either order."""
-    from .chart import parse_restricted_label, translate_expr
+    from .chart import translate_expr, translated_field
 
     raw = []
     for word, coeff in f.terms.items():
-        new_word = []
-        for fac in word:
-            if fac[0] == "x":
-                new_word.append(fac)
-            else:
-                key = parse_restricted_label(fac[1])
-                target = next(
-                    c for c in dst.fields if parse_restricted_label(c) == key
-                )
-                new_word.append(("v", target, fac[2]))
-        raw.append((translate_expr(coeff, src, dst), tuple(new_word)))
+        new_word = tuple(
+            fac if fac[0] == "x" else ("v", translated_field(fac[1], dst), fac[2])
+            for fac in word
+        )
+        raw.append((translate_expr(coeff, src, dst), new_word))
     return Form.from_terms(dst, *f._tag, raw)
 
 
 def _corner_ideal(
-    lp: LagrangianPair, v: VariationDecomposition, ctx: SliceContext, slice_gens
+    lp: LagrangianPair, v: VariationDecomposition, ctx: SliceContext, sideal: OnShellIdeal
 ) -> OnShellIdeal:
     """On-shell ideal on the slice corner: the slice ideal's generators (bulk
     equations restricted to the slice with their time prolongations) restricted
     again with their normal prolongations, plus the boundary equations
-    restricted to the corner, all relabeled to the canonical corner chart."""
-    from .chart import translate_expr
-
+    restricted to the corner, all relabeled to the canonical corner chart.
+    It stays in the slice ideal's ring unless the boundary equations leave
+    the sparse kernel."""
     bchart = lp.pair.bchart
-    corner_gens = prolonged_restricted_generators(
-        ctx.schart, ctx.cchart, ctx.schart.n - 1, slice_gens, value=sp.Integer(0)
-    )
-    b_eqs = [sp.expand(e) for e in v.boundary_equations().values() if sp.expand(e) != 0]
-    if b_eqs:
-        bslice = SliceContext(bchart)
-        bgens = prolonged_restricted_generators(bchart, bslice.schart, 0, b_eqs)
-        corner_gens += [translate_expr(g, bslice.schart, ctx.cchart) for g in bgens]
-    gens = [g for g in corner_gens if sp.expand(g) != 0]
-    return OnShellIdeal(ctx.cchart, gens)
+    b_eqs = list(v.boundary_equations().values())
+
+    def build(ring, slice_gens):
+        gens = prolonged_restricted_generators(
+            ctx.schart, ctx.cchart, ctx.schart.n - 1, slice_gens, value=sp.Integer(0), ring=ring
+        )
+        bpolys = [p for p in map(ring.poly, b_eqs) if not ring.is_zero(p)]
+        if bpolys:
+            bslice = SliceContext(bchart)
+            bgens = prolonged_restricted_generators(bchart, bslice.schart, 0, bpolys, ring=ring)
+            gens += [ring.translate(bslice.schart, ctx.cchart, g) for g in bgens]
+        return OnShellIdeal(ctx.cchart, [g for g in gens if not ring.is_zero(g)], ring=ring)
+
+    try:
+        return build(sideal.ring, sideal.generators)
+    except NotRepresentable:
+        return build(EXPR, [sideal.ring.expr(g) for g in sideal.generators])

@@ -8,6 +8,7 @@ import pytest
 
 import cpsforge
 from cpsforge.cli import corpus_dir, main
+from cpsforge.model import ModelError, parse_model
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens"
 CORPUS_MODELS = sorted(f.name[: -len(".cps")] for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
@@ -90,7 +91,7 @@ def test_derive_matches_golden(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["chern_simons_k1", "yang_mills_abelian_n3"])
+@pytest.mark.parametrize("name", ["chern_simons_k1", "yang_mills_abelian_n3", "yang_mills_su2_n2"])
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
 def test_derive_independent_of_hash_seed(tmp_path, name, hash_seed):
     out = tmp_path / "rep.json"
@@ -103,3 +104,28 @@ def test_derive_independent_of_hash_seed(tmp_path, name, hash_seed):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+ROBIN_MUTATIONS = {
+    "bc_without_kind": ("bc { u = robin; }", "bc { u; }", 18),
+    "metric_without_value": ("metric = diag(-1, 1);", "metric;", 10),
+    "non_numeric_value": ("    f;", "    f = abc;", 11),
+    "domain_arity": ("domain = (0, 1), (0, 1);", "domain = (0, 1);", 6),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(ROBIN_MUTATIONS))
+def test_malformed_model_is_positioned_model_error(tmp_path, capsys, mutation):
+    # each mutation used to escape the parser as a raw exception (or, for the
+    # domain, to parse and fail later inside the numeric grid)
+    old, new, line = ROBIN_MUTATIONS[mutation]
+    text = (corpus_dir() / "scalar_robin.cps").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "mutant.cps"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ModelError) as err:
+        parse_model(path.read_text())
+    assert err.value.line == line and err.value.col is not None
+    assert main(["derive", str(path), "--no-symmetries"]) == 1
+    captured = capsys.readouterr()
+    assert "model error" in captured.err and "Traceback" not in captured.err

@@ -2,6 +2,7 @@
 import pytest
 import sympy as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpsforge.chart import Chart, JetOrderError, MultiIndex
 from cpsforge.forms import Form, d_h, dd, hodge, restrict, vol, boundary_volume, wedge
@@ -11,6 +12,8 @@ from cpsforge.jetcalc import (
     euler_operator,
     integrate_by_parts,
 )
+from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable
+from cpsforge.pipeline import prolonged_restricted_generators
 
 from strategies import exprs, forms, make_chart
 
@@ -111,6 +114,72 @@ class TestTotalDerivative:
         lhs = CH.total_derivative_multi(mi, a * b)
         rhs = CH.total_derivative(0, CH.total_derivative(1, a * b))
         assert sp.expand(lhs - rhs) == 0
+
+
+# the EXPLICIT cases the sparse kernel represents; it refuses every other one
+KERNEL_ATOMS = {
+    str(V(U)),
+    str(sp.Derivative(V(U), U)),
+    str(sp.Function("lam")(T, X)),
+    str(T * V(U) * UX**2 + K * U * UTX),
+}
+CH3 = make_chart(3, ("u", "v"), max_jet_order=3)
+
+
+class TestJetPolyKernel:
+    @given(exprs(CH, max_order=2))
+    def test_roundtrip_is_expand(self, e):
+        ring = JetRing()
+        assert ring.expr(ring.poly(e)) == sp.expand(e)
+
+    @pytest.mark.parametrize("chart", [CH, CH3], ids=["2d", "3d"])
+    @given(data=st.data())
+    def test_prolong_restrict_matches_expr_path(self, chart, data):
+        e = data.draw(exprs(chart, max_order=2))
+        for axis, value in ((0, None), (chart.n - 1, sp.Integer(0))):
+            sub = chart.restricted(axis)
+            ring = JetRing()
+            got = prolonged_restricted_generators(chart, sub, axis, [ring.poly(e)], value, ring)
+            want = prolonged_restricted_generators(chart, sub, axis, [EXPR.poly(e)], value)
+            assert [ring.expr(g) for g in got] == want
+
+    @given(exprs(CH, max_order=2))
+    def test_partial_derivative_matches_sympy(self, e):
+        ring = JetRing()
+        p = ring.poly(e)
+        for sym, _, _ in CH.jets_in(e):
+            assert ring.expr(ring.diff(p, sym)) == sp.expand(sp.diff(e, sym))
+
+    @pytest.mark.parametrize("e", EXPLICIT, ids=str)
+    def test_explicit_represented_or_refused(self, e):
+        ring = JetRing()
+        if str(e) not in KERNEL_ATOMS:
+            with pytest.raises(NotRepresentable):
+                ring.poly(e)
+            return
+        p = ring.poly(e)
+        assert ring.expr(p) == sp.expand(e)
+        assert ring.jets(CH, p) == CH.jets_in(e)
+        for axis in range(CH.n):
+            got = ring.expr(ring.total_derivative(CH, axis, p))
+            assert sp.expand(got - reference_total_derivative(CH, axis, e)) == 0
+        for sym, _, _ in CH.jets_in(e):
+            assert sp.expand(ring.expr(ring.diff(p, sym)) - sp.diff(e, sym)) == 0
+
+    def test_jet_cap_only_when_derivative_nonzero(self):
+        ch = make_chart(2, ("u", "v"), max_jet_order=2)
+        u = ch.jet("u", MultiIndex())
+        u_tx = ch.jet("u", MultiIndex.make(0, 1))
+        ring = JetRing()
+        below = ring.poly(ch.jet("u", MultiIndex.make(0))**2 + V(u) + ch.xs[1] * u)
+        for axis in range(ch.n):
+            ring.total_derivative(ch, axis, below)
+            for e in (u_tx, u * u_tx**2, V(u_tx), ch.xs[0] + u_tx * V(u)):
+                with pytest.raises(JetOrderError):
+                    ring.total_derivative(ch, axis, ring.poly(e))
+            # the cap jet cancels in the polynomial
+            cancels = ring.poly((u + 1) * u_tx - u * u_tx - u_tx)
+            assert ring.total_derivative(ch, axis, cancels) == {}
 
 
 class TestEulerOperator:

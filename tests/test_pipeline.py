@@ -1,4 +1,5 @@
 """CPS pipeline: scalar/Chern-Simons goldens, equivalence, symmetries, gauge."""
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 
@@ -13,17 +14,22 @@ from cpsforge.forms import (
     vol,
     wedge,
 )
-from cpsforge.jetcalc import EvolutionaryField, euler_operator
+from cpsforge.cli import corpus_dir, load_model
+from cpsforge.jetcalc import EvolutionaryField, NonDecomposableError, euler_operator
+from cpsforge.jetpoly import EXPR, JetRing
 from cpsforge.pipeline import (
     FieldMeta,
     LagrangianPair,
+    OnShellIdeal,
     SliceContext,
+    _corner_ideal,
     d_symmetry_check,
     decompose,
     gauge_residual,
     lift_vector_field,
     noether_current_xi,
     presymplectic_current,
+    prolonged_restricted_generators,
     slice_ideal,
     slice_presymplectic,
     xi_invariance_residual,
@@ -349,6 +355,18 @@ class TestChernSimons:
         assert res.bulk.is_zero()
         assert res.boundary.is_zero()
 
+    def test_gauge_residual_is_odd_in_w(self):
+        # absorption must find the rows of -c as well as those of c
+        lp, meta, _ = cs_pair()
+        v = decompose(lp)
+        ch = lp.pair.chart
+        for W, kw in ((self.lam_field(ch), {}),
+                      (lift_vector_field(ch, meta, [1, 0, 0]), {"xi": [1, 0, 0], "meta": meta})):
+            minus = EvolutionaryField(ch, {a: -e for a, e in W.components.items()})
+            res, neg = gauge_residual(lp, v, W, **kw), gauge_residual(lp, v, minus, **kw)
+            assert res.bulk.is_zero() and neg.bulk.is_zero()
+            assert neg.boundary == -res.boundary
+
     def test_zero_field_is_gauge(self):
         lp, meta, _ = cs_pair()
         v = decompose(lp)
@@ -405,3 +423,67 @@ class TestChernSimonsHigherLevel:
         for i, a in enumerate(ch.fields):
             expected = wedge(dA2, Form.dx(ch, i)) * -1
             assert E.components[a] == expected
+
+
+# -- the on-shell ideals on the sparse kernel -------------------------------------------
+
+
+def ideal_contents(ideal):
+    ring = ideal.ring
+    return (
+        [ring.expr(g) for g in ideal.generators],
+        [(a, mi, ring.expr(rhs)) for a, mi, rhs in ideal.rules],
+        [ring.expr(g) for g in ideal.skipped],
+    )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
+)
+def test_corpus_ideals_on_kernel_match_expr_path(name):
+    lp = load_model(name).lp
+    try:
+        v = decompose(lp)
+    except NonDecomposableError:
+        return  # lagrange_multiplier_L3 never reaches the gauge stage
+    chart = lp.pair.chart
+    ctx = SliceContext(chart)
+    eqs = list(v.equations().values())
+    kernel = slice_ideal(chart, ctx, eqs)
+    assert isinstance(kernel.ring, JetRing), "a corpus equation left the sparse kernel"
+    gens = prolonged_restricted_generators(chart, ctx.schart, 0, [EXPR.poly(e) for e in eqs])
+    reference = OnShellIdeal(ctx.schart, gens, ring=EXPR)
+    assert ideal_contents(kernel) == ideal_contents(reference)
+    if lp.has_boundary:
+        kcorner = _corner_ideal(lp, v, ctx, kernel)
+        assert kcorner.ring is kernel.ring, "a boundary equation left the sparse kernel"
+        rcorner = _corner_ideal(lp, v, ctx, reference)
+        assert rcorner.ring is EXPR
+        assert ideal_contents(kcorner) == ideal_contents(rcorner)
+
+
+def test_ideal_with_formal_functions_matches_expr_path():
+    ch = Chart(("t", "x"), ("u", "v"), max_jet_order=3)
+    u, ux, utt, vx = (ch.jet(a, MultiIndex.make(*i)) for a, i in
+                      (("u", ()), ("u", (1,)), ("u", (0, 0)), ("v", (1,))))
+    V = sp.Function("V")
+    eqs = [
+        utt - ux + sp.Derivative(V(u), u),  # solvable: the function atom is lower order
+        V(utt) + ux,  # leading jet only inside V: skipped
+        2 * utt * vx - u**2,  # coefficient depends on a jet: skipped
+        3 * vx - ch.xs[1] * u,
+    ]
+    ring = JetRing()
+    kernel = OnShellIdeal(ch, [ring.poly(e) for e in eqs], ring=ring)
+    reference = OnShellIdeal(ch, [EXPR.poly(e) for e in eqs], ring=EXPR)
+    assert ideal_contents(kernel) == ideal_contents(reference)
+    assert (len(kernel.rules), len(kernel.skipped)) == (2, 2)
+    assert isinstance(OnShellIdeal(ch, eqs).ring, JetRing)
+    # a leading coefficient that is not a rational number sends the ideal to the Expr path
+    for extra in (vx * sp.Function("f")(ch.xs[0]) - u, utt - sp.sqrt(2) * u):
+        ideal = OnShellIdeal(ch, eqs + [extra])
+        assert ideal.ring is EXPR
+        assert ideal_contents(ideal) == ideal_contents(
+            OnShellIdeal(ch, [EXPR.poly(e) for e in eqs + [extra]], ring=EXPR)
+        )
+    assert OnShellIdeal(ch, [2 * utt - u]).rhs(0) == u / 2
