@@ -11,16 +11,17 @@ from .model import Model
 from .numeric import (
     FieldState,
     Grid,
+    boundary_density,
     contract_two_vertical,
+    eval_bulk_expr,
     fd_variation_residual,
     slice_integral_density,
     wave_solver,
 )
 from .pipeline import (
-    SliceContext,
-    decompose,
+    decompose,  # noqa: F401 -- perfbench/selftest.py checks its span wrapper here
+    lift_vector_field,
     noether_current_xi,
-    slice_presymplectic,
     xi_invariance_residual,
 )
 
@@ -76,10 +77,8 @@ class FdCheckResult:
 def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4), ablate=True) -> FdCheckResult:
     """Central-difference action variation against the symbolic sources."""
     grid = make_grid(model, shape)
-    v = decompose(model.lp)
+    v = model.decomposition
     chart, bchart = model.chart, model.pair.bchart
-    from .numeric import boundary_density
-
     E_coeffs = {a: sp.expand(e) for a, e in v.equations().items()}
     b_dens = {a: boundary_density(chart, bchart, f) for a, f in v.b.components.items()}
     tt, xx = grid.mesh()
@@ -121,7 +120,7 @@ def spectral_tangents(model: Model, grid: Grid) -> tuple[AnalyticState, Analytic
 def solve_model(model: Model, grid: Grid, initial, velocity) -> FieldState:
     """Leapfrog solve of a scalar model; the potential derivative is read off
     the symbolic Euler source."""
-    v = decompose(model.lp)
+    v = model.decomposition
     chart = model.chart
     utt = chart.jet("u", MultiIndex.make(0, 0))
     uxx = chart.jet("u", MultiIndex.make(1, 1))
@@ -153,12 +152,11 @@ class SliceDriftResult:
 def slice_independence(model: Model, shape=(129, 256), mode="spectral", nslices=5) -> SliceDriftResult:
     """Presymplectic pairing across Cauchy slices; returns values and max drift."""
     grid = make_grid(model, shape)
-    v = decompose(model.lp)
-    om_slice, om_corner = slice_presymplectic(v)
+    v = model.decomposition
+    om_slice, om_corner = v.slice_forms
     if not om_corner.is_zero():
         raise NotImplementedError("corner contributions to the slice pairing are not evaluated")
-    chart = model.chart
-    schart = SliceContext(chart).schart
+    chart, schart = model.chart, v.slice_ctx.schart
     if mode == "spectral":
         d1, d2 = spectral_tangents(model, grid)
         base = standing_wave_state(model, grid)
@@ -184,19 +182,16 @@ def slice_independence(model: Model, shape=(129, 256), mode="spectral", nslices=
 def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float, float]:
     """Step-6 check: slice pairing vs the canonical pairing with p = normal derivative."""
     grid = make_grid(model, shape)
-    v = decompose(model.lp)
-    om_slice, _ = slice_presymplectic(v)
-    chart = model.chart
-    schart = SliceContext(chart).schart
+    v = model.decomposition
+    om_slice, _ = v.slice_forms
+    chart, schart = model.chart, v.slice_ctx.schart
     d1, d2 = spectral_tangents(model, grid)
     base = standing_wave_state(model, grid)
     k = grid.shape[0] // 2
     val = contract_two_vertical(chart, schart, om_slice, grid, base, k, d1, d2,
                                bindings=model.bindings)
     # canonical pairing on the same slice
-    w = np.full(grid.shape[1], grid.spacing(1))
-    if not grid.periodic[1]:
-        w[0] = w[-1] = grid.spacing(1) / 2
+    w = grid.weights([1])
     t0 = MultiIndex.make(0)
     f1, p1 = d1.jet("u", MultiIndex())[k], d1.jet("u", t0)[k]
     f2, p2 = d2.jet("u", MultiIndex())[k], d2.jet("u", t0)[k]
@@ -216,42 +211,29 @@ def flux_check(model: Model, xi_name: str, shape=(257, 256), state: FieldState |
     """Charge difference between two slices against the background-variation term."""
     grid = make_grid(model, shape)
     xi = model.vectors[xi_name]
-    v = decompose(model.lp)
-    data = noether_current_xi(model.lp, v, xi, model.meta)
+    W = lift_vector_field(model.chart, model.meta, xi)
+    tilde = xi_invariance_residual(model.lp, xi, W)
+    data = noether_current_xi(model.lp, model.decomposition, xi, W, tilde)
     if not data.corner_current.is_zero():
         raise NotImplementedError("corner charge contributions are not evaluated numerically")
     if state is None:
         state = standing_wave_state(model, grid)
-    chart = model.chart
-    ctx = SliceContext(chart)
+    chart, schart = model.chart, model.decomposition.slice_ctx.schart
     nt = grid.shape[0]
     i1, i2 = nt // 8, nt - 1 - nt // 8
     qs = [
-        slice_integral_density(chart, ctx.schart, data.slice_current, grid, state, i,
+        slice_integral_density(chart, schart, data.slice_current, grid, state, i,
                                bindings=model.bindings)
         for i in (i1, i2)
     ]
     delta_q = qs[1] - qs[0]
     # right-hand side: the background-variation term integrated over the slab
-    tilde = xi_invariance_residual(model.lp, xi, model.meta)
     rhs = 0.0
     if not tilde.bulk.is_zero():
         word = tuple(("x", i) for i in range(chart.n))
         coeff = tilde.bulk.terms.get(word, sp.Integer(0))
-        from .numeric import eval_bulk_expr
-
         vals = eval_bulk_expr(chart, coeff, grid, state, model.bindings)
-        wt = np.full(grid.shape[0], grid.spacing(0))
-        wt[0] = wt[-1] = grid.spacing(0) / 2
-        mask = np.zeros(grid.shape[0])
-        mask[i1:i2 + 1] = 1.0
-        wt = wt * mask
-        wt[i1] = grid.spacing(0) / 2
-        wt[i2] = grid.spacing(0) / 2
-        wx = np.full(grid.shape[1], grid.spacing(1))
-        if not grid.periodic[1]:
-            wx[0] = wx[-1] = grid.spacing(1) / 2
-        rhs = float(np.sum(np.multiply.outer(wt, wx) * vals))
+        rhs = float(np.sum(grid.weights(span=(i1, i2)) * vals))
     if not tilde.boundary.is_zero() and model.has_boundary:
         raise NotImplementedError("lateral flux contributions require boundary terms")
     return FluxResult(qs, delta_q, rhs, abs(delta_q - rhs))

@@ -11,14 +11,8 @@ import sympy as sp
 
 from .jetcalc import EvolutionaryField, NonDecomposableError
 from .model import ModelError, parse_model
-from .pipeline import (
-    d_symmetry_check,
-    decompose,
-    gauge_residual,
-    lift_vector_field,
-    xi_invariance_residual,
-)
-from .report import fstr, report_json, run_cps
+from .pipeline import d_symmetry_check
+from .report import PipelineReport, gauge_parameter_block, report_json, run_cps, symmetry_block
 
 
 def corpus_dir():
@@ -44,70 +38,71 @@ def cmd_derive(args) -> int:
         pathlib.Path(args.out).write_text(text)
     if args.json and not args.out:
         sys.stdout.write(text)
-    else:
-        print(f"model {rep.model}:")
-        if rep.error is not None:
-            print(f"  ERROR {rep.error['kind']}: {rep.error['message']}")
-            return 2
-        for a, e in rep.steps["1"]["E"].items():
-            print(f"  E[{a}] = {e}")
-        print(f"  Theta = {rep.steps['1']['Theta']}")
-        for a, e in rep.steps["2"]["b"].items():
-            if e != "0":
-                print(f"  b[{a}] = {e}")
-        print(f"  theta_bar = {rep.steps['2']['theta_bar']}")
-        print(f"  slice form = {rep.steps['4']['slice_form']}")
-        for blk in rep.symmetries:
-            if "xi_invariant" in blk:
-                print(
-                    f"  vector {blk['vector']}: xi-invariant: "
-                    f"{'yes' if blk['xi_invariant'] else 'no'}; "
-                    f"d-symmetry: {'yes' if blk['d_symmetry'] else 'no'}"
-                )
-    return 0 if rep.error is None else 2
+        return 0 if rep.error is None else 2
+    return print_summary(rep)
+
+
+def print_summary(rep: PipelineReport) -> int:
+    """Print the human-readable summary of a report; returns derive's exit code."""
+    print(f"model {rep.model}:")
+    if rep.error is not None:
+        print(f"  ERROR {rep.error['kind']}: {rep.error['message']}")
+        print(f"  offending term: {rep.error['term']}")
+        return 2
+    for a, e in rep.steps["1"]["E"].items():
+        print(f"  E[{a}] = {e}")
+    print(f"  Theta = {rep.steps['1']['Theta']}")
+    for a, e in rep.steps["2"]["b"].items():
+        if e != "0":
+            print(f"  b[{a}] = {e}")
+    print(f"  theta_bar = {rep.steps['2']['theta_bar']}")
+    print(f"  slice form = {rep.steps['4']['slice_form']}")
+    for blk in rep.symmetries:
+        g = blk.get("gauge", {})
+        if "xi_invariant" in blk:
+            tail = f"; gauge: {yes_no(g['is_gauge'])}" if "is_gauge" in g else ""
+            print(
+                f"  vector {blk['vector']}: xi-invariant: {yes_no(blk['xi_invariant'])}; "
+                f"d-symmetry: {yes_no(blk['d_symmetry'])}{tail}"
+            )
+        else:
+            print(f"  {blk['vector']}: bulk {g['bulk_residual']}; boundary {g['boundary_residual']}")
+    return 0
+
+
+def yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 def cmd_check(args) -> int:
     model = load_model(args.model, args.max_jet_order)
-    lp = model.lp
-    v = decompose(lp)
+    model.decomposition  # a non-decomposable pair exits 2 before any check
     if args.xi:
         if args.xi not in model.vectors:
             raise SystemExit(f"unknown vector field {args.xi!r}")
-        xi = model.vectors[args.xi]
-        res = xi_invariance_residual(lp, xi, model.meta)
-        inv = res.bulk.is_zero() and res.boundary.is_zero()
-        W = lift_vector_field(lp.pair.chart, model.meta, xi)
-        verdict = d_symmetry_check(lp, W, xi=xi, meta=model.meta)
-        print(f"xi-invariant: {'yes' if inv else 'no'}")
-        if not inv:
-            print(f"  residual bulk = {fstr(res.bulk)}")
-            print(f"  residual boundary = {fstr(res.boundary)}")
-        print(f"d-symmetry: {'yes' if verdict.is_symmetry else 'no'}")
-        if verdict.is_symmetry:
-            g = gauge_residual(lp, v, W, xi=xi, meta=model.meta)
-            print(f"gauge direction: {'yes' if g.is_gauge() else 'no'}")
-            if not g.is_gauge():
-                print(f"  gauge residual bulk = {fstr(g.bulk)}")
-                print(f"  gauge residual boundary = {fstr(g.boundary)}")
+        blk = symmetry_block(model, args.xi, model.vectors[args.xi])
+        print(f"xi-invariant: {yes_no(blk['xi_invariant'])}")
+        if not blk["xi_invariant"]:
+            print(f"  residual bulk = {blk['invariance_residual']['bulk']}")
+            print(f"  residual boundary = {blk['invariance_residual']['boundary']}")
+        print(f"d-symmetry: {yes_no(blk['d_symmetry'])}")
+        g = blk.get("gauge", {})
+        if "not_reduced" in g:
+            print(f"gauge direction: not reduced ({g['not_reduced']})")
+        elif g:
+            print(f"gauge direction: {yes_no(g['is_gauge'])}")
+            if not g["is_gauge"]:
+                print(f"  gauge residual bulk = {g['bulk_residual']}")
+                print(f"  gauge residual boundary = {g['boundary_residual']}")
         return 0
     if args.gauge:
-        chart = lp.pair.chart
-        lam = sp.Function(args.gauge)(*chart.xs)
-        comps = {}
-        for a, m in model.meta.items():
-            if m.kind == "one_form":
-                comps[a] = sp.diff(lam, chart.xs[m.axis])
-        if not comps:
-            raise SystemExit("gauge parameter checks need a one-form field")
-        W = EvolutionaryField(chart, comps)
-        g = gauge_residual(lp, v, W)
-        print(f"gauge direction: {'yes' if g.is_gauge() else 'no'}")
-        print(f"  bulk residual = {fstr(g.bulk)}")
-        print(f"  boundary obstruction = {fstr(g.boundary)}")
+        g = gauge_parameter_block(model, args.gauge)["gauge"]
+        print(f"gauge direction: {yes_no(g['is_gauge'])}")
+        print(f"  bulk residual = {g['bulk_residual']}")
+        print(f"  boundary obstruction = {g['boundary_residual']}")
         return 0
     if args.evolutionary:
-        chart = lp.pair.chart
+        chart = model.chart
         comps = {}
         for item in args.evolutionary.split(","):
             name, _, exprtext = item.partition(":")
@@ -117,8 +112,8 @@ def cmd_check(args) -> int:
                 | {chart.pretty_jet(sym): sym for sym in chart._jet_by_symbol},
             )
         W = EvolutionaryField(chart, comps)
-        verdict = d_symmetry_check(lp, W)
-        print(f"d-symmetry: {'yes' if verdict.is_symmetry else 'no'}")
+        verdict = d_symmetry_check(model.lp, W)
+        print(f"d-symmetry: {yes_no(verdict.is_symmetry)}")
         if verdict.note:
             print(f"  note: {verdict.note}")
         return 0

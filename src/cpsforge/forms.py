@@ -158,10 +158,6 @@ class Form:
         for word in sorted(self.terms, key=lambda w: (len(w), tuple(_factor_sort_key(f) for f in w))):
             yield word, self.terms[word]
 
-    def normalize(self) -> "Form":
-        """Idempotent canonical representative (construction already canonicalizes)."""
-        return Form(self.chart, *self._tag, self.terms)
-
     def map_coeffs(self, fn: Callable[[sp.Expr], sp.Expr]) -> "Form":
         return Form(self.chart, *self._tag, {w: fn(c) for w, c in self.terms.items()})
 
@@ -265,20 +261,6 @@ def wedge(f: Form, g: Form) -> Form:
     return Form(f.chart, rf + rg, sf + sg, acc)
 
 
-def wedge_all(*forms: Form) -> Form:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
-def wedge_power(f: Form, k: int) -> Form:
-    out = Form.scalar(f.chart, 1)
-    for _ in range(k):
-        out = wedge(out, f)
-    return out
-
-
 # -- differentials -------------------------------------------------------------------
 
 
@@ -380,24 +362,6 @@ def iota_x(xi, f: Form) -> Form:
     return Form.from_terms(chart, max(r0 - 1, 0), s0, raw)
 
 
-def iota_total(xi, f: Form) -> Form:
-    """Contraction with the total lift xi^i D_i (annihilates contact generators)."""
-    chart = f.chart
-    comps = _check_xi(chart, xi)
-    raw: list[tuple[sp.Expr, tuple]] = []
-    for word, coeff in f.terms.items():
-        hseen = 0
-        for pos, fac in enumerate(word):
-            if fac[0] != "x":
-                continue
-            val = comps[fac[1]]
-            if val != 0:
-                raw.append(((-1) ** hseen * coeff * val, word[:pos] + word[pos + 1:]))
-            hseen += 1
-    r0, s0 = f._tag
-    return Form.from_terms(chart, max(r0 - 1, 0), s0, raw)
-
-
 def iota_ev(W: Mapping[str, sp.Expr], f: Form) -> Form:
     """Contraction with the prolongation of the evolutionary field W.
 
@@ -494,15 +458,6 @@ def boundary_volume(chart: Chart, bchart: Chart) -> Form:
     coeff = eps * (-1) ** (chart.n - 1) * sp.sqrt(sp.Abs(chart.metric_det() / gnn))
     word = tuple(("x", i) for i in range(bchart.n))
     return Form(bchart, bchart.n, 0, {word: sp.nsimplify(coeff)})
-
-
-def slice_volume(chart: Chart, schart: Chart) -> Form:
-    """Oriented Cauchy-slice volume form (future normal along +x^0; note the extra minus)."""
-    g = chart.require_metric()
-    gtt = g[0]
-    coeff = -sp.sign(gtt) * sp.sqrt(sp.Abs(chart.metric_det() / gtt))
-    word = tuple(("x", i) for i in range(schart.n))
-    return Form(schart, schart.n, 0, {word: sp.nsimplify(coeff)})
 
 
 # -- restriction ----------------------------------------------------------------------

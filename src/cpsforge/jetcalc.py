@@ -13,7 +13,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .chart import Chart, MultiIndex
+from .chart import Chart, MultiIndex, parse_restricted_label
 from .forms import Form, dd, d_h, wedge
 
 
@@ -209,7 +209,7 @@ def boundary_euler_operator(
         coeff = sp.expand(coeff)
         if coeff == 0:
             continue
-        if ".n" in a or ".t" in a:
+        if parse_restricted_label(a)[1:] != (0, 0):
             term = wedge(
                 Form(bchart, bchart.n, 0, {vol_word: coeff}), Form.contact(bchart, a)
             )

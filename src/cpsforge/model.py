@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import sympy as sp
 
 from .chart import Chart, MultiIndex
 from .forms import Form, boundary_volume, d_h, hodge, iota_x, vol, wedge
-from .pipeline import FieldMeta, LagrangianPair
+from .pipeline import FieldMeta, LagrangianPair, VariationDecomposition, decompose
 from .relative import BoundaryPair
 
 SU2_STRUCTURE = {}
@@ -77,6 +78,11 @@ class Model:
     constraints: list[sp.Expr] = dc_field(default_factory=list, repr=False)
     bindings: dict[str, float] = dc_field(default_factory=dict, repr=False)
     lie_dim: dict[str, int] = dc_field(default_factory=dict, repr=False)
+
+    @cached_property
+    def decomposition(self) -> VariationDecomposition:
+        """CPS steps 1-2 of the model's Lagrangian pair, derived once per model."""
+        return decompose(self.lp)
 
     def component_fields(self) -> list[str]:
         out = []

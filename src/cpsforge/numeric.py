@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 import sympy as sp
 
-from .chart import Chart, MultiIndex
+from .chart import Chart, MultiIndex, parse_restricted_label
 from .forms import Form, boundary_volume
 
 
@@ -69,18 +69,23 @@ class Grid:
         pts = [self.axis_points(k) for k in range(self.chart.n)]
         return list(np.meshgrid(*pts, indexing="ij"))
 
-    def weights(self) -> np.ndarray:
-        ws = []
-        for k in range(self.chart.n):
+    def weights(self, axes=None, span: tuple[int, int] | None = None) -> np.ndarray:
+        """Trapezoid weights on the given axes (default: all), as an outer
+        product in axis order; no axes give ones((1,)).  Each axis has weight
+        h per point, halved at its two ends unless it is periodic.  With
+        ``span = (i, j)`` the first axis is integrated over points i..j only."""
+        out = None
+        for k in range(self.chart.n) if axes is None else axes:
             h = self.spacing(k)
-            w = np.full(self.shape[k], h)
-            if not self.periodic[k]:
-                w[0] = w[-1] = h / 2
-            ws.append(w)
-        out = ws[0]
-        for w in ws[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+            lo, hi, ends = 0, self.shape[k] - 1, not self.periodic[k]
+            if span is not None and out is None:
+                (lo, hi), ends = span, True
+            w = np.zeros(self.shape[k])
+            w[lo:hi + 1] = h
+            if ends:
+                w[lo] = w[hi] = h / 2
+            out = w if out is None else np.multiply.outer(out, w)
+        return np.ones((1,)) if out is None else out
 
     def diff(self, arr: np.ndarray, axis: int) -> np.ndarray:
         """SBP first derivative along an axis (periodic: central everywhere)."""
@@ -125,11 +130,6 @@ class FieldState:
         self._jets[key] = arr
         return arr
 
-    def perturbed(self, field: str, delta: np.ndarray, eps: float) -> "FieldState":
-        vals = dict(self.values)
-        vals[field] = vals[field] + eps * delta
-        return FieldState(self.grid, vals)
-
 
 # -- expression evaluation ---------------------------------------------------------------
 
@@ -164,30 +164,34 @@ def eval_bulk_expr(
     return np.broadcast_to(fn(*vals), grid.shape).astype(float)
 
 
-class FaceBinding:
-    """Evaluate boundary-chart expressions on a lateral face.
+def face_index(side: int) -> int:
+    """Grid index of the max (+1) or min (-1) face along an axis."""
+    return -1 if side > 0 else 0
 
-    Normal-derivative families bind to outward normal derivatives when
-    ``outward=True`` (model-derived densities) and to raw +axis derivatives
-    otherwise (chart pullbacks, used by the relative Stokes oracle).
+
+class FaceBinding:
+    """Evaluate restricted-chart expressions on the grid hyperplane with the
+    given index along an axis: a lateral face, or a Cauchy slice {t = t_index}.
+
+    Transversal-derivative families bind to outward normal derivatives when
+    ``outward=True`` (model-derived densities on a face) and to raw +axis
+    derivatives otherwise (chart pullbacks, used by the relative Stokes oracle,
+    and slices).
     """
 
-    def __init__(self, chart: Chart, bchart: Chart, axis: int, side: int, outward: bool = True):
+    def __init__(self, chart: Chart, bchart: Chart, axis: int, index: int, outward: bool = True):
         self.chart = chart
         self.bchart = bchart
         self.axis = axis
-        self.side = side  # +1: max face, -1: min face
+        self.index = index
         self.outward = outward
-
-    def _face_index(self, grid: Grid):
-        return -1 if self.side > 0 else 0
 
     def _bulk_axes(self) -> list[int]:
         return [i for i in range(self.chart.n) if i != self.axis]
 
-    def restrict_array(self, grid: Grid, arr: np.ndarray) -> np.ndarray:
+    def restrict_array(self, arr: np.ndarray) -> np.ndarray:
         sl = [slice(None)] * self.chart.n
-        sl[self.axis] = self._face_index(grid)
+        sl[self.axis] = self.index
         return arr[tuple(sl)]
 
     def eval(self, expr: sp.Expr, grid: Grid, state: FieldState, bindings=None) -> np.ndarray:
@@ -202,21 +206,19 @@ class FaceBinding:
             key = self.bchart.jet_key(sym)
             if key is not None:
                 label, mi = key
-                base, k = label, 0
-                if "." in label:
-                    base, tag = label.split(".")
-                    k = int(tag[1:])
+                base, n_ord, t_ord = parse_restricted_label(label)
+                k = n_ord + t_ord
                 bulk_mi = MultiIndex(
                     tuple(baxes[i] for i in mi.entries) + (self.axis,) * k
                 )
                 arr = state.jet(base, bulk_mi)
-                sgn = self.side**k if self.outward else 1
-                vals.append(sgn * self.restrict_array(grid, arr))
+                sgn = (-1) ** k if self.outward and self.index == 0 else 1
+                vals.append(sgn * self.restrict_array(arr))
             elif sym in self.bchart.xs:
                 i = self.bchart.xs.index(sym)
-                vals.append(self.restrict_array(grid, mesh[baxes[i]]))
+                vals.append(self.restrict_array(mesh[baxes[i]]))
             elif sym == self.chart.xs[self.axis]:
-                vals.append(self.restrict_array(grid, mesh[self.axis]))
+                vals.append(self.restrict_array(mesh[self.axis]))
             elif bindings and sym.name in bindings:
                 vals.append(bindings[sym.name])
             else:
@@ -228,19 +230,7 @@ class FaceBinding:
         return np.broadcast_to(fn(*vals), shape).astype(float)
 
     def face_weights(self, grid: Grid) -> np.ndarray:
-        ws = []
-        for k in self._bulk_axes():
-            h = grid.spacing(k)
-            w = np.full(grid.shape[k], h)
-            if not grid.periodic[k]:
-                w[0] = w[-1] = h / 2
-            ws.append(w)
-        if not ws:
-            return np.ones((1,))
-        out = ws[0]
-        for w in ws[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+        return grid.weights(self._bulk_axes())
 
 
 def _top_coeff(form: Form) -> sp.Expr:
@@ -290,7 +280,7 @@ def lateral_density_integral(
     total = 0.0
     axis = chart.n - 1
     for side in lateral_faces(grid):
-        fb = FaceBinding(chart, bchart, axis, side, outward=True)
+        fb = FaceBinding(chart, bchart, axis, face_index(side), outward=True)
         vals = fb.eval(density, grid, state, bindings)
         total += float(np.sum(fb.face_weights(grid) * vals))
     return total
@@ -318,7 +308,7 @@ def raw_face_integral(
     o_max = (-1) ** axis
     total = 0.0
     for side in lateral_faces(grid):
-        fb = FaceBinding(chart, bchart, axis, side, outward=False)
+        fb = FaceBinding(chart, bchart, axis, face_index(side), outward=False)
         vals = fb.eval(coeff, grid, state, bindings)
         o = o_max if side > 0 else -o_max
         total += o * float(np.sum(fb.face_weights(grid) * vals))
@@ -352,22 +342,10 @@ def flux_through_boundary(
             continue
         sides = lateral_faces(grid) if axis == chart.n - 1 else [-1, +1]
         for side in sides:
-            idx = -1 if side > 0 else 0
             sl = [slice(None)] * chart.n
-            sl[axis] = idx
+            sl[axis] = face_index(side)
             sl = tuple(sl)
-            ws = []
-            for k in range(chart.n):
-                if k == axis:
-                    continue
-                h = grid.spacing(k)
-                w = np.full(grid.shape[k], h)
-                if not grid.periodic[k]:
-                    w[0] = w[-1] = h / 2
-                ws.append(w)
-            w = ws[0] if ws else np.ones(())
-            for wk in ws[1:]:
-                w = np.multiply.outer(w, wk)
+            w = grid.weights([k for k in range(chart.n) if k != axis])
             orient = side * (-1) ** axis
             for word, coeff in form.terms.items():
                 if any(f[0] == "v" for f in word):
@@ -435,9 +413,9 @@ def source_pairing(
             if dens == 0:
                 continue
             for side in lateral_faces(grid):
-                fb = FaceBinding(chart, bchart, axis, side, outward=True)
+                fb = FaceBinding(chart, bchart, axis, face_index(side), outward=True)
                 vals = fb.eval(dens, grid, state, bindings)
-                vface = fb.restrict_array(grid, v)
+                vface = fb.restrict_array(v)
                 total -= float(np.sum(fb.face_weights(grid) * vals * vface))
     return total
 
@@ -475,35 +453,6 @@ def fd_variation_residual(
 # -- slices ---------------------------------------------------------------------------
 
 
-class SliceBinding:
-    """Evaluate slice-chart expressions on {t = t_index} (raw time-jet binding)."""
-
-    def __init__(self, chart: Chart, schart: Chart, t_index: int):
-        self.chart = chart
-        self.schart = schart
-        self.t_index = t_index
-
-    def eval(self, expr: sp.Expr, grid: Grid, state: FieldState, bindings=None) -> np.ndarray:
-        fb = FaceBinding(self.chart, self.schart, 0, +1, outward=False)
-        fb._face_index = lambda grid: self.t_index  # fixed interior slice
-        return fb.eval(expr, grid, state, bindings)
-
-    def weights(self, grid: Grid) -> np.ndarray:
-        ws = []
-        for k in range(1, grid.chart.n):
-            h = grid.spacing(k)
-            w = np.full(grid.shape[k], h)
-            if not grid.periodic[k]:
-                w[0] = w[-1] = h / 2
-            ws.append(w)
-        if not ws:
-            return np.ones((1,))
-        out = ws[0]
-        for w in ws[1:]:
-            out = np.multiply.outer(out, w)
-        return out
-
-
 def slice_integral_density(
     chart: Chart,
     schart: Chart,
@@ -520,9 +469,9 @@ def slice_integral_density(
     coeff = form.terms.get(word, sp.Integer(0))
     g = chart.metric or (1,) * chart.n
     scale = float(sp.sqrt(sp.Abs(sp.prod(g) / g[0])))
-    sb = SliceBinding(chart, schart, t_index)
+    sb = FaceBinding(chart, schart, 0, t_index, outward=False)
     vals = sb.eval(sp.expand(coeff / scale), grid, state, bindings)
-    return float(scale * np.sum(sb.weights(grid) * vals))
+    return float(scale * np.sum(sb.face_weights(grid) * vals))
 
 
 def contract_two_vertical(
@@ -541,21 +490,15 @@ def contract_two_vertical(
     Each term c * w ^ th{a_J} ^ th{b_K} contributes
     c * (D_J t1^a D_K t2^b - D_J t2^a D_K t1^b) integrated over the slice.
     """
-    sb = SliceBinding(chart, schart, t_index)
-    w = sb.weights(grid)
+    sb = FaceBinding(chart, schart, 0, t_index, outward=False)
+    w = sb.face_weights(grid)
     total = 0.0
     word_x = tuple(("x", i) for i in range(schart.n))
 
     def tjet(tan: FieldState, label: str, mi: MultiIndex) -> np.ndarray:
-        base, k = label, 0
-        if "." in label:
-            base, tag = label.split(".")
-            k = int(tag[1:])
+        base, _, k = parse_restricted_label(label)
         bulk_mi = MultiIndex(tuple(e + 1 for e in mi.entries) + (0,) * k)
-        arr = tan.jet(base, bulk_mi)
-        sl = [slice(None)] * chart.n
-        sl[0] = t_index
-        return arr[tuple(sl)]
+        return sb.restrict_array(tan.jet(base, bulk_mi))
 
     for word, coeff in form.terms.items():
         vfacs = [f for f in word if f[0] == "v"]

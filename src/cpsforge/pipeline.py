@@ -21,6 +21,7 @@ from .jetcalc import (
     EvolutionaryField,
     NonDecomposableError,
     SourceForm,
+    _sweep,
     boundary_euler_operator,
     euler_operator,
     integrate_by_parts,
@@ -83,7 +84,10 @@ def kill_dirichlet(form: Form, dirichlet: set[str]) -> Form:
 
 @dataclass
 class VariationDecomposition:
-    """Sources and symplectic potentials of a Lagrangian pair, with residuals."""
+    """Sources and symplectic potentials of a Lagrangian pair, with residuals.
+
+    The CPS objects derived from it alone (Omega, the slice forms, the slice
+    and corner ideals) are built on first use and shared by every consumer."""
 
     lp: LagrangianPair
     E: SourceForm
@@ -113,6 +117,26 @@ class VariationDecomposition:
 
     def boundary_equations(self) -> dict[str, sp.Expr]:
         return self.b.equations()
+
+    @cached_property
+    def omega(self) -> tuple[Form, Form]:
+        return presymplectic_current(self)
+
+    @cached_property
+    def slice_forms(self) -> tuple[Form, Form]:
+        return slice_presymplectic(self)
+
+    @cached_property
+    def slice_ctx(self) -> "SliceContext":
+        return SliceContext(self.chart)
+
+    @cached_property
+    def slice_ideal(self) -> "OnShellIdeal":
+        return slice_ideal(self.chart, self.slice_ctx, list(self.equations().values()))
+
+    @cached_property
+    def corner_ideal(self) -> "OnShellIdeal":
+        return _corner_ideal(self.lp, self, self.slice_ctx, self.slice_ideal)
 
 
 def decompose(lp: LagrangianPair) -> VariationDecomposition:
@@ -169,7 +193,7 @@ class SliceContext:
 
 def slice_presymplectic(v: VariationDecomposition) -> tuple[Form, Form]:
     """The slice integrand of the presymplectic form: dd of the pulled potentials."""
-    ctx = SliceContext(v.chart)
+    ctx = v.slice_ctx
     omega_slice = dd(ctx.pull(v.theta))
     if v.theta_bar.is_zero():
         omega_corner = Form.zero(ctx.cchart)
@@ -218,9 +242,9 @@ def lift_vector_field(
     return EvolutionaryField(chart, W)
 
 
-def xi_invariance_residual(lp: LagrangianPair, xi, meta: Mapping[str, FieldMeta]) -> RelForm:
-    """Background-variation operator applied to the pair: zero iff xi-invariant."""
-    W = lift_vector_field(lp.pair.chart, meta, xi)
+def xi_invariance_residual(lp: LagrangianPair, xi, W: EvolutionaryField) -> RelForm:
+    """Background-variation operator applied to the pair, with W the lift of
+    xi: zero iff xi-invariant."""
     rel = RelForm(lp.pair, lp.L, lp.ell)
     return rel_lie(xi, rel) - rel_lie_ev(W.components, rel)
 
@@ -243,14 +267,15 @@ def d_symmetry_check(
     lp: LagrangianPair,
     W: EvolutionaryField,
     xi=None,
-    meta: Mapping[str, FieldMeta] | None = None,
+    invariance: RelForm | None = None,
 ) -> SymmetryVerdict:
     """Decide whether W generates a variational symmetry of the pair.
 
     Accepts W iff the Lie derivative of the pair has identically vanishing
     bulk and boundary sources (exactness decided constructively on the chart).
     The potential (S, s_bar) is produced in closed form on the two routes the
-    engine supports: xi-lifts of invariant pairs, and identically vanishing
+    engine supports: xi-lifts of invariant pairs (W the lift of xi, and
+    ``invariance`` its ``xi_invariance_residual``), and identically vanishing
     Lie derivatives; otherwise the verdict carries a not-constructed note.
     """
     pair = lp.pair
@@ -281,13 +306,11 @@ def d_symmetry_check(
             False, None, None, obstruction_bulk=E_A, obstruction_boundary=obstruction_boundary
         )
     # construct the potential where a closed form is available
-    if xi is not None and meta is not None:
-        resid = xi_invariance_residual(lp, xi, meta)
-        if resid.bulk.is_zero() and resid.boundary.is_zero():
-            xibar = pair.restrict_vector(xi)
-            return SymmetryVerdict(
-                True, iota_x(xi, lp.L), -iota_x(xibar, lp.ell), note="potential = iota_xi(L, ell)"
-            )
+    if xi is not None and invariance is not None and invariance.is_zero():
+        xibar = pair.restrict_vector(xi)
+        return SymmetryVerdict(
+            True, iota_x(xi, lp.L), -iota_x(xibar, lp.ell), note="potential = iota_xi(L, ell)"
+        )
     if A.is_zero() and a_bar.is_zero():
         return SymmetryVerdict(
             True,
@@ -328,26 +351,25 @@ def noether_current_xi(
     lp: LagrangianPair,
     v: VariationDecomposition,
     xi,
-    meta: Mapping[str, FieldMeta],
+    W: EvolutionaryField,
+    invariance: RelForm,
 ) -> NoetherData:
-    """xi-current (J, j_bar) = iota_xi (L, ell) - iota_{lift xi} (Theta, theta_bar).
+    """xi-current (J, j_bar) = iota_xi (L, ell) - iota_W (Theta, theta_bar),
+    with W the lift of xi and ``invariance`` its ``xi_invariance_residual``.
 
     Certifies the flux identity
-        rel_d (J, j_bar) = (L_xi - Lie_lift)(L, ell) + (E_a W^a, b_a W^a)
+        rel_d (J, j_bar) = (L_xi - Lie_W)(L, ell) + (E_a W^a, b_a W^a)
     exactly; on xi-invariant pairs the first term vanishes and the current is
     conserved on shell.
     """
     pair = lp.pair
     chart, bchart = pair.chart, pair.bchart
-    W = lift_vector_field(chart, meta, xi)
     Wb = pair.restrict_ev(W.components)
     xibar = pair.restrict_vector(xi)
     J = iota_x(xi, lp.L) - iota_ev(W.components, v.theta)
     j_bar = -iota_x(xibar, lp.ell) - iota_ev(Wb, v.theta_bar)
     S = iota_x(xi, lp.L)
     s_bar = -iota_x(xibar, lp.ell)
-
-    tilde = xi_invariance_residual(lp, xi, meta)
     bulk_source = Form.zero(chart, chart.n, 0)
     for a in chart.fields:
         bulk_source = bulk_source + v.E.components[a] * W.components[a]
@@ -355,10 +377,9 @@ def noether_current_xi(
     for a, f in v.b.components.items():
         if not f.is_zero():
             bnd_source = bnd_source + f * Wb.get(a, sp.Integer(0))
-    res_bulk = d_h(J) - tilde.bulk - bulk_source
-    res_bnd = pair.pullback(J) - d_h(j_bar) - tilde.boundary - bnd_source
-    ctx = SliceContext(chart)
-    slice_current = ctx.pull(J)
+    res_bulk = d_h(J) - invariance.bulk - bulk_source
+    res_bnd = pair.pullback(J) - d_h(j_bar) - invariance.boundary - bnd_source
+    slice_current = v.slice_ctx.pull(J)
     if j_bar.is_zero():
         corner_current = Form.zero(SliceContext(bchart).schart if bchart.n > 1 else bchart)
     else:
@@ -545,8 +566,6 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
     is reduced; kappa is the boundary term the integration by parts sheds.
     ``gen`` is a polynomial of ``ring``.
     """
-    from .jetcalc import _sweep
-
     vol_word = tuple(("x", i) for i in range(schart.n))
     raw = []
     for sym, b, mi in ring.jets(schart, gen):
@@ -598,7 +617,6 @@ def gauge_residual(
     W: EvolutionaryField,
     xi=None,
     meta: Mapping[str, FieldMeta] | None = None,
-    dirichlet: set[str] | None = None,
 ) -> GaugeResidual:
     """Contract the symplectic current with W, pull to a Cauchy slice, and
     reduce modulo the on-shell ideal.
@@ -613,16 +631,9 @@ def gauge_residual(
     corner variations.  Zero in both slots means W is a degenerate direction.
     """
     chart, bchart = lp.pair.chart, lp.pair.bchart
-    dirichlet = dirichlet if dirichlet is not None else lp.dirichlet_fields()
-    ctx = SliceContext(chart)
-    omega = dd(v.theta)
-    G = iota_ev(W.components, omega)
-    Gs = ctx.pull(G)
-    from .jetcalc import _sweep
-
-    src, kappa = _sweep(Gs)
-    bulk_eqs = list(v.equations().values())
-    ideal = slice_ideal(chart, ctx, bulk_eqs)
+    ctx, ideal = v.slice_ctx, v.slice_ideal
+    omega, omega_bar = v.omega
+    src, kappa = _sweep(ctx.pull(iota_ev(W.components, omega)))
     src = {a: ideal.reduce_expr(c) for a, c in src.items()}
     src = {a: c for a, c in src.items() if c != 0}
     # absorb rows proportional to linearized equations of motion.  The sweep
@@ -632,7 +643,7 @@ def gauge_residual(
     ring = ideal.ring
     base_gens = [
         ring.restrict(chart, ctx.schart, 0, p)
-        for p in map(ring.poly, bulk_eqs) if not ring.is_zero(p)
+        for p in map(ring.poly, v.equations().values()) if not ring.is_zero(p)
     ]
     cands = gauge_multiplier_candidates(lp, ctx, W, xi, meta)
     rows: dict[tuple[int, int], tuple] = {}
@@ -671,16 +682,12 @@ def gauge_residual(
     # minus the boundary symplectic current contraction
     corner = ctx.corner_pull(kappa)
     if not v.theta_bar.is_zero():
-        omega_bar = dd(v.theta_bar)
-        Wb = lp.pair.restrict_ev(W.components)
-        Gb = iota_ev(Wb, omega_bar)
         bslice = SliceContext(bchart)
-        piece = bslice.pull(Gb)
-        corner = corner - translate_form(piece, bslice.schart, ctx.cchart)
-    corner = kill_dirichlet(corner, dirichlet)
+        Gb = iota_ev(lp.pair.restrict_ev(W.components), omega_bar)
+        corner = corner - translate_form(bslice.pull(Gb), bslice.schart, ctx.cchart)
+    corner = kill_dirichlet(corner, lp.dirichlet_fields())
     if not corner.is_zero() and lp.has_boundary:
-        cideal = _corner_ideal(lp, v, ctx, ideal)
-        corner = corner.map_coeffs(cideal.reduce_expr)
+        corner = corner.map_coeffs(v.corner_ideal.reduce_expr)
     return GaugeResidual(bulk_res, corner)
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import sympy as sp
 
 from .chart import Chart, JetOrderError, NonTangentError
-from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, lie_x, restrict, wedge, word_bidegree
+from .forms import Form, d_h, dd, iota_x, lie_ev, lie_x, restrict, wedge, word_bidegree
 
 
 class BoundaryPair:
@@ -182,21 +182,7 @@ def rel_lie(xi, p: RelForm) -> RelForm:
     return RelForm(p.pair, lie_x(xi, p.bulk), lie_x(xibar, p.boundary))
 
 
-def rel_iota_ev(W: Mapping[str, sp.Expr], p: RelForm) -> RelForm:
-    """Relative evolutionary contraction, componentwise (no sign)."""
-    Wb = p.pair.restrict_ev(W)
-    return RelForm(p.pair, iota_ev(W, p.bulk), iota_ev(Wb, p.boundary))
-
-
 def rel_lie_ev(W: Mapping[str, sp.Expr], p: RelForm) -> RelForm:
     """Relative evolutionary Lie derivative, componentwise."""
     Wb = p.pair.restrict_ev(W)
     return RelForm(p.pair, lie_ev(W, p.bulk), lie_ev(Wb, p.boundary))
-
-
-def rel_integrate_numeric(p: RelForm, grid, fields) -> float:
-    """Trapezoid quadrature of a top relative pair: bulk integral minus the
-    oriented boundary-face integrals (section-2.6 face signs)."""
-    from . import numeric
-
-    return numeric.relative_integral(p, grid, fields)

@@ -1,5 +1,9 @@
-"""Shared hypothesis strategies: random jet expressions and random forms."""
+"""Shared test helpers: hypothesis strategies for random jet expressions and
+random forms, and a call counter for cpsforge functions."""
 from __future__ import annotations
+
+import collections
+import sys
 
 import sympy as sp
 from hypothesis import strategies as st
@@ -110,3 +114,25 @@ def x_vector_fields(chart: Chart):
         lambda t: t[0] + t[1] * t[2]
     )
     return st.tuples(*[comp for _ in range(chart.n)]).map(list)
+
+
+def count_calls(monkeypatch, *fns) -> collections.Counter:
+    """Count the calls of each cpsforge function in ``fns`` by name, wherever a
+    loaded cpsforge module binds it (modules import each other's names)."""
+    counts: collections.Counter = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in fns:
+        wrapper = counted(fn)
+        for name, mod in list(sys.modules.items()):
+            if name == "cpsforge" or name.startswith("cpsforge."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts

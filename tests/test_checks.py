@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from cpsforge import checks
+from cpsforge import checks, pipeline
 from cpsforge.model import parse_model
 from cpsforge.numeric import contract_two_vertical
 from cpsforge.pipeline import SliceContext, decompose, slice_presymplectic
+
+from strategies import count_calls
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "cpsforge" / "corpus"
 
@@ -102,3 +104,14 @@ class TestFlux:
         res = checks.flux_check(m, "zero", (129, 128))
         assert res.q_values == [0.0, 0.0]
         assert res.delta_q == 0.0
+
+
+def test_numeric_session_decomposes_once(monkeypatch):
+    # every check reads the decomposition cached on the model it is given
+    counts = count_calls(monkeypatch, pipeline.decompose)
+    m = load("scalar_periodic.cps")
+    checks.slice_independence(m, (65, 128), mode="spectral")
+    checks.flux_check(m, "dt", (65, 128))
+    checks.flux_check(m, "tdt", (65, 128))
+    checks.hamiltonian_comparison(m, (65, 128))
+    assert counts["decompose"] == 1

@@ -7,11 +7,27 @@ import sys
 import pytest
 
 import cpsforge
-from cpsforge.cli import corpus_dir, main
+from cpsforge.cli import corpus_dir, load_model, main
 from cpsforge.model import ModelError, parse_model
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens"
 CORPUS_MODELS = sorted(f.name[: -len(".cps")] for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
+
+
+def check_runs():
+    """(model, check arguments) for every corpus vector field, and --gauge lam
+    for every model with a one-form field.  yang_mills_su2_n3 is left out: its
+    symmetry checks take too long for this suite."""
+    runs = []
+    for name in CORPUS_MODELS:
+        if name == "yang_mills_su2_n3":
+            continue
+        model = load_model(f"{name}.cps")
+        args = [("--xi", v) for v in sorted(model.vectors)]
+        if any(m.kind == "one_form" for m in model.meta.values()):
+            args.append(("--gauge", "lam"))
+        runs += [pytest.param(name, a, id=f"{name}{a[0]}={a[1]}") for a in args]
+    return runs
 
 
 def test_corpus_list(capsys):
@@ -43,6 +59,29 @@ def test_check_gauge_boundary_obstruction(capsys):
     assert main(["check", "chern_simons_k1_dirichlet.cps", "--gauge", "lam"]) == 0
     out = capsys.readouterr().out
     assert "gauge direction: yes" in out
+
+
+@pytest.mark.parametrize("name,args", check_runs())
+def test_check_never_raises(capsys, name, args):
+    # a verdict (exit 0) or a one-line refusal (exit 1); the non-decomposable
+    # pair exits 2 before any check
+    rc = main(["check", f"{name}.cps", *args])
+    assert rc in ({2} if name == "lagrange_multiplier_L3" else {0, 1})
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_gauge_refuses_nonabelian_model():
+    src = str(pathlib.Path(cpsforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpsforge.cli", "check", "yang_mills_su2_n2.cps", "--gauge", "lam"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "model error: gauge parameter checks need an abelian one-form field"
+    ]
 
 
 def test_check_evolutionary_shift(capsys):

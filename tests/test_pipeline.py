@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 
+from cpsforge import pipeline
 from cpsforge.chart import Chart, MultiIndex
 from cpsforge.forms import (
     Form,
@@ -35,8 +36,9 @@ from cpsforge.pipeline import (
     xi_invariance_residual,
 )
 from cpsforge.relative import BoundaryPair, RelForm, rel_d
+from cpsforge.report import run_cps
 
-from strategies import forms, make_chart
+from strategies import count_calls, forms, make_chart
 
 settings.register_profile("pipeline", max_examples=15, deadline=None)
 settings.load_profile("pipeline")
@@ -159,28 +161,34 @@ class TestEquivalence:
         assert rel_d(shift).is_zero()
 
 
+def lift(lp, xi, meta):
+    """The lift of xi and its invariance residual, computed once as the report does."""
+    W = lift_vector_field(lp.pair.chart, meta, xi)
+    return W, xi_invariance_residual(lp, xi, W)
+
+
 class TestInvarianceAndSymmetry:
     def test_time_translation_invariant(self):
         lp = scalar_pair(with_robin=True)
-        res = xi_invariance_residual(lp, [1, 0], SCALAR_META)
+        _, res = lift(lp, [1, 0], SCALAR_META)
         assert res.bulk.is_zero() and res.boundary.is_zero()
 
     def test_time_dependent_robin_function_breaks_invariance(self):
         lp = scalar_pair(with_robin=True, f_static=False)
-        res = xi_invariance_residual(lp, [1, 0], SCALAR_META)
+        _, res = lift(lp, [1, 0], SCALAR_META)
         assert res.bulk.is_zero()
         assert not res.boundary.is_zero()  # residual carries L_xi f = f'(t)
 
     def test_boost_like_not_invariant(self):
         lp = scalar_pair(with_robin=False)
         t = lp.pair.chart.xs[0]
-        res = xi_invariance_residual(lp, [t, 0], SCALAR_META)
+        _, res = lift(lp, [t, 0], SCALAR_META)
         assert not res.bulk.is_zero()
 
     def test_killing_lift_is_symmetry(self):
         lp = scalar_pair()
-        W = lift_vector_field(lp.pair.chart, SCALAR_META, [1, 0])
-        verdict = d_symmetry_check(lp, W, xi=[1, 0], meta=SCALAR_META)
+        W, res = lift(lp, [1, 0], SCALAR_META)
+        verdict = d_symmetry_check(lp, W, xi=[1, 0], invariance=res)
         assert verdict.is_symmetry
         assert verdict.S == iota_x([1, 0], lp.L)
 
@@ -208,7 +216,7 @@ class TestNoether:
     def test_flux_identity_energy(self):
         lp = scalar_pair()
         v = decompose(lp)
-        data = noether_current_xi(lp, v, [1, 0], SCALAR_META)
+        data = noether_current_xi(lp, v, [1, 0], *lift(lp, [1, 0], SCALAR_META))
         assert data.identity_holds()
         # slice current = energy density integrand
         ch = lp.pair.chart
@@ -224,23 +232,23 @@ class TestNoether:
     def test_zero_vector_field(self):
         lp = scalar_pair()
         v = decompose(lp)
-        data = noether_current_xi(lp, v, [0, 0], SCALAR_META)
+        data = noether_current_xi(lp, v, [0, 0], *lift(lp, [0, 0], SCALAR_META))
         assert data.J.is_zero() and data.j_bar.is_zero()
 
     def test_nonkilling_identity_still_holds(self):
         lp = scalar_pair(with_robin=False)
         v = decompose(lp)
         t = lp.pair.chart.xs[0]
-        data = noether_current_xi(lp, v, [t, 0], SCALAR_META)
+        data = noether_current_xi(lp, v, [t, 0], *lift(lp, [t, 0], SCALAR_META))
         assert data.identity_holds()
 
     def test_linearity_in_xi(self):
         lp = scalar_pair(with_robin=False)
         v = decompose(lp)
         t = lp.pair.chart.xs[0]
-        d1 = noether_current_xi(lp, v, [1, 0], SCALAR_META)
-        d2 = noether_current_xi(lp, v, [t, 0], SCALAR_META)
-        d12 = noether_current_xi(lp, v, [1 + t, 0], SCALAR_META)
+        d1 = noether_current_xi(lp, v, [1, 0], *lift(lp, [1, 0], SCALAR_META))
+        d2 = noether_current_xi(lp, v, [t, 0], *lift(lp, [t, 0], SCALAR_META))
+        d12 = noether_current_xi(lp, v, [1 + t, 0], *lift(lp, [1 + t, 0], SCALAR_META))
         assert d12.J == d1.J + d2.J
         assert d12.j_bar == d1.j_bar + d2.j_bar
 
@@ -297,21 +305,21 @@ class TestChernSimons:
         lp, meta, _ = cs_pair()
         t, x, y = lp.pair.chart.xs
         for xi in ([1, 0, 0], [x, 1 + t, 0], [t * x, -2, y]):
-            res = xi_invariance_residual(lp, xi, meta)
+            _, res = lift(lp, xi, meta)
             assert res.bulk.is_zero() and res.boundary.is_zero()
 
     def test_lift_is_d_symmetry(self):
         lp, meta, _ = cs_pair()
         xi = [1, 0, 0]
-        W = lift_vector_field(lp.pair.chart, meta, xi)
-        verdict = d_symmetry_check(lp, W, xi=xi, meta=meta)
+        W, res = lift(lp, xi, meta)
+        verdict = d_symmetry_check(lp, W, xi=xi, invariance=res)
         assert verdict.is_symmetry
 
     def test_noether_identity_and_charge_on_shell(self):
         lp, meta, _ = cs_pair()
         v = decompose(lp)
         xi = [1, 0, 0]
-        data = noether_current_xi(lp, v, xi, meta)
+        data = noether_current_xi(lp, v, xi, *lift(lp, xi, meta))
         assert data.identity_holds()
         # the charge integrand equals (iota_xi A) * E + an explicit divergence
         # (J = 1/2 d(A_t A) + A_t E), so on shell it reduces to the divergence:
@@ -487,3 +495,18 @@ def test_ideal_with_formal_functions_matches_expr_path():
             OnShellIdeal(ch, [EXPR.poly(e) for e in eqs + [extra]], ring=EXPR)
         )
     assert OnShellIdeal(ch, [2 * utt - u]).rhs(0) == u / 2
+
+
+def test_one_derivation_per_model(monkeypatch):
+    # the report's symmetry and gauge blocks share the model's decomposition,
+    # its on-shell ideals and each vector's invariance residual
+    counts = count_calls(
+        monkeypatch, pipeline.decompose, pipeline.slice_ideal, pipeline._corner_ideal,
+        pipeline.xi_invariance_residual,
+    )
+    model = load_model("chern_simons_k1.cps")
+    rep = run_cps(model)
+    assert [b["vector"] for b in rep.symmetries] == ["dt", "xdt", "gauge(lam)"]
+    assert counts["decompose"] == 1
+    assert counts["slice_ideal"] == 1 and counts["_corner_ideal"] == 1
+    assert counts["xi_invariance_residual"] <= len(model.vectors)

@@ -10,7 +10,6 @@ from cpsforge.relative import (
     RelForm,
     rel_d,
     rel_dd,
-    rel_integrate_numeric,
     rel_iota,
     rel_lie,
     rel_wedge,
@@ -172,13 +171,13 @@ class TestRelIntegralSurface:
     def test_module_level_entry_point(self):
         import numpy as np
         from cpsforge.chart import Chart
-        from cpsforge.numeric import Grid
+        from cpsforge.numeric import Grid, relative_integral
 
         ch = Chart(("x",), ("u",), max_jet_order=4)
         pair = BoundaryPair(ch)
         grid = Grid.make(ch, [(0, 1)], (101,))
         p = RelForm(pair, Form.dx(ch, 0) * ch.xs[0], Form.zero(pair.bchart))
-        val = rel_integrate_numeric(p, grid, {"u": np.zeros(grid.shape)})
+        val = relative_integral(p, grid, {"u": np.zeros(grid.shape)})
         assert abs(val - 0.5) < 1e-4
 
 
