@@ -98,6 +98,11 @@ class Chart:
         )
         self._jet_by_symbol: dict[sp.Symbol, tuple[str, MultiIndex]] = {}
         self._jet_by_key: dict[tuple[str, MultiIndex], sp.Symbol] = {}
+        # (base field, normal order, time order) of each field, and the
+        # transversal family (field, field.<tag>1, ...) of each field of the
+        # chart this one restricts; ``restricted`` fills both in
+        self.labels: dict[str, tuple[str, int, int]] = {a: (a, 0, 0) for a in self.fields}
+        self.families: dict[str, tuple[str, ...]] = {}
         for a in self.fields:
             self.jet(a, MultiIndex())
 
@@ -242,30 +247,27 @@ class Chart:
         if got is not None:
             return got
         coords = tuple(c for i, c in enumerate(self.coord_names) if i != axis)
-        fields = []
-        for a in self.fields:
-            fields.append(a)
-            for k in range(1, self.max_jet_order + 1):
-                fields.append(f"{a}.{tag}{k}")
+        families = {
+            a: (a,) + tuple(f"{a}.{tag}{k}" for k in range(1, self.max_jet_order + 1))
+            for a in self.fields
+        }
         metric = None
         if self.metric is not None:
             metric = tuple(m for i, m in enumerate(self.metric) if i != axis)
+        fields = [name for family in families.values() for name in family]
         sub = Chart(coords, fields, max_jet_order=self.max_jet_order, metric=metric)
-        sub.restriction_tag = tag
+        sub.families = families
+        for a, family in families.items():
+            base, normal, time = self.labels[a]
+            for k, name in enumerate(family):
+                sub.labels[name] = (base, normal + k, time) if tag == "n" else (base, normal, time + k)
         cache[(axis, tag)] = sub
         return sub
-
-    @staticmethod
-    def restricted_label(field: str, transversal_order: int, sub: "Chart") -> str:
-        if transversal_order == 0:
-            return field
-        tag = getattr(sub, "restriction_tag", "n")
-        return f"{field}.{tag}{transversal_order}"
 
     def restricted_jet(self, field: str, mi: MultiIndex, sub: "Chart", axis: int) -> sp.Symbol:
         """The jet of sub that restriction along axis relabels u^field_mi to."""
         kept, k = mi.split_axis(axis)
-        return sub.jet(self.restricted_label(field, k, sub), kept.shift_down(axis))
+        return sub.jet(sub.families[field][k], kept.shift_down(axis))
 
     def restrict_expr(
         self, expr: sp.Expr, sub: "Chart", axis: int, value: sp.Expr | None = None
@@ -285,38 +287,21 @@ class Chart:
         return expr.xreplace(repl)
 
 
-def parse_restricted_label(label: str) -> tuple[str, int, int]:
-    """Decompose a (possibly twice-)restricted field label.
-
-    Returns (base, normal_order, time_order); tags compose additively, so
-    'u.t1.n2' and 'u.n2.t1' both parse to ('u', 2, 1).
-    """
-    parts = label.split(".")
-    base = parts[0]
-    n_ord = t_ord = 0
-    for tag in parts[1:]:
-        if tag.startswith("n"):
-            n_ord += int(tag[1:])
-        elif tag.startswith("t"):
-            t_ord += int(tag[1:])
-        else:
-            raise ValueError(f"unparsable restriction tag {tag!r} in {label!r}")
-    return base, n_ord, t_ord
-
-
 def translate_expr(expr: sp.Expr, src: "Chart", dst: "Chart") -> sp.Expr:
     """Relabel the jets of expr between charts whose restricted-field labels
     differ only in tag composition order (e.g. corner charts reached via
     slice-then-boundary vs boundary-then-slice)."""
-    repl = {sym: dst.jet(translated_field(field, dst), mi) for sym, field, mi in src.jets_in(expr)}
+    repl = {
+        sym: dst.jet(translated_field(field, src, dst), mi) for sym, field, mi in src.jets_in(expr)
+    }
     return expr.xreplace(repl)
 
 
-def translated_field(field: str, dst: "Chart") -> str:
-    """The field of dst whose restricted label parses like field's."""
-    key = parse_restricted_label(field)
-    for cand in dst.fields:
-        if parse_restricted_label(cand) == key:
+def translated_field(field: str, src: "Chart", dst: "Chart") -> str:
+    """The field of dst with the same (base, normal order, time order) as
+    field has in src."""
+    for cand, label in dst.labels.items():
+        if label == src.labels[field]:
             return cand
     raise KeyError(f"no field in target chart matching {field!r}")
 

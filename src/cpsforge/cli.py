@@ -9,6 +9,7 @@ import sys
 
 import sympy as sp
 
+from .chart import JetOrderError
 from .jetcalc import EvolutionaryField, NonDecomposableError
 from .model import ModelError, parse_model
 from .pipeline import d_symmetry_check
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
         return 2
     except ModelError as err:
         print(f"model error: {err}", file=sys.stderr)
+        return 1
+    except JetOrderError as err:
+        print(f"jet order cap exceeded: {err}; rerun with a larger --max-jet-order", file=sys.stderr)
         return 1
 
 

@@ -46,6 +46,11 @@ def _factor_sort_key(f: Factor):
     return (1, 0, f[1], f[2])
 
 
+def top_word(n: int) -> Word:
+    """The volume word dx^0 ^ ... ^ dx^{n-1}."""
+    return tuple(("x", i) for i in range(n))
+
+
 def word_bidegree(word: Word) -> tuple[int, int]:
     r = sum(1 for f in word if f[0] == "x")
     return (r, len(word) - r)
@@ -110,6 +115,11 @@ class Form:
         return Form(chart, 0, 0, {(): sp.sympify(expr)})
 
     @staticmethod
+    def top(chart: Chart, coeff) -> "Form":
+        """coeff dx^0 ^ ... ^ dx^{n-1}."""
+        return Form(chart, chart.n, 0, {top_word(chart.n): coeff})
+
+    @staticmethod
     def dx(chart: Chart, axis: int) -> "Form":
         return Form(chart, 1, 0, {(("x", axis),): sp.Integer(1)})
 
@@ -157,6 +167,13 @@ class Form:
     def iter_terms(self):
         for word in sorted(self.terms, key=lambda w: (len(w), tuple(_factor_sort_key(f) for f in w))):
             yield word, self.terms[word]
+
+    def top_coefficient(self) -> sp.Expr:
+        """Coefficient of the volume word; raises on any other term."""
+        word = top_word(self.chart.n)
+        if any(w != word for w in self.terms):
+            raise ValueError("expected a purely horizontal top-degree form")
+        return self.terms.get(word, sp.Integer(0))
 
     def map_coeffs(self, fn: Callable[[sp.Expr], sp.Expr]) -> "Form":
         return Form(self.chart, *self._tag, {w: fn(c) for w, c in self.terms.items()})
@@ -422,8 +439,7 @@ def vol(chart: Chart) -> Form:
     coeff = sp.Integer(1)
     if chart.metric is not None:
         coeff = sp.sqrt(sp.Abs(chart.metric_det()))
-    word = tuple(("x", i) for i in range(chart.n))
-    return Form(chart, chart.n, 0, {word: coeff})
+    return Form.top(chart, coeff)
 
 
 def hodge(f: Form) -> Form:
@@ -456,8 +472,7 @@ def boundary_volume(chart: Chart, bchart: Chart) -> Form:
     gnn = g[-1]
     eps = sp.sign(gnn)
     coeff = eps * (-1) ** (chart.n - 1) * sp.sqrt(sp.Abs(chart.metric_det() / gnn))
-    word = tuple(("x", i) for i in range(bchart.n))
-    return Form(bchart, bchart.n, 0, {word: sp.nsimplify(coeff)})
+    return Form.top(bchart, sp.nsimplify(coeff))
 
 
 # -- restriction ----------------------------------------------------------------------
@@ -483,8 +498,7 @@ def restrict(f: Form, axis: int, sub: Chart, value: sp.Expr | None = None) -> Fo
             else:
                 mi = MultiIndex(fac[2])
                 kept, k = mi.split_axis(axis)
-                rf = chart.restricted_label(fac[1], k, sub)
-                new_word.append(("v", rf, kept.shift_down(axis).entries))
+                new_word.append(("v", sub.families[fac[1]][k], kept.shift_down(axis).entries))
         raw.append((chart.restrict_expr(coeff, sub, axis, value), tuple(new_word)))
     r0, s0 = f._tag
     return Form.from_terms(sub, max(r0 - 1, 0), s0, raw)

@@ -13,8 +13,8 @@ from typing import Mapping
 
 import sympy as sp
 
-from .chart import Chart, MultiIndex, parse_restricted_label
-from .forms import Form, dd, d_h, wedge
+from .chart import Chart, MultiIndex
+from .forms import Form, dd, d_h, top_word, wedge
 
 
 class NonDecomposableError(ValueError):
@@ -73,10 +73,7 @@ class SourceForm:
 
     def coefficient(self, a: str) -> sp.Expr:
         f = self.components.get(a)
-        if f is None or f.is_zero():
-            return sp.Integer(0)
-        word = tuple(("x", i) for i in range(self.chart.n))
-        return f.terms.get(word, sp.Integer(0))
+        return sp.Integer(0) if f is None else f.top_coefficient()
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components.values())
@@ -92,22 +89,13 @@ class SourceForm:
         return {a: self.coefficient(a) for a in self.components}
 
 
-def _top_coefficient(chart: Chart, L: Form) -> sp.Expr:
-    word = tuple(("x", i) for i in range(chart.n))
-    extra = [w for w in L.terms if w != word]
-    if extra:
-        raise ValueError("expected a purely horizontal top-degree form")
-    return L.terms.get(word, sp.Integer(0))
-
-
 def euler_operator(L: Form) -> SourceForm:
     """Componentwise Euler operator: E_a = sum_J (-1)^|J| D_J dL/du^a_J.
 
     Vanishes identically iff L is a null Lagrangian on the chart.
     """
     chart = L.chart
-    lag = _top_coefficient(chart, L)
-    vol_word = tuple(("x", i) for i in range(chart.n))
+    lag = L.top_coefficient()
     out = SourceForm(chart)
     acc: dict[str, sp.Expr] = {a: sp.Integer(0) for a in chart.fields}
     for sym, a, mi in chart.jets_in(lag):
@@ -116,7 +104,7 @@ def euler_operator(L: Form) -> SourceForm:
             continue
         acc[a] += (-1) ** mi.order * chart.total_derivative_multi(mi, d)
     for a, e in acc.items():
-        out.components[a] = Form(chart, chart.n, 0, {vol_word: sp.expand(e)})
+        out.components[a] = Form.top(chart, sp.expand(e))
     return out
 
 
@@ -127,7 +115,7 @@ def _sweep(P: Form) -> tuple[dict[str, sp.Expr], Form]:
     are removed highest-order-first, largest axis first.  Returns (src, theta).
     """
     chart = P.chart
-    vol_word = tuple(("x", i) for i in range(chart.n))
+    vol_word = top_word(chart.n)
     work: dict[tuple[str, tuple], sp.Expr] = {}
     for word, coeff in P.terms.items():
         vfacs = [f for f in word if f[0] == "v"]
@@ -167,17 +155,30 @@ def integrate_by_parts(L: Form) -> tuple[SourceForm, Form]:
     checked to be identically zero, and E agrees with euler_operator.
     """
     chart = L.chart
-    _top_coefficient(chart, L)  # validates shape
+    L.top_coefficient()  # validates shape
     P = dd(L)
     src, theta = _sweep(P)
-    vol_word = tuple(("x", i) for i in range(chart.n))
     E = SourceForm(chart)
     for a in chart.fields:
-        E.components[a] = Form(chart, chart.n, 0, {vol_word: src.get(a, sp.Integer(0))})
+        E.components[a] = Form.top(chart, src.get(a, sp.Integer(0)))
     residual = P - E.paired_with_contacts() - d_h(theta)
     if not residual.is_zero():
         raise ArithmeticError(f"integration-by-parts residual is nonzero: {residual}")
     return E, theta
+
+
+def kill_dirichlet(form: Form, dirichlet: set[str] | frozenset[str]) -> Form:
+    """Impose homogeneous Dirichlet data: boundary restrictions of the listed
+    fields vanish with all their tangential jets and variations."""
+    if not dirichlet:
+        return form
+    sub = {sym: sp.Integer(0) for (a, _), sym in form.chart._jet_by_key.items() if a in dirichlet}
+    terms = {
+        word: coeff.xreplace(sub)
+        for word, coeff in form.terms.items()
+        if not any(f[0] == "v" and f[1] in dirichlet for f in word)
+    }
+    return Form(form.chart, *form._tag, terms)
 
 
 def boundary_euler_operator(
@@ -187,37 +188,27 @@ def boundary_euler_operator(
 ) -> tuple[SourceForm, Form]:
     """Decompose dd(ell_bar) - j*Theta on the boundary chart.
 
-    Returns (b, theta_bar) with dd(ell) - j*Theta = sum_a b_a ^ th{a} - d_h(theta_bar).
-    Contact factors of Dirichlet fields are dropped (their variations vanish);
+    Returns (b, theta_bar) with dd(ell) - j*Theta = sum_a b_a ^ th{a} - d_h(theta_bar),
+    one source per boundary field.  The Dirichlet data are imposed on both
+    inputs first (``kill_dirichlet``), so Dirichlet fields get zero sources;
     any surviving variation of a transversal family (normal-derivative field)
     raises NonDecomposableError, since it is not a source of a boundary field.
     """
     bchart = ell_bar.chart
-    P = dd(ell_bar) - pulled_theta
-
-    def keep(word) -> bool:
-        for f in word:
-            if f[0] == "v" and f[1] in dirichlet:
-                return False
-        return True
-
-    P = Form(bchart, bchart.n, 1, {w: c for w, c in P.terms.items() if keep(w)})
+    P = dd(kill_dirichlet(ell_bar, dirichlet)) - kill_dirichlet(pulled_theta, dirichlet)
     src, theta_sweep = _sweep(P)
-    vol_word = tuple(("x", i) for i in range(bchart.n))
     b = SourceForm(bchart)
     for a, coeff in sorted(src.items()):
         coeff = sp.expand(coeff)
         if coeff == 0:
             continue
-        if parse_restricted_label(a)[1:] != (0, 0):
-            term = wedge(
-                Form(bchart, bchart.n, 0, {vol_word: coeff}), Form.contact(bchart, a)
-            )
+        if bchart.labels[a][1:] != (0, 0):
+            term = wedge(Form.top(bchart, coeff), Form.contact(bchart, a))
             raise NonDecomposableError(
                 f"boundary variation contains a transversal-derivative variation of {a!r}",
                 term=term,
             )
-        b.components[a] = Form(bchart, bchart.n, 0, {vol_word: coeff})
+        b.components[a] = Form.top(bchart, coeff)
     for a in bchart.fields:
         b.components.setdefault(a, Form.zero(bchart, bchart.n, 0))
     theta_bar = -theta_sweep

@@ -17,8 +17,8 @@ from typing import Callable, Mapping
 import numpy as np
 import sympy as sp
 
-from .chart import Chart, MultiIndex, parse_restricted_label
-from .forms import Form, boundary_volume
+from .chart import Chart, MultiIndex
+from .forms import Form, boundary_volume, top_word
 
 
 # -- grid ------------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class FaceBinding:
             key = self.bchart.jet_key(sym)
             if key is not None:
                 label, mi = key
-                base, n_ord, t_ord = parse_restricted_label(label)
+                base, n_ord, t_ord = self.bchart.labels[label]
                 k = n_ord + t_ord
                 bulk_mi = MultiIndex(
                     tuple(baxes[i] for i in mi.entries) + (self.axis,) * k
@@ -233,17 +233,8 @@ class FaceBinding:
         return grid.weights(self._bulk_axes())
 
 
-def _top_coeff(form: Form) -> sp.Expr:
-    n = form.chart.n
-    word = tuple(("x", i) for i in range(n))
-    extra = [w for w in form.terms if w != word]
-    if extra:
-        raise ValueError("expected a top-degree horizontal form")
-    return form.terms.get(word, sp.Integer(0))
-
-
 def bulk_integral(form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
-    coeff = _top_coeff(form)
+    coeff = form.top_coefficient()
     vals = eval_bulk_expr(form.chart, coeff, grid, state, bindings)
     return float(np.sum(grid.weights() * vals))
 
@@ -257,9 +248,8 @@ def boundary_density(chart: Chart, bchart: Chart, form: Form) -> sp.Expr:
     """Coefficient of a boundary form relative to the oriented boundary volume."""
     if form.is_zero():
         return sp.Integer(0)
-    word = tuple(("x", i) for i in range(bchart.n))
-    base = boundary_volume(chart, bchart).terms[word]
-    return sp.expand(form.terms.get(word, sp.Integer(0)) / base)
+    base = boundary_volume(chart, bchart).top_coefficient()
+    return sp.expand(form.top_coefficient() / base)
 
 
 def lateral_density_integral(
@@ -302,8 +292,7 @@ def raw_face_integral(
     """
     if form.is_zero():
         return 0.0
-    word = tuple(("x", i) for i in range(bchart.n))
-    coeff = form.terms.get(word, sp.Integer(0))
+    coeff = form.top_coefficient()
     axis = chart.n - 1
     o_max = (-1) ** axis
     total = 0.0
@@ -323,9 +312,7 @@ def relative_integral(p, grid: Grid, fields, bindings=None) -> float:
     return total
 
 
-def flux_through_boundary(
-    form: Form, grid: Grid, state: FieldState, bindings=None, faces: str = "all"
-) -> float:
+def flux_through_boundary(form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
     """Oriented boundary flux of a bulk (n-1, 0) form, evaluated face-natively.
 
     For each face {x^k = const} only word components without dx^k survive; the
@@ -337,8 +324,6 @@ def flux_through_boundary(
     total = 0.0
     for axis in range(chart.n):
         if grid.periodic[axis]:
-            continue
-        if faces == "lateral" and axis != chart.n - 1:
             continue
         sides = lateral_faces(grid) if axis == chart.n - 1 else [-1, +1]
         for side in sides:
@@ -465,8 +450,7 @@ def slice_integral_density(
     """Integral over a Cauchy slice of a slice-chart top form (vol_gamma-positive)."""
     if form.is_zero():
         return 0.0
-    word = tuple(("x", i) for i in range(schart.n))
-    coeff = form.terms.get(word, sp.Integer(0))
+    coeff = form.top_coefficient()
     g = chart.metric or (1,) * chart.n
     scale = float(sp.sqrt(sp.Abs(sp.prod(g) / g[0])))
     sb = FaceBinding(chart, schart, 0, t_index, outward=False)
@@ -493,10 +477,10 @@ def contract_two_vertical(
     sb = FaceBinding(chart, schart, 0, t_index, outward=False)
     w = sb.face_weights(grid)
     total = 0.0
-    word_x = tuple(("x", i) for i in range(schart.n))
+    word_x = top_word(schart.n)
 
     def tjet(tan: FieldState, label: str, mi: MultiIndex) -> np.ndarray:
-        base, _, k = parse_restricted_label(label)
+        base, _, k = schart.labels[label]
         bulk_mi = MultiIndex(tuple(e + 1 for e in mi.entries) + (0,) * k)
         return sb.restrict_array(tan.jet(base, bulk_mi))
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import sympy as sp
 
 from .chart import Chart, MultiIndex
-from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, restrict, wedge
+from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, restrict, top_word, wedge
 from .jetcalc import (
     EvolutionaryField,
     NonDecomposableError,
@@ -25,6 +25,7 @@ from .jetcalc import (
     boundary_euler_operator,
     euler_operator,
     integrate_by_parts,
+    kill_dirichlet,
 )
 from .jetpoly import EXPR, NotRepresentable, on_kernel
 from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
@@ -61,25 +62,6 @@ class LagrangianPair:
 
     def dirichlet_fields(self) -> set[str]:
         return {a for a, k in self.bc.items() if k == "dirichlet"}
-
-
-def kill_dirichlet(form: Form, dirichlet: set[str]) -> Form:
-    """Impose homogeneous Dirichlet data: boundary restrictions of the listed
-    fields vanish with all their tangential jets and variations."""
-    if not dirichlet:
-        return form
-    bchart = form.chart
-    terms = {}
-    sub = {}
-    for a in dirichlet:
-        for (f2, mi), sym in list(bchart._jet_by_key.items()):
-            if f2 == a:
-                sub[sym] = sp.Integer(0)
-    for word, coeff in form.terms.items():
-        if any(f[0] == "v" and f[1] in dirichlet for f in word):
-            continue
-        terms[word] = coeff.xreplace(sub)
-    return Form(form.chart, *form._tag, terms)
 
 
 @dataclass
@@ -139,33 +121,29 @@ class VariationDecomposition:
         return _corner_ideal(self.lp, self, self.slice_ctx, self.slice_ideal)
 
 
-def decompose(lp: LagrangianPair) -> VariationDecomposition:
-    """CPS steps 1-2: bulk and boundary variational decompositions."""
-    E, theta = integrate_by_parts(lp.L)
+def _decompose_pair(
+    lp: LagrangianPair, L: Form, ell: Form
+) -> tuple[SourceForm, Form, SourceForm, Form]:
+    """CPS steps 1-2 for the pair (L, ell) under lp's boundary data: the
+    relative decomposition dd(L, ell) = (E, b) + d_rel(Theta, theta_bar).
+    Without a boundary, b and theta_bar are zero."""
+    E, theta = integrate_by_parts(L)
     bchart = lp.pair.bchart
     if not lp.has_boundary:
         b = SourceForm(bchart, {a: Form.zero(bchart, bchart.n, 0) for a in bchart.fields})
-        v = VariationDecomposition(
-            lp, E, theta, b, Form.zero(bchart, bchart.n - 1, 1),
-            noncanonical_theta=lp.L.jet_order() > 2,
-        )
-        if not v.bulk_residual().is_zero():
-            raise ArithmeticError("bulk decomposition residual nonzero")
-        return v
-    dirich = lp.dirichlet_fields()
-    pulled = kill_dirichlet(lp.pair.pullback(theta), dirich)
-    ell = kill_dirichlet(lp.ell, dirich)
-    b, theta_bar = boundary_euler_operator(ell, pulled, dirichlet=dirich)
-    for a in dirich:
-        b.components[a] = Form.zero(bchart, bchart.n, 0)
-    v = VariationDecomposition(
-        lp, E, theta, b, theta_bar, noncanonical_theta=lp.L.jet_order() > 2
+        return E, theta, b, Form.zero(bchart, bchart.n - 1, 1)
+    b, theta_bar = boundary_euler_operator(
+        ell, lp.pair.pullback(theta), dirichlet=lp.dirichlet_fields()
     )
-    if not v.bulk_residual().is_zero():
-        raise ArithmeticError("bulk decomposition residual nonzero")
-    if not v.boundary_residual().is_zero():
-        raise ArithmeticError("boundary decomposition residual nonzero")
-    return v
+    return E, theta, b, theta_bar
+
+
+def decompose(lp: LagrangianPair) -> VariationDecomposition:
+    """CPS steps 1-2: bulk and boundary variational decompositions, each
+    certified by a zero residual where it is computed."""
+    return VariationDecomposition(
+        lp, *_decompose_pair(lp, lp.L, lp.ell), noncanonical_theta=lp.L.jet_order() > 2
+    )
 
 
 def presymplectic_current(v: VariationDecomposition) -> tuple[Form, Form]:
@@ -272,7 +250,8 @@ def d_symmetry_check(
     """Decide whether W generates a variational symmetry of the pair.
 
     Accepts W iff the Lie derivative of the pair has identically vanishing
-    bulk and boundary sources (exactness decided constructively on the chart).
+    bulk and boundary sources (exactness decided constructively on the chart;
+    without a boundary the bulk sources decide alone).
     The potential (S, s_bar) is produced in closed form on the two routes the
     engine supports: xi-lifts of invariant pairs (W the lift of xi, and
     ``invariance`` its ``xi_invariance_residual``), and identically vanishing
@@ -280,20 +259,14 @@ def d_symmetry_check(
     """
     pair = lp.pair
     A = lie_ev(W.components, lp.L)
-    Wb = pair.restrict_ev(W.components)
-    a_bar = lie_ev(Wb, lp.ell)
+    a_bar = lie_ev(pair.restrict_ev(W.components), lp.ell)
     E_A = euler_operator(A) if not A.is_zero() else None
     bulk_exact = A.is_zero() or E_A.is_zero()
     obstruction_boundary = None
     boundary_exact = True
     if bulk_exact:
         try:
-            _, thA = integrate_by_parts(A) if not A.is_zero() else (None, Form.zero(pair.chart, pair.chart.n - 1, 1))
-            dirich = lp.dirichlet_fields()
-            pulledA = kill_dirichlet(pair.pullback(thA), dirich)
-            bA, _ = boundary_euler_operator(
-                kill_dirichlet(a_bar, dirich), pulledA, dirichlet=dirich
-            )
+            bA = _decompose_pair(lp, A, a_bar)[2]
             boundary_exact = bA.is_zero()
             if not boundary_exact:
                 obstruction_boundary = bA.paired_with_contacts()
@@ -396,10 +369,8 @@ class OnShellIdeal:
     Each generator is solved for its leading jet when that jet occurs linearly
     with a jet-free coefficient; a generator that is not solvable this way is
     kept in ``skipped`` and takes no part in the reduction, which it weakens
-    but never makes unsound (``strict`` raises instead).  Reduction substitutes
-    leading jets (and their prolongations) to a fixpoint under the chart's jet
-    cap.  Contact factors reduce through the linearized rows of the same
-    generators.
+    but never makes unsound.  Reduction substitutes leading jets (and their
+    prolongations) to a fixpoint under the chart's jet cap.
 
     With ``ring``, the equations are polynomials of that ring (see
     ``jetpoly``); without it they are sympy expressions, solved on the sparse
@@ -407,14 +378,14 @@ class OnShellIdeal:
     a sympy expression the first time ``_match`` returns it.
     """
 
-    def __init__(self, chart: Chart, equations: list, strict: bool = False, ring=None):
+    def __init__(self, chart: Chart, equations: list, ring=None):
         self.chart = chart
         if ring is not None:
-            self._solve(ring, list(equations), strict)
+            self._solve(ring, list(equations))
         else:
-            on_kernel(lambda r: self._solve(r, [r.poly(e) for e in equations], strict))
+            on_kernel(lambda r: self._solve(r, [r.poly(e) for e in equations]))
 
-    def _solve(self, ring, gens: list, strict: bool) -> None:
+    def _solve(self, ring, gens: list) -> None:
         chart = self.chart
         self.ring = ring
         self.generators = gens
@@ -432,10 +403,6 @@ class OnShellIdeal:
             )
             c = ring.diff(eq, sym)
             if ring.jets(chart, c):
-                if strict:
-                    raise ValueError(
-                        f"equation not solvable for leading jet {sym}: {ring.expr(eq)}"
-                    )
                 self.skipped.append(eq)
                 continue
             self.rules.append((a, mi, ring.solve(eq, sym, c)))
@@ -463,9 +430,9 @@ class OnShellIdeal:
                 return MultiIndex(tuple(rem)), self.rhs(k)
         return None
 
-    def reduce_expr(self, e: sp.Expr, max_passes: int = 64) -> sp.Expr:
+    def reduce_expr(self, e: sp.Expr) -> sp.Expr:
         e = sp.expand(e)
-        for _ in range(max_passes):
+        for _ in range(64):
             repl = {}
             for sym, a, mi in self.chart.jets_in(e):
                 m = self._match(a, mi)
@@ -476,41 +443,6 @@ class OnShellIdeal:
                 return e
             e = sp.expand(e.xreplace(repl))
         raise ArithmeticError("on-shell reduction did not reach a fixpoint")
-
-    def reduce_form(self, f: Form, max_passes: int = 64) -> Form:
-        chart = f.chart
-        for _ in range(max_passes):
-            out_terms: list[tuple[sp.Expr, tuple]] = []
-            changed = False
-            for word, coeff in f.terms.items():
-                new_coeff = self.reduce_expr(coeff)
-                if sp.expand(new_coeff - coeff) != 0:
-                    changed = True
-                replaced = False
-                for pos, fac in enumerate(word):
-                    if fac[0] != "v":
-                        continue
-                    m = self._match(fac[1], MultiIndex(fac[2]))
-                    if m is None:
-                        continue
-                    K, rhs = m
-                    # linearized rule: th{a, lead+K} = sum_b,J d(D_K rhs)/du^b_J th{b,J}
-                    prolonged = self.chart.total_derivative_multi(K, rhs)
-                    for sym2, b, mi2 in chart.jets_in(prolonged):
-                        dcoef = sp.diff(prolonged, sym2)
-                        if dcoef == 0:
-                            continue
-                        new_word = word[:pos] + (("v", b, mi2.entries),) + word[pos + 1:]
-                        out_terms.append((new_coeff * dcoef, new_word))
-                    replaced = True
-                    changed = True
-                    break
-                if not replaced:
-                    out_terms.append((new_coeff, word))
-            f = Form.from_terms(chart, *f._tag, out_terms)
-            if not changed:
-                return f
-        raise ArithmeticError("on-shell form reduction did not reach a fixpoint")
 
 
 def prolonged_restricted_generators(
@@ -566,7 +498,7 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
     is reduced; kappa is the boundary term the integration by parts sheds.
     ``gen`` is a polynomial of ``ring``.
     """
-    vol_word = tuple(("x", i) for i in range(schart.n))
+    vol_word = top_word(schart.n)
     raw = []
     for sym, b, mi in ring.jets(schart, gen):
         dcoef = ring.diff(gen, sym)
@@ -671,13 +603,9 @@ def gauge_residual(
                         src, size = trial, trial_size
                         kappa = kappa - row_kappa if sign > 0 else kappa + row_kappa
                         improved = True
-    vol_word = tuple(("x", i) for i in range(ctx.schart.n))
     bulk_res = Form.zero(ctx.schart, ctx.schart.n, 1)
     for a, coeff in sorted(src.items()):
-        bulk_res = bulk_res + wedge(
-            Form(ctx.schart, ctx.schart.n, 0, {vol_word: coeff}),
-            Form.contact(ctx.schart, a),
-        )
+        bulk_res = bulk_res + wedge(Form.top(ctx.schart, coeff), Form.contact(ctx.schart, a))
     # corner piece: the swept-off exact parts restricted to the slice corner,
     # minus the boundary symplectic current contraction
     corner = ctx.corner_pull(kappa)
@@ -698,7 +626,7 @@ def translate_form(f: Form, src: Chart, dst: Chart) -> Form:
     raw = []
     for word, coeff in f.terms.items():
         new_word = tuple(
-            fac if fac[0] == "x" else ("v", translated_field(fac[1], dst), fac[2])
+            fac if fac[0] == "x" else ("v", translated_field(fac[1], src, dst), fac[2])
             for fac in word
         )
         raw.append((translate_expr(coeff, src, dst), new_word))

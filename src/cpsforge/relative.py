@@ -67,10 +67,7 @@ class BoundaryPair:
             comp = sp.sympify(W[a]) if a in W else sp.Integer(0)
             out[a] = chart.restrict_expr(comp, bchart, self.axis, value=sp.Integer(0))
             bumped = comp
-            for k in range(1, chart.max_jet_order + 1):
-                name = chart.restricted_label(a, k, bchart)
-                if name not in bchart.fields:
-                    break
+            for name in bchart.families[a][1:]:
                 try:
                     bumped = chart.total_derivative(self.axis, bumped)
                 except JetOrderError:

@@ -7,7 +7,6 @@ from typing import Any
 
 import sympy as sp
 
-from .chart import parse_restricted_label
 from .jetcalc import EvolutionaryField, NonDecomposableError, SourceForm
 from .model import Model, ModelError
 from .pipeline import (
@@ -48,7 +47,7 @@ def source_dict(src: SourceForm) -> dict[str, str]:
     out = {}
     for a in sorted(src.components):
         e = sp.expand(src.coefficient(a))
-        if e == 0 and parse_restricted_label(a)[1:] != (0, 0):
+        if e == 0 and src.chart.labels[a][1:] != (0, 0):
             continue  # silent zero entries of restriction families
         out[a] = sp.sstr(e)
     return out

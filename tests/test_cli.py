@@ -96,6 +96,19 @@ def test_max_jet_order_flag(tmp_path):
     assert rc == 0
 
 
+def test_jet_cap_overflow_is_one_line(tmp_path, capsys):
+    text = (corpus_dir() / "scalar_periodic.cps").read_text()
+    old = "L = (1/2) * wedge(d(u), hodge(d(u)));"
+    assert text.count(old) == 1
+    path = tmp_path / "higher_order.cps"
+    path.write_text(text.replace(old, "L = (u_t**2 - u_xx**2)/2 * vol();"))
+    assert main(["derive", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "max jet order 4" in err and "--max-jet-order" in err
+    assert main(["--max-jet-order", "6", "derive", str(path)]) == 0
+
+
 def test_numeric_fd_check_writes_csv(tmp_path, capsys):
     out = tmp_path / "fd.csv"
     rc = main([

@@ -61,6 +61,19 @@ class TestNormalize:
         assert again.terms == f.terms
 
 
+class TestTopForms:
+    def test_top_round_trip(self):
+        f = Form.top(CH, U * UX)
+        assert f == vol(CH) * (U * UX)
+        assert f.top_coefficient() == U * UX
+        assert Form.zero(CH, 2, 0).top_coefficient() == 0
+
+    def test_top_coefficient_rejects_other_terms(self):
+        f = Form(CH, 1, 1, {(("x", 0), ("v", "u", ())): UT})
+        with pytest.raises(ValueError):
+            f.top_coefficient()
+
+
 class TestWedge:
     def test_one_form_antisymmetry(self):
         assert wedge(dx(0), dx(1)) == wedge(dx(1), dx(0)) * -1

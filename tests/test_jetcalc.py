@@ -298,6 +298,15 @@ class TestBoundaryEuler:
         b, theta_bar = boundary_euler_operator(ell, jtheta, dirichlet={"u"})
         assert b.is_zero() and theta_bar.is_zero()
 
+    def test_dirichlet_value_vanishes_in_other_sources(self):
+        # ell = bvol u v: with u Dirichlet, u = 0 on the boundary, so v has no source
+        ch = make_chart(2, ("u", "v"), metric=[-1, 1])
+        bch = ch.restricted(1)
+        ell = boundary_volume(ch, bch) * (bch.jet("u", MultiIndex()) * bch.jet("v", MultiIndex()))
+        b, theta_bar = boundary_euler_operator(ell, Form.zero(bch, 1, 1), dirichlet={"u"})
+        assert b.components["v"].is_zero() and b.components["u"].is_zero()
+        assert theta_bar.is_zero()
+
     def test_lagrange_multiplier_variant_not_decomposable(self):
         ch = make_chart(2, ("u", "lam"), metric=[-1, 1], max_jet_order=6)
         u = ch.jet("u", MultiIndex())
