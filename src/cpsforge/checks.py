@@ -7,8 +7,9 @@ import numpy as np
 import sympy as sp
 
 from .chart import MultiIndex
-from .model import Model
+from .model import Model, ModelError
 from .numeric import (
+    FaceBinding,
     FieldState,
     Grid,
     boundary_density,
@@ -27,35 +28,32 @@ from .pipeline import (
 
 
 def make_grid(model: Model, shape) -> Grid:
+    if model.chart.n != 2:
+        raise ModelError(f"numeric checks need a 1+1-dimensional model, not n = {model.chart.n}")
     periodic = tuple(c in model.periodic for c in model.coords)
     return Grid.make(model.chart, model.domain, tuple(shape), periodic=periodic)
 
 
-class AnalyticState:
+def _require_scalar_u(model: Model, check: str) -> None:
+    """Refuse a model whose fields are not the one scalar ``u`` that the
+    analytic states and the wave solver assume."""
+    if model.chart.fields != ("u",):
+        raise ModelError(f"{check} needs a model with the one scalar field u")
+
+
+class AnalyticState(FieldState):
     """Field state with exact symbolic jets (spectral-exact evaluation)."""
 
     def __init__(self, grid: Grid, exprs: dict[str, sp.Expr]):
-        self.grid = grid
         self.exprs = {a: sp.sympify(e) for a, e in exprs.items()}
-        self.values = {a: self._eval(e) for a, e in self.exprs.items()}
-        self._jets: dict[tuple[str, tuple], np.ndarray] = {}
+        values = {a: eval_bulk_expr(grid.chart, e, grid, None) for a, e in self.exprs.items()}
+        super().__init__(grid, values)
 
-    def _eval(self, e: sp.Expr) -> np.ndarray:
-        mesh = self.grid.mesh()
-        xs = self.grid.chart.xs
-        fn = sp.lambdify(xs, e, modules="numpy")
-        return np.broadcast_to(fn(*mesh), self.grid.shape).astype(float)
-
-    def jet(self, field: str, mi: MultiIndex) -> np.ndarray:
-        key = (field, mi.entries)
-        got = self._jets.get(key)
-        if got is None:
-            e = self.exprs[field]
-            for ax in mi:
-                e = sp.diff(e, self.grid.chart.xs[ax])
-            got = self._eval(e)
-            self._jets[key] = got
-        return got
+    def _derive(self, field: str, mi: MultiIndex) -> np.ndarray:
+        e = self.exprs[field]
+        for ax in mi:
+            e = sp.diff(e, self.grid.chart.xs[ax])
+        return eval_bulk_expr(self.grid.chart, e, self.grid, self)
 
 
 def bump_array(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -153,6 +151,7 @@ class SliceDriftResult:
 def slice_independence(model: Model, shape=(129, 256), mode="spectral") -> SliceDriftResult:
     """Presymplectic pairing on five Cauchy slices; returns values and max drift."""
     grid = make_grid(model, shape)
+    _require_scalar_u(model, "slice-independence")
     v = model.decomposition
     om_slice, om_corner = v.slice_forms
     if not om_corner.is_zero():
@@ -183,6 +182,7 @@ def slice_independence(model: Model, shape=(129, 256), mode="spectral") -> Slice
 def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float, float]:
     """Step-6 check: slice pairing vs the canonical pairing with p = normal derivative."""
     grid = make_grid(model, shape)
+    _require_scalar_u(model, "hamiltonian")
     v = model.decomposition
     om_slice, _ = v.slice_forms
     chart, schart = model.chart, v.slice_ctx.schart
@@ -192,11 +192,10 @@ def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float
     val = contract_two_vertical(chart, schart, om_slice, grid, base, k, d1, d2,
                                bindings=model.bindings)
     # canonical pairing on the same slice
-    w = grid.weights([1])
-    t0 = MultiIndex.make(0)
-    f1, p1 = d1.jet("u", MultiIndex())[k], d1.jet("u", t0)[k]
-    f2, p2 = d2.jet("u", MultiIndex())[k], d2.jet("u", t0)[k]
-    canonical = float(np.sum(w * (f1 * p2 - f2 * p1)))
+    sb = FaceBinding(chart, schart, 0, k, outward=False)
+    f1, p1 = sb.jet(d1, "u", MultiIndex()), sb.jet(d1, "u.t1", MultiIndex())
+    f2, p2 = sb.jet(d2, "u", MultiIndex()), sb.jet(d2, "u.t1", MultiIndex())
+    canonical = sb.integral(sp.Integer(1), grid, base, factor=f1 * p2 - f2 * p1)
     return val, canonical, abs(val - canonical)
 
 
@@ -211,14 +210,17 @@ class FluxResult:
 def flux_check(model: Model, xi_name: str, shape=(257, 256), state: FieldState | None = None) -> FluxResult:
     """Charge difference between two slices against the background-variation term."""
     grid = make_grid(model, shape)
+    if xi_name not in model.vectors:
+        raise ModelError(f"unknown vector field {xi_name!r}")
+    if state is None:
+        _require_scalar_u(model, "flux")
+        state = standing_wave_state(model, grid)
     xi = model.vectors[xi_name]
     W = lift_vector_field(model.chart, model.meta, xi)
     tilde = xi_invariance_residual(model.lp, xi, W)
     data = noether_current_xi(model.lp, model.decomposition, xi, W, tilde)
     if not data.corner_current.is_zero():
         raise NotImplementedError("corner charge contributions are not evaluated numerically")
-    if state is None:
-        state = standing_wave_state(model, grid)
     chart, schart = model.chart, model.decomposition.slice_ctx.schart
     nt = grid.shape[0]
     i1, i2 = nt // 8, nt - 1 - nt // 8

@@ -87,32 +87,14 @@ def cmd_check(args) -> int:
             print(f"  residual bulk = {blk['invariance_residual']['bulk']}")
             print(f"  residual boundary = {blk['invariance_residual']['boundary']}")
         print(f"d-symmetry: {yes_no(blk['d_symmetry'])}")
-        g = blk.get("gauge", {})
-        if "not_reduced" in g:
-            print(f"gauge direction: not reduced ({g['not_reduced']})")
-        elif g:
-            print(f"gauge direction: {yes_no(g['is_gauge'])}")
-            if not g["is_gauge"]:
-                print(f"  gauge residual bulk = {g['bulk_residual']}")
-                print(f"  gauge residual boundary = {g['boundary_residual']}")
+        if "gauge" in blk:
+            print_gauge_verdict(blk["gauge"])
         return 0
     if args.gauge:
-        g = gauge_parameter_block(model, args.gauge)["gauge"]
-        print(f"gauge direction: {yes_no(g['is_gauge'])}")
-        print(f"  bulk residual = {g['bulk_residual']}")
-        print(f"  boundary obstruction = {g['boundary_residual']}")
+        print_gauge_verdict(gauge_parameter_block(model, args.gauge)["gauge"])
         return 0
     if args.evolutionary:
-        chart = model.chart
-        comps = {}
-        for item in args.evolutionary.split(","):
-            name, _, exprtext = item.partition(":")
-            comps[name.strip()] = sp.sympify(
-                exprtext.strip(),
-                locals={str(s): s for s in list(chart.xs)}
-                | {chart.pretty_jet(sym): sym for sym in chart._jet_by_symbol},
-            )
-        W = EvolutionaryField(chart, comps)
+        W = parse_evolutionary(model.chart, args.evolutionary)
         verdict = d_symmetry_check(model.lp, W)
         print(f"d-symmetry: {yes_no(verdict.is_symmetry)}")
         if verdict.note:
@@ -121,32 +103,69 @@ def cmd_check(args) -> int:
     raise SystemExit("check needs one of --xi, --gauge, --evolutionary")
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[tuple]):
-    out = pathlib.Path(path) if path else None
-    if out is None:
-        print(",".join(header))
-        for r in rows:
-            print(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in r))
+def print_gauge_verdict(g: dict) -> None:
+    """Print a gauge verdict block (``report.gauge_dict`` or its not-reduced note)."""
+    if "not_reduced" in g:
+        print(f"gauge direction: not reduced ({g['not_reduced']})")
         return
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+    print(f"gauge direction: {yes_no(g['is_gauge'])}")
+    print(f"  bulk residual = {g['bulk_residual']}")
+    print(f"  boundary obstruction = {g['boundary_residual']}")
+
+
+def parse_evolutionary(chart, text: str) -> EvolutionaryField:
+    """The field ``a: expr, b: expr, ...`` of ``check --evolutionary``; an
+    undeclared field or an unparsable expression raises ModelError."""
+    names = {str(s): s for s in chart.xs} | {chart.pretty_jet(s): s for s in chart._jet_by_symbol}
+    comps = {}
+    for item in text.split(","):
+        name, _, exprtext = (part.strip() for part in item.partition(":"))
+        if name not in chart.fields:
+            raise ModelError(f"--evolutionary names an undeclared field {name!r}")
+        try:
+            comps[name] = sp.sympify(exprtext, locals=names)
+        except (sp.SympifyError, SyntaxError, TypeError):
+            comps[name] = None
+        if not isinstance(comps[name], sp.Expr):
+            raise ModelError(f"cannot parse --evolutionary component {item.strip()!r}")
+    return EvolutionaryField(chart, comps)
+
+
+def _write_csv(path: str | None, header: list[str], rows: list[tuple]):
+    rows = [header] + [[f"{x:.12g}" if isinstance(x, float) else x for x in r] for r in rows]
+    if not path:
         for r in rows:
-            w.writerow([f"{x:.12g}" if isinstance(x, float) else x for x in r])
+            print(",".join(map(str, r)))
+        return
+    with pathlib.Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.lower().split("x"))
+def grid_shape(text: str) -> tuple[int, ...]:
+    """The ``--grid NTxNX`` option: two point counts of at least 3."""
+    parts = text.lower().split("x")
+    if len(parts) != 2 or not all(p.isdecimal() and int(p) >= 3 for p in parts):
+        raise argparse.ArgumentTypeError(f"expected NTxNX with two integers >= 3, got {text!r}")
+    return tuple(map(int, parts))
+
+
+def positive_float(text: str) -> float:
+    """The ``--eps`` option: a positive finite number."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
 
 
 def cmd_numeric(args) -> int:
     from . import checks
 
     model = load_model(args.model, args.max_jet_order)
-    shape = _parse_grid(args.grid) if args.grid else None
     if args.subcommand == "fd-check":
-        eps = [float(args.eps)] if args.eps else [1e-2, 1e-3, 1e-4]
-        res = checks.fd_check(model, shape or (129, 129), eps_list=eps)
+        eps = [args.eps] if args.eps else [1e-2, 1e-3, 1e-4]
+        res = checks.fd_check(model, args.grid or (129, 129), eps_list=eps)
         rows = [(e, r) for e, r in res.rows]
         _write_csv(args.out, ["eps", "residual"], rows)
         print(f"slope = {res.slope:.3f}")
@@ -155,7 +174,7 @@ def cmd_numeric(args) -> int:
             print(f"ablation ratio (no boundary term) = {worst:.3g}")
         return 0 if (len(rows) < 2 or res.slope >= 1.9) else 1
     if args.subcommand == "slice-independence":
-        res = checks.slice_independence(model, shape or (129, 256), mode=args.mode)
+        res = checks.slice_independence(model, args.grid or (129, 256), mode=args.mode)
         rows = [(i, val) for i, val in enumerate(res.values)]
         _write_csv(args.out, ["slice", "pairing"], rows)
         print(f"relative drift = {res.drift:.3g}")
@@ -163,13 +182,13 @@ def cmd_numeric(args) -> int:
     if args.subcommand == "flux":
         if not args.xi:
             raise SystemExit("flux needs --xi")
-        res = checks.flux_check(model, args.xi, shape or (257, 256))
+        res = checks.flux_check(model, args.xi, args.grid or (257, 256))
         rows = [(res.q_values[0], res.q_values[1], res.delta_q, res.rhs, res.mismatch)]
         _write_csv(args.out, ["q1", "q2", "delta_q", "rhs", "mismatch"], rows)
         print(f"delta Q = {res.delta_q:.6g}, rhs = {res.rhs:.6g}, mismatch = {res.mismatch:.3g}")
         return 0
     if args.subcommand == "hamiltonian":
-        val, canonical, diff = checks.hamiltonian_comparison(model, shape or (129, 256))
+        val, canonical, diff = checks.hamiltonian_comparison(model, args.grid or (129, 256))
         _write_csv(args.out, ["slice_pairing", "canonical_pairing", "difference"],
                    [(val, canonical, diff)])
         print(f"slice pairing = {val:.9g}, canonical = {canonical:.9g}, diff = {diff:.3g}")
@@ -207,8 +226,8 @@ def main(argv=None) -> int:
     n = sub.add_parser("numeric", help="numeric cross-checks (CSV output)")
     n.add_argument("subcommand", choices=["fd-check", "slice-independence", "flux", "hamiltonian"])
     n.add_argument("model")
-    n.add_argument("--grid")
-    n.add_argument("--eps")
+    n.add_argument("--grid", type=grid_shape)
+    n.add_argument("--eps", type=positive_float)
     n.add_argument("--xi")
     n.add_argument("--mode", default="spectral", choices=["spectral", "fd"])
     n.add_argument("--out")

@@ -178,9 +178,6 @@ class Form:
     def map_coeffs(self, fn: Callable[[sp.Expr], sp.Expr]) -> "Form":
         return Form(self.chart, *self._tag, {w: fn(c) for w, c in self.terms.items()})
 
-    def subs(self, mapping) -> "Form":
-        return self.map_coeffs(lambda c: c.subs(mapping))
-
     def jet_order(self) -> int:
         order = 0
         for word, coeff in self.terms.items():

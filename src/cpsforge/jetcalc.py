@@ -42,27 +42,6 @@ class EvolutionaryField:
             raise KeyError(f"components for undeclared fields: {sorted(unknown)}")
         object.__setattr__(self, "components", comps)
 
-    def __getitem__(self, a: str) -> sp.Expr:
-        return self.components[a]
-
-    def keys(self):
-        return self.components.keys()
-
-    def items(self):
-        return self.components.items()
-
-    def __contains__(self, a):
-        return a in self.components
-
-    def __add__(self, other: "EvolutionaryField") -> "EvolutionaryField":
-        return EvolutionaryField(
-            self.chart,
-            {a: self.components[a] + other.components[a] for a in self.components},
-        )
-
-    def __mul__(self, c) -> "EvolutionaryField":
-        return EvolutionaryField(self.chart, {a: sp.sympify(c) * e for a, e in self.items()})
-
 
 @dataclass
 class SourceForm:

@@ -18,7 +18,7 @@ import numpy as np
 import sympy as sp
 
 from .chart import Chart, MultiIndex
-from .forms import Form, boundary_volume, top_word
+from .forms import Form, boundary_volume, d_h, top_word
 
 
 # -- grid ------------------------------------------------------------------------------
@@ -45,13 +45,8 @@ class Grid:
     @staticmethod
     def make(chart: Chart, extents, shape, periodic=None, lateral_sides=(-1, +1)) -> "Grid":
         periodic = tuple(periodic) if periodic is not None else (False,) * chart.n
-        return Grid(
-            chart,
-            tuple(tuple(map(float, e)) for e in extents),
-            tuple(shape),
-            periodic,
-            tuple(lateral_sides),
-        )
+        extents = tuple(tuple(map(float, e)) for e in extents)
+        return Grid(chart, extents, tuple(shape), periodic, tuple(lateral_sides))
 
     def axis_points(self, k: int) -> np.ndarray:
         a, b = self.extents[k]
@@ -93,12 +88,9 @@ class Grid:
         if self.periodic[axis]:
             return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * h)
         out = np.empty_like(arr, dtype=float)
-        sl = [slice(None)] * arr.ndim
 
         def at(i):
-            s = sl.copy()
-            s[axis] = i
-            return tuple(s)
+            return tuple(i if k == axis else slice(None) for k in range(arr.ndim))
 
         out[at(slice(1, -1))] = (arr[at(slice(2, None))] - arr[at(slice(0, -2))]) / (2 * h)
         out[at(0)] = (arr[at(1)] - arr[at(0)]) / h
@@ -120,18 +112,42 @@ class FieldState:
     def jet(self, field: str, mi: MultiIndex) -> np.ndarray:
         key = (field, mi.entries)
         got = self._jets.get(key)
-        if got is not None:
-            return got
-        if mi.order == 0:
-            arr = self.values[field]
-        else:
-            prev = self.jet(field, MultiIndex(mi.entries[:-1]))
-            arr = self.grid.diff(prev, mi.entries[-1])
-        self._jets[key] = arr
-        return arr
+        if got is None:
+            got = self.values[field] if mi.order == 0 else self._derive(field, mi)
+            self._jets[key] = got
+        return got
+
+    def _derive(self, field: str, mi: MultiIndex) -> np.ndarray:
+        """A jet of positive order: the SBP derivative of the jet one order lower."""
+        prev = self.jet(field, MultiIndex(mi.entries[:-1]))
+        return self.grid.diff(prev, mi.entries[-1])
 
 
 # -- expression evaluation ---------------------------------------------------------------
+
+
+def _evaluate(expr: sp.Expr, shape: tuple[int, ...], value_of, bindings) -> np.ndarray:
+    """Lambdify expr over its free symbols and broadcast it to shape.
+
+    ``value_of(sym)`` gives the array of a jet or coordinate symbol, or None;
+    other symbols take their value from ``bindings``.
+    """
+    expr = sp.sympify(expr)
+    if expr.atoms(sp.Derivative) or expr.atoms(sp.core.function.AppliedUndef):
+        raise ValueError(f"expression contains unbound formal functions: {expr}")
+    args, vals = [], []
+    for sym in sorted(expr.free_symbols, key=lambda s: s.name):
+        val = value_of(sym)
+        if val is None:
+            if not bindings or sym.name not in bindings:
+                raise KeyError(f"no numeric binding for symbol {sym}")
+            val = bindings[sym.name]
+        args.append(sym)
+        vals.append(val)
+    if not args:
+        return float(expr) * np.ones(shape)
+    fn = sp.lambdify(args, expr, modules="numpy")
+    return np.broadcast_to(fn(*vals), shape).astype(float)
 
 
 def eval_bulk_expr(
@@ -142,26 +158,15 @@ def eval_bulk_expr(
     bindings: Mapping[str, float] | None = None,
 ):
     """Evaluate a jet expression to an array on the grid."""
-    expr = sp.sympify(expr)
-    if expr.atoms(sp.Derivative) or expr.atoms(sp.core.function.AppliedUndef):
-        raise ValueError(f"expression contains unbound formal functions: {expr}")
     mesh = grid.mesh()
-    args, vals = [], []
-    for sym in sorted(expr.free_symbols, key=lambda s: s.name):
-        args.append(sym)
+
+    def value_of(sym):
         key = chart.jet_key(sym)
         if key is not None:
-            vals.append(state.jet(key[0], key[1]))
-        elif sym in chart.xs:
-            vals.append(mesh[chart.xs.index(sym)])
-        elif bindings and sym.name in bindings:
-            vals.append(bindings[sym.name])
-        else:
-            raise KeyError(f"no numeric binding for symbol {sym}")
-    if not args:
-        return float(expr) * np.ones(grid.shape)
-    fn = sp.lambdify(args, expr, modules="numpy")
-    return np.broadcast_to(fn(*vals), grid.shape).astype(float)
+            return state.jet(*key)
+        return mesh[chart.xs.index(sym)] if sym in chart.xs else None
+
+    return _evaluate(expr, grid.shape, value_of, bindings)
 
 
 def face_index(side: int) -> int:
@@ -170,8 +175,9 @@ def face_index(side: int) -> int:
 
 
 class FaceBinding:
-    """Evaluate restricted-chart expressions on the grid hyperplane with the
-    given index along an axis: a lateral face, or a Cauchy slice {t = t_index}.
+    """Bind restricted-chart expressions to the grid hyperplane with the given
+    index along an axis (a lateral face, or a Cauchy slice {t = t_index}) and
+    integrate them there.
 
     Transversal-derivative families bind to outward normal derivatives when
     ``outward=True`` (model-derived densities on a face) and to raw +axis
@@ -179,58 +185,47 @@ class FaceBinding:
     and slices).
     """
 
-    def __init__(self, chart: Chart, bchart: Chart, axis: int, index: int, outward: bool = True):
+    def __init__(self, chart: Chart, bchart: Chart | None, axis: int, index: int, outward: bool = True):
         self.chart = chart
         self.bchart = bchart
         self.axis = axis
         self.index = index
         self.outward = outward
-
-    def _bulk_axes(self) -> list[int]:
-        return [i for i in range(self.chart.n) if i != self.axis]
+        self.tangential = [i for i in range(chart.n) if i != axis]
 
     def restrict_array(self, arr: np.ndarray) -> np.ndarray:
-        sl = [slice(None)] * self.chart.n
-        sl[self.axis] = self.index
-        return arr[tuple(sl)]
+        return arr[tuple(self.index if k == self.axis else slice(None) for k in range(arr.ndim))]
+
+    def jet(self, state: FieldState, label: str, mi: MultiIndex) -> np.ndarray:
+        """The restricted jet label_mi on the hyperplane: the bulk jet of the
+        label's base field with its transversal order along the axis; an odd
+        order flips sign on a min face under the outward binding."""
+        base, n_ord, t_ord = self.bchart.labels[label]
+        k = n_ord + t_ord
+        bulk_mi = MultiIndex(tuple(self.tangential[i] for i in mi.entries) + (self.axis,) * k)
+        arr = self.restrict_array(state.jet(base, bulk_mi))
+        return -arr if self.outward and self.index == 0 and k % 2 else arr
 
     def eval(self, expr: sp.Expr, grid: Grid, state: FieldState, bindings=None) -> np.ndarray:
-        expr = sp.sympify(expr)
-        if expr.atoms(sp.Derivative) or expr.atoms(sp.core.function.AppliedUndef):
-            raise ValueError(f"expression contains unbound formal functions: {expr}")
         mesh = grid.mesh()
-        args, vals = [], []
-        baxes = self._bulk_axes()
-        for sym in sorted(expr.free_symbols, key=lambda s: s.name):
-            args.append(sym)
+
+        def value_of(sym):
             key = self.bchart.jet_key(sym)
             if key is not None:
-                label, mi = key
-                base, n_ord, t_ord = self.bchart.labels[label]
-                k = n_ord + t_ord
-                bulk_mi = MultiIndex(
-                    tuple(baxes[i] for i in mi.entries) + (self.axis,) * k
-                )
-                arr = state.jet(base, bulk_mi)
-                sgn = (-1) ** k if self.outward and self.index == 0 else 1
-                vals.append(sgn * self.restrict_array(arr))
-            elif sym in self.bchart.xs:
-                i = self.bchart.xs.index(sym)
-                vals.append(self.restrict_array(mesh[baxes[i]]))
-            elif sym == self.chart.xs[self.axis]:
-                vals.append(self.restrict_array(mesh[self.axis]))
-            elif bindings and sym.name in bindings:
-                vals.append(bindings[sym.name])
-            else:
-                raise KeyError(f"no numeric binding for boundary symbol {sym}")
-        shape = tuple(grid.shape[i] for i in baxes) or (1,)
-        if not args:
-            return float(expr) * np.ones(shape)
-        fn = sp.lambdify(args, expr, modules="numpy")
-        return np.broadcast_to(fn(*vals), shape).astype(float)
+                return self.jet(state, *key)
+            if sym in self.bchart.xs:
+                return self.restrict_array(mesh[self.tangential[self.bchart.xs.index(sym)]])
+            if sym == self.chart.xs[self.axis]:
+                return self.restrict_array(mesh[self.axis])
+            return None
 
-    def face_weights(self, grid: Grid) -> np.ndarray:
-        return grid.weights(self._bulk_axes())
+        shape = tuple(grid.shape[i] for i in self.tangential) or (1,)
+        return _evaluate(expr, shape, value_of, bindings)
+
+    def integral(self, expr: sp.Expr, grid: Grid, state: FieldState, bindings=None, factor=None) -> float:
+        """Trapezoid integral of expr (times a hyperplane array factor) over the hyperplane."""
+        wv = grid.weights(self.tangential) * self.eval(expr, grid, state, bindings)
+        return float(np.sum(wv if factor is None else wv * factor))
 
 
 def bulk_integral(form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
@@ -239,9 +234,11 @@ def bulk_integral(form: Form, grid: Grid, state: FieldState, bindings=None) -> f
     return float(np.sum(grid.weights() * vals))
 
 
-def lateral_faces(grid: Grid) -> list[int]:
+def lateral_faces(grid: Grid, bchart: Chart, outward: bool) -> list[tuple[int, FaceBinding]]:
+    """(side, binding) of each lateral face {x^(n-1) = min or max} of the grid."""
     axis = grid.chart.n - 1
-    return [] if grid.periodic[axis] else list(grid.lateral_sides)
+    return [(side, FaceBinding(grid.chart, bchart, axis, face_index(side), outward))
+            for side in grid.lateral_sides]
 
 
 def boundary_density(chart: Chart, bchart: Chart, form: Form) -> sp.Expr:
@@ -252,38 +249,7 @@ def boundary_density(chart: Chart, bchart: Chart, form: Form) -> sp.Expr:
     return sp.expand(form.top_coefficient() / base)
 
 
-def lateral_density_integral(
-    chart: Chart,
-    bchart: Chart,
-    form: Form,
-    grid: Grid,
-    state: FieldState,
-    bindings=None,
-) -> float:
-    """Integral of a model-derived boundary form over all lateral faces.
-
-    The form is interpreted as density * oriented boundary volume on each face,
-    with the outward normal-derivative binding; the result is the sum of plain
-    positive-quadrature face integrals of the density.
-    """
-    density = boundary_density(chart, bchart, form)
-    total = 0.0
-    axis = chart.n - 1
-    for side in lateral_faces(grid):
-        fb = FaceBinding(chart, bchart, axis, face_index(side), outward=True)
-        vals = fb.eval(density, grid, state, bindings)
-        total += float(np.sum(fb.face_weights(grid) * vals))
-    return total
-
-
-def raw_face_integral(
-    chart: Chart,
-    bchart: Chart,
-    form: Form,
-    grid: Grid,
-    state: FieldState,
-    bindings=None,
-) -> float:
+def raw_face_integral(bchart: Chart, form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
     """Oriented integral of a raw lateral-chart form over both lateral faces.
 
     Uses the raw +axis jet binding and the outward-first orientation sign
@@ -293,14 +259,11 @@ def raw_face_integral(
     if form.is_zero():
         return 0.0
     coeff = form.top_coefficient()
-    axis = chart.n - 1
-    o_max = (-1) ** axis
+    o_max = (-1) ** (grid.chart.n - 1)
     total = 0.0
-    for side in lateral_faces(grid):
-        fb = FaceBinding(chart, bchart, axis, face_index(side), outward=False)
-        vals = fb.eval(coeff, grid, state, bindings)
+    for side, fb in lateral_faces(grid, bchart, outward=False):
         o = o_max if side > 0 else -o_max
-        total += o * float(np.sum(fb.face_weights(grid) * vals))
+        total += o * fb.integral(coeff, grid, state, bindings)
     return total
 
 
@@ -308,7 +271,7 @@ def relative_integral(p, grid: Grid, fields, bindings=None) -> float:
     """Relative integral: bulk quadrature minus oriented boundary-face quadrature."""
     state = fields if isinstance(fields, FieldState) else FieldState(grid, fields)
     total = bulk_integral(p.bulk, grid, state, bindings)
-    total -= raw_face_integral(p.pair.chart, p.pair.bchart, p.boundary, grid, state, bindings)
+    total -= raw_face_integral(p.pair.bchart, p.boundary, grid, state, bindings)
     return total
 
 
@@ -320,24 +283,20 @@ def flux_through_boundary(form: Form, grid: Grid, state: FieldState, bindings=No
     Stokes-faithful flux (no canonical-chart round trip).
     """
     chart = form.chart
-    mesh = grid.mesh()
     total = 0.0
     for axis in range(chart.n):
         if grid.periodic[axis]:
             continue
-        sides = lateral_faces(grid) if axis == chart.n - 1 else [-1, +1]
-        for side in sides:
-            sl = [slice(None)] * chart.n
-            sl[axis] = face_index(side)
-            sl = tuple(sl)
-            w = grid.weights([k for k in range(chart.n) if k != axis])
+        for side in grid.lateral_sides if axis == chart.n - 1 else (-1, +1):
+            fb = FaceBinding(chart, None, axis, face_index(side))
+            w = grid.weights(fb.tangential)
             orient = side * (-1) ** axis
             for word, coeff in form.terms.items():
                 if any(f[0] == "v" for f in word):
                     raise ValueError("flux expects a horizontal form")
                 if any(f[1] == axis for f in word):
                     continue
-                vals = eval_bulk_expr(chart, coeff, grid, state, bindings)[sl]
+                vals = fb.restrict_array(eval_bulk_expr(chart, coeff, grid, state, bindings))
                 total += orient * float(np.sum(w * vals))
     return total
 
@@ -346,12 +305,10 @@ def relative_stokes_residual(pair, Y: Form, z: Form, grid: Grid, state: FieldSta
     """|integral over (M, dM) of rel_d(Y, z)|, with the bulk flux of Y evaluated
     face-natively and the boundary z integrated over the lateral faces (z is
     expected to vanish near the corners; v1 treats boundary faces separately)."""
-    from .forms import d_h
-
     total = bulk_integral(d_h(Y), grid, state, bindings)
     total -= flux_through_boundary(Y, grid, state, bindings)
     if not z.is_zero():
-        total += raw_face_integral(pair.chart, pair.bchart, d_h(z), grid, state, bindings)
+        total += raw_face_integral(pair.bchart, d_h(z), grid, state, bindings)
     return abs(total)
 
 
@@ -366,10 +323,17 @@ def action_value(
     bchart: Chart | None = None,
     bindings=None,
 ) -> float:
-    """Relative action: bulk Lagrangian quadrature minus lateral boundary term."""
+    """Relative action: bulk Lagrangian quadrature minus the lateral boundary term.
+
+    ell is read as density * oriented boundary volume on each face, with the
+    outward normal-derivative binding; its integral is the sum of plain
+    positive-quadrature face integrals of the density.
+    """
     total = bulk_integral(L, grid, state, bindings)
     if ell is not None and not ell.is_zero():
-        total -= lateral_density_integral(L.chart, bchart, ell, grid, state, bindings)
+        density = boundary_density(L.chart, bchart, ell)
+        total -= sum(fb.integral(density, grid, state, bindings)
+                     for _, fb in lateral_faces(grid, bchart, outward=True))
     return total
 
 
@@ -384,24 +348,20 @@ def source_pairing(
     include_boundary: bool = True,
 ) -> float:
     """<E, v> over the bulk minus <b, v> over the lateral faces."""
-    chart = grid.chart
     total = 0.0
     w = grid.weights()
     for a, v in perturbations.items():
         e = E_coeffs.get(a, sp.Integer(0))
         if e != 0:
-            total += float(np.sum(w * eval_bulk_expr(chart, e, grid, state, bindings) * v))
+            total += float(np.sum(w * eval_bulk_expr(grid.chart, e, grid, state, bindings) * v))
     if include_boundary and bchart is not None:
-        axis = chart.n - 1
+        faces = lateral_faces(grid, bchart, outward=True)
         for a, v in perturbations.items():
             dens = b_densities.get(a, sp.Integer(0))
             if dens == 0:
                 continue
-            for side in lateral_faces(grid):
-                fb = FaceBinding(chart, bchart, axis, face_index(side), outward=True)
-                vals = fb.eval(dens, grid, state, bindings)
-                vface = fb.restrict_array(v)
-                total -= float(np.sum(fb.face_weights(grid) * vals * vface))
+            for _, fb in faces:
+                total -= fb.integral(dens, grid, state, bindings, factor=fb.restrict_array(v))
     return total
 
 
@@ -454,8 +414,7 @@ def slice_integral_density(
     g = chart.metric or (1,) * chart.n
     scale = float(sp.sqrt(sp.Abs(sp.prod(g) / g[0])))
     sb = FaceBinding(chart, schart, 0, t_index, outward=False)
-    vals = sb.eval(sp.expand(coeff / scale), grid, state, bindings)
-    return float(scale * np.sum(sb.face_weights(grid) * vals))
+    return scale * sb.integral(sp.expand(coeff / scale), grid, state, bindings)
 
 
 def contract_two_vertical(
@@ -475,29 +434,18 @@ def contract_two_vertical(
     c * (D_J t1^a D_K t2^b - D_J t2^a D_K t1^b) integrated over the slice.
     """
     sb = FaceBinding(chart, schart, 0, t_index, outward=False)
-    w = sb.face_weights(grid)
     total = 0.0
     word_x = top_word(schart.n)
-
-    def tjet(tan: FieldState, label: str, mi: MultiIndex) -> np.ndarray:
-        base, _, k = schart.labels[label]
-        bulk_mi = MultiIndex(tuple(e + 1 for e in mi.entries) + (0,) * k)
-        return sb.restrict_array(tan.jet(base, bulk_mi))
-
     for word, coeff in form.terms.items():
         vfacs = [f for f in word if f[0] == "v"]
         xfacs = tuple(f for f in word if f[0] == "x")
         if len(vfacs) != 2 or xfacs != word_x:
             raise ValueError("expected a top-slice form with two contact factors")
-        (a, ja), (b, jb) = (vfacs[0][1], MultiIndex(vfacs[0][2])), (
-            vfacs[1][1],
-            MultiIndex(vfacs[1][2]),
-        )
-        cvals = sb.eval(coeff, grid, state, bindings)
-        pair = tjet(tangent1, a, ja) * tjet(tangent2, b, jb) - tjet(tangent2, a, ja) * tjet(
-            tangent1, b, jb
-        )
-        total += float(np.sum(w * cvals * pair))
+        (_, a, ja), (_, b, jb) = vfacs
+        ja, jb = MultiIndex(ja), MultiIndex(jb)
+        pair = (sb.jet(tangent1, a, ja) * sb.jet(tangent2, b, jb)
+                - sb.jet(tangent2, a, ja) * sb.jet(tangent1, b, jb))
+        total += sb.integral(coeff, grid, state, bindings, factor=pair)
     return total
 
 

@@ -184,6 +184,16 @@ def slice_presymplectic(v: VariationDecomposition) -> tuple[Form, Form]:
 # -- lifting space-time vector fields --------------------------------------------------
 
 
+def one_form_families(meta: Mapping[str, FieldMeta]) -> dict[tuple[str, int], dict[int, str]]:
+    """The component fields of each one-form, {(base, lie_index): {axis: field}},
+    in declaration order."""
+    families: dict[tuple[str, int], dict[int, str]] = {}
+    for a, m in meta.items():
+        if m.kind == "one_form":
+            families.setdefault((m.base, m.lie_index), {})[m.axis] = a
+    return families
+
+
 def lift_vector_field(
     chart: Chart, meta: Mapping[str, FieldMeta], xi
 ) -> EvolutionaryField:
@@ -196,27 +206,19 @@ def lift_vector_field(
     if len(comps) != chart.n:
         raise ValueError("component count mismatch")
     W: dict[str, sp.Expr] = {}
-    by_base: dict[tuple[str, int], dict[int, str]] = {}
-    for a, m in meta.items():
-        if m.kind == "one_form":
-            by_base.setdefault((m.base, m.lie_index), {})[m.axis] = a
+    families = one_form_families(meta)
     for a in chart.fields:
         m = meta.get(a, FieldMeta("scalar"))
-        if m.kind == "scalar":
-            expr = sp.Integer(0)
-            for i in range(chart.n):
-                expr += comps[i] * chart.jet(a, MultiIndex.make(i))
-            W[a] = expr
-        elif m.kind == "one_form":
-            expr = sp.Integer(0)
-            for i in range(chart.n):
-                expr += comps[i] * chart.jet(a, MultiIndex.make(i))
-            family = by_base[(m.base, m.lie_index)]
+        if m.kind not in ("scalar", "one_form"):
+            raise ValueError(f"unsupported tensor kind {m.kind!r} (rank > 1 not supported)")
+        expr = sp.Integer(0)
+        for i in range(chart.n):
+            expr += comps[i] * chart.jet(a, MultiIndex.make(i))
+        if m.kind == "one_form":
+            family = families[(m.base, m.lie_index)]
             for nu in range(chart.n):
                 expr += chart.jet(family[nu], MultiIndex()) * sp.diff(comps[nu], chart.xs[m.axis])
-            W[a] = expr
-        else:
-            raise ValueError(f"unsupported tensor kind {m.kind!r} (rank > 1 not supported)")
+        W[a] = expr
     return EvolutionaryField(chart, W)
 
 
@@ -528,13 +530,10 @@ def gauge_multiplier_candidates(
     cands: list[sp.Expr] = []
     if xi is not None and meta is not None:
         comps = [sp.sympify(cc) for cc in xi]
-        bases: dict[tuple[str, int], sp.Expr] = {}
-        for a, m in meta.items():
-            if m.kind == "one_form":
-                key = (m.base, m.lie_index)
-                bases.setdefault(key, sp.Integer(0))
-                bases[key] += comps[m.axis] * chart.jet(a, MultiIndex())
-        for e in bases.values():
+        for family in one_form_families(meta).values():
+            e = sp.Integer(0)
+            for axis, a in family.items():
+                e += comps[axis] * chart.jet(a, MultiIndex())
             cands.append(chart.restrict_expr(e, ctx.schart, 0, value=None))
     funcs = set()
     for e in W.components.values():

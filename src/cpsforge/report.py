@@ -16,6 +16,7 @@ from .pipeline import (
     gauge_residual,
     lift_vector_field,
     noether_current_xi,
+    one_form_families,
     xi_invariance_residual,
 )
 
@@ -159,7 +160,8 @@ def gauge_direction(model: Model, name: str) -> EvolutionaryField:
     chart = model.chart
     lam = sp.Function(name)(*chart.xs)
     comps = {
-        a: sp.diff(lam, chart.xs[m.axis]) for a, m in model.meta.items() if m.kind == "one_form"
+        a: sp.diff(lam, chart.xs[axis])
+        for family in one_form_families(model.meta).values() for axis, a in family.items()
     }
     if not comps or model.lie_dim:
         raise ModelError("gauge parameter checks need an abelian one-form field")

@@ -51,6 +51,22 @@ def test_check_xi_verdicts(capsys):
     assert "xi-invariant: no" in out
 
 
+def test_check_xi_gauge_verdict_lines(capsys):
+    # --xi prints the gauge verdict of the lift in the --gauge wording
+    assert main(["check", "scalar_robin.cps", "--xi", "dt"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "gauge direction: no",
+        "  bulk residual = (-u.t2) dx^th{u} + (u.t1) dx^th{u.t1}",
+        "  boundary obstruction = 0",
+    ]
+    assert main(["check", "chern_simons_k1.cps", "--xi", "dt"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "gauge direction: yes", "  bulk residual = 0", "  boundary obstruction = 0"
+    ]
+
+
 def test_check_gauge_boundary_obstruction(capsys):
     assert main(["check", "chern_simons_k1.cps", "--gauge", "lam"]) == 0
     out = capsys.readouterr().out
@@ -120,6 +136,34 @@ def test_numeric_fd_check_writes_csv(tmp_path, capsys):
     assert len(rows) == 4
     msg = capsys.readouterr().out
     assert "slope" in msg
+
+
+REFUSED_ARGS = [
+    ["numeric", "fd-check", "scalar_neumann.cps", "--grid", "12x"],
+    ["numeric", "fd-check", "scalar_neumann.cps", "--grid", "9x9x9"],
+    ["numeric", "fd-check", "scalar_neumann.cps", "--eps", "abc"],
+    ["numeric", "flux", "scalar_robin.cps", "--xi", "nope"],
+    ["numeric", "slice-independence", "chern_simons_k1.cps"],
+    ["numeric", "slice-independence", "lagrange_multiplier_L2.cps"],
+    ["numeric", "hamiltonian", "yang_mills_abelian_n2.cps"],
+    ["check", "scalar_robin.cps", "--evolutionary", "foo:1"],
+    ["check", "scalar_robin.cps", "--evolutionary", "u:("],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGS, ids=" ".join)
+def test_bad_arguments_are_refused_without_traceback(capsys, argv):
+    # argparse rejects a malformed option with exit 2; the rest are one-line
+    # refusals with exit 1
+    try:
+        rc = main(argv)
+    except SystemExit as err:
+        rc = err.code
+    assert rc in (1, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == 1:
+        assert err.count("\n") == 1
 
 
 def test_every_corpus_model_derives(tmp_path):

@@ -6,10 +6,12 @@ import sympy as sp
 from cpsforge.chart import Chart, MultiIndex
 from cpsforge.forms import Form, boundary_volume, vol
 from cpsforge.numeric import (
+    FaceBinding,
     FieldState,
     Grid,
     action_value,
     bulk_integral,
+    eval_bulk_expr,
     fd_variation_residual,
     relative_integral,
     relative_stokes_residual,
@@ -59,6 +61,44 @@ class TestQuadrature:
         val = bulk_integral(L, grid, state)
         h = grid.spacing(1)
         assert abs(val - (-np.pi / 4)) < 20 * h**2
+
+
+class TestFaceBinding:
+    """Restricted labels bind to bulk jets on the face; outward-normal families
+    carry the sign (-1)^k on the min face."""
+
+    def make(self):
+        ch = make_chart(2, ("u",))
+        pair = BoundaryPair(ch)
+        grid = Grid.make(ch, [(0, 1), (0, 1)], (17, 21))
+        tt, xx = grid.mesh()
+        state = FieldState(grid, {"u": np.sin(tt + 2 * xx) + tt * xx**3})
+        return ch, pair.bchart, grid, state
+
+    def test_raw_binding_is_bulk_restriction(self):
+        ch, bchart, grid, state = self.make()
+        t, x = ch.xs
+        u, ux, uxx, utx = (ch.jet("u", MultiIndex.make(*mi)) for mi in ((), (1,), (1, 1), (0, 1)))
+        bulk = u * ux + t * uxx + x * utx + 3
+        face = ch.restrict_expr(bulk, bchart, 1)
+        for index in (0, -1):
+            fb = FaceBinding(ch, bchart, 1, index, outward=False)
+            got = fb.eval(face, grid, state)
+            want = fb.restrict_array(eval_bulk_expr(ch, bulk, grid, state))
+            assert got.shape == (grid.shape[0],)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_outward_sign_on_min_face(self):
+        ch, bchart, grid, state = self.make()
+        for k in (1, 2, 3):
+            label = f"u.n{k}"
+            raw = state.jet("u", MultiIndex((1,) * k))
+            low = FaceBinding(ch, bchart, 1, 0, outward=True)
+            high = FaceBinding(ch, bchart, 1, -1, outward=True)
+            assert np.array_equal(low.jet(state, label, MultiIndex()), (-1) ** k * raw[:, 0])
+            assert np.array_equal(high.jet(state, label, MultiIndex()), raw[:, -1])
+            dens = bchart.jet(label, MultiIndex())
+            assert np.array_equal(low.eval(dens, grid, state), (-1) ** k * raw[:, 0])
 
 
 class TestRelativeIntegral:
