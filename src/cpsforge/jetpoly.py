@@ -10,10 +10,10 @@ them.  A formal-function atom gets its chain rule from sympy's ``diff`` on that
 atom alone, as ``Chart.factor_derivative`` does.
 
 Any other input -- a non-rational constant, a power with a negative or
-symbolic exponent, any other function -- raises ``NotRepresentable``; callers
-then redo the work on expanded sympy expressions through ``ExprRing``, which
-has the same interface.  Such factors cannot be atoms without making the zero
-test unsound: ``u*u**-3`` and ``u**-2`` would be distinct monomials.
+symbolic exponent, any other function -- raises ``NotRepresentable``.  Such
+factors cannot be atoms without making the zero test unsound: ``u*u**-3`` and
+``u**-2`` would be distinct monomials.  A derivation picks its ring once:
+a ``JetRing`` when it represents the equations, else the sympy ``ExprRing``.
 
 A ring and its memos belong to the computation that created it; nothing here
 is cached at module level.
@@ -131,8 +131,11 @@ class JetRing:
             return {((self._atom(e), 1),): 1}
         raise NotRepresentable(f"not a polynomial in jet atoms: {e}")
 
-    def expr(self, p: dict) -> sp.Expr:
-        """The expanded sympy expression of a polynomial."""
+    def expr(self, p) -> sp.Expr:
+        """The expanded sympy expression of a polynomial; a sympy expression
+        (a quotient from ``solve``) passes through."""
+        if isinstance(p, sp.Expr):
+            return p
         atoms = self.atoms
         return sp.Add(*[
             sp.Mul(_rational(c), *[atoms[i] if k == 1 else atoms[i] ** k for i, k in m])
@@ -252,18 +255,19 @@ class JetRing:
 
     # -- solving ---------------------------------------------------------------------
 
-    def solve(self, p: dict, sym: sp.Symbol, c: dict) -> dict:
+    def solve(self, p: dict, sym: sp.Symbol, c: dict):
         """Solve p = 0 for sym, given c = dp/dsym free of jets: -(p - c*sym)/c.
 
-        A non-constant c would need rational functions, so it is not
-        representable."""
+        A polynomial when c is a rational number.  Any other c needs a
+        quotient, so the solution is then the expanded sympy expression."""
+        j = self._index[sym]
+        rest = {m: v for m, v in p.items() if all(i != j for i, _ in m)}
         if len(c) != 1 or () not in c:
-            raise NotRepresentable(f"leading coefficient is not a rational number: {c}")
+            return sp.expand(-self.expr(rest) / self.expr(c))
         q = c[()]
-        lead = ((self._index[sym], 1),)
         if q in (1, -1):
-            return {m: -v * q for m, v in p.items() if m != lead}
-        return {m: _number(-Fraction(v) / q) for m, v in p.items() if m != lead}
+            return {m: -v * q for m, v in rest.items()}
+        return {m: _number(-Fraction(v) / q) for m, v in rest.items()}
 
 
 class ExprRing:
@@ -308,12 +312,3 @@ class ExprRing:
 
 
 EXPR = ExprRing()
-
-
-def on_kernel(build):
-    """build(ring) on a fresh JetRing, or on EXPR when the kernel cannot
-    represent its inputs; ``build`` converts them with ``ring.poly``."""
-    try:
-        return build(JetRing())
-    except NotRepresentable:
-        return build(EXPR)

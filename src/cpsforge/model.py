@@ -16,7 +16,7 @@ from functools import cached_property
 
 import sympy as sp
 
-from .chart import Chart, MultiIndex
+from .chart import Chart, MultiIndex, NonTangentError
 from .forms import Form, boundary_volume, d_h, hodge, iota_x, vol, wedge
 from .pipeline import FieldMeta, LagrangianPair, VariationDecomposition, decompose
 from .relative import BoundaryPair
@@ -169,15 +169,42 @@ class Val:
         raise ModelError("expected a scalar-valued form, got a Lie-algebra-valued one")
 
 
-class ExprParser:
+class TokenCursor:
+    """A position in a token list, shared by the model and expression parsers."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def next(self) -> Token:
+        t = self.tokens[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, text: str) -> Token:
+        t = self.next()
+        if t.text != text:
+            raise ModelError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
+        return t
+
+    def expect_ident(self) -> Token:
+        t = self.next()
+        if t.kind != "ident":
+            raise ModelError(f"expected an identifier, got {t.text!r}", t.line, t.col)
+        return t
+
+
+class ExprParser(TokenCursor):
     """Recursive-descent expression parser over a chart-bound symbol table."""
 
     def __init__(self, model: Model, chart: Chart, boundary: bool):
+        super().__init__([])
         self.model = model
         self.chart = chart
         self.boundary = boundary
-        self.tokens: list[Token] = []
-        self.i = 0
 
     # symbol resolution ------------------------------------------------------------
 
@@ -247,20 +274,6 @@ class ExprParser:
             raise ModelError(f"unexpected token {t.text!r}", t.line, t.col)
         return v
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise ModelError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
-        return t
-
     def expr(self) -> Val:
         v = self.term()
         while self.peek().text in ("+", "-"):
@@ -320,7 +333,7 @@ class ExprParser:
         args: list[Val] = []
         arg_names: list[str | None] = []
         if name == "iota":
-            vec = self.expect_ident_tok()
+            vec = self.expect_ident()
             arg_names.append(vec.text)
             args.append(Val.of_scalar(0))
             self.expect(",")
@@ -338,12 +351,6 @@ class ExprParser:
                 break
         self.expect(")")
         return self.apply(name, args, arg_names, name_tok)
-
-    def expect_ident_tok(self) -> Token:
-        t = self.next()
-        if t.kind != "ident":
-            raise ModelError(f"expected an identifier, got {t.text!r}", t.line, t.col)
-        return t
 
     def apply(self, name: str, args: list[Val], arg_names, tok: Token) -> Val:
         chart = self.chart
@@ -461,31 +468,10 @@ class ExprParser:
 # -- model parser ---------------------------------------------------------------------
 
 
-class ModelParser:
+class ModelParser(TokenCursor):
     def __init__(self, text: str, max_jet_order: int | None = None):
-        self.tokens = tokenize(text)
-        self.i = 0
+        super().__init__(tokenize(text))
         self.max_jet_order = max_jet_order
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise ModelError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
-        return t
-
-    def expect_ident(self) -> Token:
-        t = self.next()
-        if t.kind != "ident":
-            raise ModelError(f"expected an identifier, got {t.text!r}", t.line, t.col)
-        return t
 
     def statement_tokens(self) -> list[Token]:
         """Collect tokens until the statement-terminating semicolon."""
@@ -788,11 +774,12 @@ class ModelParser:
         # tangency of declared vectors to the lateral boundary
         if model.has_boundary:
             for vname, comps in model.vectors.items():
-                normal = chart.restrict_expr(comps[-1], bchart, chart.n - 1, value=0)
-                if sp.expand(normal) != 0:
+                try:
+                    model.pair.check_tangent(comps)
+                except NonTangentError:
                     raise ModelError(
                         f"vector {vname!r} is not tangent to the lateral boundary"
-                    )
+                    ) from None
 
 
 def parse_model(text: str, max_jet_order: int | None = None) -> Model:

@@ -19,6 +19,7 @@ import sympy as sp
 
 from .chart import Chart, MultiIndex
 from .forms import Form, boundary_volume, d_h, top_word
+from .model import ModelError
 
 
 # -- grid ------------------------------------------------------------------------------
@@ -134,13 +135,13 @@ def _evaluate(expr: sp.Expr, shape: tuple[int, ...], value_of, bindings) -> np.n
     """
     expr = sp.sympify(expr)
     if expr.atoms(sp.Derivative) or expr.atoms(sp.core.function.AppliedUndef):
-        raise ValueError(f"expression contains unbound formal functions: {expr}")
+        raise ModelError(f"expression contains unbound formal functions: {expr}")
     args, vals = [], []
     for sym in sorted(expr.free_symbols, key=lambda s: s.name):
         val = value_of(sym)
         if val is None:
             if not bindings or sym.name not in bindings:
-                raise KeyError(f"no numeric binding for symbol {sym}")
+                raise ModelError(f"no numeric binding for symbol {sym}")
             val = bindings[sym.name]
         args.append(sym)
         vals.append(val)
@@ -468,7 +469,7 @@ def wave_solver(
     nt, nx = grid.shape
     dt, dx = grid.spacing(0), grid.spacing(1)
     if dt > dx:
-        raise ValueError(f"CFL violation: dt={dt} > dx={dx}")
+        raise ModelError(f"CFL violation: dt={dt} > dx={dx}; use more time points")
     vp = potential_derivative or (lambda u: 0.0 * u)
     u = np.zeros(grid.shape)
     u[0] = initial

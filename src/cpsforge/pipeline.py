@@ -27,7 +27,7 @@ from .jetcalc import (
     integrate_by_parts,
     kill_dirichlet,
 )
-from .jetpoly import EXPR, NotRepresentable, on_kernel
+from .jetpoly import EXPR, JetRing, NotRepresentable
 from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
 
 
@@ -69,7 +69,8 @@ class VariationDecomposition:
     """Sources and symplectic potentials of a Lagrangian pair, with residuals.
 
     The CPS objects derived from it alone (Omega, the slice forms, the slice
-    and corner ideals) are built on first use and shared by every consumer."""
+    and corner ideals and their coefficient ring) are built on first use and
+    shared by every consumer."""
 
     lp: LagrangianPair
     E: SourceForm
@@ -113,8 +114,24 @@ class VariationDecomposition:
         return SliceContext(self.chart)
 
     @cached_property
+    def bslice_ctx(self) -> "SliceContext":
+        return SliceContext(self.bchart)
+
+    @cached_property
+    def ring(self):
+        """The on-shell ideals' coefficient ring: a fresh JetRing when it
+        represents every bulk and boundary equation, EXPR otherwise."""
+        ring = JetRing()
+        try:
+            for e in (*self.equations().values(), *self.boundary_equations().values()):
+                ring.poly(e)
+        except NotRepresentable:
+            return EXPR
+        return ring
+
+    @cached_property
     def slice_ideal(self) -> "OnShellIdeal":
-        return slice_ideal(self.chart, self.slice_ctx, list(self.equations().values()))
+        return slice_ideal(self.chart, self.slice_ctx, list(self.equations().values()), self.ring)
 
     @cached_property
     def corner_ideal(self) -> "OnShellIdeal":
@@ -176,8 +193,7 @@ def slice_presymplectic(v: VariationDecomposition) -> tuple[Form, Form]:
     if v.theta_bar.is_zero():
         omega_corner = Form.zero(ctx.cchart)
     else:
-        bctx = SliceContext(v.bchart)
-        omega_corner = dd(bctx.pull(v.theta_bar))
+        omega_corner = dd(v.bslice_ctx.pull(v.theta_bar))
     return omega_slice, omega_corner
 
 
@@ -355,10 +371,7 @@ def noether_current_xi(
     res_bulk = d_h(J) - invariance.bulk - bulk_source
     res_bnd = pair.pullback(J) - d_h(j_bar) - invariance.boundary - bnd_source
     slice_current = v.slice_ctx.pull(J)
-    if j_bar.is_zero():
-        corner_current = Form.zero(SliceContext(bchart).schart if bchart.n > 1 else bchart)
-    else:
-        corner_current = SliceContext(bchart).pull(j_bar) if bchart.n > 1 else j_bar
+    corner_current = v.bslice_ctx.pull(j_bar) if bchart.n > 1 else j_bar
     return NoetherData(J, j_bar, S, s_bar, res_bulk, res_bnd, slice_current, corner_current)
 
 
@@ -374,27 +387,19 @@ class OnShellIdeal:
     but never makes unsound.  Reduction substitutes leading jets (and their
     prolongations) to a fixpoint under the chart's jet cap.
 
-    With ``ring``, the equations are polynomials of that ring (see
-    ``jetpoly``); without it they are sympy expressions, solved on the sparse
-    kernel when it represents all of them.  A rule's right-hand side becomes
-    a sympy expression the first time ``_match`` returns it.
+    The equations are polynomials of ``ring`` (see ``jetpoly``).  A rule's
+    right-hand side becomes a sympy expression the first time ``_match``
+    returns it.
     """
 
-    def __init__(self, chart: Chart, equations: list, ring=None):
+    def __init__(self, chart: Chart, equations: list, ring):
         self.chart = chart
-        if ring is not None:
-            self._solve(ring, list(equations))
-        else:
-            on_kernel(lambda r: self._solve(r, [r.poly(e) for e in equations]))
-
-    def _solve(self, ring, gens: list) -> None:
-        chart = self.chart
         self.ring = ring
-        self.generators = gens
+        self.generators = list(equations)
         self.rules: list[tuple[str, MultiIndex, object]] = []
         self.skipped: list = []
         self._rhs: dict[int, sp.Expr] = {}
-        for eq in gens:
+        for eq in self.generators:
             if ring.is_zero(eq):
                 continue
             jets = ring.jets(chart, eq)
@@ -448,13 +453,12 @@ class OnShellIdeal:
 
 
 def prolonged_restricted_generators(
-    chart: Chart, sub: Chart, axis: int, equations: list, value=None, ring=EXPR
+    chart: Chart, sub: Chart, axis: int, equations: list, ring, value=None
 ) -> list:
     """Restrict each generator and its axis-prolongations (up to the jet cap)
     to a hypersurface chart; this is how "all differential consequences" of an
     equation survive the loss of the transversal direction.  The equations
-    are polynomials of ``ring`` (expanded sympy expressions by default), and
-    so are the generators returned."""
+    are polynomials of ``ring``, and so are the generators returned."""
     gens: list = []
     for eq in equations:
         if ring.is_zero(eq):
@@ -468,16 +472,12 @@ def prolonged_restricted_generators(
     return gens
 
 
-def slice_ideal(chart: Chart, ctx: SliceContext, equations: list[sp.Expr]) -> OnShellIdeal:
+def slice_ideal(chart: Chart, ctx: SliceContext, equations: list[sp.Expr], ring) -> OnShellIdeal:
     """The on-shell ideal relabeled to a Cauchy slice, including the time
-    prolongations of every generator up to the jet cap."""
-
-    def build(ring):
-        eqs = [ring.poly(e) for e in equations]
-        gens = prolonged_restricted_generators(chart, ctx.schart, 0, eqs, ring=ring)
-        return OnShellIdeal(ctx.schart, gens, ring=ring)
-
-    return on_kernel(build)
+    prolongations of every generator up to the jet cap, over ``ring``."""
+    eqs = [ring.poly(e) for e in equations]
+    gens = prolonged_restricted_generators(chart, ctx.schart, 0, eqs, ring)
+    return OnShellIdeal(ctx.schart, gens, ring)
 
 
 # -- gauge diagnostics --------------------------------------------------------------------
@@ -561,7 +561,7 @@ def gauge_residual(
     boundary obstruction is reported verbatim; Dirichlet fields drop their
     corner variations.  Zero in both slots means W is a degenerate direction.
     """
-    chart, bchart = lp.pair.chart, lp.pair.bchart
+    chart = lp.pair.chart
     ctx, ideal = v.slice_ctx, v.slice_ideal
     omega, omega_bar = v.omega
     src, kappa = _sweep(ctx.pull(iota_ev(W.components, omega)))
@@ -609,7 +609,7 @@ def gauge_residual(
     # minus the boundary symplectic current contraction
     corner = ctx.corner_pull(kappa)
     if not v.theta_bar.is_zero():
-        bslice = SliceContext(bchart)
+        bslice = v.bslice_ctx
         Gb = iota_ev(lp.pair.restrict_ev(W.components), omega_bar)
         corner = corner - translate_form(bslice.pull(Gb), bslice.schart, ctx.cchart)
     corner = kill_dirichlet(corner, lp.dirichlet_fields())
@@ -635,27 +635,17 @@ def translate_form(f: Form, src: Chart, dst: Chart) -> Form:
 def _corner_ideal(
     lp: LagrangianPair, v: VariationDecomposition, ctx: SliceContext, sideal: OnShellIdeal
 ) -> OnShellIdeal:
-    """On-shell ideal on the slice corner: the slice ideal's generators (bulk
-    equations restricted to the slice with their time prolongations) restricted
-    again with their normal prolongations, plus the boundary equations
-    restricted to the corner, all relabeled to the canonical corner chart.
-    It stays in the slice ideal's ring unless the boundary equations leave
-    the sparse kernel."""
-    bchart = lp.pair.bchart
-    b_eqs = list(v.boundary_equations().values())
-
-    def build(ring, slice_gens):
-        gens = prolonged_restricted_generators(
-            ctx.schart, ctx.cchart, ctx.schart.n - 1, slice_gens, value=sp.Integer(0), ring=ring
-        )
-        bpolys = [p for p in map(ring.poly, b_eqs) if not ring.is_zero(p)]
-        if bpolys:
-            bslice = SliceContext(bchart)
-            bgens = prolonged_restricted_generators(bchart, bslice.schart, 0, bpolys, ring=ring)
-            gens += [ring.translate(bslice.schart, ctx.cchart, g) for g in bgens]
-        return OnShellIdeal(ctx.cchart, [g for g in gens if not ring.is_zero(g)], ring=ring)
-
-    try:
-        return build(sideal.ring, sideal.generators)
-    except NotRepresentable:
-        return build(EXPR, [sideal.ring.expr(g) for g in sideal.generators])
+    """On-shell ideal on the slice corner, over the slice ideal's ring: the
+    slice ideal's generators (bulk equations restricted to the slice with their
+    time prolongations) restricted again with their normal prolongations, plus
+    the boundary equations restricted to the corner, all relabeled to the
+    canonical corner chart."""
+    ring = sideal.ring
+    gens = prolonged_restricted_generators(
+        ctx.schart, ctx.cchart, ctx.schart.n - 1, sideal.generators, ring, value=sp.Integer(0)
+    )
+    bpolys = [ring.poly(e) for e in v.boundary_equations().values()]
+    bschart = v.bslice_ctx.schart
+    bgens = prolonged_restricted_generators(lp.pair.bchart, bschart, 0, bpolys, ring)
+    gens += [ring.translate(bschart, ctx.cchart, g) for g in bgens]
+    return OnShellIdeal(ctx.cchart, [g for g in gens if not ring.is_zero(g)], ring)

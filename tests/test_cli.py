@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -136,6 +137,57 @@ def test_numeric_fd_check_writes_csv(tmp_path, capsys):
     assert len(rows) == 4
     msg = capsys.readouterr().out
     assert "slope" in msg
+
+
+def test_fd_check_slope_only_when_defined(capsys):
+    # one eps, or a residual that is exactly zero at every eps, has no slope
+    for argv in (["scalar_neumann.cps", "--grid", "17x17", "--eps", "1e-3"],
+                 ["no_equation_L2.cps", "--grid", "17x17"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["numeric", "fd-check", *argv]) == 0
+        assert "slope = n/a" in capsys.readouterr().out
+
+
+def test_numeric_never_raises(capsys):
+    # every numeric subcommand on every 1+1 corpus model ends in a result or
+    # a one-line refusal: no traceback, no numpy warning.  lagrange_multiplier_L3's
+    # fd-check is left out: it exits 2 with derive's NON_DECOMPOSABLE diagnostic.
+    failures = []
+    for name in CORPUS_MODELS:
+        model = load_model(f"{name}.cps")
+        if model.chart.n != 2:
+            continue
+        runs = [["fd-check", "--grid", "17x17"], ["hamiltonian", "--grid", "17x32"]]
+        runs += [["slice-independence", "--grid", "17x32", "--mode", m] for m in ("spectral", "fd")]
+        runs += [["flux", "--grid", "17x32", "--xi", xi] for xi in model.vectors]
+        for sub, *opts in runs:
+            if name == "lagrange_multiplier_L3" and sub == "fd-check":
+                continue
+            argv = ["numeric", sub, f"{name}.cps", *opts]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    rc = main(argv)
+                except Exception as exc:  # the failure this test exists to catch
+                    rc = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            numpy_warnings = [str(w.message) for w in caught if w.category is RuntimeWarning]
+            if rc not in (0, 1) or err.count("\n") > 1 or numpy_warnings:
+                failures.append((" ".join(argv), rc, err, numpy_warnings))
+    assert not failures
+
+
+def test_numeric_refuses_unbound_constant(tmp_path, capsys):
+    # scalar_robin with a polynomial potential: only the constant f is unbound
+    text = (corpus_dir() / "scalar_robin.cps").read_text()
+    for old, new in (("    V : function(u);\n", ""), ("V(u) * vol()", "(1/4) * u**4 * vol()")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "robin_f.cps"
+    path.write_text(text)
+    assert main(["numeric", "fd-check", str(path), "--grid", "17x17"]) == 1
+    assert capsys.readouterr().err == "model error: no numeric binding for symbol f\n"
 
 
 REFUSED_ARGS = [

@@ -139,8 +139,8 @@ class TestJetPolyKernel:
         for axis, value in ((0, None), (chart.n - 1, sp.Integer(0))):
             sub = chart.restricted(axis)
             ring = JetRing()
-            got = prolonged_restricted_generators(chart, sub, axis, [ring.poly(e)], value, ring)
-            want = prolonged_restricted_generators(chart, sub, axis, [EXPR.poly(e)], value)
+            got = prolonged_restricted_generators(chart, sub, axis, [ring.poly(e)], ring, value)
+            want = prolonged_restricted_generators(chart, sub, axis, [EXPR.poly(e)], EXPR, value)
             assert [ring.expr(g) for g in got] == want
 
     @given(exprs(CH, max_order=2))

@@ -1,4 +1,6 @@
 """CPS pipeline: scalar/Chern-Simons goldens, equivalence, symmetries, gauge."""
+import pathlib
+
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cpsforge.forms import (
 from cpsforge.cli import corpus_dir, load_model
 from cpsforge.model import parse_model
 from cpsforge.jetcalc import EvolutionaryField, NonDecomposableError, euler_operator
-from cpsforge.jetpoly import EXPR, JetRing
+from cpsforge.jetpoly import EXPR, ExprRing, JetRing
 from cpsforge.pipeline import (
     FieldMeta,
     LagrangianPair,
@@ -37,7 +39,7 @@ from cpsforge.pipeline import (
     xi_invariance_residual,
 )
 from cpsforge.relative import BoundaryPair, RelForm, rel_d
-from cpsforge.report import run_cps
+from cpsforge.report import report_json, run_cps
 
 from strategies import count_calls, forms, make_chart
 
@@ -327,7 +329,7 @@ class TestChernSimons:
         # subtract the witness and certify the difference dies in the ideal
         ch = lp.pair.chart
         ctx = SliceContext(ch)
-        ideal = slice_ideal(ch, ctx, list(v.equations().values()))
+        ideal = slice_ideal(ch, ctx, list(v.equations().values()), v.ring)
         A = cs_one_form(ch)
         At = ch.jet("A_t", MultiIndex())
         witness = d_h(ctx.pull(A * (At / 2)))
@@ -458,9 +460,9 @@ def test_corpus_ideals_on_kernel_match_expr_path(name):
     chart = lp.pair.chart
     ctx = SliceContext(chart)
     eqs = list(v.equations().values())
-    kernel = slice_ideal(chart, ctx, eqs)
+    kernel = slice_ideal(chart, ctx, eqs, v.ring)
     assert isinstance(kernel.ring, JetRing), "a corpus equation left the sparse kernel"
-    gens = prolonged_restricted_generators(chart, ctx.schart, 0, [EXPR.poly(e) for e in eqs])
+    gens = prolonged_restricted_generators(chart, ctx.schart, 0, [EXPR.poly(e) for e in eqs], EXPR)
     reference = OnShellIdeal(ctx.schart, gens, ring=EXPR)
     assert ideal_contents(kernel) == ideal_contents(reference)
     if lp.has_boundary:
@@ -482,20 +484,70 @@ def test_ideal_with_formal_functions_matches_expr_path():
         2 * utt * vx - u**2,  # coefficient depends on a jet: skipped
         3 * vx - ch.xs[1] * u,
     ]
+    # a jet-free leading coefficient that is not a rational number gives a quotient
+    k = sp.Symbol("k")
+    for extra in ([], [vx * sp.Function("f")(ch.xs[0]) - u], [(k + 1) * utt - u]):
+        ring = JetRing()
+        kernel = OnShellIdeal(ch, [ring.poly(e) for e in eqs + extra], ring=ring)
+        reference = OnShellIdeal(ch, [EXPR.poly(e) for e in eqs + extra], ring=EXPR)
+        assert ideal_contents(kernel) == ideal_contents(reference)
+        assert (len(kernel.rules), len(kernel.skipped)) == (2 + len(extra), 2)
     ring = JetRing()
-    kernel = OnShellIdeal(ch, [ring.poly(e) for e in eqs], ring=ring)
-    reference = OnShellIdeal(ch, [EXPR.poly(e) for e in eqs], ring=EXPR)
-    assert ideal_contents(kernel) == ideal_contents(reference)
-    assert (len(kernel.rules), len(kernel.skipped)) == (2, 2)
-    assert isinstance(OnShellIdeal(ch, eqs).ring, JetRing)
-    # a leading coefficient that is not a rational number sends the ideal to the Expr path
-    for extra in (vx * sp.Function("f")(ch.xs[0]) - u, utt - sp.sqrt(2) * u):
-        ideal = OnShellIdeal(ch, eqs + [extra])
-        assert ideal.ring is EXPR
-        assert ideal_contents(ideal) == ideal_contents(
-            OnShellIdeal(ch, [EXPR.poly(e) for e in eqs + [extra]], ring=EXPR)
+    assert OnShellIdeal(ch, [ring.poly(2 * utt - u)], ring).rhs(0) == u / 2
+
+
+def neumann_variant(*edits):
+    text = (corpus_dir() / "scalar_neumann.cps").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return parse_model(text)
+
+
+def test_ring_chosen_once_per_derivation():
+    # the corpus equations are polynomials in jet atoms; sqrt(2) (metric
+    # diag(-1, 2)) or a background function evaluated on the boundary
+    # (rho(t, 0) in b[u]) sends the whole derivation to EXPR
+    for name in sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps")):
+        if "L3" not in name:
+            assert isinstance(load_model(name).decomposition.ring, JetRing), name
+    sqrt2 = neumann_variant(("diag(-1, 1)", "diag(-1, 2)"))
+    v = sqrt2.decomposition
+    assert "sqrt(2)" in str(v.equations()["u"])
+    assert run_cps(sqrt2).error is None
+    assert v.ring is EXPR and v.slice_ideal.ring is EXPR and v.corner_ideal.ring is EXPR
+    for args, ring in (("t, x", ExprRing), ("t", JetRing)):
+        model = neumann_variant(
+            ("metric = diag(-1, 1);", f"metric = diag(-1, 1); rho : function({args});"),
+            ("L = (1/2) * wedge", f"L = (1/2) * rho({args}) * wedge"),
         )
-    assert OnShellIdeal(ch, [2 * utt - u]).rhs(0) == u / 2
+        assert type(model.decomposition.ring) is ring, args
+    # a parameter in front of the leading jet: the kernel solves for it with a
+    # quotient and reports what EXPR reports
+    edits = (("metric = diag(-1, 1);", "metric = diag(-1, 1); k;"),
+             ("L = (1/2) * wedge", "L = (1/2) * k * wedge"))
+    kernel, reference = neumann_variant(*edits), neumann_variant(*edits)
+    reference.decomposition.ring = EXPR
+    assert isinstance(kernel.decomposition.ring, JetRing)
+    assert report_json(run_cps(kernel)) == report_json(run_cps(reference))
+    assert any(isinstance(rhs, sp.Expr) for _, _, rhs in kernel.decomposition.slice_ideal.rules)
+
+
+@pytest.mark.parametrize("name", sorted(
+    f.name[:-4] for f in corpus_dir().iterdir()
+    if f.name.endswith(".cps") and f.name != "yang_mills_su2_n3.cps"
+))
+def test_reports_on_expr_ring_match_goldens(name):
+    # the ring changes how the on-shell ideals compute, never what they
+    # contain; su2_n3, slow on EXPR, has its ideals compared in
+    # test_corpus_ideals_on_kernel_match_expr_path instead
+    model = load_model(f"{name}.cps")
+    try:
+        model.decomposition.ring = EXPR
+    except NonDecomposableError:
+        pass  # lagrange_multiplier_L3 reports the error and builds no ideal
+    golden = pathlib.Path(__file__).parent / "goldens" / f"{name}.json"
+    assert report_json(run_cps(model)) == golden.read_text()
 
 
 def test_boundaryless_null_lagrangian_is_d_symmetry():
