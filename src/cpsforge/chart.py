@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import sympy as sp
+from sympy.core.function import AppliedUndef
 
 
 class JetOrderError(ValueError):
@@ -276,14 +277,23 @@ class Chart:
 
         The transversal coordinate symbol is kept inert unless a pin value is
         given (the numeric layer binds it per face; the pipeline pins it to the
-        canonical face).
+        canonical face).  A formal function of that coordinate is pinned with
+        ``subs``, so ``Derivative(lam(t, x), x)`` becomes a ``Subs`` at the
+        pinned point instead of a derivative by a number.
         """
-        repl = {
-            sym: self.restricted_jet(field, mi, sub, axis)
-            for sym, field, mi in self.jets_in(expr)
-        }
+        x = self.xs[axis]
+        kinds = (sp.Symbol,) if value is None else (sp.Symbol, AppliedUndef, sp.Derivative, sp.Subs)
+        repl, funcs = {}, []
+        for a in expr.atoms(*kinds):
+            key = self._jet_by_symbol.get(a)
+            if key is not None:
+                repl[a] = self.restricted_jet(*key, sub, axis)
+            elif not a.is_Symbol and x in a.free_symbols:
+                funcs.append(a)
         if value is not None:
-            repl[self.xs[axis]] = sp.sympify(value)
+            value = sp.sympify(value)
+            repl.update({f: f.xreplace(repl).subs(x, value) for f in funcs})
+            repl[x] = value
         return expr.xreplace(repl)
 
 

@@ -5,9 +5,11 @@ monomial is a sorted tuple of ``(atom index, exponent)`` pairs with positive
 integer exponents, and ``()`` is the constant monomial.  A ``JetRing`` numbers
 the atoms in order of first appearance.  Atoms are symbols (jets, coordinates,
 parameters) and formal-function atoms: an undefined function of distinct
-symbols, such as ``V(u)`` or ``lam(t, x, y)``, or its derivative in some of
-them.  A formal-function atom gets its chain rule from sympy's ``diff`` on that
-atom alone, as ``Chart.factor_derivative`` does.
+symbols and rational constants, such as ``V(u)``, ``lam(t, x, y)`` or
+``lam(t, x, 0)``, its derivative in some of those symbols, or such a
+derivative at a rational point (the ``Subs`` a boundary restriction makes).
+A formal-function atom gets its chain rule from sympy's ``diff`` on that atom
+alone, as ``Chart.factor_derivative`` does.
 
 Any other input -- a non-rational constant, a power with a negative or
 symbolic exponent, any other function -- raises ``NotRepresentable``.  Such
@@ -34,9 +36,13 @@ class NotRepresentable(Exception):
 
 def _is_function_atom(e: sp.Expr) -> bool:
     if isinstance(e, AppliedUndef):
-        return all(a.is_Symbol for a in e.args) and len(set(e.args)) == len(e.args)
+        syms = [a for a in e.args if not a.is_Rational]
+        return all(a.is_Symbol for a in syms) and len(set(syms)) == len(syms)
     if isinstance(e, sp.Derivative):
         return _is_function_atom(e.expr) and all(v in e.expr.args for v in e.variables)
+    if isinstance(e, sp.Subs):
+        at_rational_point = all(p.is_Rational for p in e.point)
+        return isinstance(e.expr, sp.Derivative) and _is_function_atom(e.expr) and at_rational_point
     return False
 
 

@@ -1,24 +1,37 @@
-"""Model files: a small line-oriented DSL for Lagrangian-pair problems.
+"""Model files: a small block-structured DSL for Lagrangian-pair problems.
 
-A model declares a chart (coordinates, lateral boundary, numeric domain),
-fields (scalars, one-forms, su2-valued one-forms), background objects (metric,
-constants, formal functions), the Lagrangian pair, boundary conditions, named
-vector-field candidates, and optional a-priori constraints.  Expressions use
-jet names bound to the declared coordinates (u, u_t, u_{tx}), arithmetic,
-d(), wedge(), hodge(), iota(), vol(), bvol(), tr(), bracket(), and declared
-formal functions.  Parsing type-checks degrees and reports positioned errors.
+A model is a ``model NAME { ... }`` of seven blocks, each at most once: chart
+(coordinates, lateral boundary, numeric domain, periodic axes), fields
+(scalars, one-forms, su2-valued one-forms), background (metric, constants,
+values, formal functions), lagrangian (the pair L, ell), bc, vectors (named
+vector-field candidates) and constraints (a-priori equations).  Every
+statement ends in ``;``, and every value is read by one expression grammar.
+Expressions use jet names bound to the declared coordinates (u, u_t, u_{tx}),
+arithmetic, d(), wedge(), hodge(), iota(), vol(), bvol(), tr(), bracket(), and
+declared formal functions.  Metric entries, domain bounds and background values
+are numbers of the same grammar: integers, decimals, pi, + - * / ** and
+parentheses.  A vector is one parenthesised tuple of scalar expressions.
+Parsing type-checks degrees, and every error is a ModelError with line and
+column.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import sympy as sp
 
-from .chart import Chart, MultiIndex, NonTangentError
+from .chart import Chart, JetOrderError, MultiIndex, NonTangentError
 from .forms import Form, boundary_volume, d_h, hodge, iota_x, vol, wedge
-from .pipeline import FieldMeta, LagrangianPair, VariationDecomposition, decompose
+from .pipeline import (
+    FieldMeta,
+    LagrangianPair,
+    VariationDecomposition,
+    decompose,
+    one_form_families,
+)
 from .relative import BoundaryPair
 
 SU2_STRUCTURE = {}
@@ -38,12 +51,15 @@ class ModelError(ValueError):
         pos = f" (line {line}, col {col})" if line is not None else ""
         super().__init__(message + pos)
 
+    @classmethod
+    def at(cls, message: str, tok: "Token") -> "ModelError":
+        return cls(message, tok.line, tok.col)
+
 
 @dataclass
 class FieldDecl:
     name: str
     kind: str  # scalar | one_form | one_form_su2
-    src: str = ""
 
 
 @dataclass
@@ -64,7 +80,7 @@ class Model:
     backgrounds: list[BackgroundDecl]
     lagrangian_src: dict[str, str]
     bc: dict[str, str]
-    vector_srcs: dict[str, tuple[str, ...]]
+    vector_srcs: dict[str, str]
     constraint_srcs: list[str]
     domain: tuple[tuple[float, float], ...]
     periodic: tuple[str, ...]
@@ -83,18 +99,6 @@ class Model:
     def decomposition(self) -> VariationDecomposition:
         """CPS steps 1-2 of the model's Lagrangian pair, derived once per model."""
         return decompose(self.lp)
-
-    def component_fields(self) -> list[str]:
-        out = []
-        for fd in self.field_decls:
-            if fd.kind == "scalar":
-                out.append(fd.name)
-            elif fd.kind == "one_form":
-                out.extend(f"{fd.name}_{c}" for c in self.coords)
-            elif fd.kind == "one_form_su2":
-                for i in (1, 2, 3):
-                    out.extend(f"{fd.name}{i}_{c}" for c in self.coords)
-        return out
 
 
 # -- lexer ------------------------------------------------------------------------------
@@ -154,19 +158,19 @@ class Val:
     comps: list[Form] = None
 
     @staticmethod
-    def of_scalar(e) -> "Val":
-        return Val("scalar", scalar=sp.sympify(e))
+    def of_scalar(e: sp.Expr) -> "Val":
+        return Val("scalar", scalar=e)
 
     @staticmethod
     def of_form(f: Form) -> "Val":
         return Val("form", form=f)
 
-    def as_form(self, chart: Chart) -> Form:
+    def as_form(self, chart: Chart, tok: Token) -> Form:
         if self.kind == "scalar":
             return Form.scalar(chart, self.scalar)
         if self.kind == "form":
             return self.form
-        raise ModelError("expected a scalar-valued form, got a Lie-algebra-valued one")
+        raise ModelError.at("expected a scalar-valued form, got a Lie-algebra-valued one", tok)
 
 
 class TokenCursor:
@@ -187,24 +191,74 @@ class TokenCursor:
     def expect(self, text: str) -> Token:
         t = self.next()
         if t.text != text:
-            raise ModelError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
+            raise ModelError.at(f"expected {text!r}, got {t.text!r}", t)
         return t
 
     def expect_ident(self) -> Token:
         t = self.next()
         if t.kind != "ident":
-            raise ModelError(f"expected an identifier, got {t.text!r}", t.line, t.col)
+            raise ModelError.at(f"expected an identifier, got {t.text!r}", t)
         return t
+
+    def items(self, item, close: str) -> list:
+        """``item {, item} close``: a comma-separated list and its closing token."""
+        out = [item()]
+        while self.peek().text == ",":
+            self.next()
+            out.append(item())
+        self.expect(close)
+        return out
+
+    def names(self) -> list[Token]:
+        """``name {, name} ;`` with no name repeated."""
+        out = self.items(self.expect_ident, ";")
+        for k, t in enumerate(out):
+            if t.text in (u.text for u in out[:k]):
+                raise ModelError.at(f"{t.text!r} is listed twice", t)
+        return out
 
 
 class ExprParser(TokenCursor):
-    """Recursive-descent expression parser over a chart-bound symbol table."""
+    """Recursive-descent expression parser over a chart-bound symbol table.
 
-    def __init__(self, model: Model, chart: Chart, boundary: bool):
+    It reads one statement at a time; the statement's ``;`` ends every value.
+    Without a model only coordinates, numbers and ``pi`` are known: the chart
+    then has no fields, and ``number`` reads metric entries, domain bounds and
+    background values.
+    """
+
+    def __init__(self, chart: Chart, model: Model | None = None, boundary: bool = False):
         super().__init__([])
-        self.model = model
         self.chart = chart
+        self.model = model
         self.boundary = boundary
+        self.families = one_form_families(model.meta) if model else {}
+        self.backgrounds = {bg.name: bg.kind for bg in model.backgrounds} if model else {}
+        self.vectors = model.vectors if model else {}
+
+    def start(self, tokens: list[Token]) -> "ExprParser":
+        self.tokens, self.i = tokens, 0
+        return self
+
+    def scalar(self) -> sp.Expr:
+        t = self.peek()
+        v = self.expr()
+        if v.kind != "scalar":
+            raise ModelError.at("expected a scalar", t)
+        return v.scalar
+
+    def number(self) -> sp.Expr:
+        """A finite real constant: integers, decimals, pi, + - * / ** and parentheses."""
+        t = self.peek()
+        e = self.scalar()
+        if not (e.is_number and e.is_real and math.isfinite(e)):
+            raise ModelError.at("expected a number", t)
+        return e
+
+    def tuple_of(self, item) -> list:
+        """``( item {, item} )``."""
+        self.expect("(")
+        return self.items(item, ")")
 
     # symbol resolution ------------------------------------------------------------
 
@@ -215,37 +269,31 @@ class ExprParser(TokenCursor):
             return Val.of_scalar(chart.xs[chart.coord_names.index(name)])
         if name == "pi":
             return Val.of_scalar(sp.pi)
-        # Lie-valued one-form base
-        if name in self.model.lie_dim:
-            dim = self.model.lie_dim[name]
-            comps = []
-            for i in range(1, dim + 1):
-                comps.append(self._base_one_form(f"{name}{i}"))
-            return Val("lie", comps=comps)
-        # plain one-form base
-        if any(fd.name == name and fd.kind == "one_form" for fd in self.model.field_decls):
-            return Val.of_form(self._base_one_form(name))
-        # field / jet reference
-        jet = self._try_jet(name)
+        # one-form bases: lie_index 0 is a plain one-form, 1..dim a Lie-valued one
+        bases = {li: fam for (base, li), fam in self.families.items() if base == name}
+        if 0 in bases:
+            return Val.of_form(self._one_form(bases[0]))
+        if bases:
+            return Val("lie", comps=[self._one_form(fam) for fam in bases.values()])
+        jet = self._try_jet(tok)
         if jet is not None:
             return Val.of_scalar(jet)
-        for bg in self.model.backgrounds:
-            if bg.name == name and bg.kind in ("const", "value"):
-                return Val.of_scalar(sp.Symbol(name))
-        raise ModelError(f"unknown symbol {name!r}", tok.line, tok.col)
+        if self.backgrounds.get(name) in ("const", "value"):
+            return Val.of_scalar(sp.Symbol(name))
+        raise ModelError.at(f"unknown symbol {name!r}", tok)
 
-    def _base_one_form(self, base: str) -> Form:
+    def _one_form(self, family: dict[int, str]) -> Form:
+        """sum_c A_c dx^c over this chart's coordinates: on the boundary chart,
+        the pullback of the bulk one-form."""
         chart = self.chart
         out = Form.zero(chart, 1, 0)
-        for i, c in enumerate(self.model.coords):
-            label = f"{base}_{c}"
-            if label not in chart.fields:
-                raise ModelError(f"one-form component {label!r} missing on this chart")
+        for i, c in enumerate(chart.coord_names):
+            label = family[self.model.coords.index(c)]
             out = out + Form.dx(chart, i) * chart.jet(label, MultiIndex())
         return out
 
-    def _try_jet(self, name: str):
-        chart = self.chart
+    def _try_jet(self, tok: Token):
+        chart, name = self.chart, tok.text
         candidates = [f for f in chart.fields if name == f or name.startswith(f + "_")]
         if not candidates:
             return None
@@ -260,44 +308,34 @@ class ExprParser(TokenCursor):
             axes.append(chart.coord_names.index(ch_))
         try:
             return chart.jet(field, MultiIndex.make(*axes))
-        except Exception as err:
-            raise ModelError(str(err))
+        except JetOrderError as err:
+            raise ModelError.at(str(err), tok) from None
 
     # parsing ----------------------------------------------------------------------
-
-    def parse(self, tokens: list[Token]) -> Val:
-        self.tokens = tokens
-        self.i = 0
-        v = self.expr()
-        if self.peek().kind != "eof":
-            t = self.peek()
-            raise ModelError(f"unexpected token {t.text!r}", t.line, t.col)
-        return v
 
     def expr(self) -> Val:
         v = self.term()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
+            op = self.next()
             w = self.term()
-            v = self.add(v, w) if op == "+" else self.add(v, self.scale(w, -1))
+            v = self.add(v, w if op.text == "+" else self.scale(w, -1), op)
         return v
 
     def term(self) -> Val:
         v = self.power()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
+            op = self.next()
             w = self.power()
-            v = self.mul(v, w) if op == "*" else self.div(v, w)
+            v = self.mul(v, w, op) if op.text == "*" else self.div(v, w, op)
         return v
 
     def power(self) -> Val:
         v = self.unary()
         if self.peek().text == "**":
-            self.next()
+            op = self.next()
             e = self.unary()
             if v.kind != "scalar" or e.kind != "scalar":
-                t = self.peek()
-                raise ModelError("powers apply to scalar expressions only", t.line, t.col)
+                raise ModelError.at("powers apply to scalar expressions only", op)
             return Val.of_scalar(v.scalar ** e.scalar)
         return v
 
@@ -318,128 +356,106 @@ class ExprParser(TokenCursor):
             self.expect(")")
             return v
         if t.kind == "num":
-            if "." in t.text:
-                return Val.of_scalar(sp.Rational(t.text))
-            return Val.of_scalar(sp.Integer(t.text))
+            return Val.of_scalar(sp.Rational(t.text) if "." in t.text else sp.Integer(t.text))
         if t.kind == "ident":
             if self.peek().text == "(":
                 return self.call(t)
             return self.resolve_ident(t)
-        raise ModelError(f"unexpected token {t.text!r}", t.line, t.col)
+        raise ModelError.at(f"unexpected token {t.text!r}", t)
 
-    def call(self, name_tok: Token) -> Val:
-        name = name_tok.text
+    def call(self, tok: Token) -> Val:
         self.expect("(")
-        args: list[Val] = []
-        arg_names: list[str | None] = []
-        if name == "iota":
+        if tok.text == "iota":
             vec = self.expect_ident()
-            arg_names.append(vec.text)
-            args.append(Val.of_scalar(0))
             self.expect(",")
-            arg_names.append(None)
-            args.append(self.expr())
+            arg = self.expr()
             self.expect(")")
-            return self.apply(name, args, arg_names, name_tok)
-        if self.peek().text != ")":
-            while True:
-                arg_names.append(self.peek().text if self.peek().kind == "ident" else None)
-                args.append(self.expr())
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-        self.expect(")")
-        return self.apply(name, args, arg_names, name_tok)
+            if vec.text not in self.vectors:
+                raise ModelError.at(f"unknown vector field {vec.text!r}", vec)
+            return Val.of_form(iota_x(self.vectors[vec.text], arg.as_form(self.chart, tok)))
+        if self.peek().text == ")":
+            self.next()
+            return self.apply(tok, [])
+        return self.apply(tok, self.items(self.expr, ")"))
 
-    def apply(self, name: str, args: list[Val], arg_names, tok: Token) -> Val:
-        chart = self.chart
+    def apply(self, tok: Token, args: list[Val]) -> Val:
+        chart, name = self.chart, tok.text
         if name == "d":
-            self._arity(name, args, 1, tok)
+            self._arity(args, 1, tok)
             if args[0].kind == "lie":
                 return Val("lie", comps=[d_h(c) for c in args[0].comps])
-            return Val.of_form(d_h(args[0].as_form(chart)))
+            return Val.of_form(d_h(args[0].as_form(chart, tok)))
         if name == "wedge":
             if len(args) < 2:
-                raise ModelError("wedge needs at least two arguments", tok.line, tok.col)
-            out = args[0].as_form(chart)
+                raise ModelError.at("wedge needs at least two arguments", tok)
+            out = args[0].as_form(chart, tok)
             for a in args[1:]:
-                f = a.as_form(chart)
+                f = a.as_form(chart, tok)
                 if out.terms and f.terms and out.r + f.r > chart.n:
-                    raise ModelError(
-                        f"wedge exceeds the chart dimension ({out.r}+{f.r} > {chart.n})",
-                        tok.line,
-                        tok.col,
+                    raise ModelError.at(
+                        f"wedge exceeds the chart dimension ({out.r}+{f.r} > {chart.n})", tok
                     )
                 out = wedge(out, f)
             return Val.of_form(out)
         if name == "hodge":
-            self._arity(name, args, 1, tok)
+            self._arity(args, 1, tok)
             if chart.metric is None:
-                raise ModelError("hodge requires a declared metric", tok.line, tok.col)
+                raise ModelError.at("hodge requires a declared metric", tok)
             if args[0].kind == "lie":
                 return Val("lie", comps=[hodge(c) for c in args[0].comps])
-            return Val.of_form(hodge(args[0].as_form(chart)))
-        if name == "iota":
-            self._arity(name, args, 2, tok)
-            vec = arg_names[0]
-            if vec not in self.model.vectors:
-                raise ModelError(f"unknown vector field {vec!r}", tok.line, tok.col)
-            return Val.of_form(iota_x(self.model.vectors[vec], args[1].as_form(chart)))
+            return Val.of_form(hodge(args[0].as_form(chart, tok)))
         if name == "vol":
-            self._arity(name, args, 0, tok)
+            self._arity(args, 0, tok)
             if self.boundary:
-                raise ModelError("vol() is a bulk form; use bvol() on the boundary", tok.line, tok.col)
+                raise ModelError.at("vol() is a bulk form; use bvol() on the boundary", tok)
             return Val.of_form(vol(chart))
         if name == "bvol":
-            self._arity(name, args, 0, tok)
+            self._arity(args, 0, tok)
             if not self.boundary:
-                raise ModelError("bvol() only appears in boundary expressions", tok.line, tok.col)
+                raise ModelError.at("bvol() only appears in boundary expressions", tok)
             return Val.of_form(boundary_volume(self.model.chart, chart))
         if name == "tr":
-            self._arity(name, args, 2, tok)
+            self._arity(args, 2, tok)
             a, b = args
             if a.kind != "lie" or b.kind != "lie" or len(a.comps) != len(b.comps):
-                raise ModelError("tr() pairs two Lie-algebra-valued forms", tok.line, tok.col)
+                raise ModelError.at("tr() pairs two Lie-algebra-valued forms", tok)
             out = Form.zero(chart)
             for ca, cb in zip(a.comps, b.comps):
                 out = out + wedge(ca, cb)
             return Val.of_form(out)
         if name == "bracket":
-            self._arity(name, args, 2, tok)
+            self._arity(args, 2, tok)
             a, b = args
             if a.kind != "lie" or b.kind != "lie":
-                raise ModelError("bracket() needs Lie-algebra-valued forms", tok.line, tok.col)
+                raise ModelError.at("bracket() needs Lie-algebra-valued forms", tok)
             dim = len(a.comps)
             comps = [Form.zero(chart) for _ in range(dim)]
             for (i, j, k), c in SU2_STRUCTURE.items():
                 comps[k] = comps[k] + wedge(a.comps[i], b.comps[j]) * c
             return Val("lie", comps=comps)
-        for bg in self.model.backgrounds:
-            if bg.name == name and bg.kind == "function":
-                fn = sp.Function(name)
-                vals = []
-                for a in args:
-                    if a.kind != "scalar":
-                        raise ModelError(f"{name}() takes scalar arguments", tok.line, tok.col)
-                    vals.append(a.scalar)
-                return Val.of_scalar(fn(*vals))
-        raise ModelError(f"unknown function {name!r}", tok.line, tok.col)
+        if self.backgrounds.get(name) == "function":
+            if any(a.kind != "scalar" for a in args):
+                raise ModelError.at(f"{name}() takes scalar arguments", tok)
+            return Val.of_scalar(sp.Function(name)(*(a.scalar for a in args)))
+        raise ModelError.at(f"unknown function {name!r}", tok)
 
     @staticmethod
-    def _arity(name, args, k, tok):
+    def _arity(args, k, tok):
         if len(args) != k:
-            raise ModelError(f"{name}() takes {k} argument(s), got {len(args)}", tok.line, tok.col)
+            raise ModelError.at(f"{tok.text}() takes {k} argument(s), got {len(args)}", tok)
 
-    def add(self, a: Val, b: Val) -> Val:
+    def add(self, a: Val, b: Val, op: Token) -> Val:
         if a.kind == "scalar" and b.kind == "scalar":
             return Val.of_scalar(a.scalar + b.scalar)
         if a.kind == "lie" and b.kind == "lie":
-            return Val("lie", comps=[x + y for x, y in zip(a.comps, b.comps)])
-        fa, fb = a.as_form(self.chart), b.as_form(self.chart)
+            return Val("lie", comps=[self._sum(x, y, op) for x, y in zip(a.comps, b.comps)])
+        return Val.of_form(self._sum(a.as_form(self.chart, op), b.as_form(self.chart, op), op))
+
+    @staticmethod
+    def _sum(fa: Form, fb: Form, op: Token) -> Form:
         if fa.terms and fb.terms and fa.bidegree != fb.bidegree:
-            raise ModelError(f"degree mismatch in sum: {fa.bidegree} vs {fb.bidegree}")
-        return Val.of_form(fa + fb)
+            raise ModelError.at(f"degree mismatch in sum: {fa.bidegree} vs {fb.bidegree}", op)
+        return fa + fb
 
     def scale(self, a: Val, c) -> Val:
         if a.kind == "scalar":
@@ -448,18 +464,18 @@ class ExprParser(TokenCursor):
             return Val("lie", comps=[f * c for f in a.comps])
         return Val.of_form(a.form * c)
 
-    def mul(self, a: Val, b: Val) -> Val:
+    def mul(self, a: Val, b: Val, op: Token) -> Val:
         if a.kind == "scalar" and b.kind == "scalar":
             return Val.of_scalar(a.scalar * b.scalar)
         if a.kind == "scalar":
             return self.scale(b, a.scalar)
         if b.kind == "scalar":
             return self.scale(a, b.scalar)
-        raise ModelError("use wedge() to multiply forms")
+        raise ModelError.at("use wedge() to multiply forms", op)
 
-    def div(self, a: Val, b: Val) -> Val:
+    def div(self, a: Val, b: Val, op: Token) -> Val:
         if b.kind != "scalar":
-            raise ModelError("division by a form")
+            raise ModelError.at("division by a form", op)
         if a.kind == "scalar":
             return Val.of_scalar(a.scalar / b.scalar)
         return self.scale(a, 1 / b.scalar)
@@ -467,207 +483,194 @@ class ExprParser(TokenCursor):
 
 # -- model parser ---------------------------------------------------------------------
 
+BLOCKS = ("chart", "fields", "background", "lagrangian", "bc", "vectors", "constraints")
+CHART_ENTRIES = ("coords", "boundary", "domain", "periodic")
+
 
 class ModelParser(TokenCursor):
     def __init__(self, text: str, max_jet_order: int | None = None):
         super().__init__(tokenize(text))
         self.max_jet_order = max_jet_order
+        self.heads: dict[str, Token] = {}
 
-    def statement_tokens(self) -> list[Token]:
-        """Collect tokens until the statement-terminating semicolon."""
-        out = []
-        depth = 0
-        while True:
-            t = self.peek()
-            if t.kind == "eof":
-                raise ModelError("unterminated statement", t.line, t.col)
-            if t.text == ";" and depth == 0:
-                self.next()
-                return out
-            if t.text == "(":
-                depth += 1
-            if t.text == ")":
-                depth -= 1
-            out.append(self.next())
+    def statement(self) -> list[Token]:
+        """One statement's tokens, its terminating ``;`` included as the end marker."""
+        start = self.i
+        while self.peek().text != ";":
+            t = self.next()
+            if t.kind == "eof" or t.text in ("{", "}"):
+                raise ModelError.at(f"expected ';', got {t.text!r}", t)
+        self.next()
+        return self.tokens[start:self.i]
 
     def parse(self) -> Model:
         self.expect("model")
         name = self.expect_ident().text
         self.expect("{")
-        blocks: dict[str, list] = {}
-        order = []
+        blocks: dict[str, list[list[Token]]] = {}
         while self.peek().text != "}":
-            head = self.expect_ident().text
+            head = self.expect_ident()
+            if head.text not in BLOCKS or head.text in blocks:
+                what = "repeated" if head.text in blocks else "unknown"
+                blocks_are = ", ".join(BLOCKS)
+                raise ModelError.at(f"{what} block {head.text!r} (blocks are {blocks_are})", head)
+            self.heads[head.text] = head
             self.expect("{")
-            stmts = []
+            blocks[head.text] = []
             while self.peek().text != "}":
-                stmts.append(self.statement_tokens())
-            self.expect("}")
-            blocks[head] = stmts
-            order.append(head)
-        self.expect("}")
+                blocks[head.text].append(self.statement())
+            self.next()
+        close = self.next()
+        t = self.peek()
+        if t.kind != "eof":
+            raise ModelError.at(f"unexpected token {t.text!r} after the model", t)
+        for need in ("chart", "fields", "lagrangian"):
+            if need not in blocks:
+                raise ModelError.at(f"model needs a {need} block", close)
         return self.build(name, blocks)
 
     # block interpretation ------------------------------------------------------------
 
-    @staticmethod
-    def _stmt_text(stmt: list[Token]) -> str:
-        out = []
-        for t in stmt:
-            out.append(t.text)
-        return " ".join(out)
-
     def build(self, name: str, blocks) -> Model:
-        if "chart" not in blocks or "fields" not in blocks or "lagrangian" not in blocks:
-            raise ModelError("model needs chart, fields, and lagrangian blocks")
-        coords: tuple[str, ...] = ()
-        has_boundary = True
-        domain_stmt = None
-        periodic: tuple[str, ...] = ()
+        chart_entries: dict[str, list[Token]] = {}
         for stmt in blocks["chart"]:
-            key = stmt[0].text
-            if key == "coords":
-                coords = tuple(t.text for t in stmt[2:] if t.kind == "ident")
-            elif key == "boundary":
-                has_boundary = stmt[2].text == "true"
-            elif key == "domain":
-                domain_stmt = stmt
-            elif key == "periodic":
-                periodic = tuple(t.text for t in stmt[2:] if t.kind == "ident")
-            else:
-                raise ModelError(f"unknown chart entry {key!r}", stmt[0].line, stmt[0].col)
-        if not coords:
-            raise ModelError("chart declares no coordinates")
-        if domain_stmt is None:
-            domain = tuple((0.0, 1.0) for _ in coords)
-        else:
-            nums = self._domain_numbers(domain_stmt)
-            if len(nums) != 2 * len(coords):
-                raise ModelError(
-                    f"domain needs one interval per coordinate ({len(coords)}), "
-                    f"got {len(nums)} number(s)", domain_stmt[0].line, domain_stmt[0].col,
+            cur = TokenCursor(stmt)
+            key = cur.expect_ident()
+            if key.text not in CHART_ENTRIES or key.text in chart_entries:
+                what = "repeated" if key.text in chart_entries else "unknown"
+                raise ModelError.at(f"{what} chart entry {key.text!r}", key)
+            cur.expect("=")
+            chart_entries[key.text] = stmt
+        if "coords" not in chart_entries:
+            raise ModelError.at("chart declares no coordinates", self.heads["chart"])
+        coords = tuple(t.text for t in TokenCursor(chart_entries["coords"][2:]).names())
+        has_boundary = True
+        if "boundary" in chart_entries:
+            stmt = chart_entries["boundary"]
+            if len(stmt) != 4 or stmt[2].text not in ("true", "false"):
+                raise ModelError.at("boundary declarations look like `boundary = true;`", stmt[0])
+            has_boundary = stmt[2].text == "true"
+        periodic: tuple[str, ...] = ()
+        if "periodic" in chart_entries:
+            for t in TokenCursor(chart_entries["periodic"][2:]).names():
+                if t.text not in coords:
+                    raise ModelError.at(f"periodic names {t.text!r}, which is not a coordinate", t)
+                periodic += (t.text,)
+        numbers = ExprParser(Chart(coords, ()))
+        domain = tuple((0.0, 1.0) for _ in coords)
+        if "domain" in chart_entries:
+            stmt = chart_entries["domain"]
+            p = numbers.start(stmt[2:])
+
+            def interval():
+                t = p.peek()
+                bounds = p.tuple_of(p.number)
+                if len(bounds) != 2:
+                    raise ModelError.at("domain intervals look like (0, 1)", t)
+                return tuple(float(b) for b in bounds)
+
+            domain = tuple(p.items(interval, ";"))
+            if len(domain) != len(coords):
+                raise ModelError.at(
+                    f"domain needs one interval per coordinate ({len(coords)}), got {len(domain)}",
+                    stmt[0],
                 )
-            domain = tuple((nums[2 * i], nums[2 * i + 1]) for i in range(len(coords)))
 
         field_decls: list[FieldDecl] = []
+        meta: dict[str, FieldMeta] = {}
+        lie_dim: dict[str, int] = {}
         for stmt in blocks["fields"]:
-            fname = stmt[0].text
-            if len(stmt) < 3 or stmt[1].text != ":":
-                raise ModelError("field declarations look like `u : scalar;`", stmt[0].line, stmt[0].col)
-            kind = stmt[2].text
-            if kind == "one_form" and len(stmt) > 3:
-                if [t.text for t in stmt[3:]] == ["(", "su2", ")"]:
-                    kind = "one_form_su2"
-                else:
-                    raise ModelError("unknown one_form qualifier", stmt[0].line, stmt[0].col)
-            if kind not in ("scalar", "one_form", "one_form_su2"):
-                raise ModelError(f"unknown field kind {kind!r}", stmt[0].line, stmt[0].col)
-            field_decls.append(FieldDecl(fname, kind))
+            cur = TokenCursor(stmt)
+            fname = cur.expect_ident()
+            cur.expect(":")
+            kind = cur.expect_ident()
+            fkind = kind.text
+            if fkind == "one_form" and cur.peek().text == "(":
+                cur.next()
+                cur.expect("su2")
+                cur.expect(")")
+                fkind, lie_dim[fname.text] = "one_form_su2", 3
+            elif fkind not in ("scalar", "one_form"):
+                raise ModelError.at(f"unknown field kind {fkind!r}", kind)
+            cur.expect(";")
+            # component labels, spelled here only: u, A_t, and A1_t for colour 1
+            if fkind == "scalar":
+                labels = {fname.text: FieldMeta("scalar", base=fname.text)}
+            else:
+                labels = {
+                    f"{fname.text}{li or ''}_{c}":
+                        FieldMeta("one_form", base=fname.text, axis=i, lie_index=li)
+                    for li in ((1, 2, 3) if fname.text in lie_dim else (0,))
+                    for i, c in enumerate(coords)
+                }
+            for label, m in labels.items():
+                if label in meta or label in coords:
+                    raise ModelError.at(
+                        f"field component {label!r} repeats a field or coordinate", fname
+                    )
+                meta[label] = m
+            field_decls.append(FieldDecl(fname.text, fkind))
         if not field_decls:
-            raise ModelError("no dynamical fields declared")
+            raise ModelError.at("no dynamical fields declared", self.heads["fields"])
 
         metric = None
         backgrounds: list[BackgroundDecl] = []
         bindings: dict[str, float] = {}
         for stmt in blocks.get("background", []):
-            key = stmt[0].text
-            if key == "metric":
-                entries = []
-                texts = [t.text for t in stmt]
-                if texts[1:4] != ["=", "diag", "("] or texts[-1] != ")":
-                    raise ModelError(
-                        "metric declarations look like `metric = diag(-1, 1);`",
-                        stmt[0].line, stmt[0].col,
+            p = numbers.start(stmt)
+            key = p.expect_ident()
+            t = p.next()
+            if key.text == "metric":
+                if t.text != "=" or p.next().text != "diag":
+                    raise ModelError.at(
+                        "metric declarations look like `metric = diag(-1, 1);`", key
                     )
-                inner = texts[4: len(texts) - 1]
-                cur = []
-                for t in inner:
-                    if t == ",":
-                        entries.append("".join(cur))
-                        cur = []
-                    elif t != ")":
-                        cur.append(t)
-                if cur:
-                    entries.append("".join(cur))
-                try:
-                    metric = tuple(sp.sympify(e) for e in entries)
-                except (sp.SympifyError, TypeError, ValueError) as err:
-                    raise ModelError(
-                        f"unreadable metric entry: {err}", stmt[0].line, stmt[0].col
-                    ) from None
+                metric = tuple(p.tuple_of(p.number))
+                p.expect(";")
                 if len(metric) != len(coords):
-                    raise ModelError(
-                        f"metric needs one diagonal entry per coordinate ({len(coords)})",
-                        stmt[0].line, stmt[0].col,
+                    raise ModelError.at(
+                        f"metric needs one diagonal entry per coordinate ({len(coords)})", key
                     )
-            elif len(stmt) >= 3 and stmt[1].text == ":":
-                argnames = tuple(t.text for t in stmt[4:] if t.kind == "ident")
-                backgrounds.append(BackgroundDecl(key, "function", args=argnames))
-            elif len(stmt) >= 3 and stmt[1].text == "=":
-                valtext = "".join(t.text for t in stmt[2:])
-                backgrounds.append(BackgroundDecl(key, "value", value=valtext))
-                try:
-                    bindings[key] = float(sp.sympify(valtext))
-                except (sp.SympifyError, TypeError, ValueError):
-                    raise ModelError(
-                        f"background value {valtext!r} is not a number", stmt[0].line, stmt[0].col
-                    ) from None
+            elif t.text == ":":
+                p.expect("function")
+                args = tuple(a.text for a in p.tuple_of(p.expect_ident))
+                p.expect(";")
+                backgrounds.append(BackgroundDecl(key.text, "function", args=args))
+            elif t.text == "=":
+                bindings[key.text] = float(p.number())
+                p.expect(";")
+                value = " ".join(x.text for x in stmt[2:-1])
+                backgrounds.append(BackgroundDecl(key.text, "value", value=value))
+            elif t.text == ";":
+                backgrounds.append(BackgroundDecl(key.text, "const"))
             else:
-                backgrounds.append(BackgroundDecl(key, "const"))
+                raise ModelError.at(f"unexpected token {t.text!r}", t)
 
-        lagrangian_src: dict[str, str] = {}
-        lag_tokens: dict[str, list[Token]] = {}
+        lag: dict[str, list[Token]] = {}
         for stmt in blocks["lagrangian"]:
-            key = stmt[0].text
-            if key not in ("L", "ell") or stmt[1].text != "=":
-                raise ModelError("lagrangian entries are `L = ...;` and `ell = ...;`", stmt[0].line, stmt[0].col)
-            lagrangian_src[key] = self._stmt_text(stmt[2:])
-            lag_tokens[key] = stmt[2:] + [Token("eof", "", 0, 0)]
-        if "L" not in lagrangian_src:
-            raise ModelError("lagrangian block must define L")
+            key = stmt[0]
+            if key.text not in ("L", "ell") or key.text in lag or stmt[1].text != "=":
+                raise ModelError.at(
+                    "lagrangian entries are one `L = ...;` and one `ell = ...;`", key
+                )
+            lag[key.text] = stmt
+        if "L" not in lag:
+            raise ModelError.at("lagrangian block must define L", self.heads["lagrangian"])
 
         bc: dict[str, str] = {}
         for stmt in blocks.get("bc", []):
             texts = [t.text for t in stmt]
-            if len(texts) != 3 or texts[1] != "=" or texts[2] not in ("free", "dirichlet", "robin"):
-                raise ModelError(
-                    "boundary conditions look like `u = free;` (free, dirichlet or robin)",
-                    stmt[0].line, stmt[0].col,
+            if len(texts) != 4 or texts[1] != "=" or texts[2] not in ("free", "dirichlet", "robin"):
+                raise ModelError.at(
+                    "boundary conditions look like `u = free;` (free, dirichlet or robin)", stmt[0]
+                )
+            if texts[0] not in {fd.name for fd in field_decls} or texts[0] in bc:
+                raise ModelError.at(
+                    f"boundary condition for an undeclared or repeated field {texts[0]!r}", stmt[0]
                 )
             bc[texts[0]] = texts[2]
 
-        vector_srcs: dict[str, tuple[str, ...]] = {}
-        vec_tokens: dict[str, list[list[Token]]] = {}
-        for stmt in blocks.get("vectors", []):
-            vname = stmt[0].text
-            comps: list[list[Token]] = [[]]
-            depth = 0
-            for t in stmt[2:]:
-                if t.text == "(" and depth == 0:
-                    depth += 1
-                    continue
-                if t.text == ")" and depth == 1:
-                    break
-                if t.text == "(":
-                    depth += 1
-                if t.text == ")":
-                    depth -= 1
-                if t.text == "," and depth == 1:
-                    comps.append([])
-                else:
-                    comps[-1].append(t)
-            vector_srcs[vname] = tuple(" ".join(x.text for x in c) for c in comps)
-            vec_tokens[vname] = [c + [Token("eof", "", 0, 0)] for c in comps]
-
-        constraint_srcs = []
-        cons_tokens = []
-        for stmt in blocks.get("constraints", []):
-            texts = [t.text for t in stmt]
-            if texts[-2:] == ["=", "0"]:
-                stmt = stmt[:-2]
-            constraint_srcs.append(self._stmt_text(stmt))
-            cons_tokens.append(stmt + [Token("eof", "", 0, 0)])
-
+        chart = Chart(coords, tuple(meta), max_jet_order=self.max_jet_order or 4, metric=metric)
         model = Model(
             name=name,
             coords=coords,
@@ -675,111 +678,71 @@ class ModelParser(TokenCursor):
             metric=metric,
             field_decls=field_decls,
             backgrounds=backgrounds,
-            lagrangian_src=lagrangian_src,
+            lagrangian_src={k: " ".join(t.text for t in stmt[2:-1]) for k, stmt in lag.items()},
             bc=bc,
-            vector_srcs=vector_srcs,
-            constraint_srcs=constraint_srcs,
+            vector_srcs={},
+            constraint_srcs=[],
             domain=domain,
             periodic=periodic,
-            max_jet_order=self.max_jet_order or 4,
+            max_jet_order=chart.max_jet_order,
+            chart=chart,
+            pair=BoundaryPair(chart),
+            meta=meta,
+            bindings=bindings,
+            lie_dim=lie_dim,
         )
-        model.bindings = bindings
-        self._realize(model, lag_tokens, vec_tokens, cons_tokens)
-        return model
-
-    @staticmethod
-    def _domain_numbers(stmt: list[Token]) -> list[float]:
-        nums: list[float] = []
-        sign = 1.0
-        for t in stmt[2:]:
-            if t.text == "-":
-                sign = -1.0
-            elif t.kind == "num":
-                nums.append(sign * float(t.text))
-                sign = 1.0
-            elif t.text == "pi":
-                nums.append(sign * float(sp.pi))
-                sign = 1.0
-        return nums
-
-    def _realize(self, model: Model, lag_tokens, vec_tokens, cons_tokens):
-        labels = model.component_fields()
-        chart = Chart(model.coords, labels, max_jet_order=model.max_jet_order, metric=model.metric)
-        model.chart = chart
-        model.pair = BoundaryPair(chart)
-        for fd in model.field_decls:
-            if fd.kind == "scalar":
-                model.meta[fd.name] = FieldMeta("scalar")
-            elif fd.kind == "one_form":
-                for i, c in enumerate(model.coords):
-                    model.meta[f"{fd.name}_{c}"] = FieldMeta("one_form", base=fd.name, axis=i)
-            else:
-                model.lie_dim[fd.name] = 3
-                for li in (1, 2, 3):
-                    for i, c in enumerate(model.coords):
-                        model.meta[f"{fd.name}{li}_{c}"] = FieldMeta(
-                            "one_form", base=fd.name, axis=i, lie_index=li
-                        )
         # vectors first: iota() needs them
-        bulk = ExprParser(model, chart, boundary=False)
-        for vname, comps in vec_tokens.items():
+        bulk = ExprParser(chart, model)
+        for stmt in blocks.get("vectors", []):
+            p = bulk.start(stmt)
+            vname = p.expect_ident()
+            p.expect("=")
+            comps = p.tuple_of(p.scalar)
+            p.expect(";")
+            if vname.text in model.vectors:
+                raise ModelError.at(f"vector {vname.text!r} is defined twice", vname)
             if len(comps) != chart.n:
-                raise ModelError(f"vector {vname!r} needs {chart.n} components")
-            vals = []
-            for ctoks in comps:
-                v = bulk.parse(ctoks)
-                if v.kind != "scalar":
-                    raise ModelError(f"vector components must be scalars ({vname!r})")
-                vals.append(v.scalar)
-            model.vectors[vname] = vals
-
-        Lval = bulk.parse(lag_tokens["L"])
-        L = Lval.as_form(chart)
-        if L.terms and L.bidegree != (chart.n, 0):
-            raise ModelError(f"L must be a top horizontal form, got degree {L.bidegree}")
-        if L.is_zero():
-            L = Form.zero(chart, chart.n, 0)
-
-        bchart = model.pair.bchart
-        ell = Form.zero(bchart, bchart.n, 0)
-        if "ell" in lag_tokens:
-            bparser = ExprParser(model, bchart, boundary=True)
-            ellval = bparser.parse(lag_tokens["ell"])
-            ell = ellval.as_form(bchart)
-            if ell.terms and ell.bidegree != (bchart.n, 0):
-                raise ModelError(f"ell must be a boundary top form, got degree {ell.bidegree}")
-            if ell.is_zero():
-                ell = Form.zero(bchart, bchart.n, 0)
-
-        bc = {}
-        for fd in model.field_decls:
-            tag = model.bc.get(fd.name, "free")
-            if fd.kind == "scalar":
-                bc[fd.name] = tag
-            else:
-                for label, m in model.meta.items():
-                    if m.base == fd.name:
-                        bc[label] = tag
-        unknown_bc = set(model.bc) - {fd.name for fd in model.field_decls}
-        if unknown_bc:
-            raise ModelError(f"boundary conditions for undeclared fields: {sorted(unknown_bc)}")
-        model.lp = LagrangianPair(model.pair, L, ell, bc=bc, has_boundary=model.has_boundary)
-
-        for ctoks in cons_tokens:
-            v = bulk.parse(ctoks)
-            if v.kind != "scalar":
-                raise ModelError("constraints must be scalar expressions")
-            model.constraints.append(v.scalar)
-
-        # tangency of declared vectors to the lateral boundary
-        if model.has_boundary:
-            for vname, comps in model.vectors.items():
+                raise ModelError.at(f"vector {vname.text!r} needs {chart.n} components", vname)
+            # tangency to the lateral boundary
+            if has_boundary:
                 try:
                     model.pair.check_tangent(comps)
                 except NonTangentError:
-                    raise ModelError(
-                        f"vector {vname!r} is not tangent to the lateral boundary"
+                    raise ModelError.at(
+                        f"vector {vname.text!r} is not tangent to the lateral boundary", vname
                     ) from None
+            model.vectors[vname.text] = comps
+            model.vector_srcs[vname.text] = " ".join(t.text for t in stmt[2:-1])
+
+        L = self._top_form(bulk, lag["L"], "L must be a top horizontal form")
+        bchart = model.pair.bchart
+        ell = Form.zero(bchart, bchart.n, 0)
+        if "ell" in lag:
+            bparser = ExprParser(bchart, model, boundary=True)
+            ell = self._top_form(bparser, lag["ell"], "ell must be a boundary top form")
+        tags = {label: bc.get(m.base, "free") for label, m in meta.items()}
+        model.lp = LagrangianPair(model.pair, L, ell, bc=tags, has_boundary=has_boundary)
+
+        for stmt in blocks.get("constraints", []):
+            p = bulk.start(stmt)
+            model.constraints.append(p.scalar())
+            model.constraint_srcs.append(" ".join(t.text for t in stmt[:p.i]))
+            if p.peek().text == "=":
+                p.next()
+                p.expect("0")
+            p.expect(";")
+        return model
+
+    @staticmethod
+    def _top_form(parser: ExprParser, stmt: list[Token], what: str) -> Form:
+        """The top form ``key = expr;`` defines on the parser's chart."""
+        p = parser.start(stmt[2:])
+        f = p.expr().as_form(p.chart, stmt[0])
+        p.expect(";")
+        n = p.chart.n
+        if f.terms and f.bidegree != (n, 0):
+            raise ModelError.at(f"{what}, got degree {f.bidegree}", stmt[0])
+        return f if not f.is_zero() else Form.zero(p.chart, n, 0)
 
 
 def parse_model(text: str, max_jet_order: int | None = None) -> Model:
@@ -826,8 +789,8 @@ def print_model(model: Model) -> str:
         out.append("  }")
     if model.vector_srcs:
         out.append("  vectors {")
-        for k, comps in model.vector_srcs.items():
-            out.append(f"    {k} = ({', '.join(comps)});")
+        for k, src in model.vector_srcs.items():
+            out.append(f"    {k} = {src};")
         out.append("  }")
     if model.constraint_srcs:
         out.append("  constraints {")

@@ -255,7 +255,6 @@ class SymmetryVerdict:
     s_bar: Form | None
     obstruction_bulk: SourceForm | None = None
     obstruction_boundary: Form | None = None
-    potential_constructed: bool = True
     note: str = ""
 
 
@@ -313,7 +312,6 @@ def d_symmetry_check(
         True,
         None,
         None,
-        potential_constructed=False,
         note="exact by the source test; potential not constructed (general homotopy out of scope)",
     )
 
@@ -323,12 +321,11 @@ def d_symmetry_check(
 
 @dataclass
 class NoetherData:
-    """xi-current pair, its potentials, and the flux-identity certificate."""
+    """xi-current pair, its slice and corner restrictions, and the flux-identity
+    certificate."""
 
     J: Form
     j_bar: Form
-    S: Form
-    s_bar: Form
     identity_residual_bulk: Form
     identity_residual_boundary: Form
     slice_current: Form
@@ -359,8 +356,6 @@ def noether_current_xi(
     xibar = pair.restrict_vector(xi)
     J = iota_x(xi, lp.L) - iota_ev(W.components, v.theta)
     j_bar = -iota_x(xibar, lp.ell) - iota_ev(Wb, v.theta_bar)
-    S = iota_x(xi, lp.L)
-    s_bar = -iota_x(xibar, lp.ell)
     bulk_source = Form.zero(chart, chart.n, 0)
     for a in chart.fields:
         bulk_source = bulk_source + v.E.components[a] * W.components[a]
@@ -372,7 +367,7 @@ def noether_current_xi(
     res_bnd = pair.pullback(J) - d_h(j_bar) - invariance.boundary - bnd_source
     slice_current = v.slice_ctx.pull(J)
     corner_current = v.bslice_ctx.pull(j_bar) if bchart.n > 1 else j_bar
-    return NoetherData(J, j_bar, S, s_bar, res_bulk, res_bnd, slice_current, corner_current)
+    return NoetherData(J, j_bar, res_bulk, res_bnd, slice_current, corner_current)
 
 
 # -- on-shell ideal ----------------------------------------------------------------------

@@ -259,13 +259,20 @@ ROBIN_MUTATIONS = {
     "metric_without_value": ("metric = diag(-1, 1);", "metric;", 10),
     "non_numeric_value": ("    f;", "    f = abc;", 11),
     "domain_arity": ("domain = (0, 1), (0, 1);", "domain = (0, 1);", 6),
+    "boundary_without_value": ("boundary = true;", "boundary = ;", 5),
+    "value_is_code": ("    f;", "    f = print(1234567);", 11),
+    "misspelled_block": ("vectors {", "vectros {", 19),
+    "repeated_block": ("bc { u = robin; }", "bc { u = robin; }\n  bc { u = free; }", 19),
+    "operator_at_end": ("V(u) * vol();", "V(u) * vol() + ;", 15),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(ROBIN_MUTATIONS))
 def test_malformed_model_is_positioned_model_error(tmp_path, capsys, mutation):
-    # each mutation used to escape the parser as a raw exception (or, for the
-    # domain, to parse and fail later inside the numeric grid)
+    # each mutation used to escape the parser as a raw exception, to parse
+    # (a misspelled or repeated block, the domain, which then failed inside the
+    # numeric grid), to run model text as Python (a value), or to be placed
+    # at line 0 (an expression cut short)
     old, new, line = ROBIN_MUTATIONS[mutation]
     text = (corpus_dir() / "scalar_robin.cps").read_text()
     assert text.count(old) == 1
@@ -277,3 +284,21 @@ def test_malformed_model_is_positioned_model_error(tmp_path, capsys, mutation):
     assert main(["derive", str(path), "--no-symmetries"]) == 1
     captured = capsys.readouterr()
     assert "model error" in captured.err and "Traceback" not in captured.err
+    assert "1234567" not in captured.out
+
+
+def test_derive_with_background_function_on_the_boundary(tmp_path, capsys):
+    # rho(t, x) restricts to rho(t, 0) on the lateral boundary, which the
+    # gauge(lam) block's corner ideal reduces with
+    text = (corpus_dir() / "yang_mills_abelian_n2.cps").read_text()
+    for old, new in (
+        ("metric = diag(-1, 1);", "metric = diag(-1, 1); rho : function(t, x); lam : function(t, x);"),
+        ("hodge(d(A)));", "hodge(d(A))) + rho(t, x)*A_t**2*vol();"),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "rho.cps"
+    path.write_text(text)
+    assert main(["derive", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "gauge(lam): bulk (-2*lam(t, x)*rho(t, x)) dx^th{A_t}; boundary (lam(t, 0))" in out

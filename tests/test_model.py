@@ -3,8 +3,11 @@ import pathlib
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpsforge.model import ModelError, parse_model, print_model
+from cpsforge.chart import MultiIndex
+from cpsforge.model import ModelError, parse_model, print_model, tokenize
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "cpsforge" / "corpus"
 
@@ -82,7 +85,6 @@ class TestResolution:
         text = BASE % ("u : scalar;", "(u_t**2 - u_{xx} * u) * vol()")
         m = parse_model(text)
         ch = m.chart
-        from cpsforge.chart import MultiIndex
 
         ut = ch.jet("u", MultiIndex.make(0))
         uxx = ch.jet("u", MultiIndex.make(1, 1))
@@ -109,3 +111,44 @@ model demo {
     def test_formal_function_and_binding(self):
         m = parse_model((CORPUS / "scalar_robin_const.cps").read_text())
         assert m.bindings["f"] == 0.5
+
+    def test_domain_bounds_are_expressions(self):
+        text = (CORPUS / "scalar_robin.cps").read_text()
+        m = parse_model(text.replace("domain = (0, 1), (0, 1);", "domain = (0, 2*pi), (0, 1);"))
+        assert m.domain == ((0.0, 2 * float(sp.pi)), (0.0, 1.0))
+
+    def test_boundary_one_form_is_pulled_back(self):
+        # the boundary chart has coordinates t, x: A there is A_t dt + A_x dx
+        text = (CORPUS / "yang_mills_abelian_n3.cps").read_text()
+        m = parse_model(text.replace("ell = 0;", "ell = (1/2) * wedge(A, hodge(A));"))
+        bch = m.pair.bchart
+        A_t, A_x = (bch.jet(a, MultiIndex()) for a in ("A_t", "A_x"))
+        assert m.lp.ell.top_coefficient() == sp.expand((A_x**2 - A_t**2) / 2)
+
+
+CORPUS_TOKENS = {p.stem: [t.text for t in tokenize(p.read_text())[:-1]] for p in corpus_files()}
+
+
+@st.composite
+def token_mutants(draw):
+    """A corpus model with one token deleted, duplicated or swapped with another."""
+    toks = list(CORPUS_TOKENS[draw(st.sampled_from(sorted(CORPUS_TOKENS)))])
+    i = draw(st.integers(0, len(toks) - 1))
+    op = draw(st.sampled_from(("delete", "duplicate", "swap")))
+    if op == "delete":
+        del toks[i]
+    elif op == "duplicate":
+        toks.insert(i, toks[i])
+    else:
+        j = draw(st.integers(0, len(toks) - 1))
+        toks[i], toks[j] = toks[j], toks[i]
+    return " ".join(toks)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(token_mutants())
+def test_token_mutants_parse_or_give_positioned_errors(text):
+    try:
+        parse_model(text)
+    except ModelError as err:
+        assert err.line is not None, str(err)

@@ -20,7 +20,7 @@ from cpsforge.forms import (
 from cpsforge.cli import corpus_dir, load_model
 from cpsforge.model import parse_model
 from cpsforge.jetcalc import EvolutionaryField, NonDecomposableError, euler_operator
-from cpsforge.jetpoly import EXPR, ExprRing, JetRing
+from cpsforge.jetpoly import EXPR, JetRing
 from cpsforge.pipeline import (
     FieldMeta,
     LagrangianPair,
@@ -506,8 +506,7 @@ def neumann_variant(*edits):
 
 def test_ring_chosen_once_per_derivation():
     # the corpus equations are polynomials in jet atoms; sqrt(2) (metric
-    # diag(-1, 2)) or a background function evaluated on the boundary
-    # (rho(t, 0) in b[u]) sends the whole derivation to EXPR
+    # diag(-1, 2)) sends the whole derivation to EXPR
     for name in sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps")):
         if "L3" not in name:
             assert isinstance(load_model(name).decomposition.ring, JetRing), name
@@ -516,12 +515,15 @@ def test_ring_chosen_once_per_derivation():
     assert "sqrt(2)" in str(v.equations()["u"])
     assert run_cps(sqrt2).error is None
     assert v.ring is EXPR and v.slice_ideal.ring is EXPR and v.corner_ideal.ring is EXPR
-    for args, ring in (("t, x", ExprRing), ("t", JetRing)):
-        model = neumann_variant(
-            ("metric = diag(-1, 1);", f"metric = diag(-1, 1); rho : function({args});"),
-            ("L = (1/2) * wedge", f"L = (1/2) * rho({args}) * wedge"),
-        )
-        assert type(model.decomposition.ring) is ring, args
+    # a background function evaluated on the boundary (rho(t, 0) in b[u]) is
+    # a kernel atom too, and the kernel reports what EXPR reports
+    for args in ("t, x", "t"):
+        edits = (("metric = diag(-1, 1);", f"metric = diag(-1, 1); rho : function({args});"),
+                 ("L = (1/2) * wedge", f"L = (1/2) * rho({args}) * wedge"))
+        kernel, reference = neumann_variant(*edits), neumann_variant(*edits)
+        reference.decomposition.ring = EXPR
+        assert type(kernel.decomposition.ring) is JetRing, args
+        assert report_json(run_cps(kernel)) == report_json(run_cps(reference)), args
     # a parameter in front of the leading jet: the kernel solves for it with a
     # quotient and reports what EXPR reports
     edits = (("metric = diag(-1, 1);", "metric = diag(-1, 1); k;"),
@@ -574,3 +576,24 @@ def test_one_derivation_per_model(monkeypatch):
     assert counts["decompose"] == 1
     assert counts["slice_ideal"] == 1 and counts["_corner_ideal"] == 1
     assert counts["xi_invariance_residual"] <= len(model.vectors)
+
+
+def test_nonabelian_gauge_parameter_restricts_to_the_corner():
+    # W = d(lam) on colour 1 of su(2): the corner piece restricts
+    # Derivative(lam(t, x), x) to x = 0, a Subs atom of the sparse kernel;
+    # the residual is linear in W
+    model = load_model("yang_mills_su2_n2.cps")
+    chart = model.chart
+    lam = sp.Function("lam")(*chart.xs)
+    residuals = []
+    for sign in (1, -1):
+        W = EvolutionaryField(chart, {
+            a: sign * sp.diff(lam, chart.xs[m.axis]) if m.lie_index == 1 else sp.Integer(0)
+            for a, m in model.meta.items()
+        })
+        residuals.append(gauge_residual(model.lp, model.decomposition, W))
+    plus, minus = residuals
+    assert not plus.bulk.is_zero() and (plus.bulk + minus.bulk).is_zero()
+    assert (plus.boundary + minus.boundary).is_zero()
+    subs = sp.Subs(sp.Derivative(lam, chart.xs[1]), chart.xs[1], 0)
+    assert str(plus.boundary) == f"({subs}) th{{A1_t}}"
