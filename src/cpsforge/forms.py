@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Mapping
 import sympy as sp
 
 from .chart import Chart, MultiIndex, levi_civita
+from .jetpoly import choose_ring
 
 # factor encodings: ("x", axis) horizontal, ("v", field, entries) vertical
 Factor = tuple
@@ -217,8 +218,7 @@ class Form:
             return NotImplemented
         if self.chart is not other.chart:
             return False
-        diff = self - other
-        return all(sp.expand(c) == 0 for c in diff.terms.values())
+        return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("Form is not hashable")
@@ -305,14 +305,15 @@ def d_h(f: Form) -> Form:
 def dd(f: Form) -> Form:
     """Vertical (field-space) differential; (r,s) -> (r,s+1); commutes with d_h."""
     chart = f.chart
+    ring, polys = choose_ring(list(f.terms.values()))
     raw_terms: list[tuple[sp.Expr, tuple]] = []
-    for word, coeff in f.terms.items():
+    for word, p in zip(f.terms, polys):
         hs = tuple(fac for fac in word if fac[0] == "x")
         vs = tuple(fac for fac in word if fac[0] == "v")
-        for sym, a, mi in chart.jets_in(coeff):
-            dc = sp.diff(coeff, sym)
-            if dc != 0:
-                raw_terms.append((dc, hs + (("v", a, mi.entries),) + vs))
+        for sym, a, mi in ring.jets(chart, p):
+            dc = ring.diff(p, sym)
+            if not ring.is_zero(dc):
+                raw_terms.append((ring.expr(dc), hs + (("v", a, mi.entries),) + vs))
     r0, s0 = f._tag
     return Form.from_terms(chart, r0, s0 + 1, raw_terms)
 

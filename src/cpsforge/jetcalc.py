@@ -15,6 +15,7 @@ import sympy as sp
 
 from .chart import Chart, MultiIndex
 from .forms import Form, dd, d_h, top_word, wedge
+from .jetpoly import choose_ring
 
 
 class NonDecomposableError(ValueError):
@@ -74,17 +75,16 @@ def euler_operator(L: Form) -> SourceForm:
     Vanishes identically iff L is a null Lagrangian on the chart.
     """
     chart = L.chart
-    lag = L.top_coefficient()
-    out = SourceForm(chart)
-    acc: dict[str, sp.Expr] = {a: sp.Integer(0) for a in chart.fields}
-    for sym, a, mi in chart.jets_in(lag):
-        d = sp.diff(lag, sym)
-        if d == 0:
+    ring, (lag,) = choose_ring([L.top_coefficient()])
+    acc = {a: ring.poly(0) for a in chart.fields}
+    for sym, a, mi in ring.jets(chart, lag):
+        d = ring.diff(lag, sym)
+        if ring.is_zero(d):
             continue
-        acc[a] += (-1) ** mi.order * chart.total_derivative_multi(mi, d)
-    for a, e in acc.items():
-        out.components[a] = Form.top(chart, sp.expand(e))
-    return out
+        for axis in mi:
+            d = ring.total_derivative(chart, axis, d)
+        acc[a] = ring.add(acc[a], d, (-1) ** mi.order)
+    return SourceForm(chart, {a: Form.top(chart, ring.expr(e)) for a, e in acc.items()})
 
 
 def _sweep(P: Form) -> tuple[dict[str, sp.Expr], Form]:

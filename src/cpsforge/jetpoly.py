@@ -1,4 +1,5 @@
-"""Sparse polynomials in jet symbols: the coefficient kernel of the on-shell ideals.
+"""Sparse polynomials in jet symbols: the coefficient kernel of the on-shell
+ideals, the Euler operator and the vertical differential ``dd``.
 
 A polynomial is a dict ``{monomial: rational}`` with no zero values; a
 monomial is a sorted tuple of ``(atom index, exponent)`` pairs with positive
@@ -14,8 +15,9 @@ alone, as ``Chart.factor_derivative`` does.
 Any other input -- a non-rational constant, a power with a negative or
 symbolic exponent, any other function -- raises ``NotRepresentable``.  Such
 factors cannot be atoms without making the zero test unsound: ``u*u**-3`` and
-``u**-2`` would be distinct monomials.  A derivation picks its ring once:
-a ``JetRing`` when it represents the equations, else the sympy ``ExprRing``.
+``u**-2`` would be distinct monomials.  ``choose_ring`` picks the ring once
+per call site (a derivation's equations, a Lagrangian, a form's coefficients):
+a ``JetRing`` when it represents every input, else the sympy ``ExprRing``.
 
 A ring and its memos belong to the computation that created it; nothing here
 is cached at module level.
@@ -151,6 +153,14 @@ class JetRing:
     @staticmethod
     def is_zero(p: dict) -> bool:
         return not p
+
+    @staticmethod
+    def add(p: dict, q: dict, k=1) -> dict:
+        """p + k*q."""
+        out = dict(p)
+        for m, c in q.items():
+            _add_to(out, m, k * c)
+        return out
 
     # -- jets ------------------------------------------------------------------------
 
@@ -293,6 +303,10 @@ class ExprRing:
         return p == 0
 
     @staticmethod
+    def add(p: sp.Expr, q: sp.Expr, k=1) -> sp.Expr:
+        return p + k * q
+
+    @staticmethod
     def jets(chart: Chart, p: sp.Expr) -> list:
         return chart.jets_in(p)
 
@@ -318,3 +332,13 @@ class ExprRing:
 
 
 EXPR = ExprRing()
+
+
+def choose_ring(exprs) -> tuple:
+    """(ring, polynomials of exprs): a fresh JetRing when it represents every
+    expression, else EXPR and the expanded expressions."""
+    ring = JetRing()
+    try:
+        return ring, [ring.poly(e) for e in exprs]
+    except NotRepresentable:
+        return EXPR, [EXPR.poly(e) for e in exprs]

@@ -336,6 +336,8 @@ class ExprParser(TokenCursor):
             e = self.unary()
             if v.kind != "scalar" or e.kind != "scalar":
                 raise ModelError.at("powers apply to scalar expressions only", op)
+            if v.scalar == 0 and e.scalar.is_negative:
+                raise ModelError.at("division by zero", op)
             return Val.of_scalar(v.scalar ** e.scalar)
         return v
 
@@ -476,6 +478,8 @@ class ExprParser(TokenCursor):
     def div(self, a: Val, b: Val, op: Token) -> Val:
         if b.kind != "scalar":
             raise ModelError.at("division by a form", op)
+        if b.scalar == 0:
+            raise ModelError.at("division by zero", op)
         if a.kind == "scalar":
             return Val.of_scalar(a.scalar / b.scalar)
         return self.scale(a, 1 / b.scalar)
@@ -703,14 +707,15 @@ class ModelParser(TokenCursor):
                 raise ModelError.at(f"vector {vname.text!r} is defined twice", vname)
             if len(comps) != chart.n:
                 raise ModelError.at(f"vector {vname.text!r} needs {chart.n} components", vname)
-            # tangency to the lateral boundary
-            if has_boundary:
-                try:
-                    model.pair.check_tangent(comps)
-                except NonTangentError:
-                    raise ModelError.at(
-                        f"vector {vname.text!r} is not tangent to the lateral boundary", vname
-                    ) from None
+            if any(chart.jets_in(c) for c in comps):
+                raise ModelError.at(f"vector {vname.text!r} depends on a field", vname)
+            # every vector is restricted to x^{n-1} = 0, with or without a boundary
+            try:
+                model.pair.check_tangent(comps)
+            except NonTangentError:
+                raise ModelError.at(
+                    f"vector {vname.text!r} is not tangent to {chart.coord_names[-1]} = 0", vname
+                ) from None
             model.vectors[vname.text] = comps
             model.vector_srcs[vname.text] = " ".join(t.text for t in stmt[2:-1])
 

@@ -27,7 +27,7 @@ from .jetcalc import (
     integrate_by_parts,
     kill_dirichlet,
 )
-from .jetpoly import EXPR, JetRing, NotRepresentable
+from .jetpoly import choose_ring
 from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
 
 
@@ -121,13 +121,7 @@ class VariationDecomposition:
     def ring(self):
         """The on-shell ideals' coefficient ring: a fresh JetRing when it
         represents every bulk and boundary equation, EXPR otherwise."""
-        ring = JetRing()
-        try:
-            for e in (*self.equations().values(), *self.boundary_equations().values()):
-                ring.poly(e)
-        except NotRepresentable:
-            return EXPR
-        return ring
+        return choose_ring([*self.equations().values(), *self.boundary_equations().values()])[0]
 
     @cached_property
     def slice_ideal(self) -> "OnShellIdeal":

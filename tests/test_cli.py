@@ -1,6 +1,7 @@
 """CLI surface: derive/check/numeric/corpus-list exit codes and golden reports."""
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import pytest
 
 import cpsforge
 from cpsforge.cli import corpus_dir, load_model, main
-from cpsforge.model import ModelError, parse_model
+from cpsforge.model import ModelError, parse_model, tokenize
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens"
 CORPUS_MODELS = sorted(f.name[: -len(".cps")] for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
@@ -267,14 +268,37 @@ ROBIN_MUTATIONS = {
 }
 
 
+# mutants that parsed and then ended derive in a traceback
+DERIVE_CRASHES = {
+    # (-1/0) became zoo, and integrate_by_parts raised on a nan residual
+    "division_by_zero": ("chern_simons_k1_dirichlet", "L = (-1/2) *", "L = (-1/0) *", 11),
+    "zero_to_a_negative_power": (
+        "chern_simons_k1_dirichlet", "L = (-1/2) *", "L = (-1) * 0 ** (-1) *", 11
+    ),
+    # forms._check_xi raised "jet-dependent vector fields are not supported"
+    "vector_depends_on_field": ("scalar_neumann", "dt = (1, 0);", "dt = (u, 0);", 15),
+    # the tangency check skipped charts without a boundary, and rel_lie raised
+    # NonTangentError when it restricted the vector to x = 0
+    "periodic_vector_not_tangent": ("scalar_periodic", "dt = (1, 0);", "dt = (1, 1);", 15),
+}
+
+
 @pytest.mark.parametrize("mutation", sorted(ROBIN_MUTATIONS))
 def test_malformed_model_is_positioned_model_error(tmp_path, capsys, mutation):
     # each mutation used to escape the parser as a raw exception, to parse
     # (a misspelled or repeated block, the domain, which then failed inside the
     # numeric grid), to run model text as Python (a value), or to be placed
     # at line 0 (an expression cut short)
-    old, new, line = ROBIN_MUTATIONS[mutation]
-    text = (corpus_dir() / "scalar_robin.cps").read_text()
+    assert_positioned_refusal(tmp_path, capsys, "scalar_robin", *ROBIN_MUTATIONS[mutation])
+
+
+@pytest.mark.parametrize("mutation", sorted(DERIVE_CRASHES))
+def test_derive_crash_is_positioned_model_error(tmp_path, capsys, mutation):
+    assert_positioned_refusal(tmp_path, capsys, *DERIVE_CRASHES[mutation])
+
+
+def assert_positioned_refusal(tmp_path, capsys, model, old, new, line):
+    text = (corpus_dir() / f"{model}.cps").read_text()
     assert text.count(old) == 1
     path = tmp_path / "mutant.cps"
     path.write_text(text.replace(old, new))
@@ -285,6 +309,50 @@ def test_malformed_model_is_positioned_model_error(tmp_path, capsys, mutation):
     captured = capsys.readouterr()
     assert "model error" in captured.err and "Traceback" not in captured.err
     assert "1234567" not in captured.out
+
+
+def derive_mutants(seed=0, count=6000):
+    """The distinct mutants that parse among ``count`` seeded ones of the corpus
+    models other than su2: one token deleted, duplicated or swapped."""
+    rng = random.Random(seed)
+    tokens = {
+        name: [t.text for t in tokenize((corpus_dir() / f"{name}.cps").read_text())[:-1]]
+        for name in CORPUS_MODELS if not name.startswith("yang_mills_su2")
+    }
+    seen = {" ".join(toks) for toks in tokens.values()}
+    names = sorted(tokens)
+    out = []
+    for _ in range(count):
+        toks = list(tokens[rng.choice(names)])
+        i = rng.randrange(len(toks))
+        op = rng.choice(("delete", "duplicate", "swap"))
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            j = rng.randrange(len(toks))
+            toks[i], toks[j] = toks[j], toks[i]
+        text = " ".join(toks)
+        if text in seen:
+            continue
+        seen.add(text)
+        try:
+            parse_model(text)
+        except ModelError:
+            continue
+        out.append(text)
+    return out
+
+
+def test_parsing_mutants_derive_without_traceback(tmp_path, capsys):
+    mutants = derive_mutants()
+    assert len(mutants) > 50
+    path = tmp_path / "mutant.cps"
+    for text in mutants:
+        path.write_text(text)
+        assert main(["derive", str(path), "--json"]) in (0, 1, 2), text
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_derive_with_background_function_on_the_boundary(tmp_path, capsys):

@@ -8,14 +8,15 @@ from cpsforge.chart import Chart, JetOrderError, MultiIndex
 from cpsforge.forms import Form, d_h, dd, hodge, restrict, vol, boundary_volume, wedge
 from cpsforge.jetcalc import (
     NonDecomposableError,
+    SourceForm,
     boundary_euler_operator,
     euler_operator,
     integrate_by_parts,
 )
-from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable
+from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable, choose_ring
 from cpsforge.pipeline import prolonged_restricted_generators
 
-from strategies import exprs, forms, make_chart
+from strategies import any_forms, exprs, forms, make_chart
 
 settings.register_profile("jetcalc", max_examples=40, deadline=None)
 settings.load_profile("jetcalc")
@@ -42,6 +43,40 @@ def reference_total_derivative(chart: Chart, axis: int, expr) -> sp.Expr:
         if d != 0:
             out += chart.jet(field, mi.union(axis)) * d
     return out
+
+
+def reference_euler_operator(L: Form) -> SourceForm:
+    """E_a = sum_J (-1)^|J| D_J dL/du^a_J with sympy's diff on the whole
+    Lagrangian coefficient, independent of the sparse kernel."""
+    chart = L.chart
+    lag = L.top_coefficient()
+    acc = {a: sp.Integer(0) for a in chart.fields}
+    for sym, a, mi in chart.jets_in(lag):
+        d = sp.diff(lag, sym)
+        if d != 0:
+            acc[a] += (-1) ** mi.order * chart.total_derivative_multi(mi, d)
+    return SourceForm(chart, {a: Form.top(chart, e) for a, e in acc.items()})
+
+
+def reference_dd(f: Form) -> Form:
+    """dd with sympy's diff on each whole coefficient, once per jet."""
+    chart = f.chart
+    raw_terms = []
+    for word, coeff in f.terms.items():
+        hs = tuple(fac for fac in word if fac[0] == "x")
+        vs = tuple(fac for fac in word if fac[0] == "v")
+        for sym, a, mi in chart.jets_in(coeff):
+            dc = sp.diff(coeff, sym)
+            if dc != 0:
+                raw_terms.append((dc, hs + (("v", a, mi.entries),) + vs))
+    r0, s0 = f._tag
+    return Form.from_terms(chart, r0, s0 + 1, raw_terms)
+
+
+def assert_same_sources(got: SourceForm, want: SourceForm):
+    assert set(got.components) == set(want.components)
+    for a, f in want.components.items():
+        assert got.components[a] == f, a
 
 
 V = sp.Function("V")
@@ -214,6 +249,52 @@ class TestEulerOperator:
         Ea, Eb, Eab = euler_operator(La), euler_operator(Lb), euler_operator(Lab)
         for f in CH.fields:
             assert sp.expand(Eab.coefficient(f) - Ea.coefficient(f) - Eb.coefficient(f)) == 0
+
+
+class TestOperatorsOnTheKernel:
+    """euler_operator and dd on the ring choose_ring picks equal their sympy
+    definitions."""
+
+    @given(exprs(CH, max_order=2))
+    def test_euler_operator_matches_reference(self, e):
+        L = Form.top(CH, e)
+        assert_same_sources(euler_operator(L), reference_euler_operator(L))
+
+    @given(any_forms(CH, max_order=2))
+    def test_dd_matches_reference(self, f):
+        assert dd(f) == reference_dd(f)
+
+    @pytest.mark.parametrize("e", EXPLICIT, ids=str)
+    def test_explicit_matches_reference(self, e):
+        ring, _ = choose_ring([e])
+        assert (ring is EXPR) == (str(e) not in KERNEL_ATOMS)
+        L = Form.top(CH, e)
+        assert_same_sources(euler_operator(L), reference_euler_operator(L))
+        f = Form(CH, 1, 1, {(("x", 0), ("v", "v", ())): e, (("x", 1), ("v", "u", (0,))): T * e})
+        assert dd(f) == reference_dd(f)
+
+    def test_form_with_one_non_representable_coefficient(self):
+        f = Form(CH, 1, 0, {(("x", 0),): U * UX**2, (("x", 1),): 1 / (1 + U)})
+        assert choose_ring(list(f.terms.values()))[0] is EXPR
+        assert dd(f) == reference_dd(f)
+        assert not dd(f).is_zero()
+
+    @pytest.mark.parametrize("lag", [
+        "u_t*u_x", "u*u_tx", "u_tx**2", "u_t*u_tx", "V(u_tx)", "u_tx*V(u)", "(u + 1)*u_tx - u*u_tx",
+    ])
+    def test_jet_cap_raises_where_the_reference_does(self, lag):
+        ch = make_chart(2, ("u", "v"), max_jet_order=2)
+        jets = [ch.jet("u", MultiIndex.make(*ent)) for ent in ((), (0,), (1,), (0, 1))]
+        L = Form.top(ch, sp.sympify(lag, locals={"V": V, **{ch.pretty_jet(s): s for s in jets}}))
+        assert ch.jets_in(L.top_coefficient()), "the Lagrangian names the chart's jets"
+        try:
+            want = reference_euler_operator(L)
+        except JetOrderError:
+            with pytest.raises(JetOrderError):
+                euler_operator(L)
+        else:
+            assert_same_sources(euler_operator(L), want)
+        assert dd(L) == reference_dd(L)
 
 
 class TestIntegrateByParts:

@@ -20,7 +20,7 @@ from cpsforge.forms import (
 from cpsforge.cli import corpus_dir, load_model
 from cpsforge.model import parse_model
 from cpsforge.jetcalc import EvolutionaryField, NonDecomposableError, euler_operator
-from cpsforge.jetpoly import EXPR, JetRing
+from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable
 from cpsforge.pipeline import (
     FieldMeta,
     LagrangianPair,
@@ -550,6 +550,30 @@ def test_reports_on_expr_ring_match_goldens(name):
         pass  # lagrange_multiplier_L3 reports the error and builds no ideal
     golden = pathlib.Path(__file__).parent / "goldens" / f"{name}.json"
     assert report_json(run_cps(model)) == golden.read_text()
+
+
+def test_every_corpus_form_coefficient_is_representable(monkeypatch):
+    # every Form coefficient built while parsing and deriving a corpus model is
+    # a polynomial of the sparse kernel
+    built = []
+    init = Form.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.extend(self.terms.values())
+
+    monkeypatch.setattr(Form, "__init__", recording)
+    for path in sorted(corpus_dir().iterdir()):
+        if path.name.endswith(".cps"):
+            report_json(run_cps(load_model(path.name)))
+    ring = JetRing()
+    refused = []
+    for c in built:
+        try:
+            ring.poly(c)
+        except NotRepresentable:
+            refused.append(c)
+    assert len(built) > 10000 and not refused, refused[:5]
 
 
 def test_boundaryless_null_lagrangian_is_d_symmetry():
