@@ -144,10 +144,6 @@ class Chart:
         out.sort(key=lambda t: (t[1], t[2].order, t[2].entries))
         return out
 
-    def jet_order(self, expr: sp.Expr) -> int:
-        orders = [mi.order for _, _, mi in self.jets_in(expr)]
-        return max(orders, default=0)
-
     def pretty_jet(self, sym: sp.Symbol) -> str:
         key = self._jet_by_symbol.get(sym)
         if key is None:
@@ -156,6 +152,13 @@ class Chart:
         if mi.order == 0:
             return field
         return f"{field}_" + "".join(self.coord_names[i] for i in mi)
+
+    @functools.cached_property
+    def ring(self):
+        """The JetRing of the forms on this chart; restrictions share it."""
+        from .jetpoly import JetRing  # jetpoly imports this module
+
+        return JetRing()
 
     # -- derivatives -----------------------------------------------------------------
 
@@ -183,7 +186,7 @@ class Chart:
         return out, True
 
     def total_derivative(self, axis: int, expr: sp.Expr) -> sp.Expr:
-        """Total derivative D_axis, returned expanded.
+        """Total derivative D_axis of a sympy expression, returned expanded.
 
         The input is expanded once; on each monomial the chain rule acts
         factor by factor (Leibniz rule).  A jet power s**e with numeric e gives
@@ -257,6 +260,7 @@ class Chart:
             metric = tuple(m for i, m in enumerate(self.metric) if i != axis)
         fields = [name for family in families.values() for name in family]
         sub = Chart(coords, fields, max_jet_order=self.max_jet_order, metric=metric)
+        sub.ring = self.ring
         sub.families = families
         for a, family in families.items():
             base, normal, time = self.labels[a]

@@ -117,8 +117,14 @@ def parse_evolutionary(chart, text: str) -> EvolutionaryField:
     """The field ``a: expr, b: expr, ...`` of ``check --evolutionary``; an
     undeclared field or an unparsable expression raises ModelError."""
     names = {str(s): s for s in chart.xs} | {chart.pretty_jet(s): s for s in chart._jet_by_symbol}
-    comps = {}
-    for item in text.split(","):
+    comps, items, depth = {}, [""], 0
+    for ch in text:  # split at the commas outside parentheses
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            items.append("")
+        else:
+            items[-1] += ch
+    for item in items:
         name, _, exprtext = (part.strip() for part in item.partition(":"))
         if name not in chart.fields:
             raise ModelError(f"--evolutionary names an undeclared field {name!r}")

@@ -22,10 +22,22 @@ are per-grading, and the primitive operators are the commuting-convention pair:
     iota_ev: (r,s) -> (r,s-1)  Leibniz sign (-1)^s,    iota_ev d_h = d_h iota_ev
     lie_x  = iota_x d_h + d_h iota_x        lie_ev = iota_ev dd + dd iota_ev
 
-The anticommuting-convention views differ by the usual (-1)^r twist and are
-exposed as ``d_v_anti = (-1)^r dd`` and ``iota_ev_anti = (-1)^r iota_ev``; for
-those the identities d_h d_v_anti + d_v_anti d_h = 0 and
+The anticommuting-convention views differ by the usual (-1)^r ``twist`` and
+are exposed as ``d_v_anti = (-1)^r dd`` and ``iota_ev_anti = (-1)^r iota_ev``;
+for those the identities d_h d_v_anti + d_v_anti d_h = 0 and
 iota_ev_anti d_h + d_h iota_ev_anti = 0 hold exactly.
+
+Coefficients.  A form's coefficients are polynomials of its chart's
+``JetRing`` (see ``jetpoly``), which the root chart owns and its restrictions
+share, so the operators are ring arithmetic: ``wedge`` multiplies, ``d_h`` and
+``dd`` apply the ring's derivations, ``restrict`` relabels atoms.  A
+coefficient the ring cannot represent (``1/(1+u)``, ``sqrt(2)``) puts the
+whole form on ``EXPR``, expanded sympy expressions.  An operation whose forms
+sit on different rings, or whose scalar (a vector component, ``D_J W^a``, a
+metric factor) is not representable, runs on ``EXPR``; its result returns to
+the chart's ring when every coefficient converts.  Sympy expressions enter as
+constructor input and leave through ``iter_terms``, ``top_coefficient`` and
+``map_coeffs``.
 """
 from __future__ import annotations
 
@@ -57,13 +69,15 @@ def word_bidegree(word: Word) -> tuple[int, int]:
     return (r, len(word) - r)
 
 
-def _sort_word(raw: Iterable[Factor]) -> tuple[Word, int]:
+def _sort_word(raw: Word) -> tuple[Word, int]:
     """Canonically sort a raw factor sequence.
 
     Returns (word, sign); the sign counts only transpositions of like-type
     factors (cross-type factors commute).  A repeated factor gives sign 0.
     """
-    raw = list(raw)
+    keys = [_factor_sort_key(f) for f in raw]
+    if all(a < b for a, b in zip(keys, keys[1:])):
+        return tuple(raw), 1
     hs = [f for f in raw if f[0] == "x"]
     vs = [f for f in raw if f[0] != "x"]
     sign = 1
@@ -80,30 +94,37 @@ def _sort_word(raw: Iterable[Factor]) -> tuple[Word, int]:
     return tuple(hs + vs), sign
 
 
-def _norm_coeff(e: sp.Expr) -> sp.Expr:
-    return sp.expand(e)
-
-
 class Form:
-    """Immutable linear combination of wedge words with Expr coefficients."""
+    """Immutable linear combination of wedge words.
 
-    __slots__ = ("chart", "_tag", "terms")
+    The coefficients are polynomials of ``ring``: the chart's ``JetRing`` when
+    it represents every one of them, else ``EXPR`` (expanded sympy
+    expressions).
+    """
 
-    def __init__(self, chart: Chart, r: int = 0, s: int = 0, terms: Mapping[Word, sp.Expr] | None = None):
+    __slots__ = ("chart", "_tag", "terms", "ring")
+
+    def __init__(self, chart: Chart, r: int = 0, s: int = 0, terms: Mapping | Iterable = ()):
+        """``terms`` maps words to coefficients or lists (word, coeff) pairs.
+        Words may be unsorted or repeated: the sorting sign is applied and
+        repeats are summed.  A coefficient is a sympy expression or a
+        polynomial of ``chart.ring``."""
         self.chart = chart
         self._tag = (r, s)
-        collected: dict[Word, sp.Expr] = {}
-        for word, coeff in (terms or {}).items():
-            c = _norm_coeff(sp.sympify(coeff))
-            if c == 0:
-                continue
-            if word in collected:
-                c = _norm_coeff(collected[word] + c)
-                if c == 0:
-                    del collected[word]
-                    continue
-            collected[word] = c
-        self.terms = collected
+        signed = []
+        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            word, sign = _sort_word(word)
+            if sign:
+                signed.append((word, sign, coeff))
+        ring, coeffs = choose_ring(chart.ring, [c for _, _, c in signed])
+        acc: dict = {}
+        for (word, sign, _), c in zip(signed, coeffs):
+            acc[word] = ring.add(acc[word], c, sign) if word in acc else ring.scale(c, sign)
+        if ring is not chart.ring:  # a cancellation may leave representable sums
+            ring, sums = choose_ring(chart.ring, acc.values())
+            acc = dict(zip(acc, sums))
+        self.ring = ring
+        self.terms = {w: c for w, c in acc.items() if not ring.is_zero(c)}
 
     # -- constructors ------------------------------------------------------------------
 
@@ -113,7 +134,7 @@ class Form:
 
     @staticmethod
     def scalar(chart: Chart, expr) -> "Form":
-        return Form(chart, 0, 0, {(): sp.sympify(expr)})
+        return Form(chart, 0, 0, {(): expr})
 
     @staticmethod
     def top(chart: Chart, coeff) -> "Form":
@@ -122,22 +143,12 @@ class Form:
 
     @staticmethod
     def dx(chart: Chart, axis: int) -> "Form":
-        return Form(chart, 1, 0, {(("x", axis),): sp.Integer(1)})
+        return Form(chart, 1, 0, {(("x", axis),): 1})
 
     @staticmethod
     def contact(chart: Chart, field: str, mi: MultiIndex = MultiIndex()) -> "Form":
         chart.jet(field, mi)  # validates field and jet cap
-        return Form(chart, 0, 1, {(("v", field, mi.entries),): sp.Integer(1)})
-
-    @staticmethod
-    def from_terms(chart: Chart, r: int, s: int, raw_terms: Iterable[tuple[sp.Expr, Iterable[Factor]]]) -> "Form":
-        acc: dict[Word, sp.Expr] = {}
-        for coeff, raw in raw_terms:
-            word, sign = _sort_word(tuple(raw))
-            if sign == 0:
-                continue
-            acc[word] = acc.get(word, sp.Integer(0)) + sign * coeff
-        return Form(chart, r, s, acc)
+        return Form(chart, 0, 1, {(("v", field, mi.entries),): 1})
 
     # -- bookkeeping -------------------------------------------------------------------
 
@@ -166,27 +177,28 @@ class Form:
         return len({word_bidegree(w) for w in self.terms}) <= 1
 
     def iter_terms(self):
+        """(word, coefficient as a sympy expression), in canonical word order."""
         for word in sorted(self.terms, key=lambda w: (len(w), tuple(_factor_sort_key(f) for f in w))):
-            yield word, self.terms[word]
+            yield word, self.ring.expr(self.terms[word])
 
-    def top_coefficient(self) -> sp.Expr:
-        """Coefficient of the volume word; raises on any other term."""
+    def _top(self):
+        """Coefficient of the volume word on ``ring``; raises on any other term."""
         word = top_word(self.chart.n)
         if any(w != word for w in self.terms):
             raise ValueError("expected a purely horizontal top-degree form")
-        return self.terms.get(word, sp.Integer(0))
+        return self.terms.get(word, self.ring.poly(0))
+
+    def top_coefficient(self) -> sp.Expr:
+        return self.ring.expr(self._top())
 
     def map_coeffs(self, fn: Callable[[sp.Expr], sp.Expr]) -> "Form":
-        return Form(self.chart, *self._tag, {w: fn(c) for w, c in self.terms.items()})
+        """Apply fn to every coefficient as a sympy expression."""
+        return Form(self.chart, *self._tag, {w: fn(self.ring.expr(c)) for w, c in self.terms.items()})
 
     def jet_order(self) -> int:
-        order = 0
-        for word, coeff in self.terms.items():
-            order = max(order, self.chart.jet_order(coeff))
-            for f in word:
-                if f[0] == "v":
-                    order = max(order, len(f[2]))
-        return order
+        ring, chart = self.ring, self.chart
+        orders = [mi.order for c in self.terms.values() for _, _, mi in ring.jets(chart, c)]
+        return max(orders + [len(f[2]) for w in self.terms for f in w if f[0] == "v"], default=0)
 
     # -- algebra -----------------------------------------------------------------------
 
@@ -194,24 +206,21 @@ class Form:
         if self.chart is not other.chart:
             raise ValueError("forms live on different charts")
         tag = self._tag if self.terms or not other.terms else other._tag
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, sp.Integer(0)) + c
-        return Form(self.chart, *tag, acc)
+        return Form(self.chart, *tag, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (other * -1)
+        return self + -other
 
     def __mul__(self, scalar) -> "Form":
         if isinstance(scalar, Form):
             raise TypeError("use wedge() for form products")
-        c = sp.sympify(scalar)
-        return Form(self.chart, *self._tag, {w: c * v for w, v in self.terms.items()})
+        ring, (k, *coeffs) = choose_ring(self.chart.ring, [scalar, *self.terms.values()])
+        return Form(self.chart, *self._tag, zip(self.terms, [ring.mul(k, c) for c in coeffs]))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Form":
-        return self * -1
+        return Form(self.chart, *self._tag, {w: self.ring.scale(c, -1) for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
@@ -259,20 +268,20 @@ def wedge(f: Form, g: Form) -> Form:
     """Wedge product; graded-commutative with the double-grading sign.
 
     Horizontal overflow needs no special case: a word with more than n
-    horizontal factors repeats one and collapses to zero.
+    horizontal factors repeats one and vanishes, and such products are skipped.
     """
     if f.chart is not g.chart:
         raise ValueError("forms live on different charts")
-    acc: dict[Word, sp.Expr] = {}
-    for wf, cf in f.terms.items():
-        for wg, cg in g.terms.items():
-            word, sign = _sort_word(wf + wg)
-            if sign == 0:
-                continue
-            acc[word] = acc.get(word, sp.Integer(0)) + sign * cf * cg
+    nf = len(f.terms)
+    ring, coeffs = choose_ring(f.chart.ring, [*f.terms.values(), *g.terms.values()])
+    g_terms = list(zip(g.terms, coeffs[nf:]))
     rf, sf = f._tag
     rg, sg = g._tag
-    return Form(f.chart, rf + rg, sf + sg, acc)
+    return Form(f.chart, rf + rg, sf + sg, [
+        (wf + wg, ring.mul(cf, cg))
+        for wf, cf in zip(f.terms, coeffs[:nf]) for wg, cg in g_terms
+        if not any(fac in wf for fac in wg)
+    ])
 
 
 # -- differentials -------------------------------------------------------------------
@@ -280,55 +289,45 @@ def wedge(f: Form, g: Form) -> Form:
 
 def d_h(f: Form) -> Form:
     """Horizontal differential; (r,s) -> (r+1,s)."""
-    chart = f.chart
-    raw_terms: list[tuple[sp.Expr, tuple]] = []
+    chart, ring = f.chart, f.ring
+    terms = []
     for word, coeff in f.terms.items():
-        r, _ = word_bidegree(word)
-        for i in range(chart.n):
-            dc = chart.total_derivative(i, coeff)
-            if dc != 0:
-                raw_terms.append((dc, (("x", i),) + word))
-        sign = (-1) ** r
+        terms += [((("x", i),) + word, ring.total_derivative(chart, i, coeff)) for i in range(chart.n)]
+        signed = ring.scale(coeff, (-1) ** word_bidegree(word)[0])
         for pos, fac in enumerate(word):
             if fac[0] != "v":
                 continue
             a, mi = fac[1], MultiIndex(fac[2])
             for i in range(chart.n):
-                bumped = ("v", a, mi.union(i).entries)
                 chart.jet(a, mi.union(i))  # jet-cap check
-                raw = word[:pos] + (("x", i), bumped) + word[pos + 1:]
-                raw_terms.append((sign * coeff, raw))
+                bumped = ("v", a, mi.union(i).entries)
+                terms.append((word[:pos] + (("x", i), bumped) + word[pos + 1:], signed))
     r0, s0 = f._tag
-    return Form.from_terms(chart, r0 + 1, s0, raw_terms)
+    return Form(chart, r0 + 1, s0, terms)
 
 
 def dd(f: Form) -> Form:
     """Vertical (field-space) differential; (r,s) -> (r,s+1); commutes with d_h."""
-    chart = f.chart
-    ring, polys = choose_ring(list(f.terms.values()))
-    raw_terms: list[tuple[sp.Expr, tuple]] = []
-    for word, p in zip(f.terms, polys):
+    chart, ring = f.chart, f.ring
+    terms = []
+    for word, p in f.terms.items():
         hs = tuple(fac for fac in word if fac[0] == "x")
         vs = tuple(fac for fac in word if fac[0] == "v")
         for sym, a, mi in ring.jets(chart, p):
-            dc = ring.diff(p, sym)
-            if not ring.is_zero(dc):
-                raw_terms.append((ring.expr(dc), hs + (("v", a, mi.entries),) + vs))
+            terms.append((hs + (("v", a, mi.entries),) + vs, ring.diff(p, sym)))
     r0, s0 = f._tag
-    return Form.from_terms(chart, r0, s0 + 1, raw_terms)
+    return Form(chart, r0, s0 + 1, terms)
+
+
+def twist(f: Form) -> Form:
+    """The anticommuting-convention sign: (-1)^r on each term of horizontal degree r."""
+    terms = {w: f.ring.scale(c, (-1) ** word_bidegree(w)[0]) for w, c in f.terms.items()}
+    return Form(f.chart, *f._tag, terms)
 
 
 def d_v_anti(f: Form) -> Form:
     """Anticommuting-convention vertical differential: (-1)^r dd, term by term."""
-    chart = f.chart
-    acc: dict[Word, sp.Expr] = {}
-    r0, s0 = f._tag
-    for word, coeff in f.terms.items():
-        r, _ = word_bidegree(word)
-        piece = dd(Form(chart, r0, s0, {word: coeff}))
-        for w, c in piece.terms.items():
-            acc[w] = acc.get(w, sp.Integer(0)) + (-1) ** r * c
-    return Form(chart, r0, s0 + 1, acc)
+    return twist(dd(f))
 
 
 # -- contractions --------------------------------------------------------------------
@@ -345,6 +344,25 @@ def _check_xi(chart: Chart, xi) -> list[sp.Expr]:
     return comps
 
 
+def _contract(f: Form, value: Callable[[Factor], sp.Expr], r: int, s: int) -> Form:
+    """The antiderivation that replaces each factor of a word by the scalar
+    value(factor), with the sign (-1)^k for k like-type factors before it."""
+    values = {fac: value(fac) for fac in dict.fromkeys(fac for word in f.terms for fac in word)}
+    values = {fac: v for fac, v in values.items() if v != 0}
+    nf = len(f.terms)
+    ring, coeffs = choose_ring(f.chart.ring, [*f.terms.values(), *values.values()])
+    values = dict(zip(values, coeffs[nf:]))
+    terms = []
+    for word, c in zip(f.terms, coeffs[:nf]):
+        sign = {"x": 1, "v": 1}
+        for pos, fac in enumerate(word):
+            if fac in values:
+                signed = ring.scale(c, sign[fac[0]])
+                terms.append((word[:pos] + word[pos + 1:], ring.mul(signed, values[fac])))
+            sign[fac[0]] *= -1
+    return Form(f.chart, r, s, terms)
+
+
 def iota_x(xi, f: Form) -> Form:
     """Contraction with the coordinate vector field xi^i d/dx^i.
 
@@ -354,27 +372,15 @@ def iota_x(xi, f: Form) -> Form:
     """
     chart = f.chart
     comps = _check_xi(chart, xi)
-    raw: list[tuple[sp.Expr, tuple]] = []
-    for word, coeff in f.terms.items():
-        hseen = vseen = 0
-        for pos, fac in enumerate(word):
-            rest = word[:pos] + word[pos + 1:]
-            if fac[0] == "x":
-                val = comps[fac[1]]
-                if val != 0:
-                    raw.append(((-1) ** hseen * coeff * val, rest))
-                hseen += 1
-            else:
-                a, mi = fac[1], MultiIndex(fac[2])
-                val = sp.Integer(0)
-                for m in range(chart.n):
-                    if comps[m] != 0:
-                        val -= comps[m] * chart.jet(a, mi.union(m))
-                if val != 0:
-                    raw.append(((-1) ** vseen * coeff * val, rest))
-                vseen += 1
+
+    def value(fac):
+        if fac[0] == "x":
+            return comps[fac[1]]
+        mi = MultiIndex(fac[2])
+        return -sum(comps[m] * chart.jet(fac[1], mi.union(m)) for m in range(chart.n) if comps[m] != 0)
+
     r0, s0 = f._tag
-    return Form.from_terms(chart, max(r0 - 1, 0), s0, raw)
+    return _contract(f, value, max(r0 - 1, 0), s0)
 
 
 def iota_ev(W: Mapping[str, sp.Expr], f: Form) -> Form:
@@ -384,32 +390,19 @@ def iota_ev(W: Mapping[str, sp.Expr], f: Form) -> Form:
     vertical-grading antiderivation (Leibniz sign (-1)^s).
     """
     chart = f.chart
-    raw: list[tuple[sp.Expr, tuple]] = []
-    for word, coeff in f.terms.items():
-        vseen = 0
-        for pos, fac in enumerate(word):
-            if fac[0] != "v":
-                continue
-            a, mi = fac[1], MultiIndex(fac[2])
-            if a in W:
-                val = chart.total_derivative_multi(mi, sp.sympify(W[a]))
-                if val != 0:
-                    raw.append(((-1) ** vseen * coeff * val, word[:pos] + word[pos + 1:]))
-            vseen += 1
+
+    def value(fac):
+        if fac[0] == "x" or fac[1] not in W:
+            return 0
+        return chart.total_derivative_multi(MultiIndex(fac[2]), sp.sympify(W[fac[1]]))
+
     r0, s0 = f._tag
-    return Form.from_terms(chart, r0, max(s0 - 1, 0), raw)
+    return _contract(f, value, r0, max(s0 - 1, 0))
 
 
 def iota_ev_anti(W: Mapping[str, sp.Expr], f: Form) -> Form:
     """Anticommuting-convention evolutionary contraction: (-1)^r iota_ev, term by term."""
-    chart = f.chart
-    r0, s0 = f._tag
-    out = Form.zero(chart, r0, max(s0 - 1, 0))
-    for word, coeff in f.terms.items():
-        r, _ = word_bidegree(word)
-        piece = iota_ev(W, Form(chart, r0, s0, {word: coeff}))
-        out = out + piece * ((-1) ** r)
-    return out
+    return twist(iota_ev(W, f))
 
 
 # -- Lie derivatives -----------------------------------------------------------------
@@ -445,23 +438,19 @@ def hodge(f: Form) -> Form:
     chart = f.chart
     g = chart.require_metric()
     root = sp.sqrt(sp.Abs(chart.metric_det()))
-    acc: dict[Word, sp.Expr] = {}
+    terms = []
     k = None
-    for word, coeff in f.terms.items():
+    for word, coeff in f.iter_terms():
         r, s = word_bidegree(word)
         if s != 0:
             raise ValueError("hodge star implemented on horizontal forms only")
         k = r
         idx = [fac[1] for fac in word]
         comp = [i for i in range(chart.n) if i not in idx]
-        sign = levi_civita(*(idx + comp))
         scale = sp.Mul(*[sp.Integer(1) / g[i] for i in idx])
-        val = sign * scale * root * coeff
-        if val != 0:
-            new_word = tuple(("x", i) for i in comp)
-            acc[new_word] = acc.get(new_word, sp.Integer(0)) + val
+        terms.append((tuple(("x", i) for i in comp), levi_civita(*(idx + comp)) * scale * root * coeff))
     r0, _ = f._tag
-    return Form(chart, chart.n - (k if k is not None else r0), 0, acc)
+    return Form(chart, chart.n - (k if k is not None else r0), 0, terms)
 
 
 def boundary_volume(chart: Chart, bchart: Chart) -> Form:
@@ -484,8 +473,8 @@ def restrict(f: Form, axis: int, sub: Chart, value: sp.Expr | None = None) -> Fo
     families; remaining horizontal axes are renumbered.  The transversal
     coordinate stays an inert symbol unless a pin value is supplied.
     """
-    chart = f.chart
-    raw: list[tuple[sp.Expr, tuple]] = []
+    chart, ring = f.chart, f.ring
+    terms = []
     for word, coeff in f.terms.items():
         if any(fac[0] == "x" and fac[1] == axis for fac in word):
             continue
@@ -497,9 +486,9 @@ def restrict(f: Form, axis: int, sub: Chart, value: sp.Expr | None = None) -> Fo
                 mi = MultiIndex(fac[2])
                 kept, k = mi.split_axis(axis)
                 new_word.append(("v", sub.families[fac[1]][k], kept.shift_down(axis).entries))
-        raw.append((chart.restrict_expr(coeff, sub, axis, value), tuple(new_word)))
+        terms.append((tuple(new_word), ring.restrict(chart, sub, axis, coeff, value)))
     r0, s0 = f._tag
-    return Form.from_terms(sub, max(r0 - 1, 0), s0, raw)
+    return Form(sub, max(r0 - 1, 0), s0, terms)
 
 
 def section_pullback(f: Form, phi: Mapping[str, sp.Expr]) -> Form:
@@ -520,7 +509,7 @@ def section_pullback(f: Form, phi: Mapping[str, sp.Expr]) -> Form:
         return e.xreplace(repl)
 
     out = Form.zero(chart, 0, 0)
-    for word, coeff in f.terms.items():
+    for word, coeff in f.iter_terms():
         piece = Form.scalar(chart, section_sub(coeff))
         for fac in word:
             if fac[0] == "x":

@@ -15,7 +15,6 @@ import sympy as sp
 
 from .chart import Chart, MultiIndex
 from .forms import Form, dd, d_h, top_word, wedge
-from .jetpoly import choose_ring
 
 
 class NonDecomposableError(ValueError):
@@ -74,8 +73,8 @@ def euler_operator(L: Form) -> SourceForm:
 
     Vanishes identically iff L is a null Lagrangian on the chart.
     """
-    chart = L.chart
-    ring, (lag,) = choose_ring([L.top_coefficient()])
+    chart, ring = L.chart, L.ring
+    lag = L._top()
     acc = {a: ring.poly(0) for a in chart.fields}
     for sym, a, mi in ring.jets(chart, lag):
         d = ring.diff(lag, sym)
@@ -84,46 +83,42 @@ def euler_operator(L: Form) -> SourceForm:
         for axis in mi:
             d = ring.total_derivative(chart, axis, d)
         acc[a] = ring.add(acc[a], d, (-1) ** mi.order)
-    return SourceForm(chart, {a: Form.top(chart, ring.expr(e)) for a, e in acc.items()})
+    return SourceForm(chart, {a: Form.top(chart, e) for a, e in acc.items()})
 
 
-def _sweep(P: Form) -> tuple[dict[str, sp.Expr], Form]:
+def _sweep(P: Form) -> tuple[dict, Form]:
     """Deterministic integration-by-parts sweep of a top-degree (n,1) form.
 
     Writes P = sum_a src_a ^ th{a} + d_h(theta); jet indices on contact factors
-    are removed highest-order-first, largest axis first.  Returns (src, theta).
+    are removed highest-order-first, largest axis first.  Returns (src, theta),
+    the sources as polynomials of P's ring.
     """
-    chart = P.chart
+    chart, ring = P.chart, P.ring
     vol_word = top_word(chart.n)
-    work: dict[tuple[str, tuple], sp.Expr] = {}
+    work: dict[tuple[str, tuple], object] = {}
     for word, coeff in P.terms.items():
         vfacs = [f for f in word if f[0] == "v"]
         xfacs = tuple(f for f in word if f[0] == "x")
         if len(vfacs) != 1 or xfacs != vol_word:
             raise ValueError("sweep expects terms of the form vol ^ contact")
-        a, ent = vfacs[0][1], vfacs[0][2]
-        key = (a, ent)
-        work[key] = work.get(key, sp.Integer(0)) + coeff
-    theta = Form.zero(chart, chart.n - 1, 1)
+        key = (vfacs[0][1], vfacs[0][2])
+        work[key] = ring.add(work[key], coeff) if key in work else coeff
+    theta_terms = []
     while True:
-        pending = [k for k in work if len(k[1]) > 0 and work[k] != 0]
+        pending = [k for k in work if len(k[1]) > 0 and not ring.is_zero(work[k])]
         if not pending:
             break
         a, ent = max(pending, key=lambda k: (len(k[1]), k[0], k[1]))
         coeff = work.pop((a, ent))
-        mi = MultiIndex(ent)
         axis = max(ent)
-        kept = mi.remove_one(axis)
+        kept = MultiIndex(ent).remove_one(axis)
         # c vol ^ th{a,J+axis} = d_h(c iota_axis(vol) ^ th{a,J}) - (D_axis c) vol ^ th{a,J}
         word = tuple(("x", i) for i in range(chart.n) if i != axis) + (("v", a, kept.entries),)
-        theta = theta + Form(chart, chart.n - 1, 1, {word: (-1) ** axis * coeff})
+        theta_terms.append((word, ring.scale(coeff, (-1) ** axis)))
         prev = (a, kept.entries)
-        work[prev] = work.get(prev, sp.Integer(0)) - chart.total_derivative(axis, coeff)
-    src = {}
-    for (a, ent), coeff in work.items():
-        if ent == ():
-            src[a] = src.get(a, sp.Integer(0)) + coeff
-    return src, theta
+        work[prev] = ring.add(work.get(prev, ring.poly(0)), ring.total_derivative(chart, axis, coeff), -1)
+    src = {a: coeff for (a, ent), coeff in work.items() if ent == ()}
+    return src, Form(chart, chart.n - 1, 1, theta_terms)
 
 
 def integrate_by_parts(L: Form) -> tuple[SourceForm, Form]:
@@ -134,12 +129,12 @@ def integrate_by_parts(L: Form) -> tuple[SourceForm, Form]:
     checked to be identically zero, and E agrees with euler_operator.
     """
     chart = L.chart
-    L.top_coefficient()  # validates shape
+    L._top()  # validates shape
     P = dd(L)
     src, theta = _sweep(P)
     E = SourceForm(chart)
     for a in chart.fields:
-        E.components[a] = Form.top(chart, src.get(a, sp.Integer(0)))
+        E.components[a] = Form.top(chart, src.get(a, 0))
     residual = P - E.paired_with_contacts() - d_h(theta)
     if not residual.is_zero():
         raise ArithmeticError(f"integration-by-parts residual is nonzero: {residual}")
@@ -152,11 +147,11 @@ def kill_dirichlet(form: Form, dirichlet: set[str] | frozenset[str]) -> Form:
     if not dirichlet:
         return form
     sub = {sym: sp.Integer(0) for (a, _), sym in form.chart._jet_by_key.items() if a in dirichlet}
-    terms = {
-        word: coeff.xreplace(sub)
+    terms = [
+        (word, form.ring.subs(coeff, sub))
         for word, coeff in form.terms.items()
         if not any(f[0] == "v" and f[1] in dirichlet for f in word)
-    }
+    ]
     return Form(form.chart, *form._tag, terms)
 
 
@@ -178,8 +173,7 @@ def boundary_euler_operator(
     src, theta_sweep = _sweep(P)
     b = SourceForm(bchart)
     for a, coeff in sorted(src.items()):
-        coeff = sp.expand(coeff)
-        if coeff == 0:
+        if P.ring.is_zero(coeff):
             continue
         if bchart.labels[a][1:] != (0, 0):
             term = wedge(Form.top(bchart, coeff), Form.contact(bchart, a))

@@ -1,5 +1,5 @@
-"""Sparse polynomials in jet symbols: the coefficient kernel of the on-shell
-ideals, the Euler operator and the vertical differential ``dd``.
+"""Sparse polynomials in jet symbols: the coefficient kernel of every form
+and of the on-shell ideals.
 
 A polynomial is a dict ``{monomial: rational}`` with no zero values; a
 monomial is a sorted tuple of ``(atom index, exponent)`` pairs with positive
@@ -15,12 +15,13 @@ alone, as ``Chart.factor_derivative`` does.
 Any other input -- a non-rational constant, a power with a negative or
 symbolic exponent, any other function -- raises ``NotRepresentable``.  Such
 factors cannot be atoms without making the zero test unsound: ``u*u**-3`` and
-``u**-2`` would be distinct monomials.  ``choose_ring`` picks the ring once
-per call site (a derivation's equations, a Lagrangian, a form's coefficients):
-a ``JetRing`` when it represents every input, else the sympy ``ExprRing``.
+``u**-2`` would be distinct monomials.  ``choose_ring`` is where that is
+caught: it returns the given ring when it represents every coefficient, else
+the sympy ``ExprRing`` (``EXPR``) with the expanded expressions.
 
-A ring and its memos belong to the computation that created it; nothing here
-is cached at module level.
+Every chart owns one ring (``Chart.ring``, made by the root chart and shared
+by its restrictions), so a ring and its memos live as long as the model that
+created them; nothing here is cached at module level.
 """
 from __future__ import annotations
 
@@ -162,6 +163,13 @@ class JetRing:
             _add_to(out, m, k * c)
         return out
 
+    @staticmethod
+    def scale(p: dict, k: int) -> dict:
+        """k*p for k = 1 (p itself) or -1."""
+        return p if k == 1 else {m: k * c for m, c in p.items()}
+
+    mul = staticmethod(_mul)
+
     # -- jets ------------------------------------------------------------------------
 
     def jets(self, chart: Chart, p: dict) -> list:
@@ -269,6 +277,11 @@ class JetRing:
         image = self._images(("t", src, dst), lambda a: translate_expr(a, src, dst))
         return self._relabel(p, image)
 
+    def subs(self, p: dict, repl: dict) -> dict:
+        """p with the symbols of repl replaced, inside formal-function atoms too."""
+        image = self._images(("s", frozenset(repl.items())), lambda a: a.xreplace(repl))
+        return self._relabel(p, image)
+
     # -- solving ---------------------------------------------------------------------
 
     def solve(self, p: dict, sym: sp.Symbol, c: dict):
@@ -307,6 +320,14 @@ class ExprRing:
         return p + k * q
 
     @staticmethod
+    def scale(p: sp.Expr, k: int) -> sp.Expr:
+        return k * p
+
+    @staticmethod
+    def mul(p: sp.Expr, q: sp.Expr) -> sp.Expr:
+        return sp.expand(p * q)
+
+    @staticmethod
     def jets(chart: Chart, p: sp.Expr) -> list:
         return chart.jets_in(p)
 
@@ -327,6 +348,10 @@ class ExprRing:
         return translate_expr(p, src, dst)
 
     @staticmethod
+    def subs(p: sp.Expr, repl: dict) -> sp.Expr:
+        return sp.expand(p.xreplace(repl))
+
+    @staticmethod
     def solve(p: sp.Expr, sym: sp.Symbol, c: sp.Expr) -> sp.Expr:
         return sp.expand(-(p - c * sym) / c)
 
@@ -334,11 +359,12 @@ class ExprRing:
 EXPR = ExprRing()
 
 
-def choose_ring(exprs) -> tuple:
-    """(ring, polynomials of exprs): a fresh JetRing when it represents every
-    expression, else EXPR and the expanded expressions."""
-    ring = JetRing()
+def choose_ring(ring, coeffs) -> tuple:
+    """(ring, polynomials of coeffs) when ring represents every coefficient,
+    else EXPR and the expanded expressions.  A coefficient is a sympy
+    expression or already a polynomial of ring."""
+    coeffs = list(coeffs)
     try:
-        return ring, [ring.poly(e) for e in exprs]
+        return ring, [c if isinstance(c, dict) else ring.poly(c) for c in coeffs]
     except NotRepresentable:
-        return EXPR, [EXPR.poly(e) for e in exprs]
+        return EXPR, [ring.expr(c) if isinstance(c, dict) else sp.expand(c) for c in coeffs]

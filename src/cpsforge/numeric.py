@@ -297,7 +297,7 @@ def flux_through_boundary(form: Form, grid: Grid, state: FieldState, bindings=No
                     raise ValueError("flux expects a horizontal form")
                 if any(f[1] == axis for f in word):
                     continue
-                vals = fb.restrict_array(eval_bulk_expr(chart, coeff, grid, state, bindings))
+                vals = fb.restrict_array(eval_bulk_expr(chart, form.ring.expr(coeff), grid, state, bindings))
                 total += orient * float(np.sum(w * vals))
     return total
 
@@ -446,7 +446,7 @@ def contract_two_vertical(
         ja, jb = MultiIndex(ja), MultiIndex(jb)
         pair = (sb.jet(tangent1, a, ja) * sb.jet(tangent2, b, jb)
                 - sb.jet(tangent2, a, ja) * sb.jet(tangent1, b, jb))
-        total += sb.integral(coeff, grid, state, bindings, factor=pair)
+        total += sb.integral(form.ring.expr(coeff), grid, state, bindings, factor=pair)
     return total
 
 

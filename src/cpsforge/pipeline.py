@@ -15,7 +15,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .chart import Chart, MultiIndex
+from .chart import Chart, MultiIndex, translated_field
 from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, restrict, top_word, wedge
 from .jetcalc import (
     EvolutionaryField,
@@ -119,9 +119,10 @@ class VariationDecomposition:
 
     @cached_property
     def ring(self):
-        """The on-shell ideals' coefficient ring: a fresh JetRing when it
+        """The on-shell ideals' coefficient ring: the chart's JetRing when it
         represents every bulk and boundary equation, EXPR otherwise."""
-        return choose_ring([*self.equations().values(), *self.boundary_equations().values()])[0]
+        eqs = [*self.equations().values(), *self.boundary_equations().values()]
+        return choose_ring(self.chart.ring, eqs)[0]
 
     @cached_property
     def slice_ideal(self) -> "OnShellIdeal":
@@ -487,15 +488,12 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
     These are the on-shell-trivial source rows (terms proportional to the
     linearized equations, integrated by parts) against which a gauge residual
     is reduced; kappa is the boundary term the integration by parts sheds.
-    ``gen`` is a polynomial of ``ring``.
+    ``gen`` is a polynomial of ``ring``, the slice chart's ring or EXPR.
     """
     vol_word = top_word(schart.n)
-    raw = []
-    for sym, b, mi in ring.jets(schart, gen):
-        dcoef = ring.diff(gen, sym)
-        if not ring.is_zero(dcoef):
-            raw.append((c * ring.expr(dcoef), vol_word + (("v", b, mi.entries),)))
-    row = Form.from_terms(schart, schart.n, 1, raw)
+    row = Form(schart, schart.n, 1, [
+        (vol_word + (("v", b, mi.entries),), ring.diff(gen, sym)) for sym, b, mi in ring.jets(schart, gen)
+    ]) * c
     if row.is_zero():
         return {}, Form.zero(schart, schart.n - 1, 1)
     return _sweep(row)
@@ -553,8 +551,9 @@ def gauge_residual(
     chart = lp.pair.chart
     ctx, ideal = v.slice_ctx, v.slice_ideal
     omega, omega_bar = v.omega
+    expr = ctx.schart.ring.expr
     src, kappa = _sweep(ctx.pull(iota_ev(W.components, omega)))
-    src = {a: ideal.reduce_expr(c) for a, c in src.items()}
+    src = {a: ideal.reduce_expr(expr(c)) for a, c in src.items()}
     src = {a: c for a, c in src.items() if c != 0}
     # absorb rows proportional to linearized equations of motion.  The sweep
     # and the reduction are linear and src is reduced, so each row is swept
@@ -575,7 +574,7 @@ def gauge_residual(
             for gi, gen in enumerate(base_gens):
                 if (ci, gi) not in rows:
                     row_src, row_kappa = _linearized_row(ctx.schart, c, gen, ring)
-                    row_src = {a: ideal.reduce_expr(e) for a, e in row_src.items()}
+                    row_src = {a: ideal.reduce_expr(expr(e)) for a, e in row_src.items()}
                     rows[ci, gi] = row_src, row_kappa
                 row_src, row_kappa = rows[ci, gi]
                 if not row_src:
@@ -609,16 +608,12 @@ def gauge_residual(
 
 def translate_form(f: Form, src: Chart, dst: Chart) -> Form:
     """Relabel a form between corner charts reached by restriction in either order."""
-    from .chart import translate_expr, translated_field
-
-    raw = []
-    for word, coeff in f.terms.items():
-        new_word = tuple(
-            fac if fac[0] == "x" else ("v", translated_field(fac[1], src, dst), fac[2])
-            for fac in word
-        )
-        raw.append((translate_expr(coeff, src, dst), new_word))
-    return Form.from_terms(dst, *f._tag, raw)
+    terms = [
+        (tuple(fac if fac[0] == "x" else ("v", translated_field(fac[1], src, dst), fac[2]) for fac in word),
+         f.ring.translate(src, dst, coeff))
+        for word, coeff in f.terms.items()
+    ]
+    return Form(dst, *f._tag, terms)
 
 
 def _corner_ideal(

@@ -16,7 +16,7 @@ from typing import Mapping
 import sympy as sp
 
 from .chart import Chart, JetOrderError, NonTangentError
-from .forms import Form, d_h, dd, iota_x, lie_ev, lie_x, restrict, wedge, word_bidegree
+from .forms import Form, d_h, dd, iota_x, lie_ev, lie_x, restrict, twist, wedge
 
 
 class BoundaryPair:
@@ -130,14 +130,6 @@ class RelForm:
         return f"RelForm(bulk={self.bulk}, boundary={self.boundary})"
 
 
-def _split_by_r(f: Form) -> list[tuple[int, Form]]:
-    by_r: dict[int, dict] = {}
-    for word, coeff in f.terms.items():
-        r, _ = word_bidegree(word)
-        by_r.setdefault(r, {})[word] = coeff
-    return [(r, Form(f.chart, r, 0, terms)) for r, terms in sorted(by_r.items())]
-
-
 def rel_d(p: RelForm) -> RelForm:
     """Relative differential: (d bulk, j*bulk - d boundary); squares to zero."""
     jb = p.pair.pullback(p.bulk)
@@ -153,18 +145,11 @@ def rel_wedge(p: RelForm, q: RelForm) -> RelForm:
     """Relative wedge with the 1/2-weights.
 
     boundary = (-1)^{|bulk_p|}/2 (j*bulk_p) ^ bnd_q + 1/2 bnd_p ^ (j*bulk_q),
-    the sign taken per horizontal degree of the bulk term.
+    the sign taken per horizontal degree of the bulk term (``twist``).
     """
     pair = p.pair
-    bulk = wedge(p.bulk, q.bulk)
-    half = sp.Rational(1, 2)
-    boundary = Form.zero(pair.bchart)
-    jb_p = pair.pullback(p.bulk)
-    jb_q = pair.pullback(q.bulk)
-    for r, piece in _split_by_r(jb_p):
-        boundary = boundary + wedge(piece, q.boundary) * (half * (-1) ** r)
-    boundary = boundary + wedge(p.boundary, jb_q) * half
-    return RelForm(pair, bulk, boundary)
+    boundary = wedge(twist(pair.pullback(p.bulk)), q.boundary) + wedge(p.boundary, pair.pullback(q.bulk))
+    return RelForm(pair, wedge(p.bulk, q.bulk), boundary * sp.Rational(1, 2))
 
 
 def rel_iota(xi, p: RelForm) -> RelForm:

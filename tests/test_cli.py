@@ -108,6 +108,13 @@ def test_check_evolutionary_shift(capsys):
     assert "d-symmetry: yes" in out
 
 
+def test_check_evolutionary_splits_at_top_level_commas(capsys):
+    # the commas inside a component's parentheses do not separate components
+    W = "A_t: Derivative(lam(t, x, y), t), A_x: Derivative(lam(t, x, y), x)"
+    assert main(["check", "chern_simons_k1.cps", "--evolutionary", W]) == 0
+    assert "d-symmetry: no" in capsys.readouterr().out
+
+
 def test_max_jet_order_flag(tmp_path):
     rc = main(["--max-jet-order", "6", "derive", "scalar_dirichlet.cps", "--json",
                "--out", str(tmp_path / "r.json"), "--no-symmetries"])

@@ -20,6 +20,9 @@ from cpsforge.forms import (
     wedge,
 )
 
+from cpsforge.jetcalc import kill_dirichlet
+from cpsforge.jetpoly import EXPR, JetRing
+
 from strategies import any_forms, evolutionary_fields, forms, make_chart, x_vector_fields
 
 CH = make_chart(2, ("u", "v"))
@@ -41,11 +44,11 @@ def th(field, *axes):
 
 class TestNormalize:
     def test_antisymmetry_reorder(self):
-        f = Form.from_terms(CH, 2, 0, [(sp.Integer(1), (("x", 1), ("x", 0)))])
+        f = Form(CH, 2, 0, [((("x", 1), ("x", 0)), 1)])
         assert f == wedge(dx(0), dx(1)) * -1
 
     def test_repeated_factor_is_zero(self):
-        f = Form.from_terms(CH, 2, 0, [(sp.Integer(1), (("x", 0), ("x", 0)))])
+        f = Form(CH, 2, 0, [((("x", 0), ("x", 0)), 1)])
         assert f.is_zero()
 
     def test_mixed_word_collects_with_plus(self):
@@ -230,14 +233,14 @@ class TestSections:
     def test_contact_forms_vanish_on_sections(self, f):
         phi = {"u": T**2 * X + X**3, "v": T * X}
         pulled = section_pullback(f, phi)
-        assert all(sp.expand(c) == 0 for c in pulled.terms.values())
+        assert pulled.is_zero()
 
     @given(evolutionary_fields(CH, max_order=1))
     def test_lie_ev_preserves_contact_ideal(self, W):
         phi = {"u": T**3 - X * T, "v": X**2}
         out = lie_ev(W, th("u", 0))
         pulled = section_pullback(out, phi)
-        assert all(sp.expand(c) == 0 for c in pulled.terms.values())
+        assert pulled.is_zero()
 
 
 class TestHodge:
@@ -253,3 +256,71 @@ class TestHodge:
         chm = make_chart(2, ("u",), metric=[-1, 1])
         with pytest.raises(ValueError):
             hodge(Form.contact(chm, "u"))
+
+
+# -- forms whose coefficients leave the jet-polynomial kernel ----------------------------
+
+KER = make_chart(2, ("u", "v"))
+REF = make_chart(2, ("u", "v"))
+REF.ring = EXPR  # every form on REF takes the sympy path: the reference
+
+
+def _mixed(ch):
+    """A (1,1) form with the non-polynomial coefficient 1/(1+u)."""
+    u, ut = ch.jet("u", MultiIndex()), ch.jet("u", MultiIndex.make(0))
+    return Form(ch, 1, 1, {
+        (("x", 0), ("v", "v", ())): 1 / (1 + u) + ut,
+        (("x", 1), ("v", "u", (0,))): u * ut,
+    })
+
+
+def _kernel(ch):
+    """A (1,1) form with polynomial coefficients."""
+    u, vx = ch.jet("u", MultiIndex()), ch.jet("v", MultiIndex.make(1))
+    return Form(ch, 1, 1, {(("x", 0), ("v", "u", ())): u**2, (("x", 1), ("v", "v", (1,))): vx - 2})
+
+
+def _same(got: Form, want: Form) -> bool:
+    g, w = dict(got.iter_terms()), dict(want.iter_terms())
+    return g.keys() == w.keys() and all(sp.expand(g[k] - w[k]) == 0 for k in g)
+
+
+MIXED_OPERATIONS = {
+    "sum": lambda ch: _mixed(ch) + _kernel(ch),
+    "wedge": lambda ch: wedge(_mixed(ch), Form.dx(ch, 1) * ch.jet("v", MultiIndex())),
+    "d_h": lambda ch: d_h(_mixed(ch)),
+    "dd": lambda ch: dd(_mixed(ch)),
+    "iota_x": lambda ch: iota_x([1, ch.xs[0]], _mixed(ch)),
+    "iota_ev": lambda ch: iota_ev({"u": ch.xs[1], "v": ch.jet("u", MultiIndex.make(1)) ** 2}, _mixed(ch)),
+    "iota_ev_along_quotient": lambda ch: iota_ev({"u": 1 / (1 + ch.jet("u", MultiIndex()))}, _kernel(ch)),
+}
+
+
+class TestMixedRings:
+    def test_non_representable_coefficient_puts_form_on_expr(self):
+        assert _mixed(KER).ring is EXPR
+        assert isinstance(KER.ring, JetRing) and _kernel(KER).ring is KER.ring
+
+    @pytest.mark.parametrize("name", MIXED_OPERATIONS)
+    def test_operation_matches_sympy_reference(self, name):
+        op = MIXED_OPERATIONS[name]
+        got, want = op(KER), op(REF)
+        assert got.ring is EXPR and want.ring is EXPR
+        assert not got.is_zero() and _same(got, want)
+
+    def test_cancelling_sum_returns_to_the_chart_ring(self):
+        u, ut = KER.jet("u", MultiIndex()), KER.jet("u", MultiIndex.make(0))
+        f = _mixed(KER) + Form(KER, 1, 1, {(("x", 0), ("v", "v", ())): -1 / (1 + u)})
+        assert f.ring is KER.ring
+        assert f == Form(KER, 1, 1, {(("x", 0), ("v", "v", ())): ut, (("x", 1), ("v", "u", (0,))): u * ut})
+
+    def test_kill_dirichlet_substitutes_in_expr_coefficients(self):
+        u, v, vx = (KER.jet(a, MultiIndex.make(*e)) for a, e in (("u", ()), ("v", ()), ("v", (1,))))
+        f = Form(KER, 1, 1, {
+            (("x", 0), ("v", "u", ())): v / (1 + u) + vx * u + u,
+            (("x", 1), ("v", "v", ())): u,
+        })
+        assert f.ring is EXPR
+        killed = kill_dirichlet(f, {"v"})
+        assert killed.ring is KER.ring
+        assert killed == Form(KER, 1, 1, {(("x", 0), ("v", "u", ())): u})

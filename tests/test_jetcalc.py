@@ -13,7 +13,7 @@ from cpsforge.jetcalc import (
     euler_operator,
     integrate_by_parts,
 )
-from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable, choose_ring
+from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable
 from cpsforge.pipeline import prolonged_restricted_generators
 
 from strategies import any_forms, exprs, forms, make_chart
@@ -62,15 +62,15 @@ def reference_dd(f: Form) -> Form:
     """dd with sympy's diff on each whole coefficient, once per jet."""
     chart = f.chart
     raw_terms = []
-    for word, coeff in f.terms.items():
+    for word, coeff in f.iter_terms():
         hs = tuple(fac for fac in word if fac[0] == "x")
         vs = tuple(fac for fac in word if fac[0] == "v")
         for sym, a, mi in chart.jets_in(coeff):
             dc = sp.diff(coeff, sym)
             if dc != 0:
-                raw_terms.append((dc, hs + (("v", a, mi.entries),) + vs))
+                raw_terms.append((hs + (("v", a, mi.entries),) + vs, dc))
     r0, s0 = f._tag
-    return Form.from_terms(chart, r0, s0 + 1, raw_terms)
+    return Form(chart, r0, s0 + 1, raw_terms)
 
 
 def assert_same_sources(got: SourceForm, want: SourceForm):
@@ -252,8 +252,7 @@ class TestEulerOperator:
 
 
 class TestOperatorsOnTheKernel:
-    """euler_operator and dd on the ring choose_ring picks equal their sympy
-    definitions."""
+    """euler_operator and dd on the form's ring equal their sympy definitions."""
 
     @given(exprs(CH, max_order=2))
     def test_euler_operator_matches_reference(self, e):
@@ -266,16 +265,15 @@ class TestOperatorsOnTheKernel:
 
     @pytest.mark.parametrize("e", EXPLICIT, ids=str)
     def test_explicit_matches_reference(self, e):
-        ring, _ = choose_ring([e])
-        assert (ring is EXPR) == (str(e) not in KERNEL_ATOMS)
         L = Form.top(CH, e)
+        assert (L.ring is EXPR) == (str(e) not in KERNEL_ATOMS)
         assert_same_sources(euler_operator(L), reference_euler_operator(L))
         f = Form(CH, 1, 1, {(("x", 0), ("v", "v", ())): e, (("x", 1), ("v", "u", (0,))): T * e})
         assert dd(f) == reference_dd(f)
 
     def test_form_with_one_non_representable_coefficient(self):
         f = Form(CH, 1, 0, {(("x", 0),): U * UX**2, (("x", 1),): 1 / (1 + U)})
-        assert choose_ring(list(f.terms.values()))[0] is EXPR
+        assert f.ring is EXPR
         assert dd(f) == reference_dd(f)
         assert not dd(f).is_zero()
 

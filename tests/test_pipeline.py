@@ -20,7 +20,7 @@ from cpsforge.forms import (
 from cpsforge.cli import corpus_dir, load_model
 from cpsforge.model import parse_model
 from cpsforge.jetcalc import EvolutionaryField, NonDecomposableError, euler_operator
-from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable
+from cpsforge.jetpoly import EXPR, JetRing
 from cpsforge.pipeline import (
     FieldMeta,
     LagrangianPair,
@@ -539,41 +539,41 @@ def test_ring_chosen_once_per_derivation():
     f.name[:-4] for f in corpus_dir().iterdir()
     if f.name.endswith(".cps") and f.name != "yang_mills_su2_n3.cps"
 ))
-def test_reports_on_expr_ring_match_goldens(name):
-    # the ring changes how the on-shell ideals compute, never what they
-    # contain; su2_n3, slow on EXPR, has its ideals compared in
+def test_reports_on_expr_ring_match_goldens(name, monkeypatch):
+    # the ring changes how forms and on-shell ideals compute, never what they
+    # contain: first only the ideals run on EXPR, then every chart's forms
+    # too; su2_n3, slow on EXPR, has its ideals compared in
     # test_corpus_ideals_on_kernel_match_expr_path instead
-    model = load_model(f"{name}.cps")
-    try:
-        model.decomposition.ring = EXPR
-    except NonDecomposableError:
-        pass  # lagrange_multiplier_L3 reports the error and builds no ideal
-    golden = pathlib.Path(__file__).parent / "goldens" / f"{name}.json"
-    assert report_json(run_cps(model)) == golden.read_text()
+    golden = (pathlib.Path(__file__).parent / "goldens" / f"{name}.json").read_text()
+    for every_chart in (False, True):
+        if every_chart:
+            monkeypatch.setattr(Chart, "ring", EXPR)
+        model = load_model(f"{name}.cps")
+        try:
+            model.decomposition.ring = EXPR
+        except NonDecomposableError:
+            pass  # lagrange_multiplier_L3 reports the error and builds no ideal
+        assert report_json(run_cps(model)) == golden, every_chart
+        assert (model.lp.L.ring is EXPR) == every_chart
 
 
 def test_every_corpus_form_coefficient_is_representable(monkeypatch):
-    # every Form coefficient built while parsing and deriving a corpus model is
-    # a polynomial of the sparse kernel
+    # every Form built while parsing and deriving a corpus model holds
+    # polynomials of its chart's sparse kernel
     built = []
     init = Form.__init__
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.extend(self.terms.values())
+        built.append(self)
 
     monkeypatch.setattr(Form, "__init__", recording)
     for path in sorted(corpus_dir().iterdir()):
         if path.name.endswith(".cps"):
             report_json(run_cps(load_model(path.name)))
-    ring = JetRing()
-    refused = []
-    for c in built:
-        try:
-            ring.poly(c)
-        except NotRepresentable:
-            refused.append(c)
-    assert len(built) > 10000 and not refused, refused[:5]
+    refused = [f for f in built if f.ring is not f.chart.ring]
+    assert isinstance(built[0].chart.ring, JetRing) and not refused, refused[:5]
+    assert sum(len(f.terms) for f in built) > 5000
 
 
 def test_boundaryless_null_lagrangian_is_d_symmetry():
