@@ -155,6 +155,13 @@ def grid_shape(text: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
+def jet_order(text: str) -> int:
+    """The ``--max-jet-order`` option: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def positive_float(text: str) -> float:
     """The ``--eps`` option: a positive finite number."""
     try:
@@ -212,7 +219,7 @@ def cmd_corpus_list(_args) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="cpsforge", description=__doc__)
-    ap.add_argument("--max-jet-order", type=int, default=None)
+    ap.add_argument("--max-jet-order", type=jet_order, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("derive", help="run the CPS pipeline on a model file")

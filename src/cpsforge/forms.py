@@ -36,8 +36,7 @@ whole form on ``EXPR``, expanded sympy expressions.  An operation whose forms
 sit on different rings, or whose scalar (a vector component, ``D_J W^a``, a
 metric factor) is not representable, runs on ``EXPR``; its result returns to
 the chart's ring when every coefficient converts.  Sympy expressions enter as
-constructor input and leave through ``iter_terms``, ``top_coefficient`` and
-``map_coeffs``.
+constructor input and leave through ``iter_terms`` and ``top_coefficient``.
 """
 from __future__ import annotations
 
@@ -190,10 +189,6 @@ class Form:
 
     def top_coefficient(self) -> sp.Expr:
         return self.ring.expr(self._top())
-
-    def map_coeffs(self, fn: Callable[[sp.Expr], sp.Expr]) -> "Form":
-        """Apply fn to every coefficient as a sympy expression."""
-        return Form(self.chart, *self._tag, {w: fn(self.ring.expr(c)) for w, c in self.terms.items()})
 
     def jet_order(self) -> int:
         ring, chart = self.ring, self.chart

@@ -146,7 +146,7 @@ def kill_dirichlet(form: Form, dirichlet: set[str] | frozenset[str]) -> Form:
     fields vanish with all their tangential jets and variations."""
     if not dirichlet:
         return form
-    sub = {sym: sp.Integer(0) for (a, _), sym in form.chart._jet_by_key.items() if a in dirichlet}
+    sub = dict.fromkeys([s for (a, _), s in form.chart._jet_by_key.items() if a in dirichlet], form.ring.poly(0))
     terms = [
         (word, form.ring.subs(coeff, sub))
         for word, coeff in form.terms.items()

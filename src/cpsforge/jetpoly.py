@@ -17,7 +17,9 @@ symbolic exponent, any other function -- raises ``NotRepresentable``.  Such
 factors cannot be atoms without making the zero test unsound: ``u*u**-3`` and
 ``u**-2`` would be distinct monomials.  ``choose_ring`` is where that is
 caught: it returns the given ring when it represents every coefficient, else
-the sympy ``ExprRing`` (``EXPR``) with the expanded expressions.
+the sympy ``ExprRing`` (``EXPR``) with the expanded expressions.  So an
+on-shell rule whose leading coefficient is not a rational number (``k*u_tt``,
+solved with a quotient) puts its whole ideal on ``EXPR``.
 
 Every chart owns one ring (``Chart.ring``, made by the root chart and shared
 by its restrictions), so a ring and its memos live as long as the model that
@@ -33,7 +35,7 @@ from sympy.core.function import AppliedUndef
 from .chart import Chart, translate_expr
 
 
-class NotRepresentable(Exception):
+class NotRepresentable(ValueError):
     """An expression outside the sparse kernel's atoms and rational coefficients."""
 
 
@@ -140,11 +142,8 @@ class JetRing:
             return {((self._atom(e), 1),): 1}
         raise NotRepresentable(f"not a polynomial in jet atoms: {e}")
 
-    def expr(self, p) -> sp.Expr:
-        """The expanded sympy expression of a polynomial; a sympy expression
-        (a quotient from ``solve``) passes through."""
-        if isinstance(p, sp.Expr):
-            return p
+    def expr(self, p: dict) -> sp.Expr:
+        """The expanded sympy expression of a polynomial."""
         atoms = self.atoms
         return sp.Add(*[
             sp.Mul(_rational(c), *[atoms[i] if k == 1 else atoms[i] ** k for i, k in m])
@@ -170,6 +169,8 @@ class JetRing:
 
     mul = staticmethod(_mul)
 
+    terms = staticmethod(dict.items)  # (monomial, rational coefficient) pairs
+
     # -- jets ------------------------------------------------------------------------
 
     def jets(self, chart: Chart, p: dict) -> list:
@@ -190,8 +191,8 @@ class JetRing:
     # -- atom maps -------------------------------------------------------------------
 
     def _images(self, key: tuple, make):
-        """image(i): the polynomial of make(atom i), None for zero, memoised
-        on the ring under key (one key per chart map)."""
+        """image(i): the polynomial of make(atom i) (a sympy expression or a
+        polynomial), None for zero, memoised on the ring under key."""
         table = self._memo.setdefault(key, {})
         atoms = self.atoms
 
@@ -199,7 +200,8 @@ class JetRing:
             try:
                 return table[i]
             except KeyError:
-                img = table[i] = self.poly(make(atoms[i])) or None
+                img = make(atoms[i])
+                img = table[i] = (img if isinstance(img, dict) else self.poly(img)) or None
                 return img
 
         return image
@@ -278,9 +280,13 @@ class JetRing:
         return self._relabel(p, image)
 
     def subs(self, p: dict, repl: dict) -> dict:
-        """p with the symbols of repl replaced, inside formal-function atoms too."""
-        image = self._images(("s", frozenset(repl.items())), lambda a: a.xreplace(repl))
-        return self._relabel(p, image)
+        """p with each symbol of repl replaced by its polynomial, inside
+        formal-function atoms too."""
+        def make(a):
+            return repl.get(a, a) if a.is_Symbol else a.xreplace({s: self.expr(q) for s, q in repl.items()})
+
+        key = ("s", frozenset((s, frozenset(q.items())) for s, q in repl.items()))
+        return self._relabel(p, self._images(key, make))
 
     # -- solving ---------------------------------------------------------------------
 
@@ -288,7 +294,8 @@ class JetRing:
         """Solve p = 0 for sym, given c = dp/dsym free of jets: -(p - c*sym)/c.
 
         A polynomial when c is a rational number.  Any other c needs a
-        quotient, so the solution is then the expanded sympy expression."""
+        quotient, so the solution is then the expanded sympy expression,
+        which ``choose_ring`` sends to EXPR."""
         j = self._index[sym]
         rest = {m: v for m, v in p.items() if all(i != j for i, _ in m)}
         if len(c) != 1 or () not in c:
@@ -338,6 +345,11 @@ class ExprRing:
     @staticmethod
     def diff(p: sp.Expr, sym: sp.Symbol) -> sp.Expr:
         return sp.diff(p, sym)
+
+    @staticmethod
+    def terms(p: sp.Expr) -> list:
+        """(monomial, rational coefficient) pairs; another number (sqrt(2)) stays in its monomial."""
+        return [(m, c) if c.is_Rational else (c * m, 1) for m, c in p.as_coefficients_dict().items() if c]
 
     @staticmethod
     def restrict(chart: Chart, sub: Chart, axis: int, p: sp.Expr, value=None) -> sp.Expr:

@@ -494,7 +494,7 @@ CHART_ENTRIES = ("coords", "boundary", "domain", "periodic")
 class ModelParser(TokenCursor):
     def __init__(self, text: str, max_jet_order: int | None = None):
         super().__init__(tokenize(text))
-        self.max_jet_order = max_jet_order
+        self.max_jet_order = 4 if max_jet_order is None else max_jet_order
         self.heads: dict[str, Token] = {}
 
     def statement(self) -> list[Token]:
@@ -674,7 +674,7 @@ class ModelParser(TokenCursor):
                 )
             bc[texts[0]] = texts[2]
 
-        chart = Chart(coords, tuple(meta), max_jet_order=self.max_jet_order or 4, metric=metric)
+        chart = Chart(coords, tuple(meta), max_jet_order=self.max_jet_order, metric=metric)
         model = Model(
             name=name,
             coords=coords,

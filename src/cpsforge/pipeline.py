@@ -9,7 +9,9 @@ diagnostics modulo the on-shell ideal.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -27,7 +29,7 @@ from .jetcalc import (
     integrate_by_parts,
     kill_dirichlet,
 )
-from .jetpoly import choose_ring
+from .jetpoly import EXPR, JetRing, _number, choose_ring
 from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
 
 
@@ -374,22 +376,15 @@ class OnShellIdeal:
     Each generator is solved for its leading jet when that jet occurs linearly
     with a jet-free coefficient; a generator that is not solvable this way is
     kept in ``skipped`` and takes no part in the reduction, which it weakens
-    but never makes unsound.  Reduction substitutes leading jets (and their
-    prolongations) to a fixpoint under the chart's jet cap.
-
-    The equations are polynomials of ``ring`` (see ``jetpoly``).  A rule's
-    right-hand side becomes a sympy expression the first time ``_match``
-    returns it.
+    but never makes unsound.  The generators and the rules' right-hand sides
+    are polynomials of ``ring``: the given ring, or EXPR when a leading
+    coefficient is not a rational number and a right-hand side is a quotient.
     """
 
     def __init__(self, chart: Chart, equations: list, ring):
         self.chart = chart
-        self.ring = ring
-        self.generators = list(equations)
-        self.rules: list[tuple[str, MultiIndex, object]] = []
-        self.skipped: list = []
-        self._rhs: dict[int, sp.Expr] = {}
-        for eq in self.generators:
+        solved, skipped = [], []
+        for eq in equations:
             if ring.is_zero(eq):
                 continue
             jets = ring.jets(chart, eq)
@@ -400,46 +395,55 @@ class OnShellIdeal:
             )
             c = ring.diff(eq, sym)
             if ring.jets(chart, c):
-                self.skipped.append(eq)
-                continue
-            self.rules.append((a, mi, ring.solve(eq, sym, c)))
+                skipped.append(eq)
+            else:
+                solved.append((a, mi, ring.solve(eq, sym, c)))
+        n, k = len(equations), len(skipped)
+        self.ring, polys = choose_ring(ring, [*equations, *skipped, *(rhs for _, _, rhs in solved)])
+        self.generators, self.skipped = polys[:n], polys[n:n + k]
+        self.rules = [(a, mi, rhs) for (a, mi, _), rhs in zip(solved, polys[n + k:])]
+        self._prolonged: dict = {}
 
-    def rhs(self, k: int) -> sp.Expr:
-        """Right-hand side of rule k as a sympy expression, converted once."""
-        got = self._rhs.get(k)
-        if got is None:
-            got = self._rhs[k] = self.ring.expr(self.rules[k][2])
-        return got
-
-    def _match(self, a: str, mi: MultiIndex):
-        for k, (ra, rmi, _) in enumerate(self.rules):
-            if ra != a:
-                continue
-            rem = list(mi.entries)
-            ok = True
-            for e in rmi.entries:
-                if e in rem:
-                    rem.remove(e)
-                else:
-                    ok = False
+    def _replacement(self, sym: sp.Symbol, a: str, mi: MultiIndex):
+        """D_K of the right-hand side of the first rule whose leading jet is
+        u^a_J with J + K = mi, memoised per jet; None if there is none."""
+        if sym not in self._prolonged:
+            self._prolonged[sym], have = None, Counter(mi.entries)
+            for ra, rmi, rhs in self.rules:
+                if ra == a and Counter(rmi.entries) <= have:
+                    for axis in (have - Counter(rmi.entries)).elements():
+                        rhs = self.ring.total_derivative(self.chart, axis, rhs)
+                    self._prolonged[sym] = rhs
                     break
-            if ok:
-                return MultiIndex(tuple(rem)), self.rhs(k)
-        return None
+        return self._prolonged[sym]
 
-    def reduce_expr(self, e: sp.Expr) -> sp.Expr:
-        e = sp.expand(e)
+    def reduce_expr(self, p):
+        """The normal form of p, a polynomial of ``ring``: every jet that a
+        rule's leading jet divides is replaced by the rule's right-hand side,
+        prolonged with ``ring.total_derivative``, until no jet matches."""
         for _ in range(64):
-            repl = {}
-            for sym, a, mi in self.chart.jets_in(e):
-                m = self._match(a, mi)
-                if m is not None:
-                    K, rhs = m
-                    repl[sym] = self.chart.total_derivative_multi(K, rhs)
+            repl = {sym: self._replacement(sym, a, mi) for sym, a, mi in self.ring.jets(self.chart, p)}
+            repl = {sym: q for sym, q in repl.items() if q is not None}
             if not repl:
-                return e
-            e = sp.expand(e.xreplace(repl))
+                return p
+            p = self.ring.subs(p, repl)
         raise ArithmeticError("on-shell reduction did not reach a fixpoint")
+
+    @cached_property
+    def on_expr(self) -> "OnShellIdeal":
+        """This ideal, on the sparse kernel, rebuilt on EXPR."""
+        return OnShellIdeal(self.chart, [self.ring.expr(g) for g in self.generators], EXPR)
+
+    def reduce_form(self, f: Form) -> Form:
+        """f with every coefficient reduced, on EXPR if f or the ideal is."""
+        ideal = self.on_expr if f.ring is EXPR and self.ring is not EXPR else self
+        terms = f.terms.items()
+        return Form(f.chart, *f._tag, [(w, ideal.reduce_expr(_into(ideal.ring, f.ring, c))) for w, c in terms])
+
+
+def _into(ring, src_ring, p):
+    """p, a polynomial of src_ring, on ring, which is src_ring or EXPR."""
+    return p if src_ring is ring else src_ring.expr(p)
 
 
 def prolonged_restricted_generators(
@@ -486,9 +490,9 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
     """Sweep c * dd(gen) ^ vol on the slice chart: returns (sources, kappa).
 
     These are the on-shell-trivial source rows (terms proportional to the
-    linearized equations, integrated by parts) against which a gauge residual
-    is reduced; kappa is the boundary term the integration by parts sheds.
-    ``gen`` is a polynomial of ``ring``, the slice chart's ring or EXPR.
+    linearized equations, integrated by parts) that absorb a gauge residual;
+    kappa is the boundary term the integration by parts sheds.  ``gen`` and
+    the sources are polynomials of ``ring``, the slice chart's ring or EXPR.
     """
     vol_word = top_word(schart.n)
     row = Form(schart, schart.n, 1, [
@@ -496,12 +500,24 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
     ]) * c
     if row.is_zero():
         return {}, Form.zero(schart, schart.n - 1, 1)
-    return _sweep(row)
+    src, kappa = _sweep(row)
+    return {a: _into(ring, row.ring, e) for a, e in src.items()}, kappa
 
 
-def _monomials(src: Mapping[str, sp.Expr]) -> int:
-    """Term count of reduced (expanded, nonzero) source coefficients."""
-    return sum(len(sp.Add.make_args(e)) for e in src.values())
+def span_multipliers(target: dict, rows: list[dict]) -> list | None:
+    """Exact lam with target = sum_i lam_i rows[i], or None outside the rows'
+    span (sparse dicts of Fractions).  Elimination takes the rows in order and
+    gives a row that depends on earlier ones lam_i = 0: lam is deterministic."""
+    basis = []  # (pivot, vector): combinations of the inputs, which the keys (None, i) record
+    for i, vec in enumerate([*rows, target]):
+        vec = {**vec, (None, i): Fraction(1)}
+        for key, bvec in basis:
+            if key in vec:
+                vec = JetRing.add(vec, bvec, -vec[key] / bvec[key])
+        pivot = next((k for k in vec if k[0] is not None), None)
+        if pivot is not None:
+            basis.append((pivot, vec))
+    return None if pivot is not None else [_number(-vec.get((None, i), Fraction(0))) for i in range(len(rows))]
 
 
 def gauge_multiplier_candidates(
@@ -539,57 +555,45 @@ def gauge_residual(
     """Contract the symplectic current with W, pull to a Cauchy slice, and
     reduce modulo the on-shell ideal.
 
-    The bulk reduction first rewrites coefficients modulo the slice ideal and
-    then absorbs source rows proportional to linearized equations (multipliers
-    from the structure of W: field contractions for lifts, gauge functions for
-    parameter directions), shedding their integration-by-parts boundary terms
-    into the corner piece.  The corner piece keeps its contact factors and only
-    reduces coefficients modulo the boundary/corner equations, so a surviving
-    boundary obstruction is reported verbatim; Dirichlet fields drop their
-    corner variations.  Zero in both slots means W is a degenerate direction.
+    The bulk sources, reduced modulo the slice ideal, are absorbed by one
+    exact linear solve over Q: if src = sum lam_i row_i for the source rows
+    proportional to linearized equations (multipliers from the structure of
+    W: field contractions for lifts, gauge functions for parameter
+    directions), swept and reduced the same way, src vanishes and each row's
+    integration-by-parts boundary term kappa_i enters the corner piece as
+    -lam_i kappa_i.  Otherwise a second solve on the monomials of src alone
+    subtracts the rows that cancel them all, if any, which leaves what the
+    equations cannot absorb (a mass term).  The corner piece keeps its
+    contact factors and only reduces coefficients modulo the boundary/corner
+    equations; Dirichlet fields drop their corner variations.  Both residuals
+    are linear in W, and zero in both means W is a degenerate direction.
     """
-    chart = lp.pair.chart
     ctx, ideal = v.slice_ctx, v.slice_ideal
     omega, omega_bar = v.omega
-    expr = ctx.schart.ring.expr
-    src, kappa = _sweep(ctx.pull(iota_ev(W.components, omega)))
-    src = {a: ideal.reduce_expr(expr(c)) for a, c in src.items()}
-    src = {a: c for a, c in src.items() if c != 0}
-    # absorb rows proportional to linearized equations of motion.  The sweep
-    # and the reduction are linear and src is reduced, so each row is swept
-    # and reduced once, the row of -c is the negated row of c, and a trial is
-    # a sum of expanded expressions, which sympy keeps expanded.
-    ring = ideal.ring
-    base_gens = [
-        ring.restrict(chart, ctx.schart, 0, p)
-        for p in map(ring.poly, v.equations().values()) if not ring.is_zero(p)
-    ]
+    pulled = ctx.pull(iota_ev(W.components, omega))
+    src, kappa = _sweep(pulled)
     cands = gauge_multiplier_candidates(lp, ctx, W, xi, meta)
-    rows: dict[tuple[int, int], tuple] = {}
-    size = _monomials(src)
-    improved = True
-    while improved and src:
-        improved = False
-        for ci, c in enumerate(cands):
-            for gi, gen in enumerate(base_gens):
-                if (ci, gi) not in rows:
-                    row_src, row_kappa = _linearized_row(ctx.schart, c, gen, ring)
-                    row_src = {a: ideal.reduce_expr(expr(e)) for a, e in row_src.items()}
-                    rows[ci, gi] = row_src, row_kappa
-                row_src, row_kappa = rows[ci, gi]
-                if not row_src:
-                    continue
-                for sign in (1, -1):
-                    trial = dict(src)
-                    for a, e in row_src.items():
-                        old = trial.get(a, sp.Integer(0))
-                        trial[a] = old - e if sign > 0 else old + e
-                    trial = {a: e for a, e in trial.items() if e != 0}
-                    trial_size = _monomials(trial)
-                    if trial_size < size:
-                        src, size = trial, trial_size
-                        kappa = kappa - row_kappa if sign > 0 else kappa + row_kappa
-                        improved = True
+    # the stage runs on the ideal's ring unless the current or a multiplier is off it
+    ring = choose_ring(ideal.ring, cands)[0] if pulled.ring is ideal.ring else EXPR
+    ideal = ideal if ring is ideal.ring else ideal.on_expr
+    src = {a: ideal.reduce_expr(_into(ring, pulled.ring, c)) for a, c in src.items()}
+    if not all(map(ring.is_zero, src.values())):
+        gens = [ring.restrict(v.chart, ctx.schart, 0, _into(ring, f.ring, f._top()))
+                for f in v.E.components.values() if not f.is_zero()]
+        rows = [_linearized_row(ctx.schart, c, gen, ring) for c in cands for gen in gens]
+        rows = [({a: ideal.reduce_expr(e) for a, e in row_src.items()}, k) for row_src, k in rows]
+        target, *vectors = [  # the sources as sparse vectors {(field, monomial): Fraction}
+            {(a, m): Fraction(q) for a, p in s.items() for m, q in ring.terms(p)}
+            for s in [src, *(row_src for row_src, _ in rows)]
+        ]
+        lam = span_multipliers(target, vectors)
+        if lam is None:  # cancel the source's own monomials, if the rows can
+            lam = span_multipliers(target, [{k: x for k, x in vec.items() if k in target} for vec in vectors])
+        for q, (row_src, row_kappa) in zip(lam or (), rows):
+            if q:
+                for a, e in row_src.items():
+                    src[a] = ring.add(src.get(a, ring.poly(0)), e, -q)
+                kappa = kappa - row_kappa * q
     bulk_res = Form.zero(ctx.schart, ctx.schart.n, 1)
     for a, coeff in sorted(src.items()):
         bulk_res = bulk_res + wedge(Form.top(ctx.schart, coeff), Form.contact(ctx.schart, a))
@@ -602,7 +606,7 @@ def gauge_residual(
         corner = corner - translate_form(bslice.pull(Gb), bslice.schart, ctx.cchart)
     corner = kill_dirichlet(corner, lp.dirichlet_fields())
     if not corner.is_zero() and lp.has_boundary:
-        corner = corner.map_coeffs(v.corner_ideal.reduce_expr)
+        corner = v.corner_ideal.reduce_form(corner)
     return GaugeResidual(bulk_res, corner)
 
 

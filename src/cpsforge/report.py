@@ -156,15 +156,19 @@ def symmetry_block(model: Model, vname: str, xi) -> dict:
 
 def gauge_direction(model: Model, name: str) -> EvolutionaryField:
     """The gauge-parameter direction W^{A_mu} = d_mu name(x) of the abelian
-    one-form fields; a model without them raises ModelError."""
+    one-form fields.  ``name`` is an identifier that names no coordinate,
+    field, field component or background other than a formal function;
+    another name, or a model without abelian one-form fields, raises
+    ModelError."""
     chart = model.chart
-    lam = sp.Function(name)(*chart.xs)
-    comps = {
-        a: sp.diff(lam, chart.xs[axis])
-        for family in one_form_families(model.meta).values() for axis, a in family.items()
-    }
-    if not comps or model.lie_dim:
+    families = one_form_families(model.meta).values()
+    if not families or model.lie_dim:
         raise ModelError("gauge parameter checks need an abelian one-form field")
+    taken = {*chart.coord_names, *chart.fields, *(fd.name for fd in model.field_decls)}
+    if not name.isidentifier() or name in taken | {b.name for b in model.backgrounds if b.kind != "function"}:
+        raise ModelError(f"gauge parameter {name!r} must be a new identifier or a function background")
+    lam = sp.Function(name)(*chart.xs)
+    comps = {a: sp.diff(lam, chart.xs[axis]) for family in families for axis, a in family.items()}
     return EvolutionaryField(chart, comps)
 
 

@@ -1,4 +1,5 @@
 """CLI surface: derive/check/numeric/corpus-list exit codes and golden reports."""
+import importlib.util
 import os
 import pathlib
 import random
@@ -377,3 +378,61 @@ def test_derive_with_background_function_on_the_boundary(tmp_path, capsys):
     assert main(["derive", str(path)]) == 0
     out = capsys.readouterr().out
     assert "gauge(lam): bulk (-2*lam(t, x)*rho(t, x)) dx^th{A_t}; boundary (lam(t, 0))" in out
+
+
+def test_max_jet_order_zero_is_a_cap(capsys):
+    # 0 caps the jets at u itself; it does not fall back to the default cap 4
+    assert main(["--max-jet-order", "0", "derive", "scalar_neumann.cps"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("jet order cap exceeded: ") and "max jet order 0" in captured.err
+    assert "model scalar_neumann" not in captured.out
+
+
+@pytest.mark.parametrize("value", ["-1", "x", "1.5", ""])
+def test_max_jet_order_refuses_anything_but_a_nonnegative_integer(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-jet-order", value, "derive", "scalar_neumann.cps"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected a nonnegative integer" in err and "Traceback" not in err
+
+
+def chern_simons_with_constants(tmp_path) -> str:
+    text = (corpus_dir() / "chern_simons_k1.cps").read_text()
+    old = "background { lam : function(t, x, y); }"
+    assert text.count(old) == 1
+    path = tmp_path / "cs.cps"
+    path.write_text(text.replace(old, "background { lam : function(t, x, y); k; rho = 2; }"))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["x y", "2lam", "t", "A_t", "A", "k", "rho"])
+def test_check_gauge_refuses_a_name_that_is_taken_or_malformed(tmp_path, capsys, name):
+    # not an identifier, a coordinate, a field component, a one-form, or a
+    # background that is not a formal function
+    assert main(["check", chern_simons_with_constants(tmp_path), "--gauge", name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"model error: gauge parameter {name!r} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["lam", "mu"])
+def test_check_gauge_accepts_a_function_background_or_a_new_name(tmp_path, capsys, name):
+    assert main(["check", chern_simons_with_constants(tmp_path), "--gauge", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "gauge direction: no"
+    assert lines[2] == f"  boundary obstruction = ({name}(t, x, 0)) dx^th{{A_x}}"
+
+
+def test_run_corpus_names_its_expected_failure(monkeypatch, capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
+    spec = importlib.util.spec_from_file_location("run_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    monkeypatch.setattr(script, "load_model", lambda path: pathlib.Path(path).stem)
+    monkeypatch.setattr(script, "run_cps", lambda name: name)
+    for failing, rc in (({"lagrange_multiplier_L3"}, 0), (set(), 1),
+                        ({"scalar_robin"}, 1), ({"lagrange_multiplier_L3", "scalar_robin"}, 1)):
+        monkeypatch.setattr(script, "print_summary", lambda name: 2 if name in failing else 0)
+        assert script.main() == rc, failing
+    capsys.readouterr()

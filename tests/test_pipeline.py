@@ -39,9 +39,11 @@ from cpsforge.pipeline import (
     xi_invariance_residual,
 )
 from cpsforge.relative import BoundaryPair, RelForm, rel_d
-from cpsforge.report import report_json, run_cps
+from cpsforge.report import gauge_direction, report_json, run_cps
 
 from strategies import count_calls, forms, make_chart
+
+CORPUS_NAMES = sorted(f.name[:-4] for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
 
 settings.register_profile("pipeline", max_examples=15, deadline=None)
 settings.load_profile("pipeline")
@@ -333,7 +335,7 @@ class TestChernSimons:
         A = cs_one_form(ch)
         At = ch.jet("A_t", MultiIndex())
         witness = d_h(ctx.pull(A * (At / 2)))
-        assert (data.slice_current - witness).map_coeffs(ideal.reduce_expr).is_zero()
+        assert ideal.reduce_form(data.slice_current - witness).is_zero()
 
     def test_xi_lift_is_gauge(self):
         lp, meta, _ = cs_pair()
@@ -484,16 +486,30 @@ def test_ideal_with_formal_functions_matches_expr_path():
         2 * utt * vx - u**2,  # coefficient depends on a jet: skipped
         3 * vx - ch.xs[1] * u,
     ]
-    # a jet-free leading coefficient that is not a rational number gives a quotient
+    # a jet-free leading coefficient that is not a rational number gives a
+    # quotient, which puts the whole ideal on EXPR
     k = sp.Symbol("k")
     for extra in ([], [vx * sp.Function("f")(ch.xs[0]) - u], [(k + 1) * utt - u]):
         ring = JetRing()
         kernel = OnShellIdeal(ch, [ring.poly(e) for e in eqs + extra], ring=ring)
         reference = OnShellIdeal(ch, [EXPR.poly(e) for e in eqs + extra], ring=EXPR)
         assert ideal_contents(kernel) == ideal_contents(reference)
+        assert (kernel.ring is EXPR) == bool(extra)
         assert (len(kernel.rules), len(kernel.skipped)) == (2 + len(extra), 2)
     ring = JetRing()
-    assert OnShellIdeal(ch, [ring.poly(2 * utt - u)], ring).rhs(0) == u / 2
+    assert ring.expr(OnShellIdeal(ch, [ring.poly(2 * utt - u)], ring).rules[0][2]) == u / 2
+
+
+def test_reduction_that_leaves_the_kernel_is_refused():
+    # the rule u -> x**2 turns the formal function V(u) into V(x**2), which is
+    # no kernel atom: the kernel refuses with a ValueError, which a report
+    # shows as "not reduced", where EXPR carries V(x**2)
+    ch = Chart(("t", "x"), ("u",), max_jet_order=3)
+    u, x, V = ch.jet("u", MultiIndex()), ch.xs[1], sp.Function("V")
+    ring = JetRing()
+    with pytest.raises(ValueError):
+        OnShellIdeal(ch, [ring.poly(u - x**2)], ring).reduce_expr(ring.poly(V(u) + u))
+    assert OnShellIdeal(ch, [u - x**2], EXPR).reduce_expr(V(u) + u) == V(x**2) + x**2
 
 
 def neumann_variant(*edits):
@@ -524,8 +540,9 @@ def test_ring_chosen_once_per_derivation():
         reference.decomposition.ring = EXPR
         assert type(kernel.decomposition.ring) is JetRing, args
         assert report_json(run_cps(kernel)) == report_json(run_cps(reference)), args
-    # a parameter in front of the leading jet: the kernel solves for it with a
-    # quotient and reports what EXPR reports
+    # a parameter in front of the leading jet: the kernel ring represents the
+    # equations, but solving for the leading jet needs a quotient, which puts
+    # the slice ideal on EXPR; the report is what EXPR reports
     edits = (("metric = diag(-1, 1);", "metric = diag(-1, 1); k;"),
              ("L = (1/2) * wedge", "L = (1/2) * k * wedge"))
     kernel, reference = neumann_variant(*edits), neumann_variant(*edits)
@@ -533,6 +550,7 @@ def test_ring_chosen_once_per_derivation():
     assert isinstance(kernel.decomposition.ring, JetRing)
     assert report_json(run_cps(kernel)) == report_json(run_cps(reference))
     assert any(isinstance(rhs, sp.Expr) for _, _, rhs in kernel.decomposition.slice_ideal.rules)
+    assert kernel.decomposition.slice_ideal.ring is EXPR
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -621,3 +639,88 @@ def test_nonabelian_gauge_parameter_restricts_to_the_corner():
     assert (plus.boundary + minus.boundary).is_zero()
     subs = sp.Subs(sp.Derivative(lam, chart.xs[1]), chart.xs[1], 0)
     assert str(plus.boundary) == f"({subs}) th{{A1_t}}"
+
+
+# -- the gauge stage on the ring -------------------------------------------------------------
+
+
+def scaled(W, c):
+    return EvolutionaryField(W.chart, {a: c * e for a, e in W.components.items()})
+
+
+@pytest.mark.parametrize("name,vector", [
+    ("chern_simons_k1", None), ("chern_simons_k1_dirichlet", None),
+    ("yang_mills_abelian_n3", None), ("chern_simons_k1", "dt"),
+])
+def test_gauge_verdict_is_homogeneous_in_w(name, vector):
+    # the absorbed multiples of the linearized equations scale with W, so both
+    # residuals do: a greedy +-1 descent absorbed d(lam) but not 2 d(lam)
+    model = load_model(f"{name}.cps")
+    if vector is None:
+        W, kw = gauge_direction(model, "lam"), {}
+    else:
+        xi = model.vectors[vector]
+        W, kw = lift_vector_field(model.chart, model.meta, xi), {"xi": xi, "meta": model.meta}
+    base = gauge_residual(model.lp, model.decomposition, W, **kw)
+    for c in (2, sp.Rational(1, 2), -3):
+        res = gauge_residual(model.lp, model.decomposition, scaled(W, c), **kw)
+        assert res.bulk == base.bulk * c, c
+        assert res.boundary == base.boundary * c, c
+
+
+def test_gauge_stage_leaves_the_ring_with_w():
+    # with pi in xi, the lift W and the multiplier pi*A_t are not kernel
+    # polynomials: the stage reduces on EXPR, the slice and corner ideals
+    # through their copies on EXPR, and the rows absorb the sources as for xi/pi
+    model = load_model("chern_simons_k1.cps")
+    lp, v, meta, (t, x, y) = model.lp, model.decomposition, model.meta, model.chart.xs
+    for xi in ([sp.pi, 0, 0], [sp.pi * x, sp.pi, 0]):
+        W = lift_vector_field(model.chart, meta, xi)
+        assert gauge_residual(lp, v, W, xi=xi, meta=meta).is_gauge(), xi
+    assert "on_expr" in vars(v.slice_ideal) and "on_expr" in vars(v.corner_ideal)  # the copies were used
+
+
+# rows of each gauge block that builds them: (candidate multipliers) x (equations)
+GAUGE_ROWS = {
+    "chern_simons_k1": [3, 3, 3],
+    "chern_simons_k1_dirichlet": [3, 3],
+    "yang_mills_abelian_n2": [2],
+    "yang_mills_abelian_n3": [3, 3],
+    "yang_mills_su2_n2": [18],
+    "yang_mills_su2_n3": [27],
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
+    # every coefficient the derive's gauge stage reduces on the kernel reduces
+    # to the same expression modulo the ideal rebuilt on EXPR, and the rows of
+    # every absorption solve are independent, so its multipliers are unique
+    calls, solves = [], []
+    reduce, solve = OnShellIdeal.reduce_expr, pipeline.span_multipliers
+
+    def recording_reduce(ideal, p):
+        out = reduce(ideal, p)
+        calls.append((ideal, p, out))
+        return out
+
+    def recording_solve(target, rows):
+        if not solves or solves[-1][0] is not target:  # not the second solve on src's monomials
+            solves.append((target, rows))
+        return solve(target, rows)
+
+    monkeypatch.setattr(OnShellIdeal, "reduce_expr", recording_reduce)
+    monkeypatch.setattr(pipeline, "span_multipliers", recording_solve)
+    run_cps(load_model(f"{name}.cps"))
+    assert bool(calls) or name not in GAUGE_ROWS
+    references = {}
+    for ideal, p, out in calls:
+        ring = ideal.ring
+        assert isinstance(ring, JetRing)
+        if id(ideal) not in references:
+            references[id(ideal)] = OnShellIdeal(ideal.chart, [ring.expr(g) for g in ideal.generators], EXPR)
+        assert ring.expr(out) == reduce(references[id(ideal)], ring.expr(p))
+    assert [len(rows) for _, rows in solves if rows] == GAUGE_ROWS.get(name, [])
+    for _, rows in solves:
+        keys = sorted({k for row in rows for k in row}, key=str)
+        assert sp.Matrix([[row.get(k, 0) for k in keys] for row in rows]).rank() == len(rows)
