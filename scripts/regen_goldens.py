@@ -10,7 +10,8 @@ and whether the report's SHA-256 equals the digest pinned in
 perfbench/reference.json.  Nothing is written unless --write is given; then
 every changed or new golden is overwritten.  Rewrite goldens only for an
 intended, named report change.  Exit status 1 means some golden differs and
-was not written.
+was not written, or some report's digest differs from its pinned one (the
+pins are regenerated by perfbench/pin.py, never here).
 """
 import argparse
 import contextlib
@@ -53,6 +54,7 @@ def main() -> int:
             digest = hashlib.sha256(text).hexdigest()
             ref = pinned.get(name)
             pin = "no pinned digest" if ref is None else ("digest ok" if ref == digest else "digest differs")
+            differs |= pin == "digest differs"
             if status != "same":
                 if args.write:
                     golden.write_bytes(text)

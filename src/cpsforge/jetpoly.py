@@ -3,14 +3,19 @@ and of the on-shell ideals.
 
 A polynomial is a dict ``{monomial: rational}`` with no zero values; a
 monomial is a sorted tuple of ``(atom index, exponent)`` pairs with positive
-integer exponents, and ``()`` is the constant monomial.  A ``JetRing`` numbers
-the atoms in order of first appearance.  Atoms are symbols (jets, coordinates,
-parameters) and formal-function atoms: an undefined function of distinct
-symbols and rational constants, such as ``V(u)``, ``lam(t, x, y)`` or
-``lam(t, x, 0)``, its derivative in some of those symbols, or such a
-derivative at a rational point (the ``Subs`` a boundary restriction makes).
-A formal-function atom gets its chain rule from sympy's ``diff`` on that atom
-alone, as ``Chart.factor_derivative`` does.
+integer exponents, and ``()`` is the constant monomial.  A coefficient is an
+``int``, or a ``Fraction`` whose denominator is not 1: ``_add_to``, where every
+result coefficient is accumulated, turns ``Fraction(2, 1)`` back into ``2``.
+An integral ``Fraction`` would stay one through every sum and product derived
+from it, at many times the cost of ``int`` arithmetic.
+
+A ``JetRing`` numbers the atoms in order of first appearance.  Atoms are
+symbols (jets, coordinates, parameters) and formal-function atoms: an
+undefined function of distinct symbols and rational constants, such as
+``V(u)``, ``lam(t, x, y)`` or ``lam(t, x, 0)``, its derivative in some of
+those symbols, or such a derivative at a rational point (the ``Subs`` a
+boundary restriction makes).  A formal-function atom gets its chain rule from
+sympy's ``diff`` on that atom alone, as ``Chart.factor_derivative`` does.
 
 Any other input -- a non-rational constant, a power with a negative or
 symbolic exponent, any other function -- raises ``NotRepresentable``.  Such
@@ -52,11 +57,14 @@ def _is_function_atom(e: sp.Expr) -> bool:
 
 
 def _add_to(out: dict, mono: tuple, c) -> None:
+    """out[mono] += c, dropping a zero and keeping an integral sum an int."""
     c = out.get(mono, 0) + c
-    if c:
+    if not c:
+        out.pop(mono, None)
+    elif c.__class__ is int or c.denominator != 1:
         out[mono] = c
     else:
-        out.pop(mono, None)
+        out[mono] = c.numerator
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -320,7 +328,8 @@ class ExprRing:
 
     @staticmethod
     def is_zero(p: sp.Expr) -> bool:
-        return p == 0
+        """Zero as expanded, or, with a negative power, as a cancelled quotient."""
+        return p == 0 or (any(q.exp.is_negative for q in p.atoms(sp.Pow)) and sp.cancel(p) == 0)
 
     @staticmethod
     def add(p: sp.Expr, q: sp.Expr, k=1) -> sp.Expr:

@@ -29,7 +29,7 @@ from .jetcalc import (
     integrate_by_parts,
     kill_dirichlet,
 )
-from .jetpoly import EXPR, JetRing, _number, choose_ring
+from .jetpoly import EXPR, JetRing, choose_ring
 from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
 
 
@@ -123,12 +123,12 @@ class VariationDecomposition:
     def ring(self):
         """The on-shell ideals' coefficient ring: the chart's JetRing when it
         represents every bulk and boundary equation, EXPR otherwise."""
-        eqs = [*self.equations().values(), *self.boundary_equations().values()]
-        return choose_ring(self.chart.ring, eqs)[0]
+        sources = [*self.E.components.values(), *self.b.components.values()]
+        return choose_ring(self.chart.ring, [f._top() for f in sources])[0]
 
     @cached_property
     def slice_ideal(self) -> "OnShellIdeal":
-        return slice_ideal(self.chart, self.slice_ctx, list(self.equations().values()), self.ring)
+        return slice_ideal(self.chart, self.slice_ctx, _source_polys(self.ring, self.E), self.ring)
 
     @cached_property
     def corner_ideal(self) -> "OnShellIdeal":
@@ -446,6 +446,11 @@ def _into(ring, src_ring, p):
     return p if src_ring is ring else src_ring.expr(p)
 
 
+def _source_polys(ring, src: SourceForm) -> list:
+    """The coefficients of src's components as polynomials of ring."""
+    return [_into(ring, f.ring, f._top()) for f in src.components.values()]
+
+
 def prolonged_restricted_generators(
     chart: Chart, sub: Chart, axis: int, equations: list, ring, value=None
 ) -> list:
@@ -466,10 +471,11 @@ def prolonged_restricted_generators(
     return gens
 
 
-def slice_ideal(chart: Chart, ctx: SliceContext, equations: list[sp.Expr], ring) -> OnShellIdeal:
+def slice_ideal(chart: Chart, ctx: SliceContext, equations: list, ring) -> OnShellIdeal:
     """The on-shell ideal relabeled to a Cauchy slice, including the time
-    prolongations of every generator up to the jet cap, over ``ring``."""
-    eqs = [ring.poly(e) for e in equations]
+    prolongations of every generator up to the jet cap, over ``ring``.  An
+    equation is a sympy expression or a polynomial of ``ring``."""
+    eqs = [e if isinstance(e, dict) else ring.poly(e) for e in equations]
     gens = prolonged_restricted_generators(chart, ctx.schart, 0, eqs, ring)
     return OnShellIdeal(ctx.schart, gens, ring)
 
@@ -505,19 +511,19 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
 
 
 def span_multipliers(target: dict, rows: list[dict]) -> list | None:
-    """Exact lam with target = sum_i lam_i rows[i], or None outside the rows'
-    span (sparse dicts of Fractions).  Elimination takes the rows in order and
-    gives a row that depends on earlier ones lam_i = 0: lam is deterministic."""
+    """Exact lam, of ints and Fractions, with target = sum_i lam_i rows[i], or
+    None outside the rows' span (sparse dicts of rationals).  Elimination takes
+    the rows in order and gives a row that depends on earlier ones lam_i = 0."""
     basis = []  # (pivot, vector): combinations of the inputs, which the keys (None, i) record
     for i, vec in enumerate([*rows, target]):
-        vec = {**vec, (None, i): Fraction(1)}
+        vec = {**vec, (None, i): 1}
         for key, bvec in basis:
             if key in vec:
-                vec = JetRing.add(vec, bvec, -vec[key] / bvec[key])
+                vec = JetRing.add(vec, bvec, -Fraction(vec[key], bvec[key]))
         pivot = next((k for k in vec if k[0] is not None), None)
         if pivot is not None:
             basis.append((pivot, vec))
-    return None if pivot is not None else [_number(-vec.get((None, i), Fraction(0))) for i in range(len(rows))]
+    return None if pivot is not None else [-vec.get((None, i), 0) for i in range(len(rows))]
 
 
 def gauge_multiplier_candidates(
@@ -578,8 +584,7 @@ def gauge_residual(
     ideal = ideal if ring is ideal.ring else ideal.on_expr
     src = {a: ideal.reduce_expr(_into(ring, pulled.ring, c)) for a, c in src.items()}
     if not all(map(ring.is_zero, src.values())):
-        gens = [ring.restrict(v.chart, ctx.schart, 0, _into(ring, f.ring, f._top()))
-                for f in v.E.components.values() if not f.is_zero()]
+        gens = [ring.restrict(v.chart, ctx.schart, 0, e) for e in _source_polys(ring, v.E) if not ring.is_zero(e)]
         rows = [_linearized_row(ctx.schart, c, gen, ring) for c in cands for gen in gens]
         rows = [({a: ideal.reduce_expr(e) for a, e in row_src.items()}, k) for row_src, k in rows]
         target, *vectors = [  # the sources as sparse vectors {(field, monomial): Fraction}
@@ -632,8 +637,7 @@ def _corner_ideal(
     gens = prolonged_restricted_generators(
         ctx.schart, ctx.cchart, ctx.schart.n - 1, sideal.generators, ring, value=sp.Integer(0)
     )
-    bpolys = [ring.poly(e) for e in v.boundary_equations().values()]
     bschart = v.bslice_ctx.schart
-    bgens = prolonged_restricted_generators(lp.pair.bchart, bschart, 0, bpolys, ring)
+    bgens = prolonged_restricted_generators(lp.pair.bchart, bschart, 0, _source_polys(ring, v.b), ring)
     gens += [ring.translate(bschart, ctx.cchart, g) for g in bgens]
     return OnShellIdeal(ctx.cchart, [g for g in gens if not ring.is_zero(g)], ring)

@@ -46,11 +46,10 @@ class PipelineReport:
 
 def source_dict(src: SourceForm) -> dict[str, str]:
     out = {}
-    for a in sorted(src.components):
-        e = sp.expand(src.coefficient(a))
-        if e == 0 and src.chart.labels[a][1:] != (0, 0):
+    for a, f in sorted(src.components.items()):
+        if f.is_zero() and src.chart.labels[a][1:] != (0, 0):
             continue  # silent zero entries of restriction families
-        out[a] = sp.sstr(e)
+        out[a] = sp.sstr(f.top_coefficient())
     return out
 
 
@@ -87,11 +86,9 @@ def run_cps(model: Model, with_symmetries: bool = True) -> PipelineReport:
         "theta_bar": str(v.theta_bar),
         "residual": str(v.boundary_residual()) if lp.has_boundary else "0",
     }
-    sol = {a: e for a, e in v.equations().items() if sp.expand(e) != 0}
-    bsol = {a: e for a, e in v.boundary_equations().items() if sp.expand(e) != 0}
-    rep.steps["3"] = {
-        "Sol": {a: sp.sstr(e) for a, e in sorted(sol.items())},
-        "Sol_boundary": {a: sp.sstr(e) for a, e in sorted(bsol.items())},
+    rep.steps["3"] = {  # the nonzero sources, as steps 1 and 2 printed them
+        "Sol": {a: e for a, e in rep.steps["1"]["E"].items() if not v.E.components[a].is_zero()},
+        "Sol_boundary": {a: e for a, e in rep.steps["2"]["b"].items() if not v.b.components[a].is_zero()},
         "declared_constraints": [sp.sstr(sp.sympify(c)) for c in model.constraints],
     }
     omega, omega_bar = v.omega

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import sys
+from fractions import Fraction
 
 import sympy as sp
 from hypothesis import strategies as st
@@ -136,3 +137,8 @@ def count_calls(monkeypatch, *fns) -> collections.Counter:
                     if value is fn:
                         monkeypatch.setattr(mod, attr, wrapper)
     return counts
+
+
+def normalized(p: dict) -> bool:
+    """Every coefficient of a jet polynomial is an int or a Fraction with denominator != 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.values())

@@ -1,5 +1,7 @@
 """CLI surface: derive/check/numeric/corpus-list exit codes and golden reports."""
+import hashlib
 import importlib.util
+import json
 import os
 import pathlib
 import random
@@ -248,6 +250,17 @@ def test_derive_matches_golden(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_golden_solutions_are_the_printed_sources():
+    # step 3 lists the nonzero sources of steps 1 and 2, printed the same way
+    for name in CORPUS_MODELS:
+        steps = json.loads((GOLDEN / f"{name}.json").read_text())["steps"]
+        if "3" not in steps:
+            continue  # lagrange_multiplier_L3 stops at its NON_DECOMPOSABLE error
+        for sol, step, sources in (("Sol", "1", "E"), ("Sol_boundary", "2", "b")):
+            printed = steps[step][sources]
+            assert steps["3"][sol] == {a: e for a, e in printed.items() if e != "0"}, (name, sol)
+
+
 @pytest.mark.parametrize("name", ["chern_simons_k1", "yang_mills_abelian_n3", "yang_mills_su2_n2"])
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
 def test_derive_independent_of_hash_seed(tmp_path, name, hash_seed):
@@ -406,6 +419,19 @@ def chern_simons_with_constants(tmp_path) -> str:
     return str(path)
 
 
+def test_check_xi_cancels_quotient_coefficients(tmp_path, capsys):
+    # dt = 1/(1+t) puts the residuals on sympy expressions whose terms cancel
+    # only as quotients; Chern-Simons is invariant under every tangent field
+    text = (corpus_dir() / "chern_simons_k1.cps").read_text()
+    old = "dt = (1, 0, 0);"
+    assert text.count(old) == 1
+    path = tmp_path / "cs.cps"
+    path.write_text(text.replace(old, "dt = (1/(1+t), 0, 0);"))
+    assert main(["check", str(path), "--xi", "dt"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["xi-invariant: yes", "d-symmetry: yes"]
+
+
 @pytest.mark.parametrize("name", ["x y", "2lam", "t", "A_t", "A", "k", "rho"])
 def test_check_gauge_refuses_a_name_that_is_taken_or_malformed(tmp_path, capsys, name):
     # not an identifier, a coordinate, a field component, a one-form, or a
@@ -436,3 +462,20 @@ def test_run_corpus_names_its_expected_failure(monkeypatch, capsys):
         monkeypatch.setattr(script, "print_summary", lambda name: 2 if name in failing else 0)
         assert script.main() == rc, failing
     capsys.readouterr()
+
+
+def test_regen_goldens_fails_on_a_digest_that_differs(monkeypatch, tmp_path, capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py"
+    spec = importlib.util.spec_from_file_location("regen_goldens", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "derive", lambda name, workdir: (GOLDEN / f"{name}.json").read_bytes())
+    monkeypatch.setattr(sys, "argv", ["regen_goldens.py"])
+    digests = {n: hashlib.sha256((GOLDEN / f"{n}.json").read_bytes()).hexdigest() for n in CORPUS_MODELS}
+    reference = tmp_path / "reference.json"
+    monkeypatch.setattr(script, "REFERENCE", reference)
+    for pins, rc in ((digests, 0), ({**digests, "scalar_robin": "0" * 64}, 1)):
+        reference.write_text(json.dumps({"reports": pins}))
+        assert script.main() == rc
+        out = capsys.readouterr().out
+        assert out.count("same") == len(CORPUS_MODELS) and ("digest differs" in out) == bool(rc)

@@ -1,4 +1,6 @@
 """Total derivatives, Euler operator, integration by parts, boundary decomposition."""
+from fractions import Fraction
+
 import pytest
 import sympy as sp
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from cpsforge.jetcalc import (
 from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable
 from cpsforge.pipeline import prolonged_restricted_generators
 
-from strategies import any_forms, exprs, forms, make_chart
+from strategies import any_forms, exprs, forms, make_chart, normalized
 
 settings.register_profile("jetcalc", max_examples=40, deadline=None)
 settings.load_profile("jetcalc")
@@ -200,6 +202,23 @@ class TestJetPolyKernel:
             assert sp.expand(got - reference_total_derivative(CH, axis, e)) == 0
         for sym, _, _ in CH.jets_in(e):
             assert sp.expand(ring.expr(ring.diff(p, sym)) - sp.diff(e, sym)) == 0
+
+    @given(exprs(CH, max_order=2))
+    def test_coefficients_are_ints_or_proper_fractions(self, e):
+        # halves and thirds meet integers: unnormalised, some sums would be integral Fractions
+        ring = JetRing()
+        p = ring.poly(e)
+        results = [p, ring.add(p, p, Fraction(1, 2)), ring.mul(p, ring.poly(e / 3)), ring.scale(p, -1)]
+        results += [ring.total_derivative(CH, axis, ring.poly(e / 2)) for axis in range(CH.n)]
+        results += [ring.diff(ring.poly(e / 2), sym) for sym, _, _ in CH.jets_in(e)]
+        assert all(map(normalized, results)), results
+
+    def test_integral_fraction_sums_are_ints(self):
+        ring = JetRing()
+        half = ring.poly(U / 2)
+        assert ring.add(half, half) == {((0, 1),): 1} and type(ring.add(half, half)[((0, 1),)]) is int
+        assert [type(c) for c in ring.mul(ring.poly(2 * U), half).values()] == [int]
+        assert [type(c) for c in ring.total_derivative(CH, 0, ring.poly(U**2 / 2)).values()] == [int]
 
     def test_jet_cap_only_when_derivative_nonzero(self):
         ch = make_chart(2, ("u", "v"), max_jet_order=2)

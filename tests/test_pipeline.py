@@ -1,5 +1,6 @@
 """CPS pipeline: scalar/Chern-Simons goldens, equivalence, symmetries, gauge."""
 import pathlib
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -41,7 +42,7 @@ from cpsforge.pipeline import (
 from cpsforge.relative import BoundaryPair, RelForm, rel_d
 from cpsforge.report import gauge_direction, report_json, run_cps
 
-from strategies import count_calls, forms, make_chart
+from strategies import count_calls, forms, make_chart, normalized
 
 CORPUS_NAMES = sorted(f.name[:-4] for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
 
@@ -724,3 +725,36 @@ def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
     for _, rows in solves:
         keys = sorted({k for row in rows for k in row}, key=str)
         assert sp.Matrix([[row.get(k, 0) for k in keys] for row in rows]).rank() == len(rows)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_span_multipliers_stay_exact(kind):
+    # the elimination passes through integral pivots (2, then 1): a float
+    # quotient there would end in float multipliers
+    target = {"a": kind(1), "b": kind(0), "c": kind(1)}
+    rows = [{"a": 2, "b": 2}, {"a": 2, "b": 3, "c": 3}, {"b": 1, "c": 7}]
+    lam = pipeline.span_multipliers(target, [{k: kind(x) for k, x in row.items()} for row in rows])
+    assert lam == [Fraction(5, 2), -2, 1]
+    assert all(type(q) in (int, Fraction) for q in lam), lam
+    assert pipeline.span_multipliers({"d": kind(1)}, rows) is None
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_coefficients_are_ints_or_proper_fractions(name):
+    # an integral Fraction in a source would make everything derived from it
+    # Fraction arithmetic; the kernel keeps integral coefficients ints
+    model = load_model(f"{name}.cps")
+    polys = [c for f in (model.lp.L, model.lp.ell) for c in f.terms.values()]
+    try:
+        v = model.decomposition
+    except NonDecomposableError:
+        v = None  # lagrange_multiplier_L3 has no sources
+    if v is not None:
+        forms = [*v.E.components.values(), v.theta, *v.b.components.values(), v.theta_bar,
+                 *v.omega, *v.slice_forms]
+        polys += [c for f in forms for c in f.terms.values()]
+        for ideal in (v.slice_ideal, v.corner_ideal):
+            polys += [*ideal.generators, *ideal.skipped, *(rhs for _, _, rhs in ideal.rules)]
+    assert all(isinstance(p, dict) for p in polys), name
+    bad = [p for p in polys if not normalized(p)]
+    assert not bad, bad[:3]
