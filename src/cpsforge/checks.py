@@ -93,8 +93,8 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
         rows.append((eps, r))
         if model.has_boundary and not model.lp.ell.is_zero():
             r2 = fd_variation_residual(
-                model.lp.L, model.lp.ell, E_coeffs, b_dens, grid, state, vpert, eps,
-                bchart=bchart, bindings=model.bindings, include_boundary=False,
+                model.lp.L, model.lp.ell, E_coeffs, {}, grid, state, vpert, eps,
+                bchart=bchart, bindings=model.bindings,
             )
             ablated.append((eps, r2))
     slope = None

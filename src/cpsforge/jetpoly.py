@@ -238,9 +238,9 @@ class JetRing:
 
     def diff(self, p: dict, sym: sp.Symbol) -> dict:
         """Partial derivative by one symbol, through formal-function atoms too."""
-        j = self._index.get(sym)
-        inner = self._images(("d", sym), lambda a: 0 if a.is_Symbol else sp.diff(a, sym))
-        return self._derive(p, lambda i: {(): 1} if i == j else inner(i))
+        return self._derive(
+            p, self._images(("d", sym), lambda a: int(a == sym) if a.is_Symbol else sp.diff(a, sym))
+        )
 
     def _relabel(self, p: dict, image) -> dict:
         """Substitute image(i) for every atom i."""

@@ -16,6 +16,7 @@ column.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field as dc_field
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import sympy as sp
 
-from .chart import Chart, JetOrderError, MultiIndex, NonTangentError
+from .chart import Chart, JetOrderError, MultiIndex, NonTangentError, levi_civita
 from .forms import Form, boundary_volume, d_h, hodge, iota_x, vol, wedge
 from .pipeline import (
     FieldMeta,
@@ -34,13 +35,9 @@ from .pipeline import (
 )
 from .relative import BoundaryPair
 
-SU2_STRUCTURE = {}
-for _i in range(3):
-    for _j in range(3):
-        for _k in range(3):
-            val = sp.LeviCivita(_i, _j, _k)
-            if val != 0:
-                SU2_STRUCTURE[(_i, _j, _k)] = sp.Integer(val)
+SU2_STRUCTURE = {
+    ijk: sp.Integer(levi_civita(*ijk)) for ijk in itertools.permutations(range(3))
+}
 
 
 class ModelError(ValueError):
@@ -57,34 +54,13 @@ class ModelError(ValueError):
 
 
 @dataclass
-class FieldDecl:
-    name: str
-    kind: str  # scalar | one_form | one_form_su2
-
-
-@dataclass
-class BackgroundDecl:
-    name: str
-    kind: str  # const | function | value
-    args: tuple[str, ...] = ()
-    value: str = ""
-
-
-@dataclass
 class Model:
     name: str
     coords: tuple[str, ...]
     has_boundary: bool
-    metric: tuple[sp.Expr, ...] | None
-    field_decls: list[FieldDecl]
-    backgrounds: list[BackgroundDecl]
-    lagrangian_src: dict[str, str]
-    bc: dict[str, str]
-    vector_srcs: dict[str, str]
-    constraint_srcs: list[str]
+    backgrounds: dict[str, str]  # name -> const | function | value
     domain: tuple[tuple[float, float], ...]
     periodic: tuple[str, ...]
-    max_jet_order: int = 4
 
     chart: Chart = dc_field(default=None, repr=False)
     pair: BoundaryPair = dc_field(default=None, repr=False)
@@ -93,7 +69,6 @@ class Model:
     vectors: dict[str, list[sp.Expr]] = dc_field(default_factory=dict, repr=False)
     constraints: list[sp.Expr] = dc_field(default_factory=list, repr=False)
     bindings: dict[str, float] = dc_field(default_factory=dict, repr=False)
-    lie_dim: dict[str, int] = dc_field(default_factory=dict, repr=False)
 
     @cached_property
     def decomposition(self) -> VariationDecomposition:
@@ -233,7 +208,7 @@ class ExprParser(TokenCursor):
         self.model = model
         self.boundary = boundary
         self.families = one_form_families(model.meta) if model else {}
-        self.backgrounds = {bg.name: bg.kind for bg in model.backgrounds} if model else {}
+        self.backgrounds = model.backgrounds if model else {}
         self.vectors = model.vectors if model else {}
 
     def start(self, tokens: list[Token]) -> "ExprParser":
@@ -580,31 +555,29 @@ class ModelParser(TokenCursor):
                     stmt[0],
                 )
 
-        field_decls: list[FieldDecl] = []
         meta: dict[str, FieldMeta] = {}
-        lie_dim: dict[str, int] = {}
         for stmt in blocks["fields"]:
             cur = TokenCursor(stmt)
             fname = cur.expect_ident()
             cur.expect(":")
             kind = cur.expect_ident()
-            fkind = kind.text
-            if fkind == "one_form" and cur.peek().text == "(":
+            colours = (0,)
+            if kind.text == "one_form" and cur.peek().text == "(":
                 cur.next()
                 cur.expect("su2")
                 cur.expect(")")
-                fkind, lie_dim[fname.text] = "one_form_su2", 3
-            elif fkind not in ("scalar", "one_form"):
-                raise ModelError.at(f"unknown field kind {fkind!r}", kind)
+                colours = (1, 2, 3)
+            elif kind.text not in ("scalar", "one_form"):
+                raise ModelError.at(f"unknown field kind {kind.text!r}", kind)
             cur.expect(";")
             # component labels, spelled here only: u, A_t, and A1_t for colour 1
-            if fkind == "scalar":
+            if kind.text == "scalar":
                 labels = {fname.text: FieldMeta("scalar", base=fname.text)}
             else:
                 labels = {
                     f"{fname.text}{li or ''}_{c}":
                         FieldMeta("one_form", base=fname.text, axis=i, lie_index=li)
-                    for li in ((1, 2, 3) if fname.text in lie_dim else (0,))
+                    for li in colours
                     for i, c in enumerate(coords)
                 }
             for label, m in labels.items():
@@ -613,12 +586,11 @@ class ModelParser(TokenCursor):
                         f"field component {label!r} repeats a field or coordinate", fname
                     )
                 meta[label] = m
-            field_decls.append(FieldDecl(fname.text, fkind))
-        if not field_decls:
+        if not meta:
             raise ModelError.at("no dynamical fields declared", self.heads["fields"])
 
         metric = None
-        backgrounds: list[BackgroundDecl] = []
+        backgrounds: dict[str, str] = {}
         bindings: dict[str, float] = {}
         for stmt in blocks.get("background", []):
             p = numbers.start(stmt)
@@ -637,16 +609,15 @@ class ModelParser(TokenCursor):
                     )
             elif t.text == ":":
                 p.expect("function")
-                args = tuple(a.text for a in p.tuple_of(p.expect_ident))
+                p.tuple_of(p.expect_ident)
                 p.expect(";")
-                backgrounds.append(BackgroundDecl(key.text, "function", args=args))
+                backgrounds[key.text] = "function"
             elif t.text == "=":
                 bindings[key.text] = float(p.number())
                 p.expect(";")
-                value = " ".join(x.text for x in stmt[2:-1])
-                backgrounds.append(BackgroundDecl(key.text, "value", value=value))
+                backgrounds[key.text] = "value"
             elif t.text == ";":
-                backgrounds.append(BackgroundDecl(key.text, "const"))
+                backgrounds[key.text] = "const"
             else:
                 raise ModelError.at(f"unexpected token {t.text!r}", t)
 
@@ -668,7 +639,7 @@ class ModelParser(TokenCursor):
                 raise ModelError.at(
                     "boundary conditions look like `u = free;` (free, dirichlet or robin)", stmt[0]
                 )
-            if texts[0] not in {fd.name for fd in field_decls} or texts[0] in bc:
+            if texts[0] not in {m.base for m in meta.values()} or texts[0] in bc:
                 raise ModelError.at(
                     f"boundary condition for an undeclared or repeated field {texts[0]!r}", stmt[0]
                 )
@@ -679,21 +650,13 @@ class ModelParser(TokenCursor):
             name=name,
             coords=coords,
             has_boundary=has_boundary,
-            metric=metric,
-            field_decls=field_decls,
             backgrounds=backgrounds,
-            lagrangian_src={k: " ".join(t.text for t in stmt[2:-1]) for k, stmt in lag.items()},
-            bc=bc,
-            vector_srcs={},
-            constraint_srcs=[],
             domain=domain,
             periodic=periodic,
-            max_jet_order=chart.max_jet_order,
             chart=chart,
             pair=BoundaryPair(chart),
             meta=meta,
             bindings=bindings,
-            lie_dim=lie_dim,
         )
         # vectors first: iota() needs them
         bulk = ExprParser(chart, model)
@@ -717,7 +680,6 @@ class ModelParser(TokenCursor):
                     f"vector {vname.text!r} is not tangent to {chart.coord_names[-1]} = 0", vname
                 ) from None
             model.vectors[vname.text] = comps
-            model.vector_srcs[vname.text] = " ".join(t.text for t in stmt[2:-1])
 
         L = self._top_form(bulk, lag["L"], "L must be a top horizontal form")
         bchart = model.pair.bchart
@@ -731,7 +693,6 @@ class ModelParser(TokenCursor):
         for stmt in blocks.get("constraints", []):
             p = bulk.start(stmt)
             model.constraints.append(p.scalar())
-            model.constraint_srcs.append(" ".join(t.text for t in stmt[:p.i]))
             if p.peek().text == "=":
                 p.next()
                 p.expect("0")
@@ -752,55 +713,3 @@ class ModelParser(TokenCursor):
 
 def parse_model(text: str, max_jet_order: int | None = None) -> Model:
     return ModelParser(text, max_jet_order=max_jet_order).parse()
-
-
-def print_model(model: Model) -> str:
-    """Canonical text of a model; parses back to an equivalent model."""
-    out = [f"model {model.name} {{"]
-    out.append("  chart {")
-    out.append(f"    coords = {', '.join(model.coords)};")
-    out.append(f"    boundary = {'true' if model.has_boundary else 'false'};")
-    dom = ", ".join(f"({a:g}, {b:g})" for a, b in model.domain)
-    out.append(f"    domain = {dom};")
-    if model.periodic:
-        out.append(f"    periodic = {', '.join(model.periodic)};")
-    out.append("  }")
-    out.append("  fields {")
-    for fd in model.field_decls:
-        kind = "one_form(su2)" if fd.kind == "one_form_su2" else fd.kind
-        out.append(f"    {fd.name} : {kind};")
-    out.append("  }")
-    if model.backgrounds or model.metric is not None:
-        out.append("  background {")
-        if model.metric is not None:
-            out.append(f"    metric = diag({', '.join(str(m) for m in model.metric)});")
-        for bg in model.backgrounds:
-            if bg.kind == "const":
-                out.append(f"    {bg.name};")
-            elif bg.kind == "function":
-                out.append(f"    {bg.name} : function({', '.join(bg.args)});")
-            else:
-                out.append(f"    {bg.name} = {bg.value};")
-        out.append("  }")
-    out.append("  lagrangian {")
-    out.append(f"    L = {model.lagrangian_src['L']};")
-    if "ell" in model.lagrangian_src:
-        out.append(f"    ell = {model.lagrangian_src['ell']};")
-    out.append("  }")
-    if model.bc:
-        out.append("  bc {")
-        for k, v in model.bc.items():
-            out.append(f"    {k} = {v};")
-        out.append("  }")
-    if model.vector_srcs:
-        out.append("  vectors {")
-        for k, src in model.vector_srcs.items():
-            out.append(f"    {k} = {src};")
-        out.append("  }")
-    if model.constraint_srcs:
-        out.append("  constraints {")
-        for c in model.constraint_srcs:
-            out.append(f"    {c} = 0;")
-        out.append("  }")
-    out.append("}")
-    return "\n".join(out) + "\n"

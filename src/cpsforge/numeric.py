@@ -346,7 +346,6 @@ def source_pairing(
     perturbations: Mapping[str, np.ndarray],
     bchart: Chart | None = None,
     bindings=None,
-    include_boundary: bool = True,
 ) -> float:
     """<E, v> over the bulk minus <b, v> over the lateral faces."""
     total = 0.0
@@ -355,7 +354,7 @@ def source_pairing(
         e = E_coeffs.get(a, sp.Integer(0))
         if e != 0:
             total += float(np.sum(w * eval_bulk_expr(grid.chart, e, grid, state, bindings) * v))
-    if include_boundary and bchart is not None:
+    if bchart is not None:
         faces = lateral_faces(grid, bchart, outward=True)
         for a, v in perturbations.items():
             dens = b_densities.get(a, sp.Integer(0))
@@ -377,7 +376,6 @@ def fd_variation_residual(
     eps: float,
     bchart: Chart | None = None,
     bindings=None,
-    include_boundary: bool = True,
 ) -> float:
     """|central FD of the action - source pairing| for one epsilon."""
 
@@ -390,9 +388,7 @@ def fd_variation_residual(
     sp_ = action_value(L, ell, grid, shifted(+1), bchart, bindings)
     sm_ = action_value(L, ell, grid, shifted(-1), bchart, bindings)
     fd = (sp_ - sm_) / (2 * eps)
-    pair = source_pairing(
-        E_coeffs, b_densities, grid, state, perturbations, bchart, bindings, include_boundary
-    )
+    pair = source_pairing(E_coeffs, b_densities, grid, state, perturbations, bchart, bindings)
     return abs(fd - pair)
 
 

@@ -100,9 +100,6 @@ class VariationDecomposition:
     def equations(self) -> dict[str, sp.Expr]:
         return self.E.equations()
 
-    def boundary_equations(self) -> dict[str, sp.Expr]:
-        return self.b.equations()
-
     @cached_property
     def omega(self) -> tuple[Form, Form]:
         return presymplectic_current(self)

@@ -102,7 +102,7 @@ def run_cps(model: Model, with_symmetries: bool = True) -> PipelineReport:
     if with_symmetries:
         for vname, xi in sorted(model.vectors.items()):
             rep.symmetries.append(symmetry_block(model, vname, xi))
-        if any(bg.name == "lam" and bg.kind == "function" for bg in model.backgrounds):
+        if model.backgrounds.get("lam") == "function":
             try:
                 rep.symmetries.append(gauge_parameter_block(model, "lam"))
             except ModelError:
@@ -159,10 +159,10 @@ def gauge_direction(model: Model, name: str) -> EvolutionaryField:
     ModelError."""
     chart = model.chart
     families = one_form_families(model.meta).values()
-    if not families or model.lie_dim:
+    if not families or any(m.lie_index for m in model.meta.values()):
         raise ModelError("gauge parameter checks need an abelian one-form field")
-    taken = {*chart.coord_names, *chart.fields, *(fd.name for fd in model.field_decls)}
-    if not name.isidentifier() or name in taken | {b.name for b in model.backgrounds if b.kind != "function"}:
+    taken = {*chart.coord_names, *chart.fields, *(m.base for m in model.meta.values())}
+    if not name.isidentifier() or name in taken | {b for b, k in model.backgrounds.items() if k != "function"}:
         raise ModelError(f"gauge parameter {name!r} must be a new identifier or a function background")
     lam = sp.Function(name)(*chart.xs)
     comps = {a: sp.diff(lam, chart.xs[axis]) for family in families for axis, a in family.items()}

@@ -203,8 +203,7 @@ class TestVariation:
             L, ell, E, b, grid, state, {"u": v}, 1e-3, bchart=pair.bchart
         )
         broken = fd_variation_residual(
-            L, ell, E, b, grid, state, {"u": v}, 1e-3, bchart=pair.bchart,
-            include_boundary=False,
+            L, ell, E, {}, grid, state, {"u": v}, 1e-3, bchart=pair.bchart
         )
         assert ok < 1e-4
         assert broken / max(ok, 1e-15) >= 1e2
