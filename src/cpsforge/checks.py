@@ -86,12 +86,12 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     rows, ablated = [], []
     for eps in eps_list:
         r = fd_variation_residual(
-            model.lp.L, model.lp.ell if model.has_boundary else None,
+            model.lp.L, model.lp.ell if model.lp.has_boundary else None,
             E_coeffs, b_dens, grid, state, vpert, eps,
             bchart=bchart, bindings=model.bindings,
         )
         rows.append((eps, r))
-        if model.has_boundary and not model.lp.ell.is_zero():
+        if model.lp.has_boundary and not model.lp.ell.is_zero():
             r2 = fd_variation_residual(
                 model.lp.L, model.lp.ell, E_coeffs, {}, grid, state, vpert, eps,
                 bchart=bchart, bindings=model.bindings,
@@ -133,7 +133,7 @@ def solve_model(model: Model, grid: Grid, initial, velocity) -> FieldState:
     vp = sp.lambdify(u, vp_expr, modules="numpy") if vp_expr != 0 else None
     bcs = model.lp.bc.get("u", "free")
     bc = {"free": "neumann", "robin": "robin", "dirichlet": "dirichlet"}[bcs]
-    if not model.has_boundary:
+    if not model.lp.has_boundary:
         bc = "periodic"
     robin_f = float(model.bindings.get("f", 0.0))
     arr = wave_solver(
@@ -236,6 +236,6 @@ def flux_check(model: Model, xi_name: str, shape=(257, 256), state: FieldState |
     if not tilde.bulk.is_zero():
         vals = eval_bulk_expr(chart, tilde.bulk.top_coefficient(), grid, state, model.bindings)
         rhs = float(np.sum(grid.weights(span=(i1, i2)) * vals))
-    if not tilde.boundary.is_zero() and model.has_boundary:
+    if not tilde.boundary.is_zero() and model.lp.has_boundary:
         raise ModelError("lateral flux contributions require boundary terms")
     return FluxResult(qs, delta_q, rhs, abs(delta_q - rhs))

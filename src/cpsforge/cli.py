@@ -7,11 +7,9 @@ import importlib.resources
 import pathlib
 import sys
 
-import sympy as sp
-
 from .chart import JetOrderError
 from .jetcalc import EvolutionaryField, NonDecomposableError
-from .model import ModelError, parse_model
+from .model import ExprParser, ModelError, parse_model, tokenize
 from .pipeline import d_symmetry_check
 from .report import PipelineReport, gauge_parameter_block, report_json, run_cps, symmetry_block
 
@@ -94,7 +92,7 @@ def cmd_check(args) -> int:
         print_gauge_verdict(gauge_parameter_block(model, args.gauge)["gauge"])
         return 0
     if args.evolutionary:
-        W = parse_evolutionary(model.chart, args.evolutionary)
+        W = parse_evolutionary(model, args.evolutionary)
         verdict = d_symmetry_check(model.lp, W)
         print(f"d-symmetry: {yes_no(verdict.is_symmetry)}")
         if verdict.note:
@@ -113,27 +111,21 @@ def print_gauge_verdict(g: dict) -> None:
     print(f"  boundary obstruction = {g['boundary_residual']}")
 
 
-def parse_evolutionary(chart, text: str) -> EvolutionaryField:
-    """The field ``a: expr, b: expr, ...`` of ``check --evolutionary``; an
-    undeclared field or an unparsable expression raises ModelError."""
-    names = {str(s): s for s in chart.xs} | {chart.pretty_jet(s): s for s in chart._jet_by_symbol}
-    comps, items, depth = {}, [""], 0
-    for ch in text:  # split at the commas outside parentheses
-        depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0:
-            items.append("")
-        else:
-            items[-1] += ch
-    for item in items:
-        name, _, exprtext = (part.strip() for part in item.partition(":"))
-        if name not in chart.fields:
-            raise ModelError(f"--evolutionary names an undeclared field {name!r}")
-        try:
-            comps[name] = sp.sympify(exprtext, locals=names)
-        except (sp.SympifyError, SyntaxError, TypeError):
-            comps[name] = None
-        if not isinstance(comps[name], sp.Expr):
-            raise ModelError(f"cannot parse --evolutionary component {item.strip()!r}")
+def parse_evolutionary(model, text: str) -> EvolutionaryField:
+    """The field ``a: expr, b: expr, ...`` of ``check --evolutionary``, each
+    component read by the model-file expression grammar; an undeclared or
+    repeated field, or an undeclared name, raises a positioned ModelError."""
+    chart, comps = model.chart, {}
+    p = ExprParser(chart, model).start(tokenize(text + ";"))
+
+    def component():
+        name = p.expect_ident()
+        if name.text not in chart.fields or name.text in comps:
+            raise ModelError.at(f"--evolutionary: undeclared or repeated field {name.text!r}", name)
+        p.expect(":")
+        comps[name.text] = p.scalar()
+
+    p.items(component, ";")
     return EvolutionaryField(chart, comps)
 
 

@@ -389,3 +389,24 @@ def choose_ring(ring, coeffs) -> tuple:
         return ring, [c if isinstance(c, dict) else ring.poly(c) for c in coeffs]
     except NotRepresentable:
         return EXPR, [ring.expr(c) if isinstance(c, dict) else sp.expand(c) for c in coeffs]
+
+
+def prolonged_restricted_generators(
+    chart: Chart, sub: Chart, axis: int, equations: list, ring, value=None
+) -> list:
+    """Restrict each generator and its axis-prolongations (up to the jet cap)
+    to a hypersurface chart; this is how "all differential consequences" of an
+    equation survive the loss of the transversal direction, and how an
+    evolutionary field's components reach the boundary families.  The
+    equations are polynomials of ``ring``, and so are the generators returned."""
+    gens: list = []
+    for eq in equations:
+        if ring.is_zero(eq):
+            continue
+        order = max((mi.order for _, _, mi in ring.jets(chart, eq)), default=0)
+        bumped = eq
+        for k in range(chart.max_jet_order - order + 1):
+            gens.append(ring.restrict(chart, sub, axis, bumped, value=value))
+            if k < chart.max_jet_order - order:
+                bumped = ring.total_derivative(chart, axis, bumped)
+    return gens

@@ -7,12 +7,13 @@ values, formal functions), lagrangian (the pair L, ell), bc, vectors (named
 vector-field candidates) and constraints (a-priori equations).  Every
 statement ends in ``;``, and every value is read by one expression grammar.
 Expressions use jet names bound to the declared coordinates (u, u_t, u_{tx}),
-arithmetic, d(), wedge(), hodge(), iota(), vol(), bvol(), tr(), bracket(), and
-declared formal functions.  Metric entries, domain bounds and background values
-are numbers of the same grammar: integers, decimals, pi, + - * / ** and
-parentheses.  A vector is one parenthesised tuple of scalar expressions.
-Parsing type-checks degrees, and every error is a ModelError with line and
-column.
+arithmetic, d(), wedge(), hodge(), iota(), vol(), bvol(), tr(), bracket(),
+declared formal functions, and Derivative() of a field-free scalar in
+coordinates (a jet is written u_t).  Metric entries, domain bounds and
+background values are numbers of the same grammar: integers, decimals, pi,
++ - * / ** and parentheses.  A vector is one parenthesised tuple of scalar
+expressions.  Parsing type-checks degrees, and every error is a ModelError
+with line and column.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ class ModelError(ValueError):
 class Model:
     name: str
     coords: tuple[str, ...]
-    has_boundary: bool
     backgrounds: dict[str, str]  # name -> const | function | value
     domain: tuple[tuple[float, float], ...]
     periodic: tuple[str, ...]
@@ -410,6 +410,12 @@ class ExprParser(TokenCursor):
             for (i, j, k), c in SU2_STRUCTURE.items():
                 comps[k] = comps[k] + wedge(a.comps[i], b.comps[j]) * c
             return Val("lie", comps=comps)
+        if name == "Derivative":
+            f, *xs = args or [None]
+            coords = [a.scalar for a in xs if a.kind == "scalar" and a.scalar in chart.xs]
+            if not xs or len(coords) < len(xs) or f.kind != "scalar" or chart.jets_in(f.scalar):
+                raise ModelError.at("Derivative() takes a field-free scalar and coordinates", tok)
+            return Val.of_scalar(sp.diff(f.scalar, *coords))
         if self.backgrounds.get(name) == "function":
             if any(a.kind != "scalar" for a in args):
                 raise ModelError.at(f"{name}() takes scalar arguments", tok)
@@ -595,6 +601,8 @@ class ModelParser(TokenCursor):
         for stmt in blocks.get("background", []):
             p = numbers.start(stmt)
             key = p.expect_ident()
+            if key.text in backgrounds or (key.text == "metric" and metric is not None):
+                raise ModelError.at(f"{key.text!r} is declared twice", key)
             t = p.next()
             if key.text == "metric":
                 if t.text != "=" or p.next().text != "diag":
@@ -649,7 +657,6 @@ class ModelParser(TokenCursor):
         model = Model(
             name=name,
             coords=coords,
-            has_boundary=has_boundary,
             backgrounds=backgrounds,
             domain=domain,
             periodic=periodic,

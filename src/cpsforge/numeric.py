@@ -407,11 +407,8 @@ def slice_integral_density(
     """Integral over a Cauchy slice of a slice-chart top form (vol_gamma-positive)."""
     if form.is_zero():
         return 0.0
-    coeff = form.top_coefficient()
-    g = chart.metric or (1,) * chart.n
-    scale = float(sp.sqrt(sp.Abs(sp.prod(g) / g[0])))
     sb = FaceBinding(chart, schart, 0, t_index, outward=False)
-    return scale * sb.integral(sp.expand(coeff / scale), grid, state, bindings)
+    return sb.integral(form.top_coefficient(), grid, state, bindings)
 
 
 def contract_two_vertical(

@@ -29,7 +29,7 @@ from .jetcalc import (
     integrate_by_parts,
     kill_dirichlet,
 )
-from .jetpoly import EXPR, JetRing, choose_ring
+from .jetpoly import EXPR, JetRing, choose_ring, prolonged_restricted_generators
 from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
 
 
@@ -446,26 +446,6 @@ def _into(ring, src_ring, p):
 def _source_polys(ring, src: SourceForm) -> list:
     """The coefficients of src's components as polynomials of ring."""
     return [_into(ring, f.ring, f._top()) for f in src.components.values()]
-
-
-def prolonged_restricted_generators(
-    chart: Chart, sub: Chart, axis: int, equations: list, ring, value=None
-) -> list:
-    """Restrict each generator and its axis-prolongations (up to the jet cap)
-    to a hypersurface chart; this is how "all differential consequences" of an
-    equation survive the loss of the transversal direction.  The equations
-    are polynomials of ``ring``, and so are the generators returned."""
-    gens: list = []
-    for eq in equations:
-        if ring.is_zero(eq):
-            continue
-        order = max((mi.order for _, _, mi in ring.jets(chart, eq)), default=0)
-        bumped = eq
-        for k in range(chart.max_jet_order - order + 1):
-            gens.append(ring.restrict(chart, sub, axis, bumped, value=value))
-            if k < chart.max_jet_order - order:
-                bumped = ring.total_derivative(chart, axis, bumped)
-    return gens
 
 
 def slice_ideal(chart: Chart, ctx: SliceContext, equations: list, ring) -> OnShellIdeal:

@@ -15,8 +15,9 @@ from typing import Mapping
 
 import sympy as sp
 
-from .chart import Chart, JetOrderError, NonTangentError
+from .chart import Chart, NonTangentError
 from .forms import Form, d_h, dd, iota_x, lie_ev, lie_x, restrict, twist, wedge
+from .jetpoly import choose_ring, prolonged_restricted_generators
 
 
 class BoundaryPair:
@@ -58,21 +59,16 @@ class BoundaryPair:
         """Boundary components of an evolutionary field.
 
         The variation of the k-th normal-derivative family is the restriction
-        of D_n^k of the bulk component; families beyond the jet cap are filled
-        only as far as the cap allows.
+        of D_n^k of the bulk component, for k up to the jet cap less the
+        component's jet order; a zero component has no boundary entries.
         """
         chart, bchart = self.chart, self.bchart
+        fields = [a for a in chart.fields if a in W]
+        ring, polys = choose_ring(chart.ring, [W[a] for a in fields])
         out: dict[str, sp.Expr] = {}
-        for a in chart.fields:
-            comp = sp.sympify(W[a]) if a in W else sp.Integer(0)
-            out[a] = chart.restrict_expr(comp, bchart, self.axis, value=sp.Integer(0))
-            bumped = comp
-            for name in bchart.families[a][1:]:
-                try:
-                    bumped = chart.total_derivative(self.axis, bumped)
-                except JetOrderError:
-                    break
-                out[name] = chart.restrict_expr(bumped, bchart, self.axis, value=sp.Integer(0))
+        for a, p in zip(fields, polys):
+            gens = prolonged_restricted_generators(chart, bchart, self.axis, [p], ring, value=0)
+            out.update(zip(bchart.families[a], map(ring.expr, gens)))
         return out
 
 

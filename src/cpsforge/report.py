@@ -27,7 +27,6 @@ class PipelineReport:
     steps: dict[str, Any] = field(default_factory=dict)
     symmetries: list[dict] = field(default_factory=list)
     caveats: list[str] = field(default_factory=list)
-    numeric: dict[str, Any] = field(default_factory=dict)
     error: dict[str, Any] | None = None
 
     def to_dict(self) -> dict:
@@ -37,8 +36,6 @@ class PipelineReport:
             "symmetries": self.symmetries,
             "caveats": self.caveats,
         }
-        if self.numeric:
-            out["numeric"] = self.numeric
         if self.error is not None:
             out["error"] = self.error
         return out

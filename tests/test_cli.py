@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import cpsforge
-from cpsforge.cli import corpus_dir, load_model, main
+from cpsforge.cli import corpus_dir, load_model, main, parse_evolutionary
 from cpsforge.model import ModelError, parse_model, tokenize
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens"
@@ -118,6 +118,29 @@ def test_check_evolutionary_splits_at_top_level_commas(capsys):
     assert "d-symmetry: no" in capsys.readouterr().out
 
 
+def test_check_evolutionary_runs_no_python(tmp_path, capsys):
+    marker = tmp_path / "marker"
+    W = f"u: __import__('pathlib').Path({str(marker)!r}).touch()"
+    assert main(["check", "scalar_robin.cps", "--evolutionary", W]) == 1
+    assert capsys.readouterr().err == "model error: unexpected character '_' (line 1, col 4)\n"
+    assert not marker.exists()
+
+
+def test_check_evolutionary_refuses_unknown_names(capsys):
+    assert main(["check", "scalar_wave_neumann.cps", "--evolutionary", "u: uu"]) == 1
+    assert capsys.readouterr().err == "model error: unknown symbol 'uu' (line 1, col 4)\n"
+
+
+@pytest.mark.parametrize("component", ["u: Derivative(u, t)", "u: Derivative(lam(t, x, y), u)"])
+def test_evolutionary_derivative_is_of_a_field_free_scalar_in_coordinates(component):
+    text = (corpus_dir() / "chern_simons_k1.cps").read_text()
+    old = "fields { A : one_form; }"
+    assert text.count(old) == 1
+    model = parse_model(text.replace(old, "fields { A : one_form; u : scalar; }"))
+    with pytest.raises(ModelError, match=r"^Derivative\(\) takes .* \(line 1, col 4\)$"):
+        parse_evolutionary(model, component)
+
+
 def test_max_jet_order_flag(tmp_path):
     rc = main(["--max-jet-order", "6", "derive", "scalar_dirichlet.cps", "--json",
                "--out", str(tmp_path / "r.json"), "--no-symmetries"])
@@ -211,6 +234,7 @@ REFUSED_ARGS = [
     ["numeric", "hamiltonian", "yang_mills_abelian_n2.cps"],
     ["check", "scalar_robin.cps", "--evolutionary", "foo:1"],
     ["check", "scalar_robin.cps", "--evolutionary", "u:("],
+    ["check", "scalar_robin.cps", "--evolutionary", "u: 1, u: u_t"],
 ]
 
 

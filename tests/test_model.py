@@ -83,6 +83,17 @@ model demo {
         with pytest.raises(ModelError, match="bvol"):
             parse_model(BASE % ("u : scalar;", "bvol()"))
 
+    @pytest.mark.parametrize("background, col", [
+        ("lam; lam : function(t, x, y);", 21),
+        ("metric = diag(-1, 1, 1); metric = diag(1, 1, 1);", 41),
+    ])
+    def test_repeated_background_name(self, background, col):
+        text = (CORPUS / "chern_simons_k1.cps").read_text()
+        old = "background { lam : function(t, x, y); }"
+        assert text.count(old) == 1
+        with pytest.raises(ModelError, match=rf"is declared twice \(line 9, col {col}\)$"):
+            parse_model(text.replace(old, f"background {{ {background} }}"))
+
 
 class TestResolution:
     def test_jet_names(self):

@@ -3,8 +3,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from cpsforge.chart import Chart, MultiIndex, NonTangentError
+from cpsforge.chart import MultiIndex, NonTangentError
 from cpsforge.forms import Form, d_h, iota_x, restrict
+from cpsforge.jetpoly import JetRing
 from cpsforge.relative import (
     BoundaryPair,
     RelForm,
@@ -87,10 +88,10 @@ class TestRestrictEv:
         ch = make_chart(2, ("u",))
         pair = BoundaryPair(ch)
 
-        def broken(self, axis, expr):
+        def broken(self, chart, axis, p):
             raise RuntimeError("kernel bug")
 
-        monkeypatch.setattr(Chart, "total_derivative", broken)
+        monkeypatch.setattr(JetRing, "total_derivative", broken)
         with pytest.raises(RuntimeError, match="kernel bug"):
             pair.restrict_ev({"u": ch.jet("u", MultiIndex())})
 
