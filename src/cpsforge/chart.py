@@ -104,6 +104,10 @@ class Chart:
         # chart this one restricts; ``restricted`` fills both in
         self.labels: dict[str, tuple[str, int, int]] = {a: (a, 0, 0) for a in self.fields}
         self.families: dict[str, tuple[str, ...]] = {}
+        # the chart this one restricts and the axis it drops; ``restricted`` sets both
+        self.parent: Chart | None = None
+        self.axis: int | None = None
+        self._restricted: dict[tuple[int, str], Chart] = {}
         for a in self.fields:
             self.jet(a, MultiIndex())
 
@@ -117,11 +121,9 @@ class Chart:
             return sym
         if field not in self.fields:
             raise KeyError(f"unknown field {field!r}")
-        if mi.order > self.max_jet_order:
-            raise JetOrderError(
-                f"jet {field}_{mi} exceeds max jet order {self.max_jet_order}"
-            )
         suffix = "".join(self.coord_names[i] for i in mi)
+        if mi.order > self.max_jet_order:
+            raise JetOrderError(f"jet {field}_{suffix} exceeds max jet order {self.max_jet_order}")
         name = field if not suffix else f"{field}__{suffix}"
         sym = sp.Symbol(name, real=True)
         self._jet_by_key[key] = sym
@@ -235,19 +237,18 @@ class Chart:
     # -- restriction -------------------------------------------------------------------
 
     def restricted(self, axis: int, tag: str | None = None) -> "Chart":
-        """Chart of the hypersurface {x^axis = const}.
+        """Chart of the hypersurface {x^axis = const}, made once per (axis, tag).
 
         Fields: every bulk field, plus transversal-derivative families
         ``<field>.n<k>`` (boundary role) or ``<field>.t<k>`` (Cauchy-slice
         role) up to the jet cap.  The restricted metric is the induced
-        (deleted-axis) diagonal.
+        (deleted-axis) diagonal.  The sub-chart records where it comes from,
+        ``sub.parent is self`` and ``sub.axis == axis``, so every restriction
+        to it (``restrict_expr``, ``forms.restrict``, the rings' ``restrict``)
+        takes the sub-chart alone.
         """
         tag = tag or ("n" if axis == self.n - 1 else "t")
-        cache = getattr(self, "_restricted_cache", None)
-        if cache is None:
-            cache = {}
-            self._restricted_cache = cache
-        got = cache.get((axis, tag))
+        got = self._restricted.get((axis, tag))
         if got is not None:
             return got
         coords = tuple(c for i, c in enumerate(self.coord_names) if i != axis)
@@ -261,23 +262,22 @@ class Chart:
         fields = [name for family in families.values() for name in family]
         sub = Chart(coords, fields, max_jet_order=self.max_jet_order, metric=metric)
         sub.ring = self.ring
+        sub.parent, sub.axis = self, axis
         sub.families = families
         for a, family in families.items():
             base, normal, time = self.labels[a]
             for k, name in enumerate(family):
                 sub.labels[name] = (base, normal + k, time) if tag == "n" else (base, normal, time + k)
-        cache[(axis, tag)] = sub
+        self._restricted[(axis, tag)] = sub
         return sub
 
-    def restricted_jet(self, field: str, mi: MultiIndex, sub: "Chart", axis: int) -> sp.Symbol:
-        """The jet of sub that restriction along axis relabels u^field_mi to."""
-        kept, k = mi.split_axis(axis)
-        return sub.jet(sub.families[field][k], kept.shift_down(axis))
+    def restricted_jet(self, field: str, mi: MultiIndex, sub: "Chart") -> sp.Symbol:
+        """The jet of sub, a restriction of this chart, that u^field_mi relabels to."""
+        kept, k = mi.split_axis(sub.axis)
+        return sub.jet(sub.families[field][k], kept.shift_down(sub.axis))
 
-    def restrict_expr(
-        self, expr: sp.Expr, sub: "Chart", axis: int, value: sp.Expr | None = None
-    ) -> sp.Expr:
-        """Relabel jets of expr for the restricted chart.
+    def restrict_expr(self, expr: sp.Expr, sub: "Chart", value: sp.Expr | None = None) -> sp.Expr:
+        """Relabel jets of expr for sub, a restriction of this chart.
 
         The transversal coordinate symbol is kept inert unless a pin value is
         given (the numeric layer binds it per face; the pipeline pins it to the
@@ -285,13 +285,13 @@ class Chart:
         ``subs``, so ``Derivative(lam(t, x), x)`` becomes a ``Subs`` at the
         pinned point instead of a derivative by a number.
         """
-        x = self.xs[axis]
+        x = self.xs[sub.axis]
         kinds = (sp.Symbol,) if value is None else (sp.Symbol, AppliedUndef, sp.Derivative, sp.Subs)
         repl, funcs = {}, []
         for a in expr.atoms(*kinds):
             key = self._jet_by_symbol.get(a)
             if key is not None:
-                repl[a] = self.restricted_jet(*key, sub, axis)
+                repl[a] = self.restricted_jet(*key, sub)
             elif not a.is_Symbol and x in a.free_symbols:
                 funcs.append(a)
         if value is not None:

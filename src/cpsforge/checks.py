@@ -79,7 +79,7 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     v = model.decomposition
     chart, bchart = model.chart, model.pair.bchart
     E_coeffs = {a: sp.expand(e) for a, e in v.equations().items()}
-    b_dens = {a: boundary_density(chart, bchart, f) for a, f in v.b.components.items()}
+    b_dens = {a: boundary_density(f) for a, f in v.b.components.items()}
     tt, xx = grid.mesh()
     state = FieldState(grid, {a: np.sin(2 * tt + 1) * np.cos(3 * xx) for a in chart.fields})
     vpert = {a: bump_array(tt, 0.15, 0.85) * (1 + 0.3 * np.cos(2 * xx)) for a in chart.fields}
@@ -157,7 +157,6 @@ def slice_independence(model: Model, shape=(129, 256), mode="spectral") -> Slice
     om_slice, om_corner = v.slice_forms
     if not om_corner.is_zero():
         raise ModelError("corner contributions to the slice pairing are not evaluated")
-    chart, schart = model.chart, v.slice_ctx.schart
     if mode == "spectral":
         d1, d2 = spectral_tangents(model, grid)
         base = standing_wave_state(model, grid)
@@ -171,8 +170,7 @@ def slice_independence(model: Model, shape=(129, 256), mode="spectral") -> Slice
     nt = grid.shape[0]
     idxs = np.linspace(nt // 8, nt - 1 - nt // 8, 5).astype(int)
     vals = [
-        contract_two_vertical(chart, schart, om_slice, grid, base, int(i), d1, d2,
-                              bindings=model.bindings)
+        contract_two_vertical(om_slice, grid, base, int(i), d1, d2, bindings=model.bindings)
         for i in idxs
     ]
     drift = max(abs(x - vals[0]) for x in vals)
@@ -186,14 +184,12 @@ def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float
     _require_scalar_u(model, "hamiltonian")
     v = model.decomposition
     om_slice, _ = v.slice_forms
-    chart, schart = model.chart, v.slice_ctx.schart
     d1, d2 = spectral_tangents(model, grid)
     base = standing_wave_state(model, grid)
     k = grid.shape[0] // 2
-    val = contract_two_vertical(chart, schart, om_slice, grid, base, k, d1, d2,
-                               bindings=model.bindings)
+    val = contract_two_vertical(om_slice, grid, base, k, d1, d2, bindings=model.bindings)
     # canonical pairing on the same slice
-    sb = FaceBinding(chart, schart, 0, k, outward=False)
+    sb = FaceBinding(v.schart, k, outward=False)
     f1, p1 = sb.jet(d1, "u", MultiIndex()), sb.jet(d1, "u.t1", MultiIndex())
     f2, p2 = sb.jet(d2, "u", MultiIndex()), sb.jet(d2, "u.t1", MultiIndex())
     canonical = sb.integral(sp.Integer(1), grid, base, factor=f1 * p2 - f2 * p1)
@@ -222,19 +218,14 @@ def flux_check(model: Model, xi_name: str, shape=(257, 256), state: FieldState |
     data = noether_current_xi(model.lp, model.decomposition, xi, W, tilde)
     if not data.corner_current.is_zero():
         raise ModelError("corner charge contributions are not evaluated numerically")
-    chart, schart = model.chart, model.decomposition.slice_ctx.schart
     nt = grid.shape[0]
     i1, i2 = nt // 8, nt - 1 - nt // 8
-    qs = [
-        slice_integral_density(chart, schart, data.slice_current, grid, state, i,
-                               bindings=model.bindings)
-        for i in (i1, i2)
-    ]
+    qs = [slice_integral_density(data.slice_current, grid, state, i, bindings=model.bindings) for i in (i1, i2)]
     delta_q = qs[1] - qs[0]
     # right-hand side: the background-variation term integrated over the slab
     rhs = 0.0
     if not tilde.bulk.is_zero():
-        vals = eval_bulk_expr(chart, tilde.bulk.top_coefficient(), grid, state, model.bindings)
+        vals = eval_bulk_expr(model.chart, tilde.bulk.top_coefficient(), grid, state, model.bindings)
         rhs = float(np.sum(grid.weights(span=(i1, i2)) * vals))
     if not tilde.boundary.is_zero() and model.lp.has_boundary:
         raise ModelError("lateral flux contributions require boundary terms")

@@ -448,8 +448,10 @@ def hodge(f: Form) -> Form:
     return Form(chart, chart.n - (k if k is not None else r0), 0, terms)
 
 
-def boundary_volume(chart: Chart, bchart: Chart) -> Form:
-    """Oriented lateral-boundary volume form (outward normal along +x^{n-1})."""
+def boundary_volume(bchart: Chart) -> Form:
+    """Oriented lateral-boundary volume form on the boundary chart (outward
+    normal along +x^{n-1} of ``bchart.parent``)."""
+    chart = bchart.parent
     g = chart.require_metric()
     gnn = g[-1]
     eps = sp.sign(gnn)
@@ -460,15 +462,18 @@ def boundary_volume(chart: Chart, bchart: Chart) -> Form:
 # -- restriction ----------------------------------------------------------------------
 
 
-def restrict(f: Form, axis: int, sub: Chart, value: sp.Expr | None = None) -> Form:
-    """Pull a form back to the hypersurface {x^axis = value}.
+def restrict(f: Form, sub: Chart, value: sp.Expr | None = None) -> Form:
+    """Pull a form back to the hypersurface {x^axis = value}, where sub is the
+    chart ``f.chart.restricted(axis, ...)``; ValueError for any other chart.
 
     Words containing dx^axis are dropped; transversal jets (in coefficients and
     in contact generators) are relabeled to the restricted chart's derivative
     families; remaining horizontal axes are renumbered.  The transversal
     coordinate stays an inert symbol unless a pin value is supplied.
     """
-    chart, ring = f.chart, f.ring
+    if sub.parent is not f.chart:
+        raise ValueError("the target chart is not a restriction of the form's chart")
+    ring, axis = f.ring, sub.axis
     terms = []
     for word, coeff in f.terms.items():
         if any(fac[0] == "x" and fac[1] == axis for fac in word):
@@ -481,7 +486,7 @@ def restrict(f: Form, axis: int, sub: Chart, value: sp.Expr | None = None) -> Fo
                 mi = MultiIndex(fac[2])
                 kept, k = mi.split_axis(axis)
                 new_word.append(("v", sub.families[fac[1]][k], kept.shift_down(axis).entries))
-        terms.append((tuple(new_word), ring.restrict(chart, sub, axis, coeff, value)))
+        terms.append((tuple(new_word), ring.restrict(sub, coeff, value)))
     r0, s0 = f._tag
     return Form(sub, max(r0 - 1, 0), s0, terms)
 

@@ -126,7 +126,8 @@ def integrate_by_parts(L: Form) -> tuple[SourceForm, Form]:
 
     Returns (E, Theta) with dd(L) = sum_a E_a ^ th{a} + d_h(Theta), Theta fixed
     by the highest-order-first sweep; the residual of the decomposition is
-    checked to be identically zero, and E agrees with euler_operator.
+    checked to be identically zero.  That E agrees with euler_operator is not
+    checked here; test_jetcalc checks it on random Lagrangians.
     """
     chart = L.chart
     L._top()  # validates shape

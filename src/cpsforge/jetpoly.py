@@ -269,18 +269,19 @@ class JetRing:
                 _add_to(out, tm, tc)
         return out
 
-    def restrict(self, chart: Chart, sub: Chart, axis: int, p: dict, value=None) -> dict:
-        """Chart.restrict_expr on polynomials."""
+    def restrict(self, sub: Chart, p: dict, value=None) -> dict:
+        """Chart.restrict_expr on polynomials, to sub, a restricted chart."""
+        chart = sub.parent
 
         def image(a):
             if not a.is_Symbol:
-                return chart.restrict_expr(a, sub, axis, value=value)
+                return chart.restrict_expr(a, sub, value=value)
             key = chart.jet_key(a)
             if key is not None:
-                return chart.restricted_jet(key[0], key[1], sub, axis)
-            return value if value is not None and a == chart.xs[axis] else a
+                return chart.restricted_jet(key[0], key[1], sub)
+            return value if value is not None and a == chart.xs[sub.axis] else a
 
-        return self._relabel(p, self._images(("r", chart, sub, axis, value), image))
+        return self._relabel(p, self._images(("r", sub, value), image))
 
     def translate(self, src: Chart, dst: Chart, p: dict) -> dict:
         """chart.translate_expr on polynomials."""
@@ -361,8 +362,8 @@ class ExprRing:
         return [(m, c) if c.is_Rational else (c * m, 1) for m, c in p.as_coefficients_dict().items() if c]
 
     @staticmethod
-    def restrict(chart: Chart, sub: Chart, axis: int, p: sp.Expr, value=None) -> sp.Expr:
-        return sp.expand(chart.restrict_expr(p, sub, axis, value=value))
+    def restrict(sub: Chart, p: sp.Expr, value=None) -> sp.Expr:
+        return sp.expand(sub.parent.restrict_expr(p, sub, value=value))
 
     @staticmethod
     def translate(src: Chart, dst: Chart, p: sp.Expr) -> sp.Expr:
@@ -391,14 +392,14 @@ def choose_ring(ring, coeffs) -> tuple:
         return EXPR, [ring.expr(c) if isinstance(c, dict) else sp.expand(c) for c in coeffs]
 
 
-def prolonged_restricted_generators(
-    chart: Chart, sub: Chart, axis: int, equations: list, ring, value=None
-) -> list:
-    """Restrict each generator and its axis-prolongations (up to the jet cap)
-    to a hypersurface chart; this is how "all differential consequences" of an
-    equation survive the loss of the transversal direction, and how an
-    evolutionary field's components reach the boundary families.  The
-    equations are polynomials of ``ring``, and so are the generators returned."""
+def prolonged_restricted_generators(sub: Chart, equations: list, ring, value=None) -> list:
+    """Restrict each generator and its prolongations along ``sub.axis`` (up to
+    the jet cap) to the hypersurface chart sub; this is how "all differential
+    consequences" of an equation survive the loss of the transversal direction,
+    and how an evolutionary field's components reach the boundary families.
+    The equations are polynomials of ``ring`` on ``sub.parent``, and so are the
+    generators returned."""
+    chart, axis = sub.parent, sub.axis
     gens: list = []
     for eq in equations:
         if ring.is_zero(eq):
@@ -406,7 +407,7 @@ def prolonged_restricted_generators(
         order = max((mi.order for _, _, mi in ring.jets(chart, eq)), default=0)
         bumped = eq
         for k in range(chart.max_jet_order - order + 1):
-            gens.append(ring.restrict(chart, sub, axis, bumped, value=value))
+            gens.append(ring.restrict(sub, bumped, value=value))
             if k < chart.max_jet_order - order:
                 bumped = ring.total_derivative(chart, axis, bumped)
     return gens

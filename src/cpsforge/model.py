@@ -390,7 +390,7 @@ class ExprParser(TokenCursor):
             self._arity(args, 0, tok)
             if not self.boundary:
                 raise ModelError.at("bvol() only appears in boundary expressions", tok)
-            return Val.of_form(boundary_volume(self.model.chart, chart))
+            return Val.of_form(boundary_volume(chart))
         if name == "tr":
             self._arity(args, 2, tok)
             a, b = args

@@ -176,9 +176,9 @@ def face_index(side: int) -> int:
 
 
 class FaceBinding:
-    """Bind restricted-chart expressions to the grid hyperplane with the given
-    index along an axis (a lateral face, or a Cauchy slice {t = t_index}) and
-    integrate them there.
+    """Bind expressions of the restricted chart sub to the grid hyperplane with
+    the given index along ``sub.axis`` (a lateral face, or a Cauchy slice
+    {t = t_index}) and integrate them there.
 
     Transversal-derivative families bind to outward normal derivatives when
     ``outward=True`` (model-derived densities on a face) and to raw +axis
@@ -186,13 +186,11 @@ class FaceBinding:
     and slices).
     """
 
-    def __init__(self, chart: Chart, bchart: Chart | None, axis: int, index: int, outward: bool = True):
-        self.chart = chart
-        self.bchart = bchart
-        self.axis = axis
+    def __init__(self, sub: Chart, index: int, outward: bool = True):
+        self.chart, self.bchart, self.axis = sub.parent, sub, sub.axis
         self.index = index
         self.outward = outward
-        self.tangential = [i for i in range(chart.n) if i != axis]
+        self.tangential = [i for i in range(self.chart.n) if i != self.axis]
 
     def restrict_array(self, arr: np.ndarray) -> np.ndarray:
         return arr[tuple(self.index if k == self.axis else slice(None) for k in range(arr.ndim))]
@@ -237,20 +235,18 @@ def bulk_integral(form: Form, grid: Grid, state: FieldState, bindings=None) -> f
 
 def lateral_faces(grid: Grid, bchart: Chart, outward: bool) -> list[tuple[int, FaceBinding]]:
     """(side, binding) of each lateral face {x^(n-1) = min or max} of the grid."""
-    axis = grid.chart.n - 1
-    return [(side, FaceBinding(grid.chart, bchart, axis, face_index(side), outward))
-            for side in grid.lateral_sides]
+    return [(side, FaceBinding(bchart, face_index(side), outward)) for side in grid.lateral_sides]
 
 
-def boundary_density(chart: Chart, bchart: Chart, form: Form) -> sp.Expr:
+def boundary_density(form: Form) -> sp.Expr:
     """Coefficient of a boundary form relative to the oriented boundary volume."""
     if form.is_zero():
         return sp.Integer(0)
-    base = boundary_volume(chart, bchart).top_coefficient()
+    base = boundary_volume(form.chart).top_coefficient()
     return sp.expand(form.top_coefficient() / base)
 
 
-def raw_face_integral(bchart: Chart, form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
+def raw_face_integral(form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
     """Oriented integral of a raw lateral-chart form over both lateral faces.
 
     Uses the raw +axis jet binding and the outward-first orientation sign
@@ -262,7 +258,7 @@ def raw_face_integral(bchart: Chart, form: Form, grid: Grid, state: FieldState, 
     coeff = form.top_coefficient()
     o_max = (-1) ** (grid.chart.n - 1)
     total = 0.0
-    for side, fb in lateral_faces(grid, bchart, outward=False):
+    for side, fb in lateral_faces(grid, form.chart, outward=False):
         o = o_max if side > 0 else -o_max
         total += o * fb.integral(coeff, grid, state, bindings)
     return total
@@ -272,7 +268,7 @@ def relative_integral(p, grid: Grid, fields, bindings=None) -> float:
     """Relative integral: bulk quadrature minus oriented boundary-face quadrature."""
     state = fields if isinstance(fields, FieldState) else FieldState(grid, fields)
     total = bulk_integral(p.bulk, grid, state, bindings)
-    total -= raw_face_integral(p.pair.bchart, p.boundary, grid, state, bindings)
+    total -= raw_face_integral(p.boundary, grid, state, bindings)
     return total
 
 
@@ -289,7 +285,7 @@ def flux_through_boundary(form: Form, grid: Grid, state: FieldState, bindings=No
         if grid.periodic[axis]:
             continue
         for side in grid.lateral_sides if axis == chart.n - 1 else (-1, +1):
-            fb = FaceBinding(chart, None, axis, face_index(side))
+            fb = FaceBinding(chart.restricted(axis), face_index(side))
             w = grid.weights(fb.tangential)
             orient = side * (-1) ** axis
             for word, coeff in form.terms.items():
@@ -302,28 +298,21 @@ def flux_through_boundary(form: Form, grid: Grid, state: FieldState, bindings=No
     return total
 
 
-def relative_stokes_residual(pair, Y: Form, z: Form, grid: Grid, state: FieldState, bindings=None) -> float:
+def relative_stokes_residual(Y: Form, z: Form, grid: Grid, state: FieldState, bindings=None) -> float:
     """|integral over (M, dM) of rel_d(Y, z)|, with the bulk flux of Y evaluated
     face-natively and the boundary z integrated over the lateral faces (z is
     expected to vanish near the corners; v1 treats boundary faces separately)."""
     total = bulk_integral(d_h(Y), grid, state, bindings)
     total -= flux_through_boundary(Y, grid, state, bindings)
     if not z.is_zero():
-        total += raw_face_integral(pair.bchart, d_h(z), grid, state, bindings)
+        total += raw_face_integral(d_h(z), grid, state, bindings)
     return abs(total)
 
 
 # -- action and variation ------------------------------------------------------------
 
 
-def action_value(
-    L: Form,
-    ell: Form | None,
-    grid: Grid,
-    state: FieldState,
-    bchart: Chart | None = None,
-    bindings=None,
-) -> float:
+def action_value(L: Form, ell: Form | None, grid: Grid, state: FieldState, bindings=None) -> float:
     """Relative action: bulk Lagrangian quadrature minus the lateral boundary term.
 
     ell is read as density * oriented boundary volume on each face, with the
@@ -332,9 +321,9 @@ def action_value(
     """
     total = bulk_integral(L, grid, state, bindings)
     if ell is not None and not ell.is_zero():
-        density = boundary_density(L.chart, bchart, ell)
+        density = boundary_density(ell)
         total -= sum(fb.integral(density, grid, state, bindings)
-                     for _, fb in lateral_faces(grid, bchart, outward=True))
+                     for _, fb in lateral_faces(grid, ell.chart, outward=True))
     return total
 
 
@@ -385,8 +374,8 @@ def fd_variation_residual(
             vals[a] = vals[a] + sgn * eps * v
         return FieldState(grid, vals)
 
-    sp_ = action_value(L, ell, grid, shifted(+1), bchart, bindings)
-    sm_ = action_value(L, ell, grid, shifted(-1), bchart, bindings)
+    sp_ = action_value(L, ell, grid, shifted(+1), bindings)
+    sm_ = action_value(L, ell, grid, shifted(-1), bindings)
     fd = (sp_ - sm_) / (2 * eps)
     pair = source_pairing(E_coeffs, b_densities, grid, state, perturbations, bchart, bindings)
     return abs(fd - pair)
@@ -395,41 +384,25 @@ def fd_variation_residual(
 # -- slices ---------------------------------------------------------------------------
 
 
-def slice_integral_density(
-    chart: Chart,
-    schart: Chart,
-    form: Form,
-    grid: Grid,
-    state: FieldState,
-    t_index: int,
-    bindings=None,
-) -> float:
+def slice_integral_density(form: Form, grid: Grid, state: FieldState, t_index: int, bindings=None) -> float:
     """Integral over a Cauchy slice of a slice-chart top form (vol_gamma-positive)."""
     if form.is_zero():
         return 0.0
-    sb = FaceBinding(chart, schart, 0, t_index, outward=False)
+    sb = FaceBinding(form.chart, t_index, outward=False)
     return sb.integral(form.top_coefficient(), grid, state, bindings)
 
 
 def contract_two_vertical(
-    chart: Chart,
-    schart: Chart,
-    form: Form,
-    grid: Grid,
-    state: FieldState,
-    t_index: int,
-    tangent1: FieldState,
-    tangent2: FieldState,
-    bindings=None,
+    form: Form, grid: Grid, state: FieldState, t_index: int, tangent1: FieldState, tangent2: FieldState, bindings=None
 ) -> float:
     """Evaluate a slice (n-1,2) form on two field-space tangents and integrate.
 
     Each term c * w ^ th{a_J} ^ th{b_K} contributes
     c * (D_J t1^a D_K t2^b - D_J t2^a D_K t1^b) integrated over the slice.
     """
-    sb = FaceBinding(chart, schart, 0, t_index, outward=False)
+    sb = FaceBinding(form.chart, t_index, outward=False)
     total = 0.0
-    word_x = top_word(schart.n)
+    word_x = top_word(form.chart.n)
     for word, coeff in form.terms.items():
         vfacs = [f for f in word if f[0] == "v"]
         xfacs = tuple(f for f in word if f[0] == "x")

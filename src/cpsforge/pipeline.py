@@ -18,7 +18,7 @@ from typing import Mapping
 import sympy as sp
 
 from .chart import Chart, MultiIndex, translated_field
-from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, restrict, top_word, wedge
+from .forms import Form, d_h, dd, restrict, top_word, wedge
 from .jetcalc import (
     EvolutionaryField,
     NonDecomposableError,
@@ -30,7 +30,7 @@ from .jetcalc import (
     kill_dirichlet,
 )
 from .jetpoly import EXPR, JetRing, choose_ring, prolonged_restricted_generators
-from .relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
+from .relative import BoundaryPair, RelForm, rel_d, rel_dd, rel_iota, rel_iota_ev, rel_lie, rel_lie_ev
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,11 @@ class LagrangianPair:
 class VariationDecomposition:
     """Sources and symplectic potentials of a Lagrangian pair, with residuals.
 
-    The CPS objects derived from it alone (Omega, the slice forms, the slice
-    and corner ideals and their coefficient ring) are built on first use and
-    shared by every consumer."""
+    The CPS objects derived from it alone (the source pair, Omega, the slice
+    forms, the slice and corner ideals and their coefficient ring) are built
+    on first use and shared by every consumer.  The Cauchy slice {x^0 = const}
+    of the bulk (``schart``) and of the boundary (``bschart``), and the slice
+    corner (``cchart``), are the charts' cached restrictions."""
 
     lp: LagrangianPair
     E: SourceForm
@@ -89,32 +91,41 @@ class VariationDecomposition:
     def bchart(self) -> Chart:
         return self.lp.pair.bchart
 
+    @property
+    def schart(self) -> Chart:
+        return self.chart.restricted(0, tag="t")
+
+    @property
+    def bschart(self) -> Chart:
+        return self.bchart.restricted(0, tag="t")
+
+    @property
+    def cchart(self) -> Chart:
+        return self.schart.restricted(self.schart.n - 1, tag="n")
+
+    @cached_property
+    def sources(self) -> RelForm:
+        """The source pair (E_a ^ th{a}, b_a ^ th{a})."""
+        return RelForm(self.lp.pair, self.E.paired_with_contacts(), self.b.paired_with_contacts())
+
     def bulk_residual(self) -> Form:
-        return dd(self.lp.L) - self.E.paired_with_contacts() - d_h(self.theta)
+        return dd(self.lp.L) - self.sources.bulk - d_h(self.theta)
 
     def boundary_residual(self) -> Form:
         dirich = self.lp.dirichlet_fields()
         lhs = kill_dirichlet(dd(self.lp.ell) - self.lp.pair.pullback(self.theta), dirich)
-        return lhs - self.b.paired_with_contacts() + d_h(self.theta_bar)
+        return lhs - self.sources.boundary + d_h(self.theta_bar)
 
     def equations(self) -> dict[str, sp.Expr]:
         return self.E.equations()
 
     @cached_property
-    def omega(self) -> tuple[Form, Form]:
+    def omega(self) -> RelForm:
         return presymplectic_current(self)
 
     @cached_property
     def slice_forms(self) -> tuple[Form, Form]:
         return slice_presymplectic(self)
-
-    @cached_property
-    def slice_ctx(self) -> "SliceContext":
-        return SliceContext(self.chart)
-
-    @cached_property
-    def bslice_ctx(self) -> "SliceContext":
-        return SliceContext(self.bchart)
 
     @cached_property
     def ring(self):
@@ -125,11 +136,11 @@ class VariationDecomposition:
 
     @cached_property
     def slice_ideal(self) -> "OnShellIdeal":
-        return slice_ideal(self.chart, self.slice_ctx, _source_polys(self.ring, self.E), self.ring)
+        return slice_ideal(self.schart, _source_polys(self.ring, self.E), self.ring)
 
     @cached_property
     def corner_ideal(self) -> "OnShellIdeal":
-        return _corner_ideal(self.lp, self, self.slice_ctx, self.slice_ideal)
+        return _corner_ideal(self, self.slice_ideal)
 
 
 def _decompose_pair(
@@ -157,37 +168,19 @@ def decompose(lp: LagrangianPair) -> VariationDecomposition:
     )
 
 
-def presymplectic_current(v: VariationDecomposition) -> tuple[Form, Form]:
+def presymplectic_current(v: VariationDecomposition) -> RelForm:
     """Symplectic currents: the field-space differential of the potentials."""
-    return dd(v.theta), dd(v.theta_bar)
-
-
-class SliceContext:
-    """Cauchy-slice restriction {x^0 = const}; the slice value stays symbolic."""
-
-    def __init__(self, chart: Chart):
-        self.chart = chart
-        self.schart = chart.restricted(0, tag="t")
-
-    def pull(self, f: Form) -> Form:
-        return restrict(f, 0, self.schart, value=None)
-
-    @cached_property
-    def cchart(self) -> Chart:
-        return self.schart.restricted(self.schart.n - 1, tag="n")
-
-    def corner_pull(self, f: Form) -> Form:
-        return restrict(f, self.schart.n - 1, self.cchart, value=sp.Integer(0))
+    return rel_dd(RelForm(v.lp.pair, v.theta, v.theta_bar))
 
 
 def slice_presymplectic(v: VariationDecomposition) -> tuple[Form, Form]:
-    """The slice integrand of the presymplectic form: dd of the pulled potentials."""
-    ctx = v.slice_ctx
-    omega_slice = dd(ctx.pull(v.theta))
+    """The slice integrand of the presymplectic form: dd of the pulled
+    potentials; the slice value stays symbolic."""
+    omega_slice = dd(restrict(v.theta, v.schart))
     if v.theta_bar.is_zero():
-        omega_corner = Form.zero(ctx.cchart)
+        omega_corner = Form.zero(v.cchart)
     else:
-        omega_corner = dd(v.bslice_ctx.pull(v.theta_bar))
+        omega_corner = dd(restrict(v.theta_bar, v.bschart))
     return omega_slice, omega_corner
 
 
@@ -248,7 +241,6 @@ class SymmetryVerdict:
     S: Form | None
     s_bar: Form | None
     obstruction_bulk: SourceForm | None = None
-    obstruction_boundary: Form | None = None
     note: str = ""
 
 
@@ -269,33 +261,23 @@ def d_symmetry_check(
     Lie derivatives; otherwise the verdict carries a not-constructed note.
     """
     pair = lp.pair
-    A = lie_ev(W.components, lp.L)
-    a_bar = lie_ev(pair.restrict_ev(W.components), lp.ell)
-    E_A = euler_operator(A) if not A.is_zero() else None
-    bulk_exact = A.is_zero() or E_A.is_zero()
-    obstruction_boundary = None
+    rel = RelForm(pair, lp.L, lp.ell)
+    A = rel_lie_ev(W.components, rel)
+    E_A = euler_operator(A.bulk) if not A.bulk.is_zero() else None
+    bulk_exact = A.bulk.is_zero() or E_A.is_zero()
     boundary_exact = True
     if bulk_exact:
         try:
-            bA = _decompose_pair(lp, A, a_bar)[2]
-            boundary_exact = bA.is_zero()
-            if not boundary_exact:
-                obstruction_boundary = bA.paired_with_contacts()
-        except NonDecomposableError as err:
+            boundary_exact = _decompose_pair(lp, *A)[2].is_zero()
+        except NonDecomposableError:
             boundary_exact = False
-            obstruction_boundary = err.term
-    is_symmetry = bulk_exact and boundary_exact
-    if not is_symmetry:
-        return SymmetryVerdict(
-            False, None, None, obstruction_bulk=E_A, obstruction_boundary=obstruction_boundary
-        )
+    if not (bulk_exact and boundary_exact):
+        return SymmetryVerdict(False, None, None, obstruction_bulk=E_A)
     # construct the potential where a closed form is available
     if xi is not None and invariance is not None and invariance.is_zero():
-        xibar = pair.restrict_vector(xi)
-        return SymmetryVerdict(
-            True, iota_x(xi, lp.L), -iota_x(xibar, lp.ell), note="potential = iota_xi(L, ell)"
-        )
-    if A.is_zero() and a_bar.is_zero():
+        S = rel_iota(xi, rel)
+        return SymmetryVerdict(True, S.bulk, S.boundary, note="potential = iota_xi(L, ell)")
+    if A.is_zero():
         return SymmetryVerdict(
             True,
             Form.zero(pair.chart, pair.chart.n - 1, 0),
@@ -340,28 +322,15 @@ def noether_current_xi(
     with W the lift of xi and ``invariance`` its ``xi_invariance_residual``.
 
     Certifies the flux identity
-        rel_d (J, j_bar) = (L_xi - Lie_W)(L, ell) + (E_a W^a, b_a W^a)
+        rel_d (J, j_bar) = (L_xi - Lie_W)(L, ell) + iota_W (E_a th{a}, b_a th{a})
     exactly; on xi-invariant pairs the first term vanishes and the current is
     conserved on shell.
     """
     pair = lp.pair
-    chart, bchart = pair.chart, pair.bchart
-    Wb = pair.restrict_ev(W.components)
-    xibar = pair.restrict_vector(xi)
-    J = iota_x(xi, lp.L) - iota_ev(W.components, v.theta)
-    j_bar = -iota_x(xibar, lp.ell) - iota_ev(Wb, v.theta_bar)
-    bulk_source = Form.zero(chart, chart.n, 0)
-    for a in chart.fields:
-        bulk_source = bulk_source + v.E.components[a] * W.components[a]
-    bnd_source = Form.zero(bchart, bchart.n, 0)
-    for a, f in v.b.components.items():
-        if not f.is_zero():
-            bnd_source = bnd_source + f * Wb.get(a, sp.Integer(0))
-    res_bulk = d_h(J) - invariance.bulk - bulk_source
-    res_bnd = pair.pullback(J) - d_h(j_bar) - invariance.boundary - bnd_source
-    slice_current = v.slice_ctx.pull(J)
-    corner_current = v.bslice_ctx.pull(j_bar) if bchart.n > 1 else j_bar
-    return NoetherData(J, j_bar, res_bulk, res_bnd, slice_current, corner_current)
+    J = rel_iota(xi, RelForm(pair, lp.L, lp.ell)) - rel_iota_ev(W.components, RelForm(pair, v.theta, v.theta_bar))
+    res = rel_d(J) - invariance - rel_iota_ev(W.components, v.sources)
+    corner_current = restrict(J.boundary, v.bschart) if pair.bchart.n > 1 else J.boundary
+    return NoetherData(*J, *res, restrict(J.bulk, v.schart), corner_current)
 
 
 # -- on-shell ideal ----------------------------------------------------------------------
@@ -448,13 +417,12 @@ def _source_polys(ring, src: SourceForm) -> list:
     return [_into(ring, f.ring, f._top()) for f in src.components.values()]
 
 
-def slice_ideal(chart: Chart, ctx: SliceContext, equations: list, ring) -> OnShellIdeal:
-    """The on-shell ideal relabeled to a Cauchy slice, including the time
-    prolongations of every generator up to the jet cap, over ``ring``.  An
-    equation is a sympy expression or a polynomial of ``ring``."""
+def slice_ideal(schart: Chart, equations: list, ring) -> OnShellIdeal:
+    """The on-shell ideal relabeled to the Cauchy slice chart schart, including
+    the time prolongations of every generator up to the jet cap, over
+    ``ring``.  An equation is a sympy expression or a polynomial of ``ring``."""
     eqs = [e if isinstance(e, dict) else ring.poly(e) for e in equations]
-    gens = prolonged_restricted_generators(chart, ctx.schart, 0, eqs, ring)
-    return OnShellIdeal(ctx.schart, gens, ring)
+    return OnShellIdeal(schart, prolonged_restricted_generators(schart, eqs, ring), ring)
 
 
 # -- gauge diagnostics --------------------------------------------------------------------
@@ -503,16 +471,14 @@ def span_multipliers(target: dict, rows: list[dict]) -> list | None:
     return None if pivot is not None else [-vec.get((None, i), 0) for i in range(len(rows))]
 
 
-def gauge_multiplier_candidates(
-    lp: LagrangianPair, ctx: SliceContext, W: EvolutionaryField, xi, meta
-) -> list[sp.Expr]:
+def gauge_multiplier_candidates(schart: Chart, W: EvolutionaryField, xi, meta) -> list[sp.Expr]:
     """Multipliers for the absorbable rows of a gauge check.
 
     Lifted vector fields contribute the contractions xi^mu A_mu per one-form
     base (the multiplier of the linearized-equation term their current sheds);
     gauge parameters contribute their function symbols.
     """
-    chart = lp.pair.chart
+    chart = schart.parent
     cands: list[sp.Expr] = []
     if xi is not None and meta is not None:
         comps = [sp.sympify(cc) for cc in xi]
@@ -520,7 +486,7 @@ def gauge_multiplier_candidates(
             e = sp.Integer(0)
             for axis, a in family.items():
                 e += comps[axis] * chart.jet(a, MultiIndex())
-            cands.append(chart.restrict_expr(e, ctx.schart, 0, value=None))
+            cands.append(chart.restrict_expr(e, schart))
     funcs = set()
     for e in W.components.values():
         funcs |= sp.sympify(e).atoms(sp.core.function.AppliedUndef)
@@ -551,18 +517,18 @@ def gauge_residual(
     equations; Dirichlet fields drop their corner variations.  Both residuals
     are linear in W, and zero in both means W is a degenerate direction.
     """
-    ctx, ideal = v.slice_ctx, v.slice_ideal
-    omega, omega_bar = v.omega
-    pulled = ctx.pull(iota_ev(W.components, omega))
+    schart, ideal = v.schart, v.slice_ideal
+    G = rel_iota_ev(W.components, v.omega)
+    pulled = restrict(G.bulk, schart)
     src, kappa = _sweep(pulled)
-    cands = gauge_multiplier_candidates(lp, ctx, W, xi, meta)
+    cands = gauge_multiplier_candidates(schart, W, xi, meta)
     # the stage runs on the ideal's ring unless the current or a multiplier is off it
     ring = choose_ring(ideal.ring, cands)[0] if pulled.ring is ideal.ring else EXPR
     ideal = ideal if ring is ideal.ring else ideal.on_expr
     src = {a: ideal.reduce_expr(_into(ring, pulled.ring, c)) for a, c in src.items()}
     if not all(map(ring.is_zero, src.values())):
-        gens = [ring.restrict(v.chart, ctx.schart, 0, e) for e in _source_polys(ring, v.E) if not ring.is_zero(e)]
-        rows = [_linearized_row(ctx.schart, c, gen, ring) for c in cands for gen in gens]
+        gens = [ring.restrict(schart, e) for e in _source_polys(ring, v.E) if not ring.is_zero(e)]
+        rows = [_linearized_row(schart, c, gen, ring) for c in cands for gen in gens]
         rows = [({a: ideal.reduce_expr(e) for a, e in row_src.items()}, k) for row_src, k in rows]
         target, *vectors = [  # the sources as sparse vectors {(field, monomial): Fraction}
             {(a, m): Fraction(q) for a, p in s.items() for m, q in ring.terms(p)}
@@ -576,24 +542,23 @@ def gauge_residual(
                 for a, e in row_src.items():
                     src[a] = ring.add(src.get(a, ring.poly(0)), e, -q)
                 kappa = kappa - row_kappa * q
-    bulk_res = Form.zero(ctx.schart, ctx.schart.n, 1)
+    bulk_res = Form.zero(schart, schart.n, 1)
     for a, coeff in sorted(src.items()):
-        bulk_res = bulk_res + wedge(Form.top(ctx.schart, coeff), Form.contact(ctx.schart, a))
+        bulk_res = bulk_res + wedge(Form.top(schart, coeff), Form.contact(schart, a))
     # corner piece: the swept-off exact parts restricted to the slice corner,
     # minus the boundary symplectic current contraction
-    corner = ctx.corner_pull(kappa)
-    if not v.theta_bar.is_zero():
-        bslice = v.bslice_ctx
-        Gb = iota_ev(lp.pair.restrict_ev(W.components), omega_bar)
-        corner = corner - translate_form(bslice.pull(Gb), bslice.schart, ctx.cchart)
+    corner = restrict(kappa, v.cchart, value=sp.Integer(0))
+    if not G.boundary.is_zero():
+        corner = corner - translate_form(restrict(G.boundary, v.bschart), v.cchart)
     corner = kill_dirichlet(corner, lp.dirichlet_fields())
     if not corner.is_zero() and lp.has_boundary:
         corner = v.corner_ideal.reduce_form(corner)
     return GaugeResidual(bulk_res, corner)
 
 
-def translate_form(f: Form, src: Chart, dst: Chart) -> Form:
+def translate_form(f: Form, dst: Chart) -> Form:
     """Relabel a form between corner charts reached by restriction in either order."""
+    src = f.chart
     terms = [
         (tuple(fac if fac[0] == "x" else ("v", translated_field(fac[1], src, dst), fac[2]) for fac in word),
          f.ring.translate(src, dst, coeff))
@@ -602,19 +567,14 @@ def translate_form(f: Form, src: Chart, dst: Chart) -> Form:
     return Form(dst, *f._tag, terms)
 
 
-def _corner_ideal(
-    lp: LagrangianPair, v: VariationDecomposition, ctx: SliceContext, sideal: OnShellIdeal
-) -> OnShellIdeal:
+def _corner_ideal(v: VariationDecomposition, sideal: OnShellIdeal) -> OnShellIdeal:
     """On-shell ideal on the slice corner, over the slice ideal's ring: the
     slice ideal's generators (bulk equations restricted to the slice with their
     time prolongations) restricted again with their normal prolongations, plus
     the boundary equations restricted to the corner, all relabeled to the
     canonical corner chart."""
-    ring = sideal.ring
-    gens = prolonged_restricted_generators(
-        ctx.schart, ctx.cchart, ctx.schart.n - 1, sideal.generators, ring, value=sp.Integer(0)
-    )
-    bschart = v.bslice_ctx.schart
-    bgens = prolonged_restricted_generators(lp.pair.bchart, bschart, 0, _source_polys(ring, v.b), ring)
-    gens += [ring.translate(bschart, ctx.cchart, g) for g in bgens]
-    return OnShellIdeal(ctx.cchart, [g for g in gens if not ring.is_zero(g)], ring)
+    ring, cchart = sideal.ring, v.cchart
+    gens = prolonged_restricted_generators(cchart, sideal.generators, ring, value=sp.Integer(0))
+    bgens = prolonged_restricted_generators(v.bschart, _source_polys(ring, v.b), ring)
+    gens += [ring.translate(v.bschart, cchart, g) for g in bgens]
+    return OnShellIdeal(cchart, [g for g in gens if not ring.is_zero(g)], ring)

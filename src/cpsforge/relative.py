@@ -3,9 +3,12 @@
 The boundary is the face {x^{n-1} = 0} with outward normal along +x^{n-1}; the
 boundary chart relabels transversal jets to normal-derivative field families.
 The relative operations follow the pair calculus: d(a, b) = (d a, j*a - d b),
-wedge with the 1/2-weights, contractions with the boundary minus sign, Lie
-derivatives componentwise.  The relative wedge is not associative in general
-(the 1/2-factors); see the unit test that documents a failing triple.
+wedge with the 1/2-weights, horizontal contractions with the boundary minus
+sign, field-space differential, evolutionary contractions and Lie derivatives
+componentwise.  The relative wedge is not associative in general (the
+1/2-factors); see the unit test that documents a failing triple.  The pipeline
+computes every (bulk, boundary) pair of the CPS algorithm with these
+operators, so the relative sign conventions are written here only.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Mapping
 import sympy as sp
 
 from .chart import Chart, NonTangentError
-from .forms import Form, d_h, dd, iota_x, lie_ev, lie_x, restrict, twist, wedge
+from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, lie_x, restrict, twist, wedge
 from .jetpoly import choose_ring, prolonged_restricted_generators
 
 
@@ -37,11 +40,11 @@ class BoundaryPair:
         This is the canonical-face pullback used by the symbolic layer; the
         numeric layer evaluates face fluxes directly from bulk forms instead.
         """
-        return restrict(f, self.axis, self.bchart, value=sp.Integer(0))
+        return restrict(f, self.bchart, value=sp.Integer(0))
 
     def check_tangent(self, xi) -> list[sp.Expr]:
         comps = [sp.sympify(c) for c in xi]
-        normal = self.chart.restrict_expr(comps[self.axis], self.bchart, self.axis, value=0)
+        normal = self.chart.restrict_expr(comps[self.axis], self.bchart, value=0)
         if sp.expand(normal) != 0:
             raise NonTangentError(
                 f"vector field is not tangent to the boundary: xi_normal = {normal}"
@@ -51,8 +54,7 @@ class BoundaryPair:
     def restrict_vector(self, xi) -> list[sp.Expr]:
         comps = self.check_tangent(xi)
         return [
-            self.chart.restrict_expr(c, self.bchart, self.axis, value=sp.Integer(0))
-            for c in comps[: self.axis]
+            self.chart.restrict_expr(c, self.bchart, value=sp.Integer(0)) for c in comps[: self.axis]
         ]
 
     def restrict_ev(self, W: Mapping[str, sp.Expr]) -> dict[str, sp.Expr]:
@@ -62,13 +64,12 @@ class BoundaryPair:
         of D_n^k of the bulk component, for k up to the jet cap less the
         component's jet order; a zero component has no boundary entries.
         """
-        chart, bchart = self.chart, self.bchart
-        fields = [a for a in chart.fields if a in W]
-        ring, polys = choose_ring(chart.ring, [W[a] for a in fields])
+        fields = [a for a in self.chart.fields if a in W]
+        ring, polys = choose_ring(self.chart.ring, [W[a] for a in fields])
         out: dict[str, sp.Expr] = {}
         for a, p in zip(fields, polys):
-            gens = prolonged_restricted_generators(chart, bchart, self.axis, [p], ring, value=0)
-            out.update(zip(bchart.families[a], map(ring.expr, gens)))
+            gens = prolonged_restricted_generators(self.bchart, [p], ring, value=0)
+            out.update(zip(self.bchart.families[a], map(ring.expr, gens)))
         return out
 
 
@@ -97,11 +98,8 @@ class RelForm:
                         f"bulk {(rb, sb)} vs boundary {(rn, sn)}"
                     )
 
-    @staticmethod
-    def make(pair: BoundaryPair, bulk: Form | None = None, boundary: Form | None = None) -> "RelForm":
-        bulk = bulk if bulk is not None else Form.zero(pair.chart)
-        boundary = boundary if boundary is not None else Form.zero(pair.bchart)
-        return RelForm(pair, bulk, boundary)
+    def __iter__(self):
+        return iter((self.bulk, self.boundary))
 
     def is_zero(self) -> bool:
         return self.bulk.is_zero() and self.boundary.is_zero()
@@ -160,7 +158,17 @@ def rel_lie(xi, p: RelForm) -> RelForm:
     return RelForm(p.pair, lie_x(xi, p.bulk), lie_x(xibar, p.boundary))
 
 
+def _boundary_field(W: Mapping[str, sp.Expr], p: RelForm) -> Mapping[str, sp.Expr]:
+    """W restricted to the boundary, where p's boundary form needs it: a zero
+    boundary form is contracted with no field, so W is not restricted."""
+    return {} if p.boundary.is_zero() else p.pair.restrict_ev(W)
+
+
+def rel_iota_ev(W: Mapping[str, sp.Expr], p: RelForm) -> RelForm:
+    """Relative evolutionary contraction, componentwise."""
+    return RelForm(p.pair, iota_ev(W, p.bulk), iota_ev(_boundary_field(W, p), p.boundary))
+
+
 def rel_lie_ev(W: Mapping[str, sp.Expr], p: RelForm) -> RelForm:
     """Relative evolutionary Lie derivative, componentwise."""
-    Wb = p.pair.restrict_ev(W)
-    return RelForm(p.pair, lie_ev(W, p.bulk), lie_ev(Wb, p.boundary))
+    return RelForm(p.pair, lie_ev(W, p.bulk), lie_ev(_boundary_field(W, p), p.boundary))

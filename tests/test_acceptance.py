@@ -128,7 +128,7 @@ def test_01_scalar_robin():
     # b = -(normal derivative - f u) bvol, theta_bar = 0
     un = bch.jet("u.n1", MultiIndex())
     ub = bch.jet("u", MultiIndex())
-    expected_b = boundary_volume(ch, bch) * (-(un - sp.Symbol("f") * ub))
+    expected_b = boundary_volume(bch) * (-(un - sp.Symbol("f") * ub))
     assert v.b.components["u"] == expected_b
     assert v.theta_bar.is_zero()
     assert v.bulk_residual().is_zero()
@@ -300,7 +300,7 @@ def test_03_yang_mills():
         assert sp.expand(v.E.coefficient(label) - expected) == 0
     # boundary: b_t = restrict(s_x), b_x = -restrict(s_t), b_y = 0, theta_bar = 0
     ch, bch = m.chart, m.pair.bchart
-    r = lambda e: ch.restrict_expr(e, bch, ch.n - 1, value=0)
+    r = lambda e: ch.restrict_expr(e, bch, value=0)
     assert sp.expand(v.b.coefficient("A_t") - r(s[(0, 1)])) == 0
     assert sp.expand(v.b.coefficient("A_x") + r(s[(0, 0)])) == 0
     assert sp.expand(v.b.coefficient("A_y")) == 0
@@ -344,7 +344,7 @@ def test_05_representative_independence():
     word = (("x", 0), ("x", 1))
     L1 = Form(ch, 2, 0, {word: (-(ut**2) + ux**2) / 2 + u**3 + u * vx})
     ub = bch.jet("u", MultiIndex())
-    ell1 = boundary_volume(ch, bch) * (ub**2 / 2)
+    ell1 = boundary_volume(bch) * (ub**2 / 2)
     lp1 = LagrangianPair(pair, L1, ell1, bc={"u": "free", "v": "free"})
     v1 = decompose(lp1)
     rnd = Rand(ch, seed=5, max_order=1)

@@ -8,7 +8,7 @@ import sympy as sp
 from cpsforge import checks, pipeline
 from cpsforge.model import parse_model
 from cpsforge.numeric import contract_two_vertical
-from cpsforge.pipeline import SliceContext, decompose, slice_presymplectic
+from cpsforge.pipeline import decompose, slice_presymplectic
 
 from strategies import count_calls
 
@@ -30,8 +30,6 @@ class TestPairing:
         grid = checks.make_grid(m, (65, 128))
         v = decompose(m.lp)
         om, _ = slice_presymplectic(v)
-        chart = m.chart
-        schart = SliceContext(chart).schart
         rng = np.random.default_rng(7)
         tt, xx = grid.mesh()
 
@@ -51,7 +49,7 @@ class TestPairing:
         k = grid.shape[0] // 2
 
         def om_eval(a, b):
-            return contract_two_vertical(chart, schart, om, grid, base, k, a, b)
+            return contract_two_vertical(om, grid, base, k, a, b)
 
         assert abs(om_eval(t1, t1)) < 1e-12
         assert abs(om_eval(t1, t2) + om_eval(t2, t1)) < 1e-12

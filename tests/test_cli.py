@@ -425,6 +425,18 @@ def test_max_jet_order_zero_is_a_cap(capsys):
     assert "model scalar_neumann" not in captured.out
 
 
+@pytest.mark.parametrize("argv, jet", [
+    (["check", "scalar_robin.cps", "--evolutionary", "u: u_xxxx"], "u_txxxx"),
+    (["--max-jet-order", "1", "derive", "scalar_robin.cps"], "u_xx"),
+])
+def test_jet_beyond_the_cap_is_spelled_as_in_model_files(capsys, argv, jet):
+    assert main(argv) == 1
+    cap = 1 if "--max-jet-order" in argv else 4
+    assert capsys.readouterr().err == (
+        f"jet order cap exceeded: jet {jet} exceeds max jet order {cap}; rerun with a larger --max-jet-order\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["-1", "x", "1.5", ""])
 def test_max_jet_order_refuses_anything_but_a_nonnegative_integer(capsys, value):
     with pytest.raises(SystemExit) as exc:

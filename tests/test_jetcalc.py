@@ -176,8 +176,8 @@ class TestJetPolyKernel:
         for axis, value in ((0, None), (chart.n - 1, sp.Integer(0))):
             sub = chart.restricted(axis)
             ring = JetRing()
-            got = prolonged_restricted_generators(chart, sub, axis, [ring.poly(e)], ring, value)
-            want = prolonged_restricted_generators(chart, sub, axis, [EXPR.poly(e)], EXPR, value)
+            got = prolonged_restricted_generators(sub, [ring.poly(e)], ring, value)
+            want = prolonged_restricted_generators(sub, [EXPR.poly(e)], EXPR, value)
             assert [ring.expr(g) for g in got] == want
 
     @given(exprs(CH, max_order=2))
@@ -377,21 +377,21 @@ class TestBoundaryEuler:
         assert sp.expand(E.coefficient("u") - (utt - uxx + sp.Derivative(V(u), u))) == 0
 
         bch = ch.restricted(1)
-        jtheta = restrict(theta, 1, bch)
+        jtheta = restrict(theta, bch)
         f = sp.Function("f")
         ub = bch.jet("u", MultiIndex())
-        ell = boundary_volume(ch, bch) * (f(bch.xs[0]) * ub**2 / 2)
+        ell = boundary_volume(bch) * (f(bch.xs[0]) * ub**2 / 2)
         b, theta_bar = boundary_euler_operator(ell, jtheta)
         assert theta_bar.is_zero()
         un = bch.jet("u.n1", MultiIndex())
-        expected = boundary_volume(ch, bch) * (-(un - f(bch.xs[0]) * ub))
+        expected = boundary_volume(bch) * (-(un - f(bch.xs[0]) * ub))
         assert b.components["u"] == expected
 
     def test_dirichlet_zero_source(self):
         ch, u, V, L = scalar_robin_setup()
         _, theta = integrate_by_parts(L)
         bch = ch.restricted(1)
-        jtheta = restrict(theta, 1, bch)
+        jtheta = restrict(theta, bch)
         ell = Form.zero(bch, 1, 0)
         b, theta_bar = boundary_euler_operator(ell, jtheta, dirichlet={"u"})
         assert b.is_zero() and theta_bar.is_zero()
@@ -400,7 +400,7 @@ class TestBoundaryEuler:
         # ell = bvol u v: with u Dirichlet, u = 0 on the boundary, so v has no source
         ch = make_chart(2, ("u", "v"), metric=[-1, 1])
         bch = ch.restricted(1)
-        ell = boundary_volume(ch, bch) * (bch.jet("u", MultiIndex()) * bch.jet("v", MultiIndex()))
+        ell = boundary_volume(bch) * (bch.jet("u", MultiIndex()) * bch.jet("v", MultiIndex()))
         b, theta_bar = boundary_euler_operator(ell, Form.zero(bch, 1, 1), dirichlet={"u"})
         assert b.components["v"].is_zero() and b.components["u"].is_zero()
         assert theta_bar.is_zero()
@@ -415,7 +415,7 @@ class TestBoundaryEuler:
         L3 = vol(ch) * (-lam * box_u)
         _, theta = integrate_by_parts(L3)
         bch = ch.restricted(1)
-        jtheta = restrict(theta, 1, bch)
+        jtheta = restrict(theta, bch)
         ell = Form.zero(bch, 1, 0)
         with pytest.raises(NonDecomposableError):
             boundary_euler_operator(ell, jtheta)

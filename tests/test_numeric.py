@@ -44,8 +44,8 @@ class TestQuadrature:
         grid = Grid.make(ch, [(0, 1), (0, 1)], (41, 41), lateral_sides=(+1,))
         state = FieldState(grid, {"u": np.zeros(grid.shape)})
         L = Form.zero(ch, 2, 0)
-        ell = boundary_volume(ch, pair.bchart)
-        val = action_value(L, ell, grid, state, bchart=pair.bchart)
+        ell = boundary_volume(pair.bchart)
+        val = action_value(L, ell, grid, state)
         assert abs(val - (-1.0)) < 1e-12
 
     def test_static_kinetic_action(self):
@@ -80,9 +80,9 @@ class TestFaceBinding:
         t, x = ch.xs
         u, ux, uxx, utx = (ch.jet("u", MultiIndex.make(*mi)) for mi in ((), (1,), (1, 1), (0, 1)))
         bulk = u * ux + t * uxx + x * utx + 3
-        face = ch.restrict_expr(bulk, bchart, 1)
+        face = ch.restrict_expr(bulk, bchart)
         for index in (0, -1):
-            fb = FaceBinding(ch, bchart, 1, index, outward=False)
+            fb = FaceBinding(bchart, index, outward=False)
             got = fb.eval(face, grid, state)
             want = fb.restrict_array(eval_bulk_expr(ch, bulk, grid, state))
             assert got.shape == (grid.shape[0],)
@@ -93,8 +93,8 @@ class TestFaceBinding:
         for k in (1, 2, 3):
             label = f"u.n{k}"
             raw = state.jet("u", MultiIndex((1,) * k))
-            low = FaceBinding(ch, bchart, 1, 0, outward=True)
-            high = FaceBinding(ch, bchart, 1, -1, outward=True)
+            low = FaceBinding(bchart, 0, outward=True)
+            high = FaceBinding(bchart, -1, outward=True)
             assert np.array_equal(low.jet(state, label, MultiIndex()), (-1) ** k * raw[:, 0])
             assert np.array_equal(high.jet(state, label, MultiIndex()), raw[:, -1])
             dens = bchart.jet(label, MultiIndex())
@@ -131,7 +131,7 @@ class TestRelativeIntegral:
         state = FieldState(grid, {"u": np.sin(3 * x)})
         u = ch.jet("u", MultiIndex())
         Y = Form.scalar(ch, u**2 + ch.xs[0])
-        val = relative_stokes_residual(pair, Y, Form.zero(pair.bchart), grid, state)
+        val = relative_stokes_residual(Y, Form.zero(pair.bchart), grid, state)
         h = grid.spacing(0)
         assert val < 50 * h**2
 
@@ -150,7 +150,7 @@ class TestRelativeIntegral:
             damp_sym = (t * (1 - t)) ** 4
             Y = Form.dx(ch, 0) * (u * sp.sin(x)) + Form.dx(ch, 1) * (damp_sym * (u**2 + x))
             z = Form.scalar(pair.bchart, pair.bchart.jet("u", MultiIndex()) * damp_sym.subs({x: 0}))
-            val = relative_stokes_residual(pair, Y, z, grid, state)
+            val = relative_stokes_residual(Y, z, grid, state)
             residuals.append(val)
         assert residuals[2] < 1e-3
         # roughly second-order decay
@@ -174,7 +174,7 @@ class TestVariation:
         ub = pair.bchart.jet("u", MultiIndex())
         un = pair.bchart.jet("u.n1", MultiIndex())
         if robin:
-            ell = boundary_volume(ch, pair.bchart) * (sp.Rational(robin) * ub**2 / 2)
+            ell = boundary_volume(pair.bchart) * (sp.Rational(robin) * ub**2 / 2)
         else:
             ell = None
         E = {"u": utt - uxx + u**3}

@@ -15,6 +15,7 @@ from cpsforge.forms import (
     dd,
     hodge,
     iota_x,
+    restrict,
     vol,
     wedge,
 )
@@ -26,7 +27,6 @@ from cpsforge.pipeline import (
     FieldMeta,
     LagrangianPair,
     OnShellIdeal,
-    SliceContext,
     _corner_ideal,
     d_symmetry_check,
     decompose,
@@ -65,7 +65,7 @@ def scalar_pair(bc="free", with_potential=True, with_robin=True, f_static=True):
     if with_robin:
         ub = pair.bchart.jet("u", MultiIndex())
         f = sp.Symbol("f") if f_static else sp.Function("f")(pair.bchart.xs[0])
-        ell = boundary_volume(ch, pair.bchart) * (f * ub**2 / 2)
+        ell = boundary_volume(pair.bchart) * (f * ub**2 / 2)
     return LagrangianPair(pair, L, ell, bc={"u": bc})
 
 
@@ -86,7 +86,7 @@ class TestScalarRobin:
         ub = bch.jet("u", MultiIndex())
         un = bch.jet("u.n1", MultiIndex())
         f = sp.Symbol("f")
-        expected_b = boundary_volume(ch, bch) * (-(un - f * ub))
+        expected_b = boundary_volume(bch) * (-(un - f * ub))
         assert v.b.components["u"] == expected_b
         assert v.theta_bar.is_zero()
 
@@ -106,7 +106,7 @@ class TestScalarRobin:
         lp = scalar_pair()
         v = decompose(lp)
         omega_slice, omega_corner = slice_presymplectic(v)
-        sch = SliceContext(lp.pair.chart).schart
+        sch = lp.pair.chart.restricted(0, tag="t")
         expected = Form(sch, 1, 2, {
             (("x", 0), ("v", "u", ()), ("v", "u.t1", ())): sp.Integer(1),
         })
@@ -152,7 +152,7 @@ class TestEquivalence:
         word = (("x", 0), ("x", 1))
         L1 = Form(ch, 2, 0, {word: (-(ut**2) + ux**2) / 2 + u**3})
         ub = pair.bchart.jet("u", MultiIndex())
-        ell1 = boundary_volume(ch, pair.bchart) * (ub**2 / 2)
+        ell1 = boundary_volume(pair.bchart) * (ub**2 / 2)
         lp1 = LagrangianPair(pair, L1, ell1, bc={"u": "free", "v": "free"})
         ybar = Form(pair.bchart, 0, 0, {(): ub * pair.bchart.xs[0]})
         L2 = L1 + d_h(Y)
@@ -226,7 +226,7 @@ class TestNoether:
         assert data.identity_holds()
         # slice current = energy density integrand
         ch = lp.pair.chart
-        sch = SliceContext(ch).schart
+        sch = ch.restricted(0, tag="t")
         ub = sch.jet("u", MultiIndex())
         ut1 = sch.jet("u.t1", MultiIndex())
         ux = sch.jet("u", MultiIndex.make(0))
@@ -331,11 +331,11 @@ class TestChernSimons:
         # (J = 1/2 d(A_t A) + A_t E), so on shell it reduces to the divergence:
         # subtract the witness and certify the difference dies in the ideal
         ch = lp.pair.chart
-        ctx = SliceContext(ch)
-        ideal = slice_ideal(ch, ctx, list(v.equations().values()), v.ring)
+        sch = ch.restricted(0, tag="t")
+        ideal = slice_ideal(sch, list(v.equations().values()), v.ring)
         A = cs_one_form(ch)
         At = ch.jet("A_t", MultiIndex())
-        witness = d_h(ctx.pull(A * (At / 2)))
+        witness = d_h(restrict(A * (At / 2), sch))
         assert ideal.reduce_form(data.slice_current - witness).is_zero()
 
     def test_xi_lift_is_gauge(self):
@@ -461,17 +461,17 @@ def test_corpus_ideals_on_kernel_match_expr_path(name):
     except NonDecomposableError:
         return  # lagrange_multiplier_L3 never reaches the gauge stage
     chart = lp.pair.chart
-    ctx = SliceContext(chart)
+    sch = chart.restricted(0, tag="t")
     eqs = list(v.equations().values())
-    kernel = slice_ideal(chart, ctx, eqs, v.ring)
+    kernel = slice_ideal(sch, eqs, v.ring)
     assert isinstance(kernel.ring, JetRing), "a corpus equation left the sparse kernel"
-    gens = prolonged_restricted_generators(chart, ctx.schart, 0, [EXPR.poly(e) for e in eqs], EXPR)
-    reference = OnShellIdeal(ctx.schart, gens, ring=EXPR)
+    gens = prolonged_restricted_generators(sch, [EXPR.poly(e) for e in eqs], EXPR)
+    reference = OnShellIdeal(sch, gens, ring=EXPR)
     assert ideal_contents(kernel) == ideal_contents(reference)
     if lp.has_boundary:
-        kcorner = _corner_ideal(lp, v, ctx, kernel)
+        kcorner = _corner_ideal(v, kernel)
         assert kcorner.ring is kernel.ring, "a boundary equation left the sparse kernel"
-        rcorner = _corner_ideal(lp, v, ctx, reference)
+        rcorner = _corner_ideal(v, reference)
         assert rcorner.ring is EXPR
         assert ideal_contents(kcorner) == ideal_contents(rcorner)
 

@@ -12,11 +12,13 @@ from cpsforge.relative import (
     rel_d,
     rel_dd,
     rel_iota,
+    rel_iota_ev,
     rel_lie,
+    rel_lie_ev,
     rel_wedge,
 )
 
-from strategies import forms, make_chart
+from strategies import evolutionary_fields, forms, make_chart
 
 settings.register_profile("relative", max_examples=30, deadline=None)
 settings.load_profile("relative")
@@ -72,6 +74,23 @@ class TestPullback:
         assert PAIR.pullback(iota_x(xi, f)) == iota_x(xibar, PAIR.pullback(f))
 
 
+class TestRestrictedChart:
+    @pytest.mark.parametrize("axis, tag", [(0, "t"), (1, "n"), (1, None), (0, "n")])
+    def test_knows_its_hypersurface(self, axis, tag):
+        ch = make_chart(2, ("u",))
+        sub = ch.restricted(axis, tag)
+        assert sub.parent is ch and sub.axis == axis
+        assert ch.restricted(axis, tag) is sub
+
+    def test_restrict_refuses_a_chart_cut_from_another(self):
+        other = make_chart(2, ("u", "v")).restricted(1)
+        with pytest.raises(ValueError, match="not a restriction of the form's chart"):
+            restrict(Form.dx(CH, 0) * U, other)
+        with pytest.raises(ValueError):
+            restrict(Form.dx(CH, 0) * U, BCH.restricted(0))  # a restriction of a restriction
+        assert restrict(Form.dx(CH, 0) * U, BCH) == PAIR.pullback(Form.dx(CH, 0) * U)
+
+
 class TestRestrictEv:
     def test_families_stop_exactly_at_jet_cap(self):
         ch = make_chart(2, ("u", "v"), max_jet_order=3)
@@ -99,7 +118,7 @@ class TestRestrictEv:
 class TestRelD:
     def test_bulk_only(self):
         a = Form.dx(CH, 0) * (T * U)
-        p = RelForm.make(PAIR, bulk=a)
+        p = RelForm(PAIR, a, Form.zero(BCH))
         out = rel_d(p)
         assert out.bulk == d_h(a)
         assert out.boundary == PAIR.pullback(a)
@@ -126,8 +145,8 @@ class TestRelD:
 
 class TestRelWedge:
     def test_bulk_pair(self):
-        p = RelForm.make(PAIR, bulk=Form.dx(CH, 0))
-        q = RelForm.make(PAIR, bulk=Form.dx(CH, 1))
+        p = RelForm(PAIR, Form.dx(CH, 0), Form.zero(BCH))
+        q = RelForm(PAIR, Form.dx(CH, 1), Form.zero(BCH))
         out = rel_wedge(p, q)
         from cpsforge.forms import wedge
 
@@ -136,7 +155,7 @@ class TestRelWedge:
 
     def test_half_factor_with_sign(self):
         # (dx^0, 0) rel-wedge (0, 1) -> (0, -1/2 dt-bar)
-        p = RelForm.make(PAIR, bulk=Form.dx(CH, 0))
+        p = RelForm(PAIR, Form.dx(CH, 0), Form.zero(BCH))
         q = RelForm(PAIR, Form.zero(CH, 1, 0), Form.scalar(BCH, 1))
         out = rel_wedge(p, q)
         assert out.bulk.is_zero()
@@ -157,8 +176,8 @@ class TestRelWedge:
     def test_not_associative_documented(self):
         # the 1/2-weights break associativity: ((u,0)^(1,0))^(0,1) has boundary u/2,
         # while (u,0)^((1,0)^(0,1)) has boundary u/4
-        p = RelForm.make(PAIR, bulk=Form.scalar(CH, U))
-        q = RelForm.make(PAIR, bulk=Form.scalar(CH, 1))
+        p = RelForm(PAIR, Form.scalar(CH, U), Form.zero(BCH))
+        q = RelForm(PAIR, Form.scalar(CH, 1), Form.zero(BCH))
         r = RelForm(PAIR, Form.zero(CH), Form.scalar(BCH, 1))
         left = rel_wedge(rel_wedge(p, q), r)
         right = rel_wedge(p, rel_wedge(q, r))
@@ -184,7 +203,7 @@ class TestRelIntegralSurface:
 
 class TestRelContraction:
     def test_bulk_slot(self):
-        p = RelForm.make(PAIR, bulk=Form.dx(CH, 0))
+        p = RelForm(PAIR, Form.dx(CH, 0), Form.zero(BCH))
         out = rel_iota([1, 0], p)
         assert out.bulk == Form.scalar(CH, 1)
         assert out.boundary.is_zero()
@@ -199,7 +218,7 @@ class TestRelContraction:
         assert out.boundary == Form.scalar(BCH, -1)
 
     def test_non_tangent_rejected(self):
-        p = RelForm.make(PAIR, bulk=Form.dx(CH, 1))
+        p = RelForm(PAIR, Form.dx(CH, 1), Form.zero(BCH))
         with pytest.raises(NonTangentError):
             rel_iota([0, 1], p)
 
@@ -212,3 +231,24 @@ class TestRelContraction:
     @given(tangent_fields(), any_rel_forms(max_order=1))
     def test_lie_commutes_with_rel_d(self, xi, p):
         assert rel_lie(xi, rel_d(p)) == rel_d(rel_lie(xi, p))
+
+
+class TestRelEvolutionary:
+    @given(evolutionary_fields(CH, max_order=1), any_rel_forms(max_order=1))
+    def test_relative_evolutionary_cartan(self, W, p):
+        lhs = rel_lie_ev(W, p)
+        rhs = rel_iota_ev(W, rel_dd(p)) + rel_dd(rel_iota_ev(W, p))
+        assert lhs == rhs
+
+    def test_boundary_contraction_uses_the_restricted_field(self):
+        ub, un = BCH.jet("u", MultiIndex()), BCH.jet("u.n1", MultiIndex())
+        p = RelForm(PAIR, Form.zero(CH, 1, 1), Form.contact(BCH, "u") + Form.contact(BCH, "u.n1"))
+        out = rel_iota_ev({"u": U * CH.jet("u", MultiIndex.make(1))}, p)
+        assert out.bulk.is_zero()
+        assert out.boundary == Form.scalar(BCH, ub * un + un**2 + ub * BCH.jet("u.n2", MultiIndex()))
+
+    def test_zero_boundary_form_leaves_the_field_unrestricted(self, monkeypatch):
+        monkeypatch.setattr(BoundaryPair, "restrict_ev", lambda self, W: pytest.fail("W was restricted"))
+        p = RelForm(PAIR, Form.contact(CH, "u"), Form.zero(BCH, 0, 1))
+        assert rel_iota_ev({"u": U}, p).bulk == Form.scalar(CH, U)
+        assert rel_lie_ev({"u": U}, p).boundary.is_zero()
