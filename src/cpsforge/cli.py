@@ -8,7 +8,7 @@ import pathlib
 import sys
 
 from .chart import JetOrderError
-from .jetcalc import EvolutionaryField, NonDecomposableError
+from .jetcalc import NonDecomposableError
 from .model import ExprParser, ModelError, parse_model, tokenize
 from .pipeline import d_symmetry_check
 from .report import PipelineReport, gauge_parameter_block, report_json, run_cps, symmetry_block
@@ -111,8 +111,8 @@ def print_gauge_verdict(g: dict) -> None:
     print(f"  boundary obstruction = {g['boundary_residual']}")
 
 
-def parse_evolutionary(model, text: str) -> EvolutionaryField:
-    """The field ``a: expr, b: expr, ...`` of ``check --evolutionary``, each
+def parse_evolutionary(model, text: str) -> dict:
+    """The components ``a: expr, b: expr, ...`` of ``check --evolutionary``, each
     component read by the model-file expression grammar; an undeclared or
     repeated field, or an undeclared name, raises a positioned ModelError."""
     chart, comps = model.chart, {}
@@ -126,7 +126,7 @@ def parse_evolutionary(model, text: str) -> EvolutionaryField:
         comps[name.text] = p.scalar()
 
     p.items(component, ";")
-    return EvolutionaryField(chart, comps)
+    return comps
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[tuple]):

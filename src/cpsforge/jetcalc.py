@@ -9,7 +9,6 @@ variation survives).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import sympy as sp
 
@@ -23,24 +22,6 @@ class NonDecomposableError(ValueError):
     def __init__(self, message: str, term: Form | None = None):
         super().__init__(message)
         self.term = term
-
-
-@dataclass(frozen=True)
-class EvolutionaryField:
-    """Vertical (evolutionary) vector field: one component expression per field."""
-
-    chart: Chart
-    components: Mapping[str, sp.Expr]
-
-    def __post_init__(self):
-        comps = {a: sp.sympify(e) for a, e in self.components.items()}
-        missing = set(self.chart.fields) - set(comps)
-        for a in missing:
-            comps[a] = sp.Integer(0)
-        unknown = set(comps) - set(self.chart.fields)
-        if unknown:
-            raise KeyError(f"components for undeclared fields: {sorted(unknown)}")
-        object.__setattr__(self, "components", comps)
 
 
 @dataclass

@@ -107,6 +107,7 @@ class JetRing:
     def __init__(self):
         self.atoms: list[sp.Expr] = []
         self._index: dict[sp.Expr, int] = {}
+        self._functions: set[int] = set()  # the formal-function atoms
         self._memo: dict[tuple, dict[int, dict | None]] = {}
 
     def _atom(self, a: sp.Expr) -> int:
@@ -114,6 +115,8 @@ class JetRing:
         if i is None:
             i = self._index[a] = len(self.atoms)
             self.atoms.append(a)
+            if not a.is_Symbol:
+                self._functions.add(i)
         return i
 
     # -- conversion ------------------------------------------------------------------
@@ -237,7 +240,10 @@ class JetRing:
         ))
 
     def diff(self, p: dict, sym: sp.Symbol) -> dict:
-        """Partial derivative by one symbol, through formal-function atoms too."""
+        """Partial derivative by one symbol, through formal-function atoms too;
+        a monomial with neither sym nor a formal-function atom is constant in sym."""
+        live = {self._index.get(sym), *self._functions}
+        p = {m: c for m, c in p.items() if any(i in live for i, _ in m)}
         return self._derive(
             p, self._images(("d", sym), lambda a: int(a == sym) if a.is_Symbol else sp.diff(a, sym))
         )

@@ -12,8 +12,9 @@ declared formal functions, and Derivative() of a field-free scalar in
 coordinates (a jet is written u_t).  Metric entries, domain bounds and
 background values are numbers of the same grammar: integers, decimals, pi,
 + - * / ** and parentheses.  A vector is one parenthesised tuple of scalar
-expressions.  Parsing type-checks degrees, and every error is a ModelError
-with line and column.
+expressions.  An expression's value is a sympy scalar, a Form, or an
+su(2)-valued form: a list of Forms, one per colour.  Parsing type-checks
+degrees, and every error is a ModelError with line and column.
 """
 from __future__ import annotations
 
@@ -120,34 +121,6 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- expression values --------------------------------------------------------------------
-
-
-@dataclass
-class Val:
-    """Parser value: a scalar expression, a form, or a Lie-algebra-valued form."""
-
-    kind: str  # "scalar" | "form" | "lie"
-    scalar: sp.Expr = None
-    form: Form = None
-    comps: list[Form] = None
-
-    @staticmethod
-    def of_scalar(e: sp.Expr) -> "Val":
-        return Val("scalar", scalar=e)
-
-    @staticmethod
-    def of_form(f: Form) -> "Val":
-        return Val("form", form=f)
-
-    def as_form(self, chart: Chart, tok: Token) -> Form:
-        if self.kind == "scalar":
-            return Form.scalar(chart, self.scalar)
-        if self.kind == "form":
-            return self.form
-        raise ModelError.at("expected a scalar-valued form, got a Lie-algebra-valued one", tok)
-
-
 class TokenCursor:
     """A position in a token list, shared by the model and expression parsers."""
 
@@ -218,9 +191,9 @@ class ExprParser(TokenCursor):
     def scalar(self) -> sp.Expr:
         t = self.peek()
         v = self.expr()
-        if v.kind != "scalar":
+        if not isinstance(v, sp.Expr):
             raise ModelError.at("expected a scalar", t)
-        return v.scalar
+        return v
 
     def number(self) -> sp.Expr:
         """A finite real constant: integers, decimals, pi, + - * / ** and parentheses."""
@@ -235,26 +208,31 @@ class ExprParser(TokenCursor):
         self.expect("(")
         return self.items(item, ")")
 
+    def as_form(self, v, tok: Token) -> Form:
+        if isinstance(v, list):
+            raise ModelError.at("expected a scalar-valued form, got a Lie-algebra-valued one", tok)
+        return v if isinstance(v, Form) else Form.scalar(self.chart, v)
+
     # symbol resolution ------------------------------------------------------------
 
-    def resolve_ident(self, tok: Token) -> Val:
+    def resolve_ident(self, tok: Token):
         name = tok.text
         chart = self.chart
         if name in chart.coord_names:
-            return Val.of_scalar(chart.xs[chart.coord_names.index(name)])
+            return chart.xs[chart.coord_names.index(name)]
         if name == "pi":
-            return Val.of_scalar(sp.pi)
+            return sp.pi
         # one-form bases: lie_index 0 is a plain one-form, 1..dim a Lie-valued one
         bases = {li: fam for (base, li), fam in self.families.items() if base == name}
         if 0 in bases:
-            return Val.of_form(self._one_form(bases[0]))
+            return self._one_form(bases[0])
         if bases:
-            return Val("lie", comps=[self._one_form(fam) for fam in bases.values()])
+            return [self._one_form(fam) for fam in bases.values()]
         jet = self._try_jet(tok)
         if jet is not None:
-            return Val.of_scalar(jet)
+            return jet
         if self.backgrounds.get(name) in ("const", "value"):
-            return Val.of_scalar(sp.Symbol(name))
+            return sp.Symbol(name)
         raise ModelError.at(f"unknown symbol {name!r}", tok)
 
     def _one_form(self, family: dict[int, str]) -> Form:
@@ -288,7 +266,7 @@ class ExprParser(TokenCursor):
 
     # parsing ----------------------------------------------------------------------
 
-    def expr(self) -> Val:
+    def expr(self):
         v = self.term()
         while self.peek().text in ("+", "-"):
             op = self.next()
@@ -296,7 +274,7 @@ class ExprParser(TokenCursor):
             v = self.add(v, w if op.text == "+" else self.scale(w, -1), op)
         return v
 
-    def term(self) -> Val:
+    def term(self):
         v = self.power()
         while self.peek().text in ("*", "/"):
             op = self.next()
@@ -304,19 +282,19 @@ class ExprParser(TokenCursor):
             v = self.mul(v, w, op) if op.text == "*" else self.div(v, w, op)
         return v
 
-    def power(self) -> Val:
+    def power(self):
         v = self.unary()
         if self.peek().text == "**":
             op = self.next()
             e = self.unary()
-            if v.kind != "scalar" or e.kind != "scalar":
+            if not (isinstance(v, sp.Expr) and isinstance(e, sp.Expr)):
                 raise ModelError.at("powers apply to scalar expressions only", op)
-            if v.scalar == 0 and e.scalar.is_negative:
+            if v == 0 and e.is_negative:
                 raise ModelError.at("division by zero", op)
-            return Val.of_scalar(v.scalar ** e.scalar)
+            return v ** e
         return v
 
-    def unary(self) -> Val:
+    def unary(self):
         t = self.peek()
         if t.text == "-":
             self.next()
@@ -326,21 +304,21 @@ class ExprParser(TokenCursor):
             return self.unary()
         return self.atom()
 
-    def atom(self) -> Val:
+    def atom(self):
         t = self.next()
         if t.text == "(":
             v = self.expr()
             self.expect(")")
             return v
         if t.kind == "num":
-            return Val.of_scalar(sp.Rational(t.text) if "." in t.text else sp.Integer(t.text))
+            return sp.Rational(t.text) if "." in t.text else sp.Integer(t.text)
         if t.kind == "ident":
             if self.peek().text == "(":
                 return self.call(t)
             return self.resolve_ident(t)
         raise ModelError.at(f"unexpected token {t.text!r}", t)
 
-    def call(self, tok: Token) -> Val:
+    def call(self, tok: Token):
         self.expect("(")
         if tok.text == "iota":
             vec = self.expect_ident()
@@ -349,77 +327,76 @@ class ExprParser(TokenCursor):
             self.expect(")")
             if vec.text not in self.vectors:
                 raise ModelError.at(f"unknown vector field {vec.text!r}", vec)
-            return Val.of_form(iota_x(self.vectors[vec.text], arg.as_form(self.chart, tok)))
+            return iota_x(self.vectors[vec.text], self.as_form(arg, tok))
         if self.peek().text == ")":
             self.next()
             return self.apply(tok, [])
         return self.apply(tok, self.items(self.expr, ")"))
 
-    def apply(self, tok: Token, args: list[Val]) -> Val:
+    def apply(self, tok: Token, args: list):
         chart, name = self.chart, tok.text
         if name == "d":
             self._arity(args, 1, tok)
-            if args[0].kind == "lie":
-                return Val("lie", comps=[d_h(c) for c in args[0].comps])
-            return Val.of_form(d_h(args[0].as_form(chart, tok)))
+            if isinstance(args[0], list):
+                return [d_h(c) for c in args[0]]
+            return d_h(self.as_form(args[0], tok))
         if name == "wedge":
             if len(args) < 2:
                 raise ModelError.at("wedge needs at least two arguments", tok)
-            out = args[0].as_form(chart, tok)
+            out = self.as_form(args[0], tok)
             for a in args[1:]:
-                f = a.as_form(chart, tok)
+                f = self.as_form(a, tok)
                 if out.terms and f.terms and out.r + f.r > chart.n:
                     raise ModelError.at(
                         f"wedge exceeds the chart dimension ({out.r}+{f.r} > {chart.n})", tok
                     )
                 out = wedge(out, f)
-            return Val.of_form(out)
+            return out
         if name == "hodge":
             self._arity(args, 1, tok)
             if chart.metric is None:
                 raise ModelError.at("hodge requires a declared metric", tok)
-            if args[0].kind == "lie":
-                return Val("lie", comps=[hodge(c) for c in args[0].comps])
-            return Val.of_form(hodge(args[0].as_form(chart, tok)))
+            if isinstance(args[0], list):
+                return [hodge(c) for c in args[0]]
+            return hodge(self.as_form(args[0], tok))
         if name == "vol":
             self._arity(args, 0, tok)
             if self.boundary:
                 raise ModelError.at("vol() is a bulk form; use bvol() on the boundary", tok)
-            return Val.of_form(vol(chart))
+            return vol(chart)
         if name == "bvol":
             self._arity(args, 0, tok)
             if not self.boundary:
                 raise ModelError.at("bvol() only appears in boundary expressions", tok)
-            return Val.of_form(boundary_volume(chart))
+            return boundary_volume(chart)
         if name == "tr":
             self._arity(args, 2, tok)
             a, b = args
-            if a.kind != "lie" or b.kind != "lie" or len(a.comps) != len(b.comps):
+            if not (isinstance(a, list) and isinstance(b, list)) or len(a) != len(b):
                 raise ModelError.at("tr() pairs two Lie-algebra-valued forms", tok)
             out = Form.zero(chart)
-            for ca, cb in zip(a.comps, b.comps):
+            for ca, cb in zip(a, b):
                 out = out + wedge(ca, cb)
-            return Val.of_form(out)
+            return out
         if name == "bracket":
             self._arity(args, 2, tok)
             a, b = args
-            if a.kind != "lie" or b.kind != "lie":
+            if not (isinstance(a, list) and isinstance(b, list)):
                 raise ModelError.at("bracket() needs Lie-algebra-valued forms", tok)
-            dim = len(a.comps)
-            comps = [Form.zero(chart) for _ in range(dim)]
+            comps = [Form.zero(chart) for _ in a]
             for (i, j, k), c in SU2_STRUCTURE.items():
-                comps[k] = comps[k] + wedge(a.comps[i], b.comps[j]) * c
-            return Val("lie", comps=comps)
+                comps[k] = comps[k] + wedge(a[i], b[j]) * c
+            return comps
         if name == "Derivative":
             f, *xs = args or [None]
-            coords = [a.scalar for a in xs if a.kind == "scalar" and a.scalar in chart.xs]
-            if not xs or len(coords) < len(xs) or f.kind != "scalar" or chart.jets_in(f.scalar):
+            coords = [a for a in xs if isinstance(a, sp.Expr) and a in chart.xs]
+            if not xs or len(coords) < len(xs) or not isinstance(f, sp.Expr) or chart.jets_in(f):
                 raise ModelError.at("Derivative() takes a field-free scalar and coordinates", tok)
-            return Val.of_scalar(sp.diff(f.scalar, *coords))
+            return sp.diff(f, *coords)
         if self.backgrounds.get(name) == "function":
-            if any(a.kind != "scalar" for a in args):
+            if not all(isinstance(a, sp.Expr) for a in args):
                 raise ModelError.at(f"{name}() takes scalar arguments", tok)
-            return Val.of_scalar(sp.Function(name)(*(a.scalar for a in args)))
+            return sp.Function(name)(*args)
         raise ModelError.at(f"unknown function {name!r}", tok)
 
     @staticmethod
@@ -427,12 +404,12 @@ class ExprParser(TokenCursor):
         if len(args) != k:
             raise ModelError.at(f"{tok.text}() takes {k} argument(s), got {len(args)}", tok)
 
-    def add(self, a: Val, b: Val, op: Token) -> Val:
-        if a.kind == "scalar" and b.kind == "scalar":
-            return Val.of_scalar(a.scalar + b.scalar)
-        if a.kind == "lie" and b.kind == "lie":
-            return Val("lie", comps=[self._sum(x, y, op) for x, y in zip(a.comps, b.comps)])
-        return Val.of_form(self._sum(a.as_form(self.chart, op), b.as_form(self.chart, op), op))
+    def add(self, a, b, op: Token):
+        if isinstance(a, sp.Expr) and isinstance(b, sp.Expr):
+            return a + b
+        if isinstance(a, list) and isinstance(b, list):
+            return [self._sum(x, y, op) for x, y in zip(a, b)]
+        return self._sum(self.as_form(a, op), self.as_form(b, op), op)
 
     @staticmethod
     def _sum(fa: Form, fb: Form, op: Token) -> Form:
@@ -440,30 +417,25 @@ class ExprParser(TokenCursor):
             raise ModelError.at(f"degree mismatch in sum: {fa.bidegree} vs {fb.bidegree}", op)
         return fa + fb
 
-    def scale(self, a: Val, c) -> Val:
-        if a.kind == "scalar":
-            return Val.of_scalar(c * a.scalar)
-        if a.kind == "lie":
-            return Val("lie", comps=[f * c for f in a.comps])
-        return Val.of_form(a.form * c)
+    @staticmethod
+    def scale(a, c):
+        return [f * c for f in a] if isinstance(a, list) else a * c
 
-    def mul(self, a: Val, b: Val, op: Token) -> Val:
-        if a.kind == "scalar" and b.kind == "scalar":
-            return Val.of_scalar(a.scalar * b.scalar)
-        if a.kind == "scalar":
-            return self.scale(b, a.scalar)
-        if b.kind == "scalar":
-            return self.scale(a, b.scalar)
+    def mul(self, a, b, op: Token):
+        if isinstance(a, sp.Expr):
+            return self.scale(b, a)
+        if isinstance(b, sp.Expr):
+            return self.scale(a, b)
         raise ModelError.at("use wedge() to multiply forms", op)
 
-    def div(self, a: Val, b: Val, op: Token) -> Val:
-        if b.kind != "scalar":
+    def div(self, a, b, op: Token):
+        if not isinstance(b, sp.Expr):
             raise ModelError.at("division by a form", op)
-        if b.scalar == 0:
+        if b == 0:
             raise ModelError.at("division by zero", op)
-        if a.kind == "scalar":
-            return Val.of_scalar(a.scalar / b.scalar)
-        return self.scale(a, 1 / b.scalar)
+        if isinstance(a, sp.Expr):
+            return a / b
+        return self.scale(a, 1 / b)
 
 
 # -- model parser ---------------------------------------------------------------------
@@ -710,7 +682,7 @@ class ModelParser(TokenCursor):
     def _top_form(parser: ExprParser, stmt: list[Token], what: str) -> Form:
         """The top form ``key = expr;`` defines on the parser's chart."""
         p = parser.start(stmt[2:])
-        f = p.expr().as_form(p.chart, stmt[0])
+        f = p.as_form(p.expr(), stmt[0])
         p.expect(";")
         n = p.chart.n
         if f.terms and f.bidegree != (n, 0):

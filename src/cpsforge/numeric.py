@@ -33,21 +33,23 @@ class Grid:
     extents: tuple[tuple[float, float], ...]
     shape: tuple[int, ...]
     periodic: tuple[bool, ...]
-    lateral_sides: tuple[int, ...] = (-1, +1)
 
     def __post_init__(self):
         if self.chart.n != len(self.extents) or self.chart.n != len(self.shape):
             raise ValueError("grid shape/extents do not match the chart dimension")
         if self.chart.n not in (1, 2):
             raise ValueError("numeric grids support n in {1, 2}")
-        if self.periodic[self.chart.n - 1]:
-            object.__setattr__(self, "lateral_sides", ())
 
     @staticmethod
-    def make(chart: Chart, extents, shape, periodic=None, lateral_sides=(-1, +1)) -> "Grid":
+    def make(chart: Chart, extents, shape, periodic=None) -> "Grid":
         periodic = tuple(periodic) if periodic is not None else (False,) * chart.n
         extents = tuple(tuple(map(float, e)) for e in extents)
-        return Grid(chart, extents, tuple(shape), periodic, tuple(lateral_sides))
+        return Grid(chart, extents, tuple(shape), periodic)
+
+    @property
+    def lateral_sides(self) -> tuple[int, ...]:
+        """The min (-1) and max (+1) faces of the last axis; none if it is periodic."""
+        return () if self.periodic[-1] else (-1, +1)
 
     def axis_points(self, k: int) -> np.ndarray:
         a, b = self.extents[k]
@@ -284,7 +286,7 @@ def flux_through_boundary(form: Form, grid: Grid, state: FieldState, bindings=No
     for axis in range(chart.n):
         if grid.periodic[axis]:
             continue
-        for side in grid.lateral_sides if axis == chart.n - 1 else (-1, +1):
+        for side in (-1, +1):
             fb = FaceBinding(chart.restricted(axis), face_index(side))
             w = grid.weights(fb.tangential)
             orient = side * (-1) ** axis

@@ -20,7 +20,6 @@ import sympy as sp
 from .chart import Chart, MultiIndex, translated_field
 from .forms import Form, d_h, dd, restrict, top_word, wedge
 from .jetcalc import (
-    EvolutionaryField,
     NonDecomposableError,
     SourceForm,
     _sweep,
@@ -176,12 +175,7 @@ def presymplectic_current(v: VariationDecomposition) -> RelForm:
 def slice_presymplectic(v: VariationDecomposition) -> tuple[Form, Form]:
     """The slice integrand of the presymplectic form: dd of the pulled
     potentials; the slice value stays symbolic."""
-    omega_slice = dd(restrict(v.theta, v.schart))
-    if v.theta_bar.is_zero():
-        omega_corner = Form.zero(v.cchart)
-    else:
-        omega_corner = dd(restrict(v.theta_bar, v.bschart))
-    return omega_slice, omega_corner
+    return dd(restrict(v.theta, v.schart)), dd(restrict(v.theta_bar, v.bschart))
 
 
 # -- lifting space-time vector fields --------------------------------------------------
@@ -197,39 +191,33 @@ def one_form_families(meta: Mapping[str, FieldMeta]) -> dict[tuple[str, int], di
     return families
 
 
-def lift_vector_field(
-    chart: Chart, meta: Mapping[str, FieldMeta], xi
-) -> EvolutionaryField:
-    """Canonical field-space lift: the Lie derivative of each field along xi.
+def lift_vector_field(chart: Chart, meta: Mapping[str, FieldMeta], xi) -> dict[str, sp.Expr]:
+    """Canonical field-space lift: the Lie derivative of each field along xi,
+    as the components W^a of an evolutionary field.
 
     Scalars: W^a = xi^m u^a_m; one-form components pick up the coefficient
     gradient: W^{A_mu} = xi^m A_{mu,m} + A_m d_mu xi^m.
     """
-    comps = [sp.sympify(c) for c in xi]
-    if len(comps) != chart.n:
-        raise ValueError("component count mismatch")
     W: dict[str, sp.Expr] = {}
     families = one_form_families(meta)
     for a in chart.fields:
         m = meta.get(a, FieldMeta("scalar"))
-        if m.kind not in ("scalar", "one_form"):
-            raise ValueError(f"unsupported tensor kind {m.kind!r} (rank > 1 not supported)")
         expr = sp.Integer(0)
         for i in range(chart.n):
-            expr += comps[i] * chart.jet(a, MultiIndex.make(i))
+            expr += xi[i] * chart.jet(a, MultiIndex.make(i))
         if m.kind == "one_form":
             family = families[(m.base, m.lie_index)]
             for nu in range(chart.n):
-                expr += chart.jet(family[nu], MultiIndex()) * sp.diff(comps[nu], chart.xs[m.axis])
+                expr += chart.jet(family[nu], MultiIndex()) * sp.diff(xi[nu], chart.xs[m.axis])
         W[a] = expr
-    return EvolutionaryField(chart, W)
+    return W
 
 
-def xi_invariance_residual(lp: LagrangianPair, xi, W: EvolutionaryField) -> RelForm:
+def xi_invariance_residual(lp: LagrangianPair, xi, W: Mapping[str, sp.Expr]) -> RelForm:
     """Background-variation operator applied to the pair, with W the lift of
     xi: zero iff xi-invariant."""
     rel = RelForm(lp.pair, lp.L, lp.ell)
-    return rel_lie(xi, rel) - rel_lie_ev(W.components, rel)
+    return rel_lie(xi, rel) - rel_lie_ev(W, rel)
 
 
 # -- d-symmetries ----------------------------------------------------------------------
@@ -246,11 +234,12 @@ class SymmetryVerdict:
 
 def d_symmetry_check(
     lp: LagrangianPair,
-    W: EvolutionaryField,
+    W: Mapping[str, sp.Expr],
     xi=None,
     invariance: RelForm | None = None,
 ) -> SymmetryVerdict:
-    """Decide whether W generates a variational symmetry of the pair.
+    """Decide whether the evolutionary field W (its components; a missing
+    field is a zero component) generates a variational symmetry of the pair.
 
     Accepts W iff the Lie derivative of the pair has identically vanishing
     bulk and boundary sources (exactness decided constructively on the chart;
@@ -262,7 +251,7 @@ def d_symmetry_check(
     """
     pair = lp.pair
     rel = RelForm(pair, lp.L, lp.ell)
-    A = rel_lie_ev(W.components, rel)
+    A = rel_lie_ev(W, rel)
     E_A = euler_operator(A.bulk) if not A.bulk.is_zero() else None
     bulk_exact = A.bulk.is_zero() or E_A.is_zero()
     boundary_exact = True
@@ -315,7 +304,7 @@ def noether_current_xi(
     lp: LagrangianPair,
     v: VariationDecomposition,
     xi,
-    W: EvolutionaryField,
+    W: Mapping[str, sp.Expr],
     invariance: RelForm,
 ) -> NoetherData:
     """xi-current (J, j_bar) = iota_xi (L, ell) - iota_W (Theta, theta_bar),
@@ -327,8 +316,8 @@ def noether_current_xi(
     conserved on shell.
     """
     pair = lp.pair
-    J = rel_iota(xi, RelForm(pair, lp.L, lp.ell)) - rel_iota_ev(W.components, RelForm(pair, v.theta, v.theta_bar))
-    res = rel_d(J) - invariance - rel_iota_ev(W.components, v.sources)
+    J = rel_iota(xi, RelForm(pair, lp.L, lp.ell)) - rel_iota_ev(W, RelForm(pair, v.theta, v.theta_bar))
+    res = rel_d(J) - invariance - rel_iota_ev(W, v.sources)
     corner_current = restrict(J.boundary, v.bschart) if pair.bchart.n > 1 else J.boundary
     return NoetherData(*J, *res, restrict(J.bulk, v.schart), corner_current)
 
@@ -471,7 +460,7 @@ def span_multipliers(target: dict, rows: list[dict]) -> list | None:
     return None if pivot is not None else [-vec.get((None, i), 0) for i in range(len(rows))]
 
 
-def gauge_multiplier_candidates(schart: Chart, W: EvolutionaryField, xi, meta) -> list[sp.Expr]:
+def gauge_multiplier_candidates(schart: Chart, W: Mapping[str, sp.Expr], xi, meta) -> list[sp.Expr]:
     """Multipliers for the absorbable rows of a gauge check.
 
     Lifted vector fields contribute the contractions xi^mu A_mu per one-form
@@ -481,14 +470,13 @@ def gauge_multiplier_candidates(schart: Chart, W: EvolutionaryField, xi, meta) -
     chart = schart.parent
     cands: list[sp.Expr] = []
     if xi is not None and meta is not None:
-        comps = [sp.sympify(cc) for cc in xi]
         for family in one_form_families(meta).values():
             e = sp.Integer(0)
             for axis, a in family.items():
-                e += comps[axis] * chart.jet(a, MultiIndex())
+                e += xi[axis] * chart.jet(a, MultiIndex())
             cands.append(chart.restrict_expr(e, schart))
     funcs = set()
-    for e in W.components.values():
+    for e in W.values():
         funcs |= sp.sympify(e).atoms(sp.core.function.AppliedUndef)
     cands.extend(sorted(funcs, key=str))
     return [c for c in cands if c != 0]
@@ -497,7 +485,7 @@ def gauge_multiplier_candidates(schart: Chart, W: EvolutionaryField, xi, meta) -
 def gauge_residual(
     lp: LagrangianPair,
     v: VariationDecomposition,
-    W: EvolutionaryField,
+    W: Mapping[str, sp.Expr],
     xi=None,
     meta: Mapping[str, FieldMeta] | None = None,
 ) -> GaugeResidual:
@@ -518,7 +506,7 @@ def gauge_residual(
     are linear in W, and zero in both means W is a degenerate direction.
     """
     schart, ideal = v.schart, v.slice_ideal
-    G = rel_iota_ev(W.components, v.omega)
+    G = rel_iota_ev(W, v.omega)
     pulled = restrict(G.bulk, schart)
     src, kappa = _sweep(pulled)
     cands = gauge_multiplier_candidates(schart, W, xi, meta)

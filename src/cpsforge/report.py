@@ -7,7 +7,7 @@ from typing import Any
 
 import sympy as sp
 
-from .jetcalc import EvolutionaryField, NonDecomposableError, SourceForm
+from .jetcalc import NonDecomposableError, SourceForm
 from .model import Model, ModelError
 from .pipeline import (
     GaugeResidual,
@@ -148,7 +148,7 @@ def symmetry_block(model: Model, vname: str, xi) -> dict:
     return block
 
 
-def gauge_direction(model: Model, name: str) -> EvolutionaryField:
+def gauge_direction(model: Model, name: str) -> dict[str, sp.Expr]:
     """The gauge-parameter direction W^{A_mu} = d_mu name(x) of the abelian
     one-form fields.  ``name`` is an identifier that names no coordinate,
     field, field component or background other than a formal function;
@@ -162,8 +162,7 @@ def gauge_direction(model: Model, name: str) -> EvolutionaryField:
     if not name.isidentifier() or name in taken | {b for b, k in model.backgrounds.items() if k != "function"}:
         raise ModelError(f"gauge parameter {name!r} must be a new identifier or a function background")
     lam = sp.Function(name)(*chart.xs)
-    comps = {a: sp.diff(lam, chart.xs[axis]) for family in families for axis, a in family.items()}
-    return EvolutionaryField(chart, comps)
+    return {a: sp.diff(lam, chart.xs[axis]) for family in families for axis, a in family.items()}
 
 
 def gauge_parameter_block(model: Model, name: str) -> dict:

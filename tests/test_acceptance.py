@@ -23,7 +23,7 @@ from cpsforge.forms import (
     lie_ev,
     wedge,
 )
-from cpsforge.jetcalc import EvolutionaryField, euler_operator
+from cpsforge.jetcalc import euler_operator
 from cpsforge.model import parse_model
 from cpsforge.pipeline import (
     LagrangianPair,
@@ -176,7 +176,7 @@ def test_02_chern_simons():
         assert g.bulk.is_zero() and g.boundary.is_zero()
     # lambda-gauge: verbatim boundary obstruction for free data, killed by Dirichlet
     lam = sp.Function("lam")(*ch.xs)
-    W = EvolutionaryField(ch, {a: sp.diff(lam, ch.xs[mt.axis]) for a, mt in m.meta.items()})
+    W = {a: sp.diff(lam, ch.xs[mt.axis]) for a, mt in m.meta.items()}
     g = gauge_residual(m.lp, v, W)
     assert g.bulk.is_zero()
     cchart = g.boundary.chart
@@ -187,10 +187,10 @@ def test_02_chern_simons():
     assert g.boundary == expected_obstruction
     md = load("chern_simons_k1_dirichlet.cps")
     vd = decompose(md.lp)
-    Wd = EvolutionaryField(md.chart, {
+    Wd = {
         a: sp.diff(sp.Function("lam")(*md.chart.xs), md.chart.xs[mt.axis])
         for a, mt in md.meta.items()
-    })
+    }
     gd = gauge_residual(md.lp, vd, Wd)
     assert gd.bulk.is_zero() and gd.boundary.is_zero()
     elapsed = time.perf_counter() - t0

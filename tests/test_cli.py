@@ -183,6 +183,29 @@ def test_fd_check_slope_only_when_defined(capsys):
         assert "slope = n/a" in capsys.readouterr().out
 
 
+def test_fd_check_exact_variation_is_rounding(capsys):
+    # quadratic actions: the central difference is exact, so the residual is
+    # rounding at every eps and has no slope; the Neumann residual is O(eps^2)
+    for name in ("scalar_periodic", "scalar_wave_neumann"):
+        assert main(["numeric", "fd-check", f"{name}.cps"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "slope = n/a"
+    assert main(["numeric", "fd-check", "scalar_neumann.cps"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "slope = 2.000"
+
+
+@pytest.mark.parametrize("old,new", [("boundary = false;", "boundary = true;"), ("periodic = x;", "")])
+def test_numeric_refuses_boundary_periodic_mismatch(tmp_path, capsys, old, new):
+    text = (corpus_dir() / "scalar_periodic.cps").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "mismatch.cps"
+    path.write_text(text.replace(old, new))
+    for sub, *opts in (["fd-check"], ["hamiltonian"], ["slice-independence"], ["flux", "--xi", "dt"]):
+        assert main(["numeric", sub, str(path), "--grid", "17x32", *opts]) == 1
+        assert capsys.readouterr().err == (
+            "model error: numeric checks need periodic = x exactly when boundary = false\n"
+        )
+
+
 def test_numeric_never_raises(capsys):
     # every numeric subcommand on every 1+1 corpus model ends in a result or
     # a one-line refusal: no traceback, no numpy warning.  lagrange_multiplier_L3's

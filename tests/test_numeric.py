@@ -41,12 +41,13 @@ class TestQuadrature:
     def test_lateral_boundary_sign(self):
         ch = make_chart(2, ("u",), metric=[-1, 1])
         pair = BoundaryPair(ch)
-        grid = Grid.make(ch, [(0, 1), (0, 1)], (41, 41), lateral_sides=(+1,))
+        grid = Grid.make(ch, [(0, 1), (0, 1)], (41, 41))
         state = FieldState(grid, {"u": np.zeros(grid.shape)})
         L = Form.zero(ch, 2, 0)
         ell = boundary_volume(pair.bchart)
         val = action_value(L, ell, grid, state)
-        assert abs(val - (-1.0)) < 1e-12
+        # each of the two lateral faces contributes -(integral of the density 1)
+        assert abs(val - (-2.0)) < 1e-12
 
     def test_static_kinetic_action(self):
         # phi = sin(x) static; L-coefficient (u_t^2 - u_x^2)/2 -> S = -pi/4

@@ -21,7 +21,7 @@ from cpsforge.forms import (
 )
 from cpsforge.cli import corpus_dir, load_model
 from cpsforge.model import parse_model
-from cpsforge.jetcalc import EvolutionaryField, NonDecomposableError, euler_operator
+from cpsforge.jetcalc import NonDecomposableError, euler_operator
 from cpsforge.jetpoly import EXPR, JetRing
 from cpsforge.pipeline import (
     FieldMeta,
@@ -200,7 +200,7 @@ class TestInvarianceAndSymmetry:
 
     def test_shift_symmetry_of_free_scalar(self):
         lp = scalar_pair(with_potential=False, with_robin=False)
-        W = EvolutionaryField(lp.pair.chart, {"u": 1})
+        W = {"u": 1}
         verdict = d_symmetry_check(lp, W)
         assert verdict.is_symmetry
         assert verdict.S.is_zero() and verdict.s_bar.is_zero()
@@ -212,7 +212,7 @@ class TestInvarianceAndSymmetry:
         du = d_h(Form.scalar(ch, u))
         L = wedge(du, hodge(du)) * sp.Rational(1, 2) + vol(ch) * (u**2 / 2)
         lp = LagrangianPair(pair, L, Form.zero(pair.bchart, 1, 0), bc={"u": "free"})
-        W = EvolutionaryField(ch, {"u": u})
+        W = {"u": u}
         verdict = d_symmetry_check(lp, W)
         assert not verdict.is_symmetry
         assert verdict.obstruction_bulk is not None
@@ -349,9 +349,7 @@ class TestChernSimons:
 
     def lam_field(self, ch):
         lam = sp.Function("lam")(*ch.xs)
-        return EvolutionaryField(
-            ch, {a: sp.diff(lam, ch.xs[i]) for i, a in enumerate(ch.fields)}
-        )
+        return {a: sp.diff(lam, ch.xs[i]) for i, a in enumerate(ch.fields)}
 
     def test_lambda_gauge_boundary_obstruction(self):
         lp, meta, _ = cs_pair()
@@ -376,7 +374,7 @@ class TestChernSimons:
         ch = lp.pair.chart
         for W, kw in ((self.lam_field(ch), {}),
                       (lift_vector_field(ch, meta, [1, 0, 0]), {"xi": [1, 0, 0], "meta": meta})):
-            minus = EvolutionaryField(ch, {a: -e for a, e in W.components.items()})
+            minus = {a: -e for a, e in W.items()}
             res, neg = gauge_residual(lp, v, W, **kw), gauge_residual(lp, v, minus, **kw)
             assert res.bulk.is_zero() and neg.bulk.is_zero()
             assert neg.boundary == -res.boundary
@@ -384,7 +382,7 @@ class TestChernSimons:
     def test_zero_field_is_gauge(self):
         lp, meta, _ = cs_pair()
         v = decompose(lp)
-        W = EvolutionaryField(lp.pair.chart, {})
+        W = {}
         res = gauge_residual(lp, v, W)
         assert res.is_gauge()
 
@@ -630,10 +628,10 @@ def test_nonabelian_gauge_parameter_restricts_to_the_corner():
     lam = sp.Function("lam")(*chart.xs)
     residuals = []
     for sign in (1, -1):
-        W = EvolutionaryField(chart, {
+        W = {
             a: sign * sp.diff(lam, chart.xs[m.axis]) if m.lie_index == 1 else sp.Integer(0)
             for a, m in model.meta.items()
-        })
+        }
         residuals.append(gauge_residual(model.lp, model.decomposition, W))
     plus, minus = residuals
     assert not plus.bulk.is_zero() and (plus.bulk + minus.bulk).is_zero()
@@ -646,7 +644,7 @@ def test_nonabelian_gauge_parameter_restricts_to_the_corner():
 
 
 def scaled(W, c):
-    return EvolutionaryField(W.chart, {a: c * e for a, e in W.components.items()})
+    return {a: c * e for a, e in W.items()}
 
 
 @pytest.mark.parametrize("name,vector", [
