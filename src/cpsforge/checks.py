@@ -12,6 +12,7 @@ from .numeric import (
     FaceBinding,
     FieldState,
     Grid,
+    _compiled,
     action_value,
     boundary_density,
     contract_two_vertical,
@@ -134,7 +135,7 @@ def solve_model(model: Model, grid: Grid, initial, velocity) -> FieldState:
     vp_expr = vp_expr.subs({sp.Symbol(k): val for k, val in model.bindings.items()})
     if vp_expr.free_symbols - {u} or vp_expr.atoms(sp.Derivative, sp.core.function.AppliedUndef):
         raise ModelError(f"the wave solver needs E[u] = u_tt - u_xx + V'(u), not V' = {vp_expr}")
-    vp = sp.lambdify(u, vp_expr, modules="numpy") if vp_expr != 0 else None
+    vp = _compiled((u,), vp_expr) if vp_expr != 0 else None
     bcs = model.lp.bc.get("u", "free")
     bc = {"free": "neumann", "robin": "robin", "dirichlet": "dirichlet"}[bcs]
     if not model.lp.has_boundary:

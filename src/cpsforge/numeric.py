@@ -16,6 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 import sympy as sp
+from sympy.core.cache import cacheit
 
 from .chart import Chart, MultiIndex
 from .forms import Form, boundary_volume, d_h, top_word
@@ -129,8 +130,17 @@ class FieldState:
 # -- expression evaluation ---------------------------------------------------------------
 
 
+@cacheit
+def _compiled(args: tuple, expr: sp.Expr) -> Callable:
+    """The numpy function of expr over args, compiled once per (args, expr).
+
+    The memo lives in sympy's cache, so ``clear_cache()`` empties it.
+    """
+    return sp.lambdify(args, expr, modules="numpy")
+
+
 def _evaluate(expr: sp.Expr, shape: tuple[int, ...], value_of, bindings) -> np.ndarray:
-    """Lambdify expr over its free symbols and broadcast it to shape.
+    """Evaluate expr over its free symbols and broadcast it to shape.
 
     ``value_of(sym)`` gives the array of a jet or coordinate symbol, or None;
     other symbols take their value from ``bindings``.
@@ -149,8 +159,7 @@ def _evaluate(expr: sp.Expr, shape: tuple[int, ...], value_of, bindings) -> np.n
         vals.append(val)
     if not args:
         return float(expr) * np.ones(shape)
-    fn = sp.lambdify(args, expr, modules="numpy")
-    return np.broadcast_to(fn(*vals), shape).astype(float)
+    return np.broadcast_to(_compiled(tuple(args), expr)(*vals), shape).astype(float)
 
 
 def eval_bulk_expr(

@@ -1,10 +1,16 @@
-"""Grids, quadrature, FD variation residuals, relative Stokes, wave solver."""
+"""Grids, quadrature, FD variation residuals, relative Stokes, wave solver,
+and the memo of compiled evaluators."""
+import pathlib
+
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.core.cache import clear_cache
 
+from cpsforge import checks
 from cpsforge.chart import Chart, MultiIndex
 from cpsforge.forms import Form, boundary_volume, vol
+from cpsforge.model import ModelError, parse_model
 from cpsforge.numeric import (
     FaceBinding,
     FieldState,
@@ -20,6 +26,8 @@ from cpsforge.numeric import (
 from cpsforge.relative import BoundaryPair, RelForm
 
 from strategies import make_chart
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "cpsforge" / "corpus"
 
 
 def bump(t, lo, hi):
@@ -251,3 +259,48 @@ class TestWaveSolver:
         grid = Grid.make(ch, [(0, 1), (0, 1)], (11, 101))
         with pytest.raises(ValueError):
             wave_solver(grid, np.zeros(101), np.zeros(101))
+
+
+class TestCompiledMemo:
+    """Each (arguments, expression) pair is compiled once, until sympy's cache is cleared."""
+
+    @staticmethod
+    def count_lambdify(monkeypatch) -> list:
+        calls = []
+        real = sp.lambdify
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "lambdify", counted)
+        return calls
+
+    @pytest.mark.parametrize("name, compiles", [("scalar_robin_const.cps", 4), ("scalar_neumann.cps", 3)])
+    def test_fd_check_compiles_once_per_cache_lifetime(self, monkeypatch, name, compiles):
+        model = parse_model((CORPUS / name).read_text())
+        calls = self.count_lambdify(monkeypatch)
+        clear_cache()
+        checks.fd_check(model, (33, 33))
+        assert len(calls) == compiles
+        checks.fd_check(model, (33, 33))
+        assert len(calls) == compiles
+        # a cleared cache, as at the start of a process or a benchmark unit, compiles again
+        clear_cache()
+        checks.fd_check(model, (33, 33))
+        assert len(calls) == 2 * compiles
+
+    def test_refusals_run_on_every_call(self):
+        ch = make_chart(2, ("u",))
+        grid = Grid.make(ch, [(0, 1), (0, 1)], (5, 5))
+        state = FieldState(grid, {"u": np.ones(grid.shape)})
+        u = ch.jet("u", MultiIndex())
+        formal = sp.Function("V")(u)
+        for _ in range(2):
+            with pytest.raises(ModelError, match="formal functions"):
+                eval_bulk_expr(ch, formal, grid, state)
+        massive = sp.Symbol("m") * u
+        assert np.all(eval_bulk_expr(ch, massive, grid, state, {"m": 2.0}) == 2.0)
+        for _ in range(2):
+            with pytest.raises(ModelError, match="no numeric binding"):
+                eval_bulk_expr(ch, massive, grid, state)
