@@ -18,7 +18,6 @@ from .numeric import (
     contract_two_vertical,
     eval_bulk_expr,
     fd_variation_residual,
-    slice_integral_density,
     wave_solver,
 )
 from .pipeline import (
@@ -36,7 +35,7 @@ def make_grid(model: Model, shape) -> Grid:
     if (x in model.periodic) == model.lp.has_boundary:
         raise ModelError(f"numeric checks need periodic = {x} exactly when boundary = false")
     periodic = tuple(c in model.periodic for c in model.coords)
-    return Grid.make(model.chart, model.domain, tuple(shape), periodic=periodic)
+    return Grid.make(model.chart, model.domain, tuple(shape), periodic=periodic, bindings=model.bindings)
 
 
 def _require_scalar_u(model: Model, check: str) -> None:
@@ -82,8 +81,7 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     model with a boundary Lagrangian the ablated rows leave out its sources."""
     grid = make_grid(model, shape)
     v = model.decomposition
-    chart, bchart = model.chart, model.pair.bchart
-    L, ell = model.lp.L, model.lp.ell if model.lp.has_boundary else None
+    chart, L, ell = model.chart, model.lp.L, model.lp.ell
     E_coeffs = {a: sp.expand(e) for a, e in v.equations().items()}
     b_dens = {a: boundary_density(f) for a, f in v.b.components.items()}
     tt, xx = grid.mesh()
@@ -91,17 +89,15 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     vpert = {a: bump_array(tt, 0.15, 0.85) * (1 + 0.3 * np.cos(2 * xx)) for a in chart.fields}
     rows, ablated = [], []
     for eps in eps_list:
-        rows.append((eps, fd_variation_residual(L, ell, E_coeffs, b_dens, grid, state, vpert, eps,
-                                                bchart, model.bindings)))
-        if ell is not None and not ell.is_zero():
-            ablated.append((eps, fd_variation_residual(L, ell, E_coeffs, {}, grid, state, vpert, eps,
-                                                       bchart, model.bindings)))
+        rows.append((eps, fd_variation_residual(L, ell, E_coeffs, b_dens, grid, state, vpert, eps)))
+        if model.lp.has_boundary and not ell.is_zero():
+            ablated.append((eps, fd_variation_residual(L, ell, E_coeffs, {}, grid, state, vpert, eps)))
     # Each action sum of the central difference rounds to a few eps_mach |S|,
     # so it is known to about eps_mach |S| / eps.  At 129x129 the corpus models
     # with a quadratic action (an exact difference) leave at most 0.4 of that,
     # and the O(eps^2) truncation of scalar_neumann and scalar_robin_const stays
     # above 160 of it down to eps = 1e-4; a multiple of 8 is 20 from both.
-    rounding = 8 * np.finfo(float).eps * abs(action_value(L, ell, grid, state, model.bindings))
+    rounding = 8 * np.finfo(float).eps * abs(action_value(L, ell, grid, state))
     slope = None
     if len(rows) > 1 and rows[0][1] > 0 and rows[-1][1] > 0 and any(r > rounding / e for e, r in rows):
         slope = float((np.log10(rows[0][1]) - np.log10(rows[-1][1])) / (
@@ -174,10 +170,7 @@ def slice_independence(model: Model, shape=(129, 256), mode="spectral") -> Slice
         d2 = solve_model(model, grid, np.zeros_like(x), 2 * np.cos(2 * x) - np.cos(x))
     nt = grid.shape[0]
     idxs = np.linspace(nt // 8, nt - 1 - nt // 8, 5).astype(int)
-    vals = [
-        contract_two_vertical(om_slice, grid, base, int(i), d1, d2, bindings=model.bindings)
-        for i in idxs
-    ]
+    vals = [contract_two_vertical(om_slice, grid, base, int(i), d1, d2) for i in idxs]
     drift = max(abs(x - vals[0]) for x in vals)
     scale = max(1.0, max(abs(x) for x in vals))
     return SliceDriftResult(vals, drift / scale)
@@ -192,7 +185,7 @@ def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float
     d1, d2 = spectral_tangents(model, grid)
     base = standing_wave_state(model, grid)
     k = grid.shape[0] // 2
-    val = contract_two_vertical(om_slice, grid, base, k, d1, d2, bindings=model.bindings)
+    val = contract_two_vertical(om_slice, grid, base, k, d1, d2)
     # canonical pairing on the same slice
     sb = FaceBinding(v.schart, k, outward=False)
     f1, p1 = sb.jet(d1, "u", MultiIndex()), sb.jet(d1, "u.t1", MultiIndex())
@@ -225,12 +218,14 @@ def flux_check(model: Model, xi_name: str, shape=(257, 256), state: FieldState |
         raise ModelError("corner charge contributions are not evaluated numerically")
     nt = grid.shape[0]
     i1, i2 = nt // 8, nt - 1 - nt // 8
-    qs = [slice_integral_density(data.slice_current, grid, state, i, bindings=model.bindings) for i in (i1, i2)]
+    # the charges: vol_gamma-positive integrals of the slice current on two Cauchy slices
+    q = data.slice_current.top_coefficient()
+    qs = [FaceBinding(data.slice_current.chart, i, outward=False).integral(q, grid, state) for i in (i1, i2)]
     delta_q = qs[1] - qs[0]
     # right-hand side: the background-variation term integrated over the slab
     rhs = 0.0
     if not tilde.bulk.is_zero():
-        vals = eval_bulk_expr(model.chart, tilde.bulk.top_coefficient(), grid, state, model.bindings)
+        vals = eval_bulk_expr(model.chart, tilde.bulk.top_coefficient(), grid, state)
         rhs = float(np.sum(grid.weights(span=(i1, i2)) * vals))
     if not tilde.boundary.is_zero() and model.lp.has_boundary:
         raise ModelError("lateral flux contributions require boundary terms")

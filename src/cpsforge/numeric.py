@@ -3,11 +3,15 @@
 Grids are uniform boxes (n = 1 or 2).  Numeric jets are repeated applications
 of one summation-by-parts first-derivative operator per axis (central interior,
 one-sided edges, trapezoid norm), so discrete summation by parts is exact and
-the finite-difference action-variation residual is purely O(eps^2).  Boundary
-face integrals carry the section-2.6 orientations: the lateral volume is
-outward-oriented (density integrals are plain positive quadrature of the
-outward-normal binding), and raw chart-form face integrals carry the
-outward-first sign (-1)^axis per max-side face.
+the finite-difference action-variation residual is purely O(eps^2).  A grid
+carries the model's constant values, so every evaluation binds them.
+
+One orientation rule, ``faces``, covers every boundary integral (section 2.6):
+the min (side -1) and max (side +1) faces {x^axis = const} of a restricted
+chart's axis, none when that axis is periodic, each with a sign.  Densities on
+the outward-oriented lateral volume bind outward-normal jets and take sign +1
+(plain positive quadrature); raw chart forms bind raw +axis jets and take the
+outward-first sign side * (-1)^axis.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import sympy as sp
 from sympy.core.cache import cacheit
 
 from .chart import Chart, MultiIndex
-from .forms import Form, boundary_volume, d_h, top_word
+from .forms import Form, boundary_volume, d_h, restrict, top_word
 from .model import ModelError
 
 
@@ -34,6 +38,7 @@ class Grid:
     extents: tuple[tuple[float, float], ...]
     shape: tuple[int, ...]
     periodic: tuple[bool, ...]
+    bindings: Mapping[str, float]  # values of the model's background constants
 
     def __post_init__(self):
         if self.chart.n != len(self.extents) or self.chart.n != len(self.shape):
@@ -42,15 +47,10 @@ class Grid:
             raise ValueError("numeric grids support n in {1, 2}")
 
     @staticmethod
-    def make(chart: Chart, extents, shape, periodic=None) -> "Grid":
+    def make(chart: Chart, extents, shape, periodic=None, bindings=None) -> "Grid":
         periodic = tuple(periodic) if periodic is not None else (False,) * chart.n
         extents = tuple(tuple(map(float, e)) for e in extents)
-        return Grid(chart, extents, tuple(shape), periodic)
-
-    @property
-    def lateral_sides(self) -> tuple[int, ...]:
-        """The min (-1) and max (+1) faces of the last axis; none if it is periodic."""
-        return () if self.periodic[-1] else (-1, +1)
+        return Grid(chart, extents, tuple(shape), periodic, dict(bindings or {}))
 
     def axis_points(self, k: int) -> np.ndarray:
         a, b = self.extents[k]
@@ -139,11 +139,11 @@ def _compiled(args: tuple, expr: sp.Expr) -> Callable:
     return sp.lambdify(args, expr, modules="numpy")
 
 
-def _evaluate(expr: sp.Expr, shape: tuple[int, ...], value_of, bindings) -> np.ndarray:
+def _evaluate(expr: sp.Expr, grid: Grid, shape: tuple[int, ...], value_of) -> np.ndarray:
     """Evaluate expr over its free symbols and broadcast it to shape.
 
     ``value_of(sym)`` gives the array of a jet or coordinate symbol, or None;
-    other symbols take their value from ``bindings``.
+    other symbols take their value from ``grid.bindings``.
     """
     expr = sp.sympify(expr)
     if expr.atoms(sp.Derivative) or expr.atoms(sp.core.function.AppliedUndef):
@@ -152,9 +152,9 @@ def _evaluate(expr: sp.Expr, shape: tuple[int, ...], value_of, bindings) -> np.n
     for sym in sorted(expr.free_symbols, key=lambda s: s.name):
         val = value_of(sym)
         if val is None:
-            if not bindings or sym.name not in bindings:
+            if sym.name not in grid.bindings:
                 raise ModelError(f"no numeric binding for symbol {sym}")
-            val = bindings[sym.name]
+            val = grid.bindings[sym.name]
         args.append(sym)
         vals.append(val)
     if not args:
@@ -162,13 +162,7 @@ def _evaluate(expr: sp.Expr, shape: tuple[int, ...], value_of, bindings) -> np.n
     return np.broadcast_to(_compiled(tuple(args), expr)(*vals), shape).astype(float)
 
 
-def eval_bulk_expr(
-    chart: Chart,
-    expr: sp.Expr,
-    grid: Grid,
-    state: FieldState,
-    bindings: Mapping[str, float] | None = None,
-):
+def eval_bulk_expr(chart: Chart, expr: sp.Expr, grid: Grid, state: FieldState):
     """Evaluate a jet expression to an array on the grid."""
     mesh = grid.mesh()
 
@@ -178,12 +172,7 @@ def eval_bulk_expr(
             return state.jet(*key)
         return mesh[chart.xs.index(sym)] if sym in chart.xs else None
 
-    return _evaluate(expr, grid.shape, value_of, bindings)
-
-
-def face_index(side: int) -> int:
-    """Grid index of the max (+1) or min (-1) face along an axis."""
-    return -1 if side > 0 else 0
+    return _evaluate(expr, grid, grid.shape, value_of)
 
 
 class FaceBinding:
@@ -216,7 +205,7 @@ class FaceBinding:
         arr = self.restrict_array(state.jet(base, bulk_mi))
         return -arr if self.outward and self.index == 0 and k % 2 else arr
 
-    def eval(self, expr: sp.Expr, grid: Grid, state: FieldState, bindings=None) -> np.ndarray:
+    def eval(self, expr: sp.Expr, grid: Grid, state: FieldState) -> np.ndarray:
         mesh = grid.mesh()
 
         def value_of(sym):
@@ -230,23 +219,28 @@ class FaceBinding:
             return None
 
         shape = tuple(grid.shape[i] for i in self.tangential) or (1,)
-        return _evaluate(expr, shape, value_of, bindings)
+        return _evaluate(expr, grid, shape, value_of)
 
-    def integral(self, expr: sp.Expr, grid: Grid, state: FieldState, bindings=None, factor=None) -> float:
+    def integral(self, expr: sp.Expr, grid: Grid, state: FieldState, factor=None) -> float:
         """Trapezoid integral of expr (times a hyperplane array factor) over the hyperplane."""
-        wv = grid.weights(self.tangential) * self.eval(expr, grid, state, bindings)
+        wv = grid.weights(self.tangential) * self.eval(expr, grid, state)
         return float(np.sum(wv if factor is None else wv * factor))
 
 
-def bulk_integral(form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
+def bulk_integral(form: Form, grid: Grid, state: FieldState) -> float:
     coeff = form.top_coefficient()
-    vals = eval_bulk_expr(form.chart, coeff, grid, state, bindings)
+    vals = eval_bulk_expr(form.chart, coeff, grid, state)
     return float(np.sum(grid.weights() * vals))
 
 
-def lateral_faces(grid: Grid, bchart: Chart, outward: bool) -> list[tuple[int, FaceBinding]]:
-    """(side, binding) of each lateral face {x^(n-1) = min or max} of the grid."""
-    return [(side, FaceBinding(bchart, face_index(side), outward)) for side in grid.lateral_sides]
+def faces(grid: Grid, sub: Chart, outward: bool) -> list[tuple[int, FaceBinding]]:
+    """(sign, binding) of the min and max faces of the grid along ``sub.axis``,
+    for the restricted chart sub; none when that axis is periodic.  The sign is
+    +1 for outward densities and side * (-1)^axis for raw chart forms."""
+    if grid.periodic[sub.axis]:
+        return []
+    return [(1 if outward else side * (-1) ** sub.axis, FaceBinding(sub, index, outward))
+            for side, index in ((-1, 0), (+1, -1))]
 
 
 def boundary_density(form: Form) -> sp.Expr:
@@ -257,125 +251,93 @@ def boundary_density(form: Form) -> sp.Expr:
     return sp.expand(form.top_coefficient() / base)
 
 
-def raw_face_integral(form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
-    """Oriented integral of a raw lateral-chart form over both lateral faces.
-
-    Uses the raw +axis jet binding and the outward-first orientation sign
-    (-1)^axis on the max face (opposite on the min face); this is the Stokes
-    -compatible face integral for chart pullbacks.
-    """
+def raw_face_integral(form: Form, grid: Grid, state: FieldState) -> float:
+    """Oriented integral of a raw restricted-chart top form over the min and max
+    faces of its axis: the raw +axis jet binding and the sign side * (-1)^axis,
+    the Stokes-compatible face integral of chart pullbacks."""
     if form.is_zero():
         return 0.0
     coeff = form.top_coefficient()
-    o_max = (-1) ** (grid.chart.n - 1)
-    total = 0.0
-    for side, fb in lateral_faces(grid, form.chart, outward=False):
-        o = o_max if side > 0 else -o_max
-        total += o * fb.integral(coeff, grid, state, bindings)
-    return total
+    return sum(sign * fb.integral(coeff, grid, state) for sign, fb in faces(grid, form.chart, outward=False))
 
 
-def relative_integral(p, grid: Grid, fields, bindings=None) -> float:
+def relative_integral(p, grid: Grid, fields) -> float:
     """Relative integral: bulk quadrature minus oriented boundary-face quadrature."""
     state = fields if isinstance(fields, FieldState) else FieldState(grid, fields)
-    total = bulk_integral(p.bulk, grid, state, bindings)
-    total -= raw_face_integral(p.boundary, grid, state, bindings)
+    total = bulk_integral(p.bulk, grid, state)
+    total -= raw_face_integral(p.boundary, grid, state)
     return total
 
 
-def flux_through_boundary(form: Form, grid: Grid, state: FieldState, bindings=None) -> float:
-    """Oriented boundary flux of a bulk (n-1, 0) form, evaluated face-natively.
-
-    For each face {x^k = const} only word components without dx^k survive; the
-    outward-first orientation contributes side * (-1)^k per face.  This is the
-    Stokes-faithful flux (no canonical-chart round trip).
-    """
+def flux_through_boundary(form: Form, grid: Grid, state: FieldState) -> float:
+    """Oriented boundary flux of a horizontal bulk (n-1, 0) form: the raw face
+    integral of its pullback to each box face {x^k = const}."""
     chart = form.chart
-    total = 0.0
-    for axis in range(chart.n):
-        if grid.periodic[axis]:
-            continue
-        for side in (-1, +1):
-            fb = FaceBinding(chart.restricted(axis), face_index(side))
-            w = grid.weights(fb.tangential)
-            orient = side * (-1) ** axis
-            for word, coeff in form.terms.items():
-                if any(f[0] == "v" for f in word):
-                    raise ValueError("flux expects a horizontal form")
-                if any(f[1] == axis for f in word):
-                    continue
-                vals = fb.restrict_array(eval_bulk_expr(chart, form.ring.expr(coeff), grid, state, bindings))
-                total += orient * float(np.sum(w * vals))
-    return total
+    return sum(raw_face_integral(restrict(form, chart.restricted(axis)), grid, state) for axis in range(chart.n))
 
 
-def relative_stokes_residual(Y: Form, z: Form, grid: Grid, state: FieldState, bindings=None) -> float:
+def relative_stokes_residual(Y: Form, z: Form, grid: Grid, state: FieldState) -> float:
     """|integral over (M, dM) of rel_d(Y, z)|, with the bulk flux of Y evaluated
     face-natively and the boundary z integrated over the lateral faces (z is
     expected to vanish near the corners; v1 treats boundary faces separately)."""
-    total = bulk_integral(d_h(Y), grid, state, bindings)
-    total -= flux_through_boundary(Y, grid, state, bindings)
+    total = bulk_integral(d_h(Y), grid, state)
+    total -= flux_through_boundary(Y, grid, state)
     if not z.is_zero():
-        total += raw_face_integral(d_h(z), grid, state, bindings)
+        total += raw_face_integral(d_h(z), grid, state)
     return abs(total)
 
 
 # -- action and variation ------------------------------------------------------------
 
 
-def action_value(L: Form, ell: Form | None, grid: Grid, state: FieldState, bindings=None) -> float:
+def action_value(L: Form, ell: Form, grid: Grid, state: FieldState) -> float:
     """Relative action: bulk Lagrangian quadrature minus the lateral boundary term.
 
     ell is read as density * oriented boundary volume on each face, with the
     outward normal-derivative binding; its integral is the sum of plain
     positive-quadrature face integrals of the density.
     """
-    total = bulk_integral(L, grid, state, bindings)
-    if ell is not None and not ell.is_zero():
+    total = bulk_integral(L, grid, state)
+    if not ell.is_zero():
         density = boundary_density(ell)
-        total -= sum(fb.integral(density, grid, state, bindings)
-                     for _, fb in lateral_faces(grid, ell.chart, outward=True))
+        total -= sum(sign * fb.integral(density, grid, state) for sign, fb in faces(grid, ell.chart, outward=True))
     return total
 
 
 def source_pairing(
     E_coeffs: Mapping[str, sp.Expr],
     b_densities: Mapping[str, sp.Expr],
+    bchart: Chart,
     grid: Grid,
     state: FieldState,
     perturbations: Mapping[str, np.ndarray],
-    bchart: Chart | None = None,
-    bindings=None,
 ) -> float:
-    """<E, v> over the bulk minus <b, v> over the lateral faces."""
+    """<E, v> over the bulk minus <b, v> over the faces of the boundary chart."""
     total = 0.0
     w = grid.weights()
     for a, v in perturbations.items():
         e = E_coeffs.get(a, sp.Integer(0))
         if e != 0:
-            total += float(np.sum(w * eval_bulk_expr(grid.chart, e, grid, state, bindings) * v))
-    if bchart is not None:
-        faces = lateral_faces(grid, bchart, outward=True)
-        for a, v in perturbations.items():
-            dens = b_densities.get(a, sp.Integer(0))
-            if dens == 0:
-                continue
-            for _, fb in faces:
-                total -= fb.integral(dens, grid, state, bindings, factor=fb.restrict_array(v))
+            total += float(np.sum(w * eval_bulk_expr(grid.chart, e, grid, state) * v))
+    bfaces = faces(grid, bchart, outward=True)
+    for a, v in perturbations.items():
+        dens = b_densities.get(a, sp.Integer(0))
+        if dens == 0:
+            continue
+        for sign, fb in bfaces:
+            total -= sign * fb.integral(dens, grid, state, factor=fb.restrict_array(v))
     return total
 
 
 def fd_variation_residual(
     L: Form,
-    ell: Form | None,
+    ell: Form,
     E_coeffs: Mapping[str, sp.Expr],
     b_densities: Mapping[str, sp.Expr],
     grid: Grid,
     state: FieldState,
     perturbations: Mapping[str, np.ndarray],
     eps: float,
-    bchart: Chart | None = None,
-    bindings=None,
 ) -> float:
     """|central FD of the action - source pairing| for one epsilon."""
 
@@ -385,26 +347,18 @@ def fd_variation_residual(
             vals[a] = vals[a] + sgn * eps * v
         return FieldState(grid, vals)
 
-    sp_ = action_value(L, ell, grid, shifted(+1), bindings)
-    sm_ = action_value(L, ell, grid, shifted(-1), bindings)
+    sp_ = action_value(L, ell, grid, shifted(+1))
+    sm_ = action_value(L, ell, grid, shifted(-1))
     fd = (sp_ - sm_) / (2 * eps)
-    pair = source_pairing(E_coeffs, b_densities, grid, state, perturbations, bchart, bindings)
+    pair = source_pairing(E_coeffs, b_densities, ell.chart, grid, state, perturbations)
     return abs(fd - pair)
 
 
 # -- slices ---------------------------------------------------------------------------
 
 
-def slice_integral_density(form: Form, grid: Grid, state: FieldState, t_index: int, bindings=None) -> float:
-    """Integral over a Cauchy slice of a slice-chart top form (vol_gamma-positive)."""
-    if form.is_zero():
-        return 0.0
-    sb = FaceBinding(form.chart, t_index, outward=False)
-    return sb.integral(form.top_coefficient(), grid, state, bindings)
-
-
 def contract_two_vertical(
-    form: Form, grid: Grid, state: FieldState, t_index: int, tangent1: FieldState, tangent2: FieldState, bindings=None
+    form: Form, grid: Grid, state: FieldState, t_index: int, tangent1: FieldState, tangent2: FieldState
 ) -> float:
     """Evaluate a slice (n-1,2) form on two field-space tangents and integrate.
 
@@ -423,7 +377,7 @@ def contract_two_vertical(
         ja, jb = MultiIndex(ja), MultiIndex(jb)
         pair = (sb.jet(tangent1, a, ja) * sb.jet(tangent2, b, jb)
                 - sb.jet(tangent2, a, ja) * sb.jet(tangent1, b, jb))
-        total += sb.integral(form.ring.expr(coeff), grid, state, bindings, factor=pair)
+        total += sb.integral(form.ring.expr(coeff), grid, state, factor=pair)
     return total
 
 

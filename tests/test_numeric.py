@@ -44,7 +44,8 @@ class TestQuadrature:
         ch = make_chart(2, ("u",), metric=[-1, 1])
         grid = Grid.make(ch, [(0, 1), (0, 1)], (41, 41))
         state = FieldState(grid, {"u": np.zeros(grid.shape)})
-        assert abs(action_value(vol(ch), None, grid, state) - 1.0) < 1e-12
+        ell = Form.zero(BoundaryPair(ch).bchart, 1, 0)
+        assert abs(action_value(vol(ch), ell, grid, state) - 1.0) < 1e-12
 
     def test_lateral_boundary_sign(self):
         ch = make_chart(2, ("u",), metric=[-1, 1])
@@ -185,7 +186,7 @@ class TestVariation:
         if robin:
             ell = boundary_volume(pair.bchart) * (sp.Rational(robin) * ub**2 / 2)
         else:
-            ell = None
+            ell = Form.zero(pair.bchart, 1, 0)
         E = {"u": utt - uxx + u**3}
         b_dens = {"u": -(un - sp.Rational(robin) * ub) if robin else -un}
         grid = Grid.make(ch, [(0, 1), (0, 1)], (m, m))
@@ -198,22 +199,14 @@ class TestVariation:
         ch, pair, L, ell, E, b, grid, state, v = self.setup_scalar()
         rs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            rs.append(
-                fd_variation_residual(
-                    L, ell, E, b, grid, state, {"u": v}, eps, bchart=pair.bchart
-                )
-            )
+            rs.append(fd_variation_residual(L, ell, E, b, grid, state, {"u": v}, eps))
         slope = (np.log10(rs[0]) - np.log10(rs[2])) / 2
         assert slope >= 1.9
 
     def test_robin_ablation_breaks(self):
         ch, pair, L, ell, E, b, grid, state, v = self.setup_scalar(robin=0.5)
-        ok = fd_variation_residual(
-            L, ell, E, b, grid, state, {"u": v}, 1e-3, bchart=pair.bchart
-        )
-        broken = fd_variation_residual(
-            L, ell, E, {}, grid, state, {"u": v}, 1e-3, bchart=pair.bchart
-        )
+        ok = fd_variation_residual(L, ell, E, b, grid, state, {"u": v}, 1e-3)
+        broken = fd_variation_residual(L, ell, E, {}, grid, state, {"u": v}, 1e-3)
         assert ok < 1e-4
         assert broken / max(ok, 1e-15) >= 1e2
 
@@ -300,7 +293,8 @@ class TestCompiledMemo:
             with pytest.raises(ModelError, match="formal functions"):
                 eval_bulk_expr(ch, formal, grid, state)
         massive = sp.Symbol("m") * u
-        assert np.all(eval_bulk_expr(ch, massive, grid, state, {"m": 2.0}) == 2.0)
+        bound = Grid.make(ch, [(0, 1), (0, 1)], (5, 5), bindings={"m": 2.0})
+        assert np.all(eval_bulk_expr(ch, massive, bound, FieldState(bound, state.values)) == 2.0)
         for _ in range(2):
             with pytest.raises(ModelError, match="no numeric binding"):
                 eval_bulk_expr(ch, massive, grid, state)
