@@ -1,6 +1,7 @@
 """Model-aware numeric cross-checks: FD variation, slice drift, flux, Hamiltonian."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ class FdCheckResult:
 
 def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdCheckResult:
     """Central-difference action variation against the symbolic sources; for a
-    model with a boundary Lagrangian the ablated rows leave out its sources."""
+    model with a boundary Lagrangian the ablated rows leave out its sources.
+    An action or residual that is not finite on the test state is refused."""
     grid = make_grid(model, shape)
     v = model.decomposition
     chart, L, ell = model.chart, model.lp.L, model.lp.ell
@@ -88,16 +90,20 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     state = FieldState(grid, {a: np.sin(2 * tt + 1) * np.cos(3 * xx) for a in chart.fields})
     vpert = {a: bump_array(tt, 0.15, 0.85) * (1 + 0.3 * np.cos(2 * xx)) for a in chart.fields}
     rows, ablated = [], []
-    for eps in eps_list:
-        rows.append((eps, fd_variation_residual(L, ell, E_coeffs, b_dens, grid, state, vpert, eps)))
-        if model.lp.has_boundary and not ell.is_zero():
-            ablated.append((eps, fd_variation_residual(L, ell, E_coeffs, {}, grid, state, vpert, eps)))
+    with np.errstate(all="ignore"):  # a value that is not finite is refused below
+        for eps in eps_list:
+            rows.append((eps, fd_variation_residual(L, ell, E_coeffs, b_dens, grid, state, vpert, eps)))
+            if model.lp.has_boundary and not ell.is_zero():
+                ablated.append((eps, fd_variation_residual(L, ell, E_coeffs, {}, grid, state, vpert, eps)))
+        action = action_value(L, ell, grid, state)
+    if not np.all(np.isfinite([action] + [r for _, r in rows + ablated])):
+        raise ModelError("fd-check: the action or a variation residual is not finite on the test state")
     # Each action sum of the central difference rounds to a few eps_mach |S|,
     # so it is known to about eps_mach |S| / eps.  At 129x129 the corpus models
     # with a quadratic action (an exact difference) leave at most 0.4 of that,
     # and the O(eps^2) truncation of scalar_neumann and scalar_robin_const stays
     # above 160 of it down to eps = 1e-4; a multiple of 8 is 20 from both.
-    rounding = 8 * np.finfo(float).eps * abs(action_value(L, ell, grid, state))
+    rounding = 8 * np.finfo(float).eps * abs(action)
     slope = None
     if len(rows) > 1 and rows[0][1] > 0 and rows[-1][1] > 0 and any(r > rounding / e for e, r in rows):
         slope = float((np.log10(rows[0][1]) - np.log10(rows[-1][1])) / (
@@ -121,24 +127,30 @@ def spectral_tangents(model: Model, grid: Grid) -> tuple[AnalyticState, Analytic
 
 def solve_model(model: Model, grid: Grid, initial, velocity) -> FieldState:
     """Leapfrog solve of a scalar model; the potential derivative is read off
-    the symbolic Euler source."""
+    the symbolic Euler source, and the Robin coefficient c off the boundary
+    source b[u] = u.n1 - c*u."""
     v = model.decomposition
-    chart = model.chart
+    chart, bchart = model.chart, model.pair.bchart
+    values = {sp.Symbol(k): val for k, val in model.bindings.items()}
     utt = chart.jet("u", MultiIndex.make(0, 0))
     uxx = chart.jet("u", MultiIndex.make(1, 1))
     u = chart.jet("u", MultiIndex())
-    vp_expr = sp.expand(v.equations()["u"] - utt + uxx)
-    vp_expr = vp_expr.subs({sp.Symbol(k): val for k, val in model.bindings.items()})
+    vp_expr = sp.expand(v.equations()["u"] - utt + uxx).subs(values)
     if vp_expr.free_symbols - {u} or vp_expr.atoms(sp.Derivative, sp.core.function.AppliedUndef):
         raise ModelError(f"the wave solver needs E[u] = u_tt - u_xx + V'(u), not V' = {vp_expr}")
     vp = _compiled((u,), vp_expr) if vp_expr != 0 else None
-    bcs = model.lp.bc.get("u", "free")
-    bc = {"free": "neumann", "robin": "robin", "dirichlet": "dirichlet"}[bcs]
-    if not model.lp.has_boundary:
-        bc = "periodic"
-    robin_f = float(model.bindings.get("f", 0.0))
+    bc, c = "periodic", 0.0
+    if model.lp.has_boundary and model.lp.bc.get("u") == "dirichlet":
+        bc = "dirichlet"
+    elif model.lp.has_boundary:
+        # the density of b[u] on the oriented boundary volume is c*u - u.n1
+        ub, un = bchart.jet("u", MultiIndex()), bchart.jet("u.n1", MultiIndex())
+        c = sp.expand((boundary_density(v.b.components["u"]).subs(values) + un) / ub)
+        if not c.is_number:
+            raise ModelError(f"the wave solver needs b[u] = u.n1 - c*u with a numeric c, not c = {c}")
+        bc = "robin" if c else "neumann"
     arr = wave_solver(
-        grid, initial, velocity, bc=bc, robin_f=robin_f,
+        grid, initial, velocity, bc=bc, robin_f=float(c),
         potential_derivative=(lambda w: vp(w) + 0 * w) if vp else None,
     )
     return FieldState(grid, {"u": arr})
@@ -150,9 +162,16 @@ class SliceDriftResult:
     drift: float
 
 
-def slice_independence(model: Model, shape=(129, 256), mode="spectral") -> SliceDriftResult:
-    """Presymplectic pairing on five Cauchy slices; returns values and max drift."""
-    grid = make_grid(model, shape)
+def slice_independence(model: Model, shape=None, mode="spectral") -> SliceDriftResult:
+    """Presymplectic pairing on five Cauchy slices; returns values and max drift.
+
+    The default shape is 129x256 points; in fd mode it takes as many more time
+    points as the wave solver's CFL condition dt <= dx needs on the domain.
+    """
+    grid = make_grid(model, shape or (129, 256))
+    if shape is None and mode == "fd":
+        (t0, t1), dx = model.domain[0], grid.spacing(1)
+        grid = make_grid(model, (max(129, math.ceil((t1 - t0) / dx) + 1), 256))
     _require_scalar_u(model, "slice-independence")
     v = model.decomposition
     om_slice, om_corner = v.slice_forms

@@ -179,7 +179,7 @@ def cmd_numeric(args) -> int:
             print(f"ablation ratio (no boundary term) = {worst:.3g}")
         return 0 if res.slope is None or res.slope >= 1.9 else 1
     if args.subcommand == "slice-independence":
-        res = checks.slice_independence(model, args.grid or (129, 256), mode=args.mode)
+        res = checks.slice_independence(model, args.grid, mode=args.mode)
         rows = [(i, val) for i, val in enumerate(res.values)]
         _write_csv(args.out, ["slice", "pairing"], rows)
         print(f"relative drift = {res.drift:.3g}")

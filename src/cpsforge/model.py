@@ -524,6 +524,8 @@ class ModelParser(TokenCursor):
                 bounds = p.tuple_of(p.number)
                 if len(bounds) != 2:
                     raise ModelError.at("domain intervals look like (0, 1)", t)
+                if bounds[0] >= bounds[1]:
+                    raise ModelError.at("a domain interval (lo, hi) needs lo < hi", t)
                 return tuple(float(b) for b in bounds)
 
             domain = tuple(p.items(interval, ";"))
@@ -567,6 +569,13 @@ class ModelParser(TokenCursor):
         if not meta:
             raise ModelError.at("no dynamical fields declared", self.heads["fields"])
 
+        def nonzero():
+            t = p.peek()
+            entry = p.number()
+            if entry == 0:
+                raise ModelError.at("a metric diagonal entry is zero: the metric is degenerate", t)
+            return entry
+
         metric = None
         backgrounds: dict[str, str] = {}
         bindings: dict[str, float] = {}
@@ -581,7 +590,7 @@ class ModelParser(TokenCursor):
                     raise ModelError.at(
                         "metric declarations look like `metric = diag(-1, 1);`", key
                     )
-                metric = tuple(p.tuple_of(p.number))
+                metric = tuple(p.tuple_of(nonzero))
                 p.expect(";")
                 if len(metric) != len(coords):
                     raise ModelError.at(

@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from cpsforge import checks, pipeline
-from cpsforge.model import parse_model
+from cpsforge.model import ModelError, parse_model
 from cpsforge.numeric import contract_two_vertical
 from cpsforge.pipeline import decompose, slice_presymplectic
 
@@ -113,3 +113,26 @@ def test_numeric_session_decomposes_once(monkeypatch):
     checks.flux_check(m, "tdt", (65, 128))
     checks.hamiltonian_comparison(m, (65, 128))
     assert counts["decompose"] == 1
+
+
+class TestRobinCoefficient:
+    """The wave solver reads c off the boundary source b[u] = u.n1 - c*u."""
+
+    @staticmethod
+    def drift(text):
+        return checks.slice_independence(parse_model(text), (257, 256), mode="fd").drift
+
+    def test_coefficient_is_read_off_the_source_not_a_binding_name(self):
+        text = (CORPUS / "scalar_robin_const.cps").read_text()
+        renamed = text.replace("f = 1/2;", "k = 1/2;").replace("f * u**2", "k * u**2")
+        assert renamed.count("f") == text.count("f") - 2
+        assert self.drift(renamed) == self.drift(text)
+        # ell = f u^2 doubles c: the drift of c = 1, not of c = f = 1/2
+        doubled = text.replace("(1/2) * f * u**2", "f * u**2")
+        assert self.drift(doubled) == self.drift(text.replace("f = 1/2;", "f = 1;")) != self.drift(text)
+
+    def test_other_boundary_source_is_refused(self):
+        text = (CORPUS / "scalar_robin_const.cps").read_text()
+        quartic = text.replace("(1/2) * f * u**2", "(1/4) * f * u**4")
+        with pytest.raises(ModelError, match=r"b\[u\] = u.n1 - c\*u"):
+            self.drift(quartic)

@@ -193,6 +193,32 @@ def test_fd_check_exact_variation_is_rounding(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "slope = 2.000"
 
 
+def test_fd_check_refuses_a_residual_that_is_not_finite(tmp_path, capsys):
+    # sqrt(u) is nan where the test state is negative, and no slope rule holds for nan
+    text = (corpus_dir() / "scalar_neumann.cps").read_text()
+    old = "(1/4) * u**4 * vol();"
+    assert text.count(old) == 1
+    path = tmp_path / "sqrt.cps"
+    path.write_text(text.replace(old, "(1/4) * u**4 * vol() + (1/4) * u**(1/2) * vol();"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["numeric", "fd-check", str(path), "--grid", "17x17"]) == 1
+    assert capsys.readouterr().err == (
+        "model error: fd-check: the action or a variation residual is not finite on the test state\n"
+    )
+    assert not [w for w in caught if w.category is RuntimeWarning]
+
+
+@pytest.mark.parametrize("name", ["scalar_neumann", "scalar_robin_const"])
+def test_fd_slice_independence_default_grid_meets_cfl(capsys, name):
+    # without --grid the time points follow the domain so that dt <= dx ...
+    assert main(["numeric", "slice-independence", f"{name}.cps", "--mode", "fd"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("relative drift = 0.0")
+    # ... and an explicit --grid is used as given
+    assert main(["numeric", "slice-independence", f"{name}.cps", "--mode", "fd", "--grid", "129x256"]) == 1
+    assert "CFL violation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("old,new", [("boundary = false;", "boundary = true;"), ("periodic = x;", "")])
 def test_numeric_refuses_boundary_periodic_mismatch(tmp_path, capsys, old, new):
     text = (corpus_dir() / "scalar_periodic.cps").read_text()
@@ -333,6 +359,9 @@ ROBIN_MUTATIONS = {
     "misspelled_block": ("vectors {", "vectros {", 19),
     "repeated_block": ("bc { u = robin; }", "bc { u = robin; }\n  bc { u = free; }", 19),
     "operator_at_end": ("V(u) * vol();", "V(u) * vol() + ;", 15),
+    "degenerate_metric": ("metric = diag(-1, 1);", "metric = diag(0, 1);", 10),
+    "reversed_domain": ("domain = (0, 1), (0, 1);", "domain = (1, 0), (0, 1);", 6),
+    "empty_domain": ("domain = (0, 1), (0, 1);", "domain = (0, 1), (1, 1);", 6),
 }
 
 
@@ -355,8 +384,10 @@ DERIVE_CRASHES = {
 def test_malformed_model_is_positioned_model_error(tmp_path, capsys, mutation):
     # each mutation used to escape the parser as a raw exception, to parse
     # (a misspelled or repeated block, the domain, which then failed inside the
-    # numeric grid), to run model text as Python (a value), or to be placed
-    # at line 0 (an expression cut short)
+    # numeric grid, a zero metric entry, which hodge divided by, and an empty
+    # or reversed domain interval, which gave a negative grid spacing), to run
+    # model text as Python (a value), or to be placed at line 0 (an
+    # expression cut short)
     assert_positioned_refusal(tmp_path, capsys, "scalar_robin", *ROBIN_MUTATIONS[mutation])
 
 
