@@ -26,7 +26,11 @@ def load_model(path: str, max_jet_order: int | None = None):
             p = candidate
         else:
             raise SystemExit(f"model file not found: {path}")
-    return parse_model(p.read_text(), max_jet_order=max_jet_order)
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError:
+        raise SystemExit(f"model file is not UTF-8 text: {path}") from None
+    return parse_model(text, max_jet_order=max_jet_order)
 
 
 def cmd_derive(args) -> int:
@@ -76,7 +80,7 @@ def yes_no(flag: bool) -> str:
 def cmd_check(args) -> int:
     model = load_model(args.model, args.max_jet_order)
     model.decomposition  # a non-decomposable pair exits 2 before any check
-    if args.xi:
+    if args.xi is not None:
         if args.xi not in model.vectors:
             raise SystemExit(f"unknown vector field {args.xi!r}")
         blk = symmetry_block(model, args.xi, model.vectors[args.xi])
@@ -88,17 +92,14 @@ def cmd_check(args) -> int:
         if "gauge" in blk:
             print_gauge_verdict(blk["gauge"])
         return 0
-    if args.gauge:
+    if args.gauge is not None:
         print_gauge_verdict(gauge_parameter_block(model, args.gauge)["gauge"])
         return 0
-    if args.evolutionary:
-        W = parse_evolutionary(model, args.evolutionary)
-        verdict = d_symmetry_check(model.lp, W)
-        print(f"d-symmetry: {yes_no(verdict.is_symmetry)}")
-        if verdict.note:
-            print(f"  note: {verdict.note}")
-        return 0
-    raise SystemExit("check needs one of --xi, --gauge, --evolutionary")
+    verdict = d_symmetry_check(model.lp, parse_evolutionary(model, args.evolutionary))
+    print(f"d-symmetry: {yes_no(verdict.is_symmetry)}")
+    if verdict.note:
+        print(f"  note: {verdict.note}")
+    return 0
 
 
 def print_gauge_verdict(g: dict) -> None:
@@ -223,9 +224,10 @@ def main(argv=None) -> int:
 
     c = sub.add_parser("check", help="symmetry / gauge verdicts")
     c.add_argument("model")
-    c.add_argument("--xi")
-    c.add_argument("--gauge")
-    c.add_argument("--evolutionary")
+    one = c.add_mutually_exclusive_group(required=True)
+    one.add_argument("--xi")
+    one.add_argument("--gauge")
+    one.add_argument("--evolutionary")
     c.set_defaults(fn=cmd_check)
 
     n = sub.add_parser("numeric", help="numeric cross-checks (CSV output)")
@@ -254,6 +256,9 @@ def main(argv=None) -> int:
         return 1
     except JetOrderError as err:
         print(f"jet order cap exceeded: {err}; rerun with a larger --max-jet-order", file=sys.stderr)
+        return 1
+    except OSError as err:  # a model path that is a directory, an --out that cannot be written
+        print(f"file error: {err}", file=sys.stderr)
         return 1
 
 

@@ -36,7 +36,8 @@ whole form on ``EXPR``, expanded sympy expressions.  An operation whose forms
 sit on different rings, or whose scalar (a vector component, ``D_J W^a``, a
 metric factor) is not representable, runs on ``EXPR``; its result returns to
 the chart's ring when every coefficient converts.  Sympy expressions enter as
-constructor input and leave through ``iter_terms`` and ``top_coefficient``.
+constructor input; ``iter_terms`` and ``top_coefficient`` give them back, and
+``str`` prints each coefficient with its ring's ``sstr``.
 """
 from __future__ import annotations
 
@@ -175,9 +176,13 @@ class Form:
     def is_homogeneous(self) -> bool:
         return len({word_bidegree(w) for w in self.terms}) <= 1
 
+    def _words(self) -> list:
+        """The words, in canonical order."""
+        return sorted(self.terms, key=lambda w: (len(w), tuple(_factor_sort_key(f) for f in w)))
+
     def iter_terms(self):
         """(word, coefficient as a sympy expression), in canonical word order."""
-        for word in sorted(self.terms, key=lambda w: (len(w), tuple(_factor_sort_key(f) for f in w))):
+        for word in self._words():
             yield word, self.ring.expr(self.terms[word])
 
     def _top(self):
@@ -241,14 +246,14 @@ class Form:
             return "0"
         chart = self.chart
         parts = []
-        for word, coeff in self.iter_terms():
+        for word in self._words():
             factors = []
             for f in word:
                 if f[0] == "x":
                     factors.append("d" + chart.coord_names[f[1]])
                 else:
                     factors.append("th{%s}" % chart.pretty_jet(chart.jet(f[1], MultiIndex(f[2]))))
-            cs = sp.sstr(coeff)
+            cs = self.ring.sstr(self.terms[word])
             if factors:
                 parts.append(f"({cs}) {'^'.join(factors)}")
             else:
@@ -308,8 +313,8 @@ def dd(f: Form) -> Form:
     for word, p in f.terms.items():
         hs = tuple(fac for fac in word if fac[0] == "x")
         vs = tuple(fac for fac in word if fac[0] == "v")
-        for sym, a, mi in ring.jets(chart, p):
-            terms.append((hs + (("v", a, mi.entries),) + vs, ring.diff(p, sym)))
+        for _, a, mi, dp in ring.gradient(chart, p):
+            terms.append((hs + (("v", a, mi.entries),) + vs, dp))
     r0, s0 = f._tag
     return Form(chart, r0, s0 + 1, terms)
 

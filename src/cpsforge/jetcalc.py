@@ -57,8 +57,7 @@ def euler_operator(L: Form) -> SourceForm:
     chart, ring = L.chart, L.ring
     lag = L._top()
     acc = {a: ring.poly(0) for a in chart.fields}
-    for sym, a, mi in ring.jets(chart, lag):
-        d = ring.diff(lag, sym)
+    for _, a, mi, d in ring.gradient(chart, lag):
         if ring.is_zero(d):
             continue
         for axis in mi:

@@ -17,6 +17,11 @@ those symbols, or such a derivative at a rational point (the ``Subs`` a
 boundary restriction makes).  A formal-function atom gets its chain rule from
 sympy's ``diff`` on that atom alone, as ``Chart.factor_derivative`` does.
 
+The ring prints its own polynomials: ``JetRing.sstr(p)`` is
+``sp.sstr(ring.expr(p))`` without building the expression.  It orders terms as
+``Expr.as_ordered_terms`` does and writes each one as ``StrPrinter._print_Mul``
+does, from each atom's sort key and string, cached on the ring.
+
 Any other input -- a non-rational constant, a power with a negative or
 symbolic exponent, any other function -- raises ``NotRepresentable``.  Such
 factors cannot be atoms without making the zero test unsound: ``u*u**-3`` and
@@ -109,6 +114,8 @@ class JetRing:
         self._index: dict[sp.Expr, int] = {}
         self._functions: set[int] = set()  # the formal-function atoms
         self._memo: dict[tuple, dict[int, dict | None]] = {}
+        self._sort_keys: dict[int, tuple] = {}  # atom.sort_key(), which is its default_sort_key
+        self._powers: dict[tuple, str] = {}  # sstr(atom**k)
 
     def _atom(self, a: sp.Expr) -> int:
         i = self._index.get(a)
@@ -160,6 +167,44 @@ class JetRing:
             sp.Mul(_rational(c), *[atoms[i] if k == 1 else atoms[i] ** k for i, k in m])
             for m, c in p.items()
         ])
+
+    def sstr(self, p: dict) -> str:
+        """``sp.sstr(self.expr(p))``, as sympy 1.14 prints it.
+
+        Terms are sorted by their exponent vectors over the atoms of p (in
+        ``default_sort_key`` order), largest first, except that a positive
+        constant precedes a single negative atom power (``1 - u/2``), as in
+        ``Expr.as_ordered_terms``.  A term is its sign, its numerator unless
+        1, its atom powers in ``sort_key`` order and its denominator, as
+        ``StrPrinter._print_Mul`` writes it."""
+        if not p:
+            return "0"
+        key = self._sort_key
+        column = {i: n for n, i in enumerate(sorted({i for m in p for i, _ in m}, key=key))}
+
+        def exponents(term):
+            v = [0] * len(column)
+            for i, k in term[0]:
+                v[column[i]] = -k
+            return v
+
+        terms = sorted(p.items(), key=exponents)
+        if len(terms) == 2 and terms[1][0] == () and len(terms[0][0]) == 1 and terms[0][1] < 0 < terms[1][1]:
+            terms.reverse()
+        out = []
+        for m, c in terms:
+            num, den = (abs(c), 1) if c.__class__ is int else (abs(c.numerator), c.denominator)
+            factors = [str(num)] if num != 1 or not m else []
+            factors += [self._power(i, k) for i, k in sorted(m, key=lambda f: (key(f[0]), f[1]))]
+            out += [" - " if c < 0 else " + ", "*".join(factors) + (f"/{den}" if den != 1 else "")]
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
+
+    def _sort_key(self, i: int) -> tuple:
+        return self._sort_keys.get(i) or self._sort_keys.setdefault(i, self.atoms[i].sort_key())
+
+    def _power(self, i: int, k: int) -> str:
+        return self._powers.get((i, k)) or self._powers.setdefault((i, k), sp.sstr(self.atoms[i] ** k))
 
     @staticmethod
     def is_zero(p: dict) -> bool:
@@ -234,19 +279,52 @@ class JetRing:
 
     def total_derivative(self, chart: Chart, axis: int, p: dict) -> dict:
         """D_axis on the chart; JetOrderError exactly where Chart.total_derivative
-        raises it, at a cap jet whose derivative is needed."""
-        return self._derive(p, self._images(
-            ("D", chart, axis), lambda a: chart.factor_derivative(axis, a)[0]
-        ))
+        raises it, at a cap jet whose derivative is needed.  A jet u_J maps to
+        the atom of u_{J+axis}, x^axis to 1 and any other symbol to zero; only
+        a formal-function atom goes through ``Chart.factor_derivative``."""
+        x = chart.xs[axis]
+
+        def image(a):
+            if not a.is_Symbol:
+                return chart.factor_derivative(axis, a)[0]
+            key = chart.jet_key(a)
+            if key is not None:
+                return {((self._atom(chart.jet(key[0], key[1].union(axis))), 1),): 1}
+            return {(): 1} if a == x else {}
+
+        return self._derive(p, self._images(("D", chart, axis), image))
+
+    def _partials(self, sym: sp.Symbol):
+        return self._images(("d", sym), lambda a: int(a == sym) if a.is_Symbol else sp.diff(a, sym))
 
     def diff(self, p: dict, sym: sp.Symbol) -> dict:
         """Partial derivative by one symbol, through formal-function atoms too;
         a monomial with neither sym nor a formal-function atom is constant in sym."""
         live = {self._index.get(sym), *self._functions}
         p = {m: c for m, c in p.items() if any(i in live for i, _ in m)}
-        return self._derive(
-            p, self._images(("d", sym), lambda a: int(a == sym) if a.is_Symbol else sp.diff(a, sym))
-        )
+        return self._derive(p, self._partials(sym))
+
+    def gradient(self, chart: Chart, p: dict) -> list:
+        """[(sym, field, mi, diff(p, sym))] for the jets of ``self.jets(chart,
+        p)``, in that order, from one walk over the monomials; a
+        formal-function atom contributes to each jet by the chain rule."""
+        jets = self.jets(chart, p)
+        outs: list[dict] = [{} for _ in jets]
+        column = {self._index[sym]: n for n, (sym, _, _) in enumerate(jets) if sym in self._index}
+        partials = [self._partials(sym) for sym, _, _ in jets] if self._functions else []
+        for m, c in p.items():
+            for pos, (i, k) in enumerate(m):
+                n = column.get(i)
+                if n is None and i not in self._functions:
+                    continue
+                rest = m[:pos] + ((i, k - 1),) + m[pos + 1:] if k > 1 else m[:pos] + m[pos + 1:]
+                if n is not None:
+                    _add_to(outs[n], rest, c * k)
+                    continue
+                for out, image in zip(outs, partials):
+                    for dm, dc in (image(i) or {}).items():
+                        _add_to(out, _mono_mul(rest, dm), c * k * dc)
+        return [(*jet, out) for jet, out in zip(jets, outs)]
 
     def _relabel(self, p: dict, image) -> dict:
         """Substitute image(i) for every atom i."""
@@ -361,6 +439,12 @@ class ExprRing:
     @staticmethod
     def diff(p: sp.Expr, sym: sp.Symbol) -> sp.Expr:
         return sp.diff(p, sym)
+
+    @staticmethod
+    def gradient(chart: Chart, p: sp.Expr) -> list:
+        return [(sym, a, mi, sp.diff(p, sym)) for sym, a, mi in chart.jets_in(p)]
+
+    sstr = staticmethod(sp.sstr)
 
     @staticmethod
     def terms(p: sp.Expr) -> list:

@@ -436,7 +436,7 @@ def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
     """
     vol_word = top_word(schart.n)
     row = Form(schart, schart.n, 1, [
-        (vol_word + (("v", b, mi.entries),), ring.diff(gen, sym)) for sym, b, mi in ring.jets(schart, gen)
+        (vol_word + (("v", b, mi.entries),), dgen) for _, b, mi, dgen in ring.gradient(schart, gen)
     ]) * c
     if row.is_zero():
         return {}, Form.zero(schart, schart.n - 1, 1)

@@ -46,7 +46,7 @@ def source_dict(src: SourceForm) -> dict[str, str]:
     for a, f in sorted(src.components.items()):
         if f.is_zero() and src.chart.labels[a][1:] != (0, 0):
             continue  # silent zero entries of restriction families
-        out[a] = sp.sstr(f.top_coefficient())
+        out[a] = f.ring.sstr(f._top())
     return out
 
 

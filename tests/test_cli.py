@@ -302,6 +302,43 @@ def test_bad_arguments_are_refused_without_traceback(capsys, argv):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "scalar_neumann.cps", "--xi", "dt", "--gauge", "lam"],
+    ["check", "scalar_neumann.cps", "--gauge", "lam", "--evolutionary", "u: 1"],
+    ["check", "scalar_neumann.cps"],
+], ids=" ".join)
+def test_check_takes_exactly_one_of_xi_gauge_evolutionary(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--xi" in capsys.readouterr().err
+
+
+def _file_error_argv(case: str, tmp_path) -> list[str]:
+    missing = tmp_path / "no_such_dir"
+    if case == "derive --out":
+        return ["derive", "scalar_neumann.cps", "--out", str(missing / "x.json")]
+    if case == "fd-check --out":
+        return ["numeric", "fd-check", "scalar_neumann.cps", "--grid", "17x17", "--out", str(missing / "x.csv")]
+    if case == "directory model":
+        return ["derive", str(tmp_path)]
+    model = tmp_path / "latin1.cps"
+    model.write_bytes((corpus_dir() / "scalar_neumann.cps").read_bytes() + "# \xe9\n".encode("latin-1"))
+    return ["derive", str(model)]
+
+
+@pytest.mark.parametrize("case", ["derive --out", "fd-check --out", "directory model", "not UTF-8"])
+def test_file_errors_are_one_line_refusals(capsys, tmp_path, case):
+    try:
+        rc = main(_file_error_argv(case, tmp_path))
+    except SystemExit as exit_:  # a one-line refusal raised with its message
+        rc = 1 if isinstance(exit_.code, str) else exit_.code
+        print(exit_.code, file=sys.stderr)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_every_corpus_model_derives(tmp_path):
     from cpsforge.cli import corpus_dir
 

@@ -1,4 +1,5 @@
 """Total derivatives, Euler operator, integration by parts, boundary decomposition."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,10 @@ class TestJetPolyKernel:
         p = ring.poly(e)
         for sym, _, _ in CH.jets_in(e):
             assert ring.expr(ring.diff(p, sym)) == sp.expand(sp.diff(e, sym))
+        grad = ring.gradient(CH, p)
+        assert [g[:3] for g in grad] == ring.jets(CH, p)
+        for sym, _, _, dp in grad:
+            assert dp == ring.diff(p, sym) and ring.expr(dp) == sp.expand(sp.diff(e, sym))
 
     @pytest.mark.parametrize("e", EXPLICIT, ids=str)
     def test_explicit_represented_or_refused(self, e):
@@ -202,6 +207,34 @@ class TestJetPolyKernel:
             assert sp.expand(got - reference_total_derivative(CH, axis, e)) == 0
         for sym, _, _ in CH.jets_in(e):
             assert sp.expand(ring.expr(ring.diff(p, sym)) - sp.diff(e, sym)) == 0
+        grad = ring.gradient(CH, p)
+        assert [g[:3] for g in grad] == ring.jets(CH, p)
+        for sym, _, _, dp in grad:
+            assert dp == ring.diff(p, sym) and sp.expand(ring.expr(dp) - sp.diff(e, sym)) == 0
+
+    def test_sstr_is_sympys_printer(self):
+        # 5000 polynomials from a fixed seed over jets, coordinates, a
+        # parameter and formal-function atoms, with fractions and powers up to 3
+        t, x, y = CH3.xs
+        lam = sp.Function("lam")
+        u, u_x, v_ty = (CH3.jet(a, MultiIndex.make(*mi)) for a, mi in (("u", ()), ("u", (1,)), ("v", (0, 2))))
+        atoms = [u, u_x, v_ty, t, x, y, K, V(u), sp.Derivative(V(u), u), lam(t, x, y), lam(t, x, 0),
+                 sp.Subs(sp.Derivative(lam(t, x, y), y), y, 0)]
+        ring = JetRing()
+        powers = [ring.poly(a**k) for a in atoms for k in (1, 2, 3)]
+        rng = random.Random(0)
+        for _ in range(5000):
+            p = {}
+            for _ in range(rng.randint(1, 4)):
+                mono = {(): 1}
+                for _ in range(rng.randint(0, 3)):
+                    mono = ring.mul(mono, rng.choice(powers))
+                p = ring.add(p, mono, Fraction(rng.choice((-3, -2, -1, 1, 1, 2, 5)), rng.choice((1, 1, 2, 3))))
+            assert ring.sstr(p) == sp.sstr(ring.expr(p))
+        # a positive constant before one negative atom power, as Expr.as_ordered_terms puts it
+        pinned = ((1 - u / 2, "1 - u/2"), (-u, "-u"), (-u**2 / 3, "-u**2/3"), (0, "0"), (2 - K * u, "-k*u + 2"))
+        for e, printed in pinned:
+            assert ring.sstr(ring.poly(e)) == printed == sp.sstr(sp.expand(e))
 
     @given(exprs(CH, max_order=2))
     def test_coefficients_are_ints_or_proper_fractions(self, e):
