@@ -7,9 +7,11 @@ Runs each command in-process through `cpsforge.cli.main` and writes one file
 per command to OUTDIR, holding its argv, exit status, stdout and stderr.  The
 list: `derive --json` of every corpus model, `check --xi` of every corpus
 vector, `check --gauge lam` on every model, four `check --evolutionary`
-fields, the four numeric checks on every 1+1 model, and two commands that hit
-the jet cap.  Run it on two checkouts and compare them with `diff -r` to see
-every output a change moves.
+fields, the four numeric checks on every 1+1 model, two commands that hit
+the jet cap and four `--evolutionary` lists with an empty component.  A file
+is named after its argv, with a counter when two argvs spell the same name.
+Run it on two checkouts and compare them with `diff -r` to see every output a
+change moves.
 """
 import contextlib
 import io
@@ -20,6 +22,7 @@ import sys
 from cpsforge.cli import corpus_dir, load_model, main as cli_main
 
 EVOLUTIONARY = ("u: 1", "u: u_t", "u: 1/(1+u)")
+EMPTY_EVOLUTIONARY = ("", "u: 1,", ",", "u: 1,,v: 2")
 
 
 def commands() -> list[list[str]]:
@@ -39,6 +42,7 @@ def commands() -> list[list[str]]:
             out += [["numeric", "flux", name, "--xi", xi] for xi in sorted(models[name].vectors)]
     out.append(["--max-jet-order", "1", "derive", "scalar_robin.cps"])
     out.append(["check", "scalar_robin.cps", "--evolutionary", "u: u_xxxx"])
+    out += [["check", "scalar_neumann.cps", f"--evolutionary={w}"] for w in EMPTY_EVOLUTIONARY]
     return out
 
 
@@ -59,9 +63,11 @@ def main(outdir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = set()
     for argv in commands():
-        name = re.sub(r"[^\w.-]+", "_", "_".join(argv)).strip("_-") + ".txt"
-        if name in written:
-            raise SystemExit(f"two commands map to {name}")
+        stem = re.sub(r"[^\w.-]+", "_", "_".join(argv)).strip("_-")
+        name, n = stem + ".txt", 1
+        while name in written:
+            n += 1
+            name = f"{stem}_{n}.txt"
         written.add(name)
         (out / name).write_text(run(argv))
     return 0

@@ -115,11 +115,16 @@ def print_gauge_verdict(g: dict) -> None:
 def parse_evolutionary(model, text: str) -> dict:
     """The components ``a: expr, b: expr, ...`` of ``check --evolutionary``, each
     component read by the model-file expression grammar; an undeclared or
-    repeated field, or an undeclared name, raises a positioned ModelError."""
+    repeated field, an undeclared name or an empty component raises a
+    positioned ModelError, and an empty list a ModelError."""
+    if not text.strip():
+        raise ModelError("--evolutionary: the component list is empty")
     chart, comps = model.chart, {}
     p = ExprParser(chart, model).start(tokenize(text + ";"))
 
     def component():
+        if p.peek().text in (",", ";"):  # the ";" is the end of the text
+            raise ModelError.at("--evolutionary: empty component", p.peek())
         name = p.expect_ident()
         if name.text not in chart.fields or name.text in comps:
             raise ModelError.at(f"--evolutionary: undeclared or repeated field {name.text!r}", name)

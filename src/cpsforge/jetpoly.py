@@ -34,15 +34,19 @@ solved with a quotient) puts its whole ideal on ``EXPR``.
 Every chart owns one ring (``Chart.ring``, made by the root chart and shared
 by its restrictions), so a ring and its memos live as long as the model that
 created them; nothing here is cached at module level.
+
+The on-shell ideals' generators are ``LazyGenerator``s, built on first use;
+each one's leading jet and coefficient come from its unprolonged equation.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .chart import Chart, translate_expr
+from .chart import Chart, MultiIndex, translate_expr
 
 
 class NotRepresentable(ValueError):
@@ -482,22 +486,97 @@ def choose_ring(ring, coeffs) -> tuple:
         return EXPR, [ring.expr(c) if isinstance(c, dict) else sp.expand(c) for c in coeffs]
 
 
+def _rank(a: str, mi: MultiIndex) -> tuple:
+    """OnShellIdeal's ranking of u^a_mi: order, time derivatives, multi-index, field."""
+    return mi.order, mi.count(0), mi.entries, a
+
+
+def leading_jet(ring, chart: Chart, g):
+    """(sym, field, mi, dg/dsym) for the top-ranked jet of g, a polynomial of
+    ring or a ``LazyGenerator`` on chart; None when g has no jets."""
+    if isinstance(g, LazyGenerator):
+        return g.lead()
+    jets = ring.jets(chart, g)
+    if not jets:
+        return None
+    sym, a, mi = max(jets, key=lambda t: _rank(t[1], t[2]))
+    return sym, a, mi, ring.diff(g, sym)
+
+
+def built(g):
+    """The polynomial of g, a polynomial or a ``LazyGenerator`` (built here)."""
+    return g.poly if isinstance(g, LazyGenerator) else g
+
+
+class _Prolongation:
+    """D_axis^k eq (axis = sub.axis), each taken on first use, for the generators on sub."""
+
+    def __init__(self, ring, sub: Chart, eq, value):
+        self.ring, self.sub, self.value, self.terms = ring, sub, value, [eq]
+        jets = ring.jets(sub.parent, eq)
+        self.order = max((mi.order for _, _, mi in jets), default=0)
+        # restrict(u^a_(J + j*axis)) is u^(family[c + j])_kept on sub, J having c entries axis
+        self.bases = [(sym, sub.families[a], kept.shift_down(sub.axis), c)
+                      for sym, a, mi in jets for kept, c in [mi.split_axis(sub.axis)]]
+
+    def __getitem__(self, k: int):
+        while len(self.terms) <= k:
+            self.terms.append(self.ring.total_derivative(self.sub.parent, self.sub.axis, self.terms[-1]))
+        return self.terms[k]
+
+
+class LazyGenerator:
+    """restrict(D_axis^k eq) to sub, built on first use of ``poly``.
+
+    By [d/du_M, D_i] = d/du_{M-i}, the jets of D^k eq are J + j*axis for the
+    jets J of eq (inside formal atoms too) and 0 <= j <= k, and d(D^k eq)/du_{J+k*axis}
+    is d eq/du_J when no other such pair gives J + k*axis.  Restriction relabels
+    jets one to one, so ``lead()`` reads the leading jet and its coefficient
+    off eq when the top-ranked restricted candidate comes from (J, k) alone
+    and restrict(d eq/du_J) is not zero; otherwise it builds the generator."""
+
+    def __init__(self, chain: _Prolongation, k: int):
+        self._chain, self.k = chain, k
+
+    @cached_property
+    def poly(self):
+        chain = self._chain
+        return chain.ring.restrict(chain.sub, chain[self.k], value=chain.value)
+
+    def lead(self):
+        """``leading_jet`` of the generator on sub."""
+        return self._lead
+
+    @cached_property
+    def _lead(self):
+        chain, k = self._chain, self.k
+        sources: dict = {}  # rank of a restricted candidate -> [(J, j)]
+        for sym, family, kept, c in chain.bases:
+            for j in range(k + 1):
+                sources.setdefault(_rank(family[c + j], kept), []).append((sym, j))
+        if sources:
+            top = max(sources)
+            ((sym, j), *others) = sources[top]
+            if j == k and not others:
+                coeff = chain.ring.restrict(chain.sub, chain.ring.diff(chain.terms[0], sym), value=chain.value)
+                if not chain.ring.is_zero(coeff):
+                    a, mi = top[3], MultiIndex(top[2])
+                    return chain.sub.jet(a, mi), a, mi, coeff
+        return leading_jet(chain.ring, chain.sub, self.poly)
+
+
 def prolonged_restricted_generators(sub: Chart, equations: list, ring, value=None) -> list:
     """Restrict each generator and its prolongations along ``sub.axis`` (up to
     the jet cap) to the hypersurface chart sub; this is how "all differential
     consequences" of an equation survive the loss of the transversal direction,
     and how an evolutionary field's components reach the boundary families.
-    The equations are polynomials of ``ring`` on ``sub.parent``, and so are the
-    generators returned."""
-    chart, axis = sub.parent, sub.axis
+    The equations are polynomials of ``ring`` on ``sub.parent`` (or
+    ``LazyGenerator``s there, built here); the ``LazyGenerator``s returned of
+    one equation share its prolongation chain."""
     gens: list = []
-    for eq in equations:
+    for eq in map(built, equations):
         if ring.is_zero(eq):
             continue
-        order = max((mi.order for _, _, mi in ring.jets(chart, eq)), default=0)
-        bumped = eq
-        for k in range(chart.max_jet_order - order + 1):
-            gens.append(ring.restrict(sub, bumped, value=value))
-            if k < chart.max_jet_order - order:
-                bumped = ring.total_derivative(chart, axis, bumped)
+        chain = _Prolongation(ring, sub, eq, value)
+        gens += [LazyGenerator(chain, k) for k in range(sub.parent.max_jet_order - chain.order + 1)]
     return gens

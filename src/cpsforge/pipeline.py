@@ -28,7 +28,7 @@ from .jetcalc import (
     integrate_by_parts,
     kill_dirichlet,
 )
-from .jetpoly import EXPR, JetRing, choose_ring, prolonged_restricted_generators
+from .jetpoly import EXPR, JetRing, built, choose_ring, leading_jet, prolonged_restricted_generators
 from .relative import BoundaryPair, RelForm, rel_d, rel_dd, rel_iota, rel_iota_ev, rel_lie, rel_lie_ev
 
 
@@ -325,38 +325,51 @@ def noether_current_xi(
 # -- on-shell ideal ----------------------------------------------------------------------
 
 
+class Rule:
+    """u^field_mi -> rhs: a generator solved for its leading jet sym, whose
+    coefficient coeff is free of jets, on first use of ``rhs``."""
+
+    def __init__(self, ring, gen, lead):
+        self.ring, self.gen, (self.sym, self.field, self.mi, self.coeff) = ring, gen, lead
+
+    @cached_property
+    def rhs(self):
+        return self.ring.solve(built(self.gen), self.sym, self.coeff)
+
+
 class OnShellIdeal:
     """Rewriting modulo the equations of motion and their total derivatives.
 
     Each generator is solved for its leading jet when that jet occurs linearly
     with a jet-free coefficient; a generator that is not solvable this way is
     kept in ``skipped`` and takes no part in the reduction, which it weakens
-    but never makes unsound.  The generators and the rules' right-hand sides
-    are polynomials of ``ring``: the given ring, or EXPR when a leading
-    coefficient is not a rational number and a right-hand side is a quotient.
+    but never makes unsound.  A generator is a polynomial of ``ring`` or a
+    ``LazyGenerator``: the leading jets choose the rules, the skipped
+    generators and the ring before anything is built, and a rule is built and
+    solved when a reduction first uses it.  The right-hand sides are
+    polynomials of ``ring``, or of EXPR when a leading coefficient is not a
+    rational number (a quotient), and then everything is built.
     """
 
-    def __init__(self, chart: Chart, equations: list, ring):
-        self.chart = chart
-        solved, skipped = [], []
-        for eq in equations:
-            if ring.is_zero(eq):
-                continue
-            jets = ring.jets(chart, eq)
-            if not jets:
-                raise ValueError(f"equation without jets: {ring.expr(eq)}")
-            sym, a, mi = max(
-                jets, key=lambda t: (t[2].order, t[2].count(0), t[2].entries, t[1])
-            )
-            c = ring.diff(eq, sym)
-            if ring.jets(chart, c):
-                skipped.append(eq)
+    def __init__(self, chart: Chart, generators: list, ring):
+        self.chart, self.ring, self.generators = chart, ring, list(generators)
+        self.rules, self.skipped = [], []
+        for g in self.generators:
+            lead = leading_jet(ring, chart, g)
+            if lead is None:
+                if not ring.is_zero(built(g)):
+                    raise ValueError(f"equation without jets: {ring.expr(built(g))}")
+            elif ring.jets(chart, lead[3]):  # the leading coefficient
+                self.skipped.append(g)
             else:
-                solved.append((a, mi, ring.solve(eq, sym, c)))
-        n, k = len(equations), len(skipped)
-        self.ring, polys = choose_ring(ring, [*equations, *skipped, *(rhs for _, _, rhs in solved)])
-        self.generators, self.skipped = polys[:n], polys[n:n + k]
-        self.rules = [(a, mi, rhs) for (a, mi, _), rhs in zip(solved, polys[n + k:])]
+                self.rules.append(Rule(ring, g, lead))
+        if ring is not EXPR and any(set(r.coeff) != {()} for r in self.rules):
+            n, k = len(self.generators), len(self.skipped)
+            polys = [*map(built, self.generators), *map(built, self.skipped), *(r.rhs for r in self.rules)]
+            self.ring, polys = choose_ring(ring, polys)
+            self.generators, self.skipped = polys[:n], polys[n:n + k]
+            for rule, rhs in zip(self.rules, polys[n + k:]):
+                rule.rhs = rhs
         self._prolonged: dict = {}
 
     def _replacement(self, sym: sp.Symbol, a: str, mi: MultiIndex):
@@ -364,9 +377,10 @@ class OnShellIdeal:
         u^a_J with J + K = mi, memoised per jet; None if there is none."""
         if sym not in self._prolonged:
             self._prolonged[sym], have = None, Counter(mi.entries)
-            for ra, rmi, rhs in self.rules:
-                if ra == a and Counter(rmi.entries) <= have:
-                    for axis in (have - Counter(rmi.entries)).elements():
+            for rule in self.rules:
+                if rule.field == a and Counter(rule.mi.entries) <= have:
+                    rhs = rule.rhs
+                    for axis in (have - Counter(rule.mi.entries)).elements():
                         rhs = self.ring.total_derivative(self.chart, axis, rhs)
                     self._prolonged[sym] = rhs
                     break
@@ -387,7 +401,7 @@ class OnShellIdeal:
     @cached_property
     def on_expr(self) -> "OnShellIdeal":
         """This ideal, on the sparse kernel, rebuilt on EXPR."""
-        return OnShellIdeal(self.chart, [self.ring.expr(g) for g in self.generators], EXPR)
+        return OnShellIdeal(self.chart, [self.ring.expr(built(g)) for g in self.generators], EXPR)
 
     def reduce_form(self, f: Form) -> Form:
         """f with every coefficient reduced, on EXPR if f or the ideal is."""
@@ -563,6 +577,7 @@ def _corner_ideal(v: VariationDecomposition, sideal: OnShellIdeal) -> OnShellIde
     canonical corner chart."""
     ring, cchart = sideal.ring, v.cchart
     gens = prolonged_restricted_generators(cchart, sideal.generators, ring, value=sp.Integer(0))
+    # the pin x = 0 can kill a generator; one with a leading jet is not built here
+    gens = [g for g in gens if g.lead() is not None or not ring.is_zero(g.poly)]
     bgens = prolonged_restricted_generators(v.bschart, _source_polys(ring, v.b), ring)
-    gens += [ring.translate(v.bschart, cchart, g) for g in bgens]
-    return OnShellIdeal(cchart, [g for g in gens if not ring.is_zero(g)], ring)
+    return OnShellIdeal(cchart, gens + [ring.translate(v.bschart, cchart, g.poly) for g in bgens], ring)

@@ -69,7 +69,7 @@ class BoundaryPair:
         out: dict[str, sp.Expr] = {}
         for a, p in zip(fields, polys):
             gens = prolonged_restricted_generators(self.bchart, [p], ring, value=0)
-            out.update(zip(self.bchart.families[a], map(ring.expr, gens)))
+            out.update(zip(self.bchart.families[a], (ring.expr(g.poly) for g in gens)))
         return out
 
 

@@ -131,6 +131,18 @@ def test_check_evolutionary_refuses_unknown_names(capsys):
     assert capsys.readouterr().err == "model error: unknown symbol 'uu' (line 1, col 4)\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "the component list is empty"),
+    ("u: 1,", "empty component (line 1, col 6)"),
+    (",", "empty component (line 1, col 1)"),
+    ("u: 1,,v: 2", "empty component (line 1, col 6)"),
+])
+def test_check_evolutionary_refuses_empty_components(capsys, text, message):
+    # the parser's end-of-text ";" is not named: the user never typed it
+    assert main(["check", "scalar_neumann.cps", f"--evolutionary={text}"]) == 1
+    assert capsys.readouterr().err == f"model error: --evolutionary: {message}\n"
+
+
 @pytest.mark.parametrize("component", ["u: Derivative(u, t)", "u: Derivative(lam(t, x, y), u)"])
 def test_evolutionary_derivative_is_of_a_field_free_scalar_in_coordinates(component):
     text = (corpus_dir() / "chern_simons_k1.cps").read_text()

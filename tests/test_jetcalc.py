@@ -16,7 +16,7 @@ from cpsforge.jetcalc import (
     euler_operator,
     integrate_by_parts,
 )
-from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable
+from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable, leading_jet
 from cpsforge.pipeline import prolonged_restricted_generators
 
 from strategies import any_forms, exprs, forms, make_chart, normalized
@@ -162,6 +162,19 @@ KERNEL_ATOMS = {
     str(T * V(U) * UX**2 + K * U * UTX),
 }
 CH3 = make_chart(3, ("u", "v"), max_jet_order=3)
+LEAD_CH = make_chart(2, ("u", "v"), max_jet_order=4)
+
+
+def lead_exprs(chart):
+    """Polynomials of jet order <= 2 in jets, coordinates (the last one, which
+    a boundary restriction pins, four times as likely), V(u) and lam of every
+    coordinate."""
+    mis = [()] + [(i,) for i in range(chart.n)] + [(i, j) for i in range(chart.n) for j in range(i, chart.n)]
+    atoms = [chart.jet(a, MultiIndex.make(*mi)) for a in chart.fields for mi in mis]
+    atoms += [*chart.xs, *[chart.xs[-1]] * 3, V(chart.jet("u", MultiIndex())), sp.Function("lam")(*chart.xs)]
+    monomial = st.tuples(st.integers(-3, 3), st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
+    return st.lists(monomial, min_size=1, max_size=4).map(
+        lambda parts: sp.expand(sp.Add(*[c * sp.Mul(*fs) for c, fs in parts])))
 
 
 class TestJetPolyKernel:
@@ -179,7 +192,33 @@ class TestJetPolyKernel:
             ring = JetRing()
             got = prolonged_restricted_generators(sub, [ring.poly(e)], ring, value)
             want = prolonged_restricted_generators(sub, [EXPR.poly(e)], EXPR, value)
-            assert [ring.expr(g) for g in got] == want
+            assert [ring.expr(g.poly) for g in got] == [g.poly for g in want]
+
+    @pytest.mark.parametrize("chart", [LEAD_CH, CH3], ids=["2d", "3d"])
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_predicted_lead_is_the_built_one(self, chart, data):
+        # V(u), lam(t, x, ...) and factors of the pinned coordinate, which can
+        # kill the partial that a prediction rests on
+        e = data.draw(lead_exprs(chart))
+        for axis, value in ((0, None), (chart.n - 1, sp.Integer(0))):
+            sub = chart.restricted(axis)
+            for ring in (JetRing(), EXPR):
+                for g in prolonged_restricted_generators(sub, [ring.poly(e)], ring, value):
+                    assert g.lead() == leading_jet(ring, sub, g.poly)
+
+    def test_lead_is_predicted_unless_the_pin_kills_it(self):
+        sub, x = LEAD_CH.restricted(1), LEAD_CH.xs[1]
+        u, uxx = (LEAD_CH.jet("u", MultiIndex.make(*[1] * k)) for k in (0, 2))
+        for e, built in ((uxx + 2 * u, False), (x * uxx + u, True)):
+            ring = JetRing()
+            (g, *_) = prolonged_restricted_generators(sub, [ring.poly(e)], ring, sp.Integer(0))
+            lead = g.lead()
+            assert ("poly" in vars(g)) == built, e
+            assert lead == leading_jet(ring, sub, g.poly)
+        # the top candidate of x*u_xx + u is u_xx, whose coefficient x the pin
+        # kills: the generator is u, with leading coefficient 1
+        assert lead[1:] == ("u", MultiIndex(), {(): 1})
 
     @given(exprs(CH, max_order=2))
     def test_partial_derivative_matches_sympy(self, e):

@@ -22,7 +22,7 @@ from cpsforge.forms import (
 from cpsforge.cli import corpus_dir, load_model
 from cpsforge.model import parse_model
 from cpsforge.jetcalc import NonDecomposableError, euler_operator
-from cpsforge.jetpoly import EXPR, JetRing
+from cpsforge.jetpoly import EXPR, JetRing, LazyGenerator, built, leading_jet
 from cpsforge.pipeline import (
     FieldMeta,
     LagrangianPair,
@@ -441,11 +441,12 @@ class TestChernSimonsHigherLevel:
 
 
 def ideal_contents(ideal):
+    # builds every generator and solves every rule, which the ideal does only on use
     ring = ideal.ring
     return (
-        [ring.expr(g) for g in ideal.generators],
-        [(a, mi, ring.expr(rhs)) for a, mi, rhs in ideal.rules],
-        [ring.expr(g) for g in ideal.skipped],
+        [ring.expr(built(g)) for g in ideal.generators],
+        [(r.field, r.mi, ring.expr(r.rhs)) for r in ideal.rules],
+        [ring.expr(built(g)) for g in ideal.skipped],
     )
 
 
@@ -474,6 +475,40 @@ def test_corpus_ideals_on_kernel_match_expr_path(name):
         assert ideal_contents(kcorner) == ideal_contents(rcorner)
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_generator_leads_are_the_built_ones(name):
+    # the leading jet and coefficient that a slice or corner generator reads
+    # off its unprolonged equation are the ones read off the built generator
+    model = load_model(f"{name}.cps")
+    try:
+        v = model.decomposition
+    except NonDecomposableError:
+        return
+    ideals = [v.slice_ideal, v.corner_ideal] if model.lp.has_boundary else [v.slice_ideal]
+    for ideal in ideals:
+        for g in [g for g in ideal.generators if isinstance(g, LazyGenerator)]:
+            assert g.lead() == leading_jet(ideal.ring, ideal.chart, g.poly), name
+
+
+def is_built(g) -> bool:
+    return "poly" in vars(g)
+
+
+def test_ideals_build_only_the_generators_a_reduction_uses():
+    model = load_model("yang_mills_su2_n2.cps")
+    v = model.decomposition
+    sideal = v.slice_ideal
+    assert (len(sideal.generators), len(sideal.rules), len(sideal.skipped)) == (18, 12, 6)
+    assert not any(map(is_built, sideal.generators))
+    corner = v.corner_ideal  # its equations, the slice generators, are built
+    lazy = [g for g in corner.generators if isinstance(g, LazyGenerator)]
+    assert (len(corner.generators), len(corner.rules), len(corner.skipped), len(lazy)) == (75, 25, 50, 63)
+    assert not any(map(is_built, lazy))
+    report_json(run_cps(model))
+    used = {id(r.gen) for r in corner.rules if "rhs" in vars(r)}
+    assert [g for g in lazy if is_built(g) and id(g) not in used] == []
+
+
 def test_ideal_with_formal_functions_matches_expr_path():
     ch = Chart(("t", "x"), ("u", "v"), max_jet_order=3)
     u, ux, utt, vx = (ch.jet(a, MultiIndex.make(*i)) for a, i in
@@ -496,7 +531,7 @@ def test_ideal_with_formal_functions_matches_expr_path():
         assert (kernel.ring is EXPR) == bool(extra)
         assert (len(kernel.rules), len(kernel.skipped)) == (2 + len(extra), 2)
     ring = JetRing()
-    assert ring.expr(OnShellIdeal(ch, [ring.poly(2 * utt - u)], ring).rules[0][2]) == u / 2
+    assert ring.expr(OnShellIdeal(ch, [ring.poly(2 * utt - u)], ring).rules[0].rhs) == u / 2
 
 
 def test_reduction_that_leaves_the_kernel_is_refused():
@@ -548,7 +583,7 @@ def test_ring_chosen_once_per_derivation():
     reference.decomposition.ring = EXPR
     assert isinstance(kernel.decomposition.ring, JetRing)
     assert report_json(run_cps(kernel)) == report_json(run_cps(reference))
-    assert any(isinstance(rhs, sp.Expr) for _, _, rhs in kernel.decomposition.slice_ideal.rules)
+    assert any(isinstance(r.rhs, sp.Expr) for r in kernel.decomposition.slice_ideal.rules)
     assert kernel.decomposition.slice_ideal.ring is EXPR
 
 
@@ -717,7 +752,7 @@ def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
         ring = ideal.ring
         assert isinstance(ring, JetRing)
         if id(ideal) not in references:
-            references[id(ideal)] = OnShellIdeal(ideal.chart, [ring.expr(g) for g in ideal.generators], EXPR)
+            references[id(ideal)] = OnShellIdeal(ideal.chart, [ring.expr(built(g)) for g in ideal.generators], EXPR)
         assert ring.expr(out) == reduce(references[id(ideal)], ring.expr(p))
     assert [len(rows) for _, rows in solves if rows] == GAUGE_ROWS.get(name, [])
     for _, rows in solves:
@@ -752,7 +787,7 @@ def test_corpus_coefficients_are_ints_or_proper_fractions(name):
                  *v.omega, *v.slice_forms]
         polys += [c for f in forms for c in f.terms.values()]
         for ideal in (v.slice_ideal, v.corner_ideal):
-            polys += [*ideal.generators, *ideal.skipped, *(rhs for _, _, rhs in ideal.rules)]
+            polys += [*map(built, ideal.generators), *map(built, ideal.skipped), *(r.rhs for r in ideal.rules)]
     assert all(isinstance(p, dict) for p in polys), name
     bad = [p for p in polys if not normalized(p)]
     assert not bad, bad[:3]
