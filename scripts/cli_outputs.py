@@ -8,8 +8,9 @@ per command to OUTDIR, holding its argv, exit status, stdout and stderr.  The
 list: `derive --json` of every corpus model, `check --xi` of every corpus
 vector, `check --gauge lam` on every model, four `check --evolutionary`
 fields, the four numeric checks on every 1+1 model, two commands that hit
-the jet cap and four `--evolutionary` lists with an empty component.  A file
-is named after its argv, with a counter when two argvs spell the same name.
+the jet cap, four `--evolutionary` lists with an empty component and an
+unknown `--xi` in `check` and in `numeric flux`.  A file is named after its
+argv, with a counter when two argvs spell the same name.
 Run it on two checkouts and compare them with `diff -r` to see every output a
 change moves.
 """
@@ -43,6 +44,8 @@ def commands() -> list[list[str]]:
     out.append(["--max-jet-order", "1", "derive", "scalar_robin.cps"])
     out.append(["check", "scalar_robin.cps", "--evolutionary", "u: u_xxxx"])
     out += [["check", "scalar_neumann.cps", f"--evolutionary={w}"] for w in EMPTY_EVOLUTIONARY]
+    out.append(["check", "scalar_neumann.cps", "--xi", "nope"])
+    out.append(["numeric", "flux", "scalar_periodic.cps", "--xi", "nope"])
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import sympy as sp
+from sympy.core.cache import cacheit
 from sympy.core.function import AppliedUndef
 
 
@@ -133,9 +134,6 @@ class Chart:
     def jet_key(self, sym: sp.Symbol) -> tuple[str, MultiIndex] | None:
         return self._jet_by_symbol.get(sym)
 
-    def is_jet(self, sym: sp.Symbol) -> bool:
-        return sym in self._jet_by_symbol
-
     def jets_in(self, expr: sp.Expr) -> list[tuple[sp.Symbol, str, MultiIndex]]:
         """All jet symbols occurring in expr, deterministically ordered."""
         out = []
@@ -217,11 +215,15 @@ class Chart:
         out = sp.Add(*terms)
         return sp.expand(out) if needs_expand else out
 
+    @cacheit
     def total_derivative_multi(self, mi: MultiIndex, expr: sp.Expr) -> sp.Expr:
-        out = sp.sympify(expr)
-        for axis in mi:
-            out = self.total_derivative(axis, out)
-        return out
+        """D_J expr, taken as D_{j_last} D_{J - j_last} expr and memoised per
+        (chart, J, expr), so each prefix of J is taken once.  The memo lives in
+        sympy's cache, so ``clear_cache()`` empties it."""
+        if not mi.entries:
+            return sp.sympify(expr)
+        *prefix, axis = mi.entries
+        return self.total_derivative(axis, self.total_derivative_multi(MultiIndex(tuple(prefix)), expr))
 
     # -- metric helpers ----------------------------------------------------------------
 

@@ -82,7 +82,7 @@ def cmd_check(args) -> int:
     model.decomposition  # a non-decomposable pair exits 2 before any check
     if args.xi is not None:
         if args.xi not in model.vectors:
-            raise SystemExit(f"unknown vector field {args.xi!r}")
+            raise ModelError(f"unknown vector field {args.xi!r}")
         blk = symmetry_block(model, args.xi, model.vectors[args.xi])
         print(f"xi-invariant: {yes_no(blk['xi_invariant'])}")
         if not blk["xi_invariant"]:
@@ -264,6 +264,12 @@ def main(argv=None) -> int:
         return 1
     except OSError as err:  # a model path that is a directory, an --out that cannot be written
         print(f"file error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        if args.command != "numeric":
+            raise
+        grid = "x".join(map(str, args.grid)) if args.grid else "default"
+        print(f"out of memory on the {grid} grid; rerun with a smaller --grid", file=sys.stderr)
         return 1
 
 

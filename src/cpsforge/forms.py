@@ -38,12 +38,18 @@ metric factor) is not representable, runs on ``EXPR``; its result returns to
 the chart's ring when every coefficient converts.  Sympy expressions enter as
 constructor input; ``iter_terms`` and ``top_coefficient`` give them back, and
 ``str`` prints each coefficient with its ring's ``sstr``.
+
+Memos.  ``iota_x`` builds its values on the ring of xi's components.  Each
+prolongation D_J W^a (``Chart.total_derivative_multi``) and each sorted raw
+word (``_sort_word``) is memoised in sympy's cache, so ``clear_cache()``
+empties both.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
 import sympy as sp
+from sympy.core.cache import cacheit
 
 from .chart import Chart, MultiIndex, levi_civita
 from .jetpoly import choose_ring
@@ -69,6 +75,7 @@ def word_bidegree(word: Word) -> tuple[int, int]:
     return (r, len(word) - r)
 
 
+@cacheit
 def _sort_word(raw: Word) -> tuple[Word, int]:
     """Canonically sort a raw factor sequence.
 
@@ -104,15 +111,15 @@ class Form:
 
     __slots__ = ("chart", "_tag", "terms", "ring")
 
-    def __init__(self, chart: Chart, r: int = 0, s: int = 0, terms: Mapping | Iterable = ()):
-        """``terms`` maps words to coefficients or lists (word, coeff) pairs.
+    def __init__(self, chart: Chart, r: int = 0, s: int = 0, terms: dict | Iterable = ()):
+        """``terms`` is a dict from words to coefficients, or (word, coeff) pairs.
         Words may be unsorted or repeated: the sorting sign is applied and
         repeats are summed.  A coefficient is a sympy expression or a
         polynomial of ``chart.ring``."""
         self.chart = chart
         self._tag = (r, s)
         signed = []
-        for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+        for word, coeff in terms.items() if isinstance(terms, dict) else terms:
             word, sign = _sort_word(word)
             if sign:
                 signed.append((word, sign, coeff))
@@ -333,25 +340,25 @@ def d_v_anti(f: Form) -> Form:
 # -- contractions --------------------------------------------------------------------
 
 
-def _check_xi(chart: Chart, xi) -> list[sp.Expr]:
-    comps = [sp.sympify(c) for c in xi]
-    if len(comps) != chart.n:
-        raise ValueError(f"vector field needs {chart.n} components, got {len(comps)}")
-    for c in comps:
-        for sym in c.atoms(sp.Symbol):
-            if chart.is_jet(sym):
-                raise ValueError("jet-dependent vector fields are not supported")
-    return comps
+def _check_xi(chart: Chart, xi) -> tuple:
+    """(ring, xi's components on it): the chart's ring when it represents
+    every component, else EXPR."""
+    if len(xi) != chart.n:
+        raise ValueError(f"vector field needs {chart.n} components, got {len(xi)}")
+    ring, comps = choose_ring(chart.ring, xi)
+    if any(ring.jets(chart, c) for c in comps):
+        raise ValueError("jet-dependent vector fields are not supported")
+    return ring, comps
 
 
-def _contract(f: Form, value: Callable[[Factor], sp.Expr], r: int, s: int) -> Form:
+def _contract(f: Form, value: Callable[[Factor], object], r: int, s: int) -> Form:
     """The antiderivation that replaces each factor of a word by the scalar
-    value(factor), with the sign (-1)^k for k like-type factors before it."""
+    value(factor), a sympy expression or a polynomial of the chart's ring,
+    with the sign (-1)^k for k like-type factors before it."""
     values = {fac: value(fac) for fac in dict.fromkeys(fac for word in f.terms for fac in word)}
-    values = {fac: v for fac, v in values.items() if v != 0}
     nf = len(f.terms)
     ring, coeffs = choose_ring(f.chart.ring, [*f.terms.values(), *values.values()])
-    values = dict(zip(values, coeffs[nf:]))
+    values = {fac: v for fac, v in zip(values, coeffs[nf:]) if not ring.is_zero(v)}
     terms = []
     for word, c in zip(f.terms, coeffs[:nf]):
         sign = {"x": 1, "v": 1}
@@ -369,15 +376,19 @@ def iota_x(xi, f: Form) -> Form:
     Horizontal slots contract to xi^i (antiderivation in the horizontal
     grading); contact generators contract through their dx expansion,
     iota th{u_J} = -u_{J+m} xi^m (antiderivation in the vertical grading).
+    Both values are built on the ring that represents xi's components.
     """
     chart = f.chart
-    comps = _check_xi(chart, xi)
+    ring, comps = _check_xi(chart, xi)
+    live = [(m, c) for m, c in enumerate(comps) if not ring.is_zero(c)]
 
     def value(fac):
         if fac[0] == "x":
             return comps[fac[1]]
-        mi = MultiIndex(fac[2])
-        return -sum(comps[m] * chart.jet(fac[1], mi.union(m)) for m in range(chart.n) if comps[m] != 0)
+        mi, out = MultiIndex(fac[2]), ring.poly(0)
+        for m, c in live:
+            out = ring.add(out, ring.mul(c, ring.poly(chart.jet(fac[1], mi.union(m)))), -1)
+        return out
 
     r0, s0 = f._tag
     return _contract(f, value, max(r0 - 1, 0), s0)

@@ -315,6 +315,30 @@ def test_bad_arguments_are_refused_without_traceback(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["check", "scalar_neumann.cps", "--xi", "nope"],
+    ["numeric", "flux", "scalar_periodic.cps", "--xi", "nope"],
+], ids=" ".join)
+def test_unknown_vector_is_the_same_model_error(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "model error: unknown vector field 'nope'\n"
+
+
+def test_numeric_grid_out_of_memory_is_one_line(capsys, monkeypatch):
+    # the mesh is made to fail: a grid large enough to fail for real allocates
+    # gigabytes of coordinates before numpy refuses it
+    from cpsforge.numeric import Grid
+
+    def out_of_memory(self):
+        raise MemoryError
+
+    monkeypatch.setattr(Grid, "mesh", out_of_memory)
+    assert main(["numeric", "fd-check", "scalar_neumann.cps", "--grid", "17x17"]) == 1
+    assert capsys.readouterr().err == "out of memory on the 17x17 grid; rerun with a smaller --grid\n"
+    assert main(["numeric", "hamiltonian", "scalar_neumann.cps"]) == 1
+    assert capsys.readouterr().err == "out of memory on the default grid; rerun with a smaller --grid\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["check", "scalar_neumann.cps", "--xi", "dt", "--gauge", "lam"],
     ["check", "scalar_neumann.cps", "--gauge", "lam", "--evolutionary", "u: 1"],
     ["check", "scalar_neumann.cps"],

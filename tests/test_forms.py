@@ -2,10 +2,14 @@
 import pytest
 import sympy as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.core.cache import clear_cache
 
+from cpsforge import forms as forms_module
 from cpsforge.chart import Chart, JetOrderError, MultiIndex
 from cpsforge.forms import (
     Form,
+    _sort_word,
     d_h,
     d_v_anti,
     dd,
@@ -23,7 +27,7 @@ from cpsforge.forms import (
 from cpsforge.jetcalc import kill_dirichlet
 from cpsforge.jetpoly import EXPR, JetRing
 
-from strategies import any_forms, evolutionary_fields, forms, make_chart, x_vector_fields
+from strategies import any_forms, atom_pool, evolutionary_fields, forms, make_chart, x_vector_fields
 
 CH = make_chart(2, ("u", "v"))
 T, X = CH.xs
@@ -324,3 +328,76 @@ class TestMixedRings:
         killed = kill_dirichlet(f, {"v"})
         assert killed.ring is KER.ring
         assert killed == Form(KER, 1, 1, {(("x", 0), ("v", "u", ())): u})
+
+
+# -- contractions on the ring; prolongations and sorted words in sympy's cache -----------
+
+# components the ring cannot represent, which put a contraction on EXPR
+NOT_ON_THE_RING = (1 / (1 + T), sp.sqrt(2))
+
+
+def with_quotients(components):
+    """Each of the two components kept or replaced by one of NOT_ON_THE_RING."""
+    pick = st.sampled_from((None,) * 4 + NOT_ON_THE_RING)
+    return st.tuples(components, st.tuples(pick, pick)).map(
+        lambda p: [c if new is None else new for c, new in zip(*p)])
+
+
+XI_FIELDS = with_quotients(x_vector_fields(CH))
+EV_FIELDS = with_quotients(evolutionary_fields(CH).map(lambda w: list(w.values()))).map(
+    lambda c: dict(zip(CH.fields, c)))
+CONTRACTIONS = {
+    "iota_x": (iota_x, XI_FIELDS), "lie_x": (lie_x, XI_FIELDS),
+    "iota_ev": (iota_ev, EV_FIELDS), "lie_ev": (lie_ev, EV_FIELDS),
+}
+
+
+def _cold(op, vector, f):
+    """op(vector, f) from an empty sympy cache, with the calls it made to
+    Chart.total_derivative and to the word sort key."""
+    clear_cache()
+    calls = []
+    total_derivative, sort_key = Chart.total_derivative, forms_module._factor_sort_key
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Chart, "total_derivative", lambda *a: calls.append("D") or total_derivative(*a))
+        mp.setattr(forms_module, "_factor_sort_key", lambda fac: calls.append("key") or sort_key(fac))
+        return op(vector, f), calls
+
+
+def _on_expr_ring(op, vector, f):
+    """op(vector, f) with f rebuilt on a new chart whose ring is EXPR."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Chart, "ring", EXPR)
+        ref = make_chart(2, ("u", "v"))
+        atom_pool(ref)  # the jets the strategies draw from
+        return op(vector, Form(ref, *f._tag, f.iter_terms()))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTIONS))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_contractions_match_the_expr_ring_from_a_cold_cache(name, data):
+    op, vectors = CONTRACTIONS[name]
+    vector, f = data.draw(vectors), data.draw(any_forms(CH).filter(lambda f: not f.is_zero()))
+    got, calls = _cold(op, vector, f)
+    again, calls_again = _cold(op, vector, f)
+    assert calls_again == calls  # a cleared cache leaves no memo warm
+    assert _same(got, _on_expr_ring(op, vector, f)) and _same(again, got)
+
+
+def test_each_prolongation_once_per_cache_epoch(monkeypatch):
+    calls = []
+    total_derivative = Chart.total_derivative
+    monkeypatch.setattr(Chart, "total_derivative", lambda *a: calls.append(a[1:]) or total_derivative(*a))
+    field = {"u": U * UX, "v": T * U}
+    f = Form(CH, 1, 1, {(("x", 0), ("v", "u", (1,))): UT, (("x", 1), ("v", "v", (0, 0))): 1})
+    clear_cache()
+    first = lie_ev(field, f)
+    # D_x W^u, D_t W^u (dd of the coefficient u_t gives th{u_t}), D_t W^v
+    # and D_tt W^v = D_t(D_t W^v)
+    assert not first.is_zero() and len(calls) == 4
+    assert _sort_word.cache_info().currsize > 0
+    assert lie_ev(field, f) == first and len(calls) == 4
+    clear_cache()  # as at the start of a process or a benchmark unit
+    assert _sort_word.cache_info().currsize == 0
+    assert lie_ev(field, f) == first and len(calls) == 8
