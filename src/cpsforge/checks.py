@@ -27,6 +27,7 @@ from .pipeline import (
     noether_current_xi,
     xi_invariance_residual,
 )
+from .relative import rel_iota, rel_lie_ev
 
 
 def make_grid(model: Model, shape) -> Grid:
@@ -112,9 +113,9 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     return FdCheckResult(rows, slope, ablated)
 
 
-def standing_wave_state(model: Model, grid: Grid, k: int = 1) -> AnalyticState:
+def standing_wave_state(model: Model, grid: Grid) -> AnalyticState:
     t, x = model.chart.xs
-    return AnalyticState(grid, {"u": sp.cos(k * t) * sp.sin(k * x)})
+    return AnalyticState(grid, {"u": sp.cos(t) * sp.sin(x)})
 
 
 def spectral_tangents(model: Model, grid: Grid) -> tuple[AnalyticState, AnalyticState]:
@@ -196,9 +197,16 @@ def slice_independence(model: Model, shape=None, mode="spectral") -> SliceDriftR
 
 
 def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float, float]:
-    """Step-6 check: slice pairing vs the canonical pairing with p = normal derivative."""
+    """Step-6 check: slice pairing vs the canonical pairing with the model's
+    momentum p = -dL/du_t, which must be c*u_t for a number c once the
+    model's constants are bound."""
     grid = make_grid(model, shape)
     _require_scalar_u(model, "hamiltonian")
+    ut = model.chart.jet("u", MultiIndex.make(0))
+    p = -sp.diff(model.lp.L.top_coefficient(), ut).subs({sp.Symbol(k): x for k, x in model.bindings.items()})
+    c = sp.expand(p / ut)
+    if not c.is_number:
+        raise ModelError(f"hamiltonian needs a momentum c*u_t with a number c, not p = {p}")
     v = model.decomposition
     om_slice, _ = v.slice_forms
     d1, d2 = spectral_tangents(model, grid)
@@ -209,7 +217,7 @@ def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float
     sb = FaceBinding(v.schart, k, outward=False)
     f1, p1 = sb.jet(d1, "u", MultiIndex()), sb.jet(d1, "u.t1", MultiIndex())
     f2, p2 = sb.jet(d2, "u", MultiIndex()), sb.jet(d2, "u.t1", MultiIndex())
-    canonical = sb.integral(sp.Integer(1), grid, base, factor=f1 * p2 - f2 * p1)
+    canonical = float(c) * sb.integral(sp.Integer(1), grid, base, factor=f1 * p2 - f2 * p1) if c else 0.0
     return val, canonical, abs(val - canonical)
 
 
@@ -231,8 +239,8 @@ def flux_check(model: Model, xi_name: str, shape=(257, 256), state: FieldState |
         state = standing_wave_state(model, grid)
     xi = model.vectors[xi_name]
     W = lift_vector_field(model.chart, model.meta, xi)
-    tilde = xi_invariance_residual(model.lp, xi, W)
-    data = noether_current_xi(model.lp, model.decomposition, xi, W, tilde)
+    tilde = xi_invariance_residual(model.lp, xi, rel_lie_ev(W, model.lp.rel))
+    data = noether_current_xi(model.lp, model.decomposition, rel_iota(xi, model.lp.rel), W, tilde)
     if not data.corner_current.is_zero():
         raise ModelError("corner charge contributions are not evaluated numerically")
     nt = grid.shape[0]

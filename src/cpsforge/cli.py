@@ -11,6 +11,7 @@ from .chart import JetOrderError
 from .jetcalc import NonDecomposableError
 from .model import ExprParser, ModelError, parse_model, tokenize
 from .pipeline import d_symmetry_check
+from .relative import rel_lie_ev
 from .report import PipelineReport, gauge_parameter_block, report_json, run_cps, symmetry_block
 
 
@@ -95,7 +96,7 @@ def cmd_check(args) -> int:
     if args.gauge is not None:
         print_gauge_verdict(gauge_parameter_block(model, args.gauge)["gauge"])
         return 0
-    verdict = d_symmetry_check(model.lp, parse_evolutionary(model, args.evolutionary))
+    verdict = d_symmetry_check(model.lp, rel_lie_ev(parse_evolutionary(model, args.evolutionary), model.lp.rel))
     print(f"d-symmetry: {yes_no(verdict.is_symmetry)}")
     if verdict.note:
         print(f"  note: {verdict.note}")

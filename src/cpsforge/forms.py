@@ -173,10 +173,6 @@ class Form:
     def r(self) -> int:
         return self.bidegree[0]
 
-    @property
-    def s(self) -> int:
-        return self.bidegree[1]
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -40,10 +40,10 @@ class SourceForm:
 
     def paired_with_contacts(self) -> Form:
         """Sum_a E_a ^ th{a}."""
-        out = Form.zero(self.chart, self.chart.n, 1)
-        for a, f in self.components.items():
-            out = out + wedge(f, Form.contact(self.chart, a))
-        return out
+        vol_word = top_word(self.chart.n)
+        return Form(self.chart, self.chart.n, 1, [
+            (vol_word + (("v", a, ()),), f._top()) for a, f in self.components.items()
+        ])
 
     def equations(self) -> dict[str, sp.Expr]:
         return {a: self.coefficient(a) for a in self.components}

@@ -18,7 +18,7 @@ from typing import Mapping
 import sympy as sp
 
 from .chart import Chart, MultiIndex, translated_field
-from .forms import Form, d_h, dd, restrict, top_word, wedge
+from .forms import Form, dd, restrict, top_word, wedge
 from .jetcalc import (
     NonDecomposableError,
     SourceForm,
@@ -29,7 +29,7 @@ from .jetcalc import (
     kill_dirichlet,
 )
 from .jetpoly import EXPR, JetRing, built, choose_ring, leading_jet, prolonged_restricted_generators
-from .relative import BoundaryPair, RelForm, rel_d, rel_dd, rel_iota, rel_iota_ev, rel_lie, rel_lie_ev
+from .relative import BoundaryPair, RelForm, rel_d, rel_dd, rel_iota_ev, rel_lie
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,16 @@ class LagrangianPair:
 
     def dirichlet_fields(self) -> set[str]:
         return {a for a, k in self.bc.items() if k == "dirichlet"}
+
+    @cached_property
+    def rel(self) -> RelForm:
+        """The pair (L, ell) as one relative form."""
+        return RelForm(self.pair, self.L, self.ell)
+
+    def impose_boundary_data(self, p: RelForm) -> RelForm:
+        """p with the Dirichlet fields killed on its boundary slot, which is zero without a boundary."""
+        boundary = p.boundary if self.has_boundary else Form.zero(self.pair.bchart)
+        return RelForm(self.pair, p.bulk, kill_dirichlet(boundary, self.dirichlet_fields()))
 
 
 @dataclass
@@ -107,13 +117,10 @@ class VariationDecomposition:
         """The source pair (E_a ^ th{a}, b_a ^ th{a})."""
         return RelForm(self.lp.pair, self.E.paired_with_contacts(), self.b.paired_with_contacts())
 
-    def bulk_residual(self) -> Form:
-        return dd(self.lp.L) - self.sources.bulk - d_h(self.theta)
-
-    def boundary_residual(self) -> Form:
-        dirich = self.lp.dirichlet_fields()
-        lhs = kill_dirichlet(dd(self.lp.ell) - self.lp.pair.pullback(self.theta), dirich)
-        return lhs - self.sources.boundary + d_h(self.theta_bar)
+    def residual(self) -> RelForm:
+        """The steps 1-2 certificate dd(L, ell) - (E, b) - rel_d(Theta, theta_bar), boundary data imposed."""
+        potential = RelForm(self.lp.pair, self.theta, self.theta_bar)
+        return self.lp.impose_boundary_data(rel_dd(self.lp.rel) - self.sources - rel_d(potential))
 
     def equations(self) -> dict[str, sp.Expr]:
         return self.E.equations()
@@ -213,11 +220,10 @@ def lift_vector_field(chart: Chart, meta: Mapping[str, FieldMeta], xi) -> dict[s
     return W
 
 
-def xi_invariance_residual(lp: LagrangianPair, xi, W: Mapping[str, sp.Expr]) -> RelForm:
-    """Background-variation operator applied to the pair, with W the lift of
-    xi: zero iff xi-invariant."""
-    rel = RelForm(lp.pair, lp.L, lp.ell)
-    return rel_lie(xi, rel) - rel_lie_ev(W, rel)
+def xi_invariance_residual(lp: LagrangianPair, xi, A: RelForm) -> RelForm:
+    """Background-variation operator applied to the pair, with A = Lie_W(L, ell)
+    for W the lift of xi: zero iff xi-invariant."""
+    return rel_lie(xi, lp.rel) - A
 
 
 # -- d-symmetries ----------------------------------------------------------------------
@@ -232,26 +238,16 @@ class SymmetryVerdict:
     note: str = ""
 
 
-def d_symmetry_check(
-    lp: LagrangianPair,
-    W: Mapping[str, sp.Expr],
-    xi=None,
-    invariance: RelForm | None = None,
-) -> SymmetryVerdict:
-    """Decide whether the evolutionary field W (its components; a missing
-    field is a zero component) generates a variational symmetry of the pair.
-
-    Accepts W iff the Lie derivative of the pair has identically vanishing
-    bulk and boundary sources (exactness decided constructively on the chart;
-    without a boundary the bulk sources decide alone).
-    The potential (S, s_bar) is produced in closed form on the two routes the
-    engine supports: xi-lifts of invariant pairs (W the lift of xi, and
-    ``invariance`` its ``xi_invariance_residual``), and identically vanishing
-    Lie derivatives; otherwise the verdict carries a not-constructed note.
+def d_symmetry_check(lp: LagrangianPair, A: RelForm, potential: RelForm | None = None) -> SymmetryVerdict:
+    """Decide whether the evolutionary field W with A = Lie_W(L, ell) generates
+    a variational symmetry of the pair: iff A has identically vanishing bulk
+    and boundary sources (decided constructively on the chart; without a
+    boundary the bulk sources decide alone).  The verdict carries
+    ``potential``, the iota_xi(L, ell) of a xi whose lift is W, when
+    rel_d(potential) = A exactly, the zero potential when A vanishes
+    identically, and otherwise a not-constructed note.
     """
     pair = lp.pair
-    rel = RelForm(pair, lp.L, lp.ell)
-    A = rel_lie_ev(W, rel)
     E_A = euler_operator(A.bulk) if not A.bulk.is_zero() else None
     bulk_exact = A.bulk.is_zero() or E_A.is_zero()
     boundary_exact = True
@@ -262,10 +258,8 @@ def d_symmetry_check(
             boundary_exact = False
     if not (bulk_exact and boundary_exact):
         return SymmetryVerdict(False, None, None, obstruction_bulk=E_A)
-    # construct the potential where a closed form is available
-    if xi is not None and invariance is not None and invariance.is_zero():
-        S = rel_iota(xi, rel)
-        return SymmetryVerdict(True, S.bulk, S.boundary, note="potential = iota_xi(L, ell)")
+    if potential is not None and (rel_d(potential) - A).is_zero():
+        return SymmetryVerdict(True, *potential, note="potential = iota_xi(L, ell)")
     if A.is_zero():
         return SymmetryVerdict(
             True,
@@ -303,12 +297,12 @@ class NoetherData:
 def noether_current_xi(
     lp: LagrangianPair,
     v: VariationDecomposition,
-    xi,
+    S: RelForm,
     W: Mapping[str, sp.Expr],
     invariance: RelForm,
 ) -> NoetherData:
-    """xi-current (J, j_bar) = iota_xi (L, ell) - iota_W (Theta, theta_bar),
-    with W the lift of xi and ``invariance`` its ``xi_invariance_residual``.
+    """xi-current (J, j_bar) = S - iota_W (Theta, theta_bar), with S = iota_xi (L, ell),
+    W the lift of xi and ``invariance`` its ``xi_invariance_residual``.
 
     Certifies the flux identity
         rel_d (J, j_bar) = (L_xi - Lie_W)(L, ell) + iota_W (E_a th{a}, b_a th{a})
@@ -316,7 +310,7 @@ def noether_current_xi(
     conserved on shell.
     """
     pair = lp.pair
-    J = rel_iota(xi, RelForm(pair, lp.L, lp.ell)) - rel_iota_ev(W, RelForm(pair, v.theta, v.theta_bar))
+    J = S - rel_iota_ev(W, RelForm(pair, v.theta, v.theta_bar))
     res = rel_d(J) - invariance - rel_iota_ev(W, v.sources)
     corner_current = restrict(J.boundary, v.bschart) if pair.bchart.n > 1 else J.boundary
     return NoetherData(*J, *res, restrict(J.bulk, v.schart), corner_current)

@@ -19,6 +19,7 @@ from .pipeline import (
     one_form_families,
     xi_invariance_residual,
 )
+from .relative import rel_iota, rel_lie_ev
 
 
 @dataclass
@@ -72,16 +73,17 @@ def run_cps(model: Model, with_symmetries: bool = True) -> PipelineReport:
             "term": str(err.term) if err.term is not None else "",
         }
         return rep
+    residual = v.residual()
     rep.steps["1"] = {
         "E": source_dict(v.E),
         "Theta": str(v.theta),
-        "residual": str(v.bulk_residual()),
+        "residual": str(residual.bulk),
         "theta_noncanonical": v.noncanonical_theta,
     }
     rep.steps["2"] = {
         "b": source_dict(v.b),
         "theta_bar": str(v.theta_bar),
-        "residual": str(v.boundary_residual()) if lp.has_boundary else "0",
+        "residual": str(residual.boundary),
     }
     rep.steps["3"] = {  # the nonzero sources, as steps 1 and 2 printed them
         "Sol": {a: e for a, e in rep.steps["1"]["E"].items() if not v.E.components[a].is_zero()},
@@ -120,9 +122,10 @@ def symmetry_block(model: Model, vname: str, xi) -> dict:
     and, for a d-symmetry, the gauge verdict of its lift."""
     lp, v = model.lp, model.decomposition
     W = lift_vector_field(lp.pair.chart, model.meta, xi)
-    res = xi_invariance_residual(lp, xi, W)
-    verdict = d_symmetry_check(lp, W, xi=xi, invariance=res)
-    noether = noether_current_xi(lp, v, xi, W, res)
+    A, S = rel_lie_ev(W, lp.rel), rel_iota(xi, lp.rel)
+    res = xi_invariance_residual(lp, xi, A)
+    verdict = d_symmetry_check(lp, A, potential=S if res.is_zero() else None)
+    noether = noether_current_xi(lp, v, S, W, res)
     block = {
         "vector": vname,
         "xi_invariant": res.is_zero(),

@@ -285,6 +285,27 @@ def test_numeric_refuses_unbound_constant(tmp_path, capsys):
     assert capsys.readouterr().err == "model error: no numeric binding for symbol f\n"
 
 
+def test_hamiltonian_pairs_with_the_model_momentum(tmp_path, capsys):
+    # the canonical pairing uses p = -dL/du_t: zero for L = 0, twice u_t for
+    # the doubled Lagrangian; a momentum that is not c*u_t is refused
+    assert main(["numeric", "hamiltonian", "no_equation_L2.cps"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "slice pairing = 0, canonical = 0, diff = 0"
+    text = (corpus_dir() / "scalar_periodic.cps").read_text()
+    old = "L = (1/2) * wedge(d(u), hodge(d(u)));"
+    assert text.count(old) == 1
+    doubled, quartic = tmp_path / "doubled.cps", tmp_path / "quartic.cps"
+    doubled.write_text(text.replace(old, "L = wedge(d(u), hodge(d(u)));"))
+    quartic.write_text(text.replace(old, "L = (1/2) * wedge(d(u), hodge(d(u))) + u_t**4 * vol();"))
+    assert main(["numeric", "hamiltonian", str(doubled), "--out", str(tmp_path / "h.csv")]) == 0
+    capsys.readouterr()
+    (val, canonical, diff), = [map(float, r.split(",")) for r in (tmp_path / "h.csv").read_text().split()[1:]]
+    assert abs(val) > 12 and diff < 1e-6
+    assert main(["numeric", "hamiltonian", str(quartic)]) == 1
+    assert capsys.readouterr().err == (
+        "model error: hamiltonian needs a momentum c*u_t with a number c, not p = -4*u__t**3 + u__t\n"
+    )
+
+
 REFUSED_ARGS = [
     ["numeric", "fd-check", "scalar_neumann.cps", "--grid", "12x"],
     ["numeric", "fd-check", "scalar_neumann.cps", "--grid", "9x9x9"],

@@ -1,5 +1,6 @@
 """Every name the package defines has a user in the package, its scripts or its
-benchmark, and every field of a package dataclass is read there."""
+benchmark, and every method, property and dataclass field of a package class
+is read there as ``.name``."""
 import ast
 import pathlib
 import re
@@ -56,6 +57,13 @@ def test_no_dead_code():
     words = Counter(re.findall(r"\w+", user_source()))
     dead = [q for q in defined_names() if q not in ALLOWED and words[q.rsplit(".", 1)[-1]] < 2]
     assert not dead, f"defined but never used outside tests: {dead}"
+
+
+def test_every_method_is_read():
+    # a method named by a common word would pass test_no_dead_code on the word
+    reads = Counter(re.findall(r"\.(\w+)", user_source()))
+    unread = [q for q in defined_names() if "." in q and q not in ALLOWED and not reads[q.rsplit(".", 1)[-1]]]
+    assert not unread, f"methods and properties never read as .name outside tests: {unread}"
 
 
 def test_every_dataclass_field_is_read():

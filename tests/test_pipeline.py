@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 
-from cpsforge import pipeline
+from cpsforge import pipeline, relative
 from cpsforge.chart import Chart, MultiIndex
 from cpsforge.forms import (
     Form,
@@ -39,7 +39,7 @@ from cpsforge.pipeline import (
     slice_presymplectic,
     xi_invariance_residual,
 )
-from cpsforge.relative import BoundaryPair, RelForm, rel_d
+from cpsforge.relative import BoundaryPair, RelForm, rel_d, rel_iota, rel_lie_ev
 from cpsforge.report import gauge_direction, report_json, run_cps
 
 from strategies import count_calls, forms, make_chart, normalized
@@ -168,40 +168,59 @@ class TestEquivalence:
 
 
 def lift(lp, xi, meta):
-    """The lift of xi and its invariance residual, computed once as the report does."""
+    """The lift W of xi, A = Lie_W(L, ell), S = iota_xi(L, ell) and the
+    invariance residual, each computed once as the report does."""
     W = lift_vector_field(lp.pair.chart, meta, xi)
-    return W, xi_invariance_residual(lp, xi, W)
+    A, S = rel_lie_ev(W, lp.rel), rel_iota(xi, lp.rel)
+    return W, A, S, xi_invariance_residual(lp, xi, A)
+
+
+def noether(lp, v, xi, meta):
+    """The xi-current of lp, from the lift as the report computes it."""
+    W, _, S, res = lift(lp, xi, meta)
+    return noether_current_xi(lp, v, S, W, res)
 
 
 class TestInvarianceAndSymmetry:
     def test_time_translation_invariant(self):
         lp = scalar_pair(with_robin=True)
-        _, res = lift(lp, [1, 0], SCALAR_META)
+        *_, res = lift(lp, [1, 0], SCALAR_META)
         assert res.bulk.is_zero() and res.boundary.is_zero()
 
     def test_time_dependent_robin_function_breaks_invariance(self):
         lp = scalar_pair(with_robin=True, f_static=False)
-        _, res = lift(lp, [1, 0], SCALAR_META)
+        *_, res = lift(lp, [1, 0], SCALAR_META)
         assert res.bulk.is_zero()
         assert not res.boundary.is_zero()  # residual carries L_xi f = f'(t)
 
     def test_boost_like_not_invariant(self):
         lp = scalar_pair(with_robin=False)
         t = lp.pair.chart.xs[0]
-        _, res = lift(lp, [t, 0], SCALAR_META)
+        *_, res = lift(lp, [t, 0], SCALAR_META)
         assert not res.bulk.is_zero()
 
     def test_killing_lift_is_symmetry(self):
         lp = scalar_pair()
-        W, res = lift(lp, [1, 0], SCALAR_META)
-        verdict = d_symmetry_check(lp, W, xi=[1, 0], invariance=res)
+        _, A, S, res = lift(lp, [1, 0], SCALAR_META)
+        assert res.is_zero()
+        verdict = d_symmetry_check(lp, A, potential=S)
         assert verdict.is_symmetry
         assert verdict.S == iota_x([1, 0], lp.L)
 
+    def test_wrong_potential_is_not_carried(self):
+        # rel_d(2 S) = 2 A, not A: the source test still accepts W, but the
+        # verdict carries no potential
+        lp = scalar_pair()
+        _, A, S, _ = lift(lp, [1, 0], SCALAR_META)
+        assert not A.is_zero()
+        verdict = d_symmetry_check(lp, A, potential=S * 2)
+        assert verdict.is_symmetry
+        assert verdict.S is None and verdict.s_bar is None
+        assert verdict.note.startswith("exact by the source test; potential not constructed")
+
     def test_shift_symmetry_of_free_scalar(self):
         lp = scalar_pair(with_potential=False, with_robin=False)
-        W = {"u": 1}
-        verdict = d_symmetry_check(lp, W)
+        verdict = d_symmetry_check(lp, rel_lie_ev({"u": 1}, lp.rel))
         assert verdict.is_symmetry
         assert verdict.S.is_zero() and verdict.s_bar.is_zero()
 
@@ -212,8 +231,7 @@ class TestInvarianceAndSymmetry:
         du = d_h(Form.scalar(ch, u))
         L = wedge(du, hodge(du)) * sp.Rational(1, 2) + vol(ch) * (u**2 / 2)
         lp = LagrangianPair(pair, L, Form.zero(pair.bchart, 1, 0), bc={"u": "free"})
-        W = {"u": u}
-        verdict = d_symmetry_check(lp, W)
+        verdict = d_symmetry_check(lp, rel_lie_ev({"u": u}, lp.rel))
         assert not verdict.is_symmetry
         assert verdict.obstruction_bulk is not None
 
@@ -222,7 +240,7 @@ class TestNoether:
     def test_flux_identity_energy(self):
         lp = scalar_pair()
         v = decompose(lp)
-        data = noether_current_xi(lp, v, [1, 0], *lift(lp, [1, 0], SCALAR_META))
+        data = noether(lp, v, [1, 0], SCALAR_META)
         assert data.identity_holds()
         # slice current = energy density integrand
         ch = lp.pair.chart
@@ -238,23 +256,23 @@ class TestNoether:
     def test_zero_vector_field(self):
         lp = scalar_pair()
         v = decompose(lp)
-        data = noether_current_xi(lp, v, [0, 0], *lift(lp, [0, 0], SCALAR_META))
+        data = noether(lp, v, [0, 0], SCALAR_META)
         assert data.J.is_zero() and data.j_bar.is_zero()
 
     def test_nonkilling_identity_still_holds(self):
         lp = scalar_pair(with_robin=False)
         v = decompose(lp)
         t = lp.pair.chart.xs[0]
-        data = noether_current_xi(lp, v, [t, 0], *lift(lp, [t, 0], SCALAR_META))
+        data = noether(lp, v, [t, 0], SCALAR_META)
         assert data.identity_holds()
 
     def test_linearity_in_xi(self):
         lp = scalar_pair(with_robin=False)
         v = decompose(lp)
         t = lp.pair.chart.xs[0]
-        d1 = noether_current_xi(lp, v, [1, 0], *lift(lp, [1, 0], SCALAR_META))
-        d2 = noether_current_xi(lp, v, [t, 0], *lift(lp, [t, 0], SCALAR_META))
-        d12 = noether_current_xi(lp, v, [1 + t, 0], *lift(lp, [1 + t, 0], SCALAR_META))
+        d1 = noether(lp, v, [1, 0], SCALAR_META)
+        d2 = noether(lp, v, [t, 0], SCALAR_META)
+        d12 = noether(lp, v, [1 + t, 0], SCALAR_META)
         assert d12.J == d1.J + d2.J
         assert d12.j_bar == d1.j_bar + d2.j_bar
 
@@ -311,21 +329,22 @@ class TestChernSimons:
         lp, meta, _ = cs_pair()
         t, x, y = lp.pair.chart.xs
         for xi in ([1, 0, 0], [x, 1 + t, 0], [t * x, -2, y]):
-            _, res = lift(lp, xi, meta)
+            *_, res = lift(lp, xi, meta)
             assert res.bulk.is_zero() and res.boundary.is_zero()
 
     def test_lift_is_d_symmetry(self):
         lp, meta, _ = cs_pair()
         xi = [1, 0, 0]
-        W, res = lift(lp, xi, meta)
-        verdict = d_symmetry_check(lp, W, xi=xi, invariance=res)
+        _, A, S, res = lift(lp, xi, meta)
+        assert res.is_zero()
+        verdict = d_symmetry_check(lp, A, potential=S)
         assert verdict.is_symmetry
 
     def test_noether_identity_and_charge_on_shell(self):
         lp, meta, _ = cs_pair()
         v = decompose(lp)
         xi = [1, 0, 0]
-        data = noether_current_xi(lp, v, xi, *lift(lp, xi, meta))
+        data = noether(lp, v, xi, meta)
         assert data.identity_holds()
         # the charge integrand equals (iota_xi A) * E + an explicit divergence
         # (J = 1/2 d(A_t A) + A_t E), so on shell it reduces to the divergence:
@@ -641,10 +660,11 @@ def test_boundaryless_null_lagrangian_is_d_symmetry():
 
 def test_one_derivation_per_model(monkeypatch):
     # the report's symmetry and gauge blocks share the model's decomposition,
-    # its on-shell ideals and each vector's invariance residual
+    # its on-shell ideals and each vector's invariance residual, Lie
+    # derivative Lie_W(L, ell) and contraction iota_xi(L, ell)
     counts = count_calls(
         monkeypatch, pipeline.decompose, pipeline.slice_ideal, pipeline._corner_ideal,
-        pipeline.xi_invariance_residual,
+        pipeline.xi_invariance_residual, relative.rel_lie_ev, relative.rel_iota,
     )
     model = load_model("chern_simons_k1.cps")
     rep = run_cps(model)
@@ -652,6 +672,7 @@ def test_one_derivation_per_model(monkeypatch):
     assert counts["decompose"] == 1
     assert counts["slice_ideal"] == 1 and counts["_corner_ideal"] == 1
     assert counts["xi_invariance_residual"] <= len(model.vectors)
+    assert counts["rel_lie_ev"] == counts["rel_iota"] == len(model.vectors)
 
 
 def test_nonabelian_gauge_parameter_restricts_to_the_corner():
@@ -700,6 +721,32 @@ def test_gauge_verdict_is_homogeneous_in_w(name, vector):
         res = gauge_residual(model.lp, model.decomposition, scaled(W, c), **kw)
         assert res.bulk == base.bulk * c, c
         assert res.boundary == base.boundary * c, c
+
+
+def test_boundary_current_enters_the_corner_piece(monkeypatch):
+    # ell = (1/2) u_t**2 bvol gives omega_bar = -th{u} ^ th{u_t}, so the gauge
+    # stage of the lift of dt translates the boundary current onto the slice
+    # corner, a branch that no corpus model reaches
+    edits = (("ell = 0;", "ell = (1/2) * u_t**2 * bvol();"),)
+    counts = count_calls(monkeypatch, pipeline.translate_form)
+    model = neumann_variant(*edits)
+    report = report_json(run_cps(model))
+    assert str(model.decomposition.omega.boundary) == "(-1) th{u}^th{u_t}"
+    assert counts["translate_form"] == 1
+    xi = model.vectors["dt"]
+    W, kw = lift_vector_field(model.chart, model.meta, xi), {"xi": xi, "meta": model.meta}
+    base = gauge_residual(model.lp, model.decomposition, W, **kw)
+    assert not base.boundary.is_zero()
+    for c in (2, sp.Rational(1, 2), -3):
+        res = gauge_residual(model.lp, model.decomposition, scaled(W, c), **kw)
+        assert res.bulk == base.bulk * c, c
+        assert res.boundary == base.boundary * c, c
+    # the same report with every chart's forms and the ideals on EXPR
+    monkeypatch.setattr(Chart, "ring", EXPR)
+    reference = neumann_variant(*edits)
+    reference.decomposition.ring = EXPR
+    assert report_json(run_cps(reference)) == report
+    assert reference.lp.L.ring is EXPR
 
 
 def test_gauge_stage_leaves_the_ring_with_w():
