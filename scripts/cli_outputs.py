@@ -6,7 +6,7 @@
 Runs each command in-process through `cpsforge.cli.main` and writes one file
 per command to OUTDIR, holding its argv, exit status, stdout and stderr.  The
 list: `derive --json` of every corpus model, `check --xi` of every corpus
-vector, `check --gauge lam` on every model, four `check --evolutionary`
+vector, `check --gauge lam` on every model, five `check --evolutionary`
 fields, the four numeric checks on every 1+1 model, two commands that hit
 the jet cap, four `--evolutionary` lists with an empty component and an
 unknown `--xi` in `check` and in `numeric flux`.  A file is named after its
@@ -22,7 +22,7 @@ import sys
 
 from cpsforge.cli import corpus_dir, load_model, main as cli_main
 
-EVOLUTIONARY = ("u: 1", "u: u_t", "u: 1/(1+u)")
+EVOLUTIONARY = ("u: 1", "u: u_t", "u: u_x", "u: 1/(1+u)")
 EMPTY_EVOLUTIONARY = ("", "u: 1,", ",", "u: 1,,v: 2")
 
 

@@ -84,7 +84,7 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     An action or residual that is not finite on the test state is refused."""
     grid = make_grid(model, shape)
     v = model.decomposition
-    chart, L, ell = model.chart, model.lp.L, model.lp.ell
+    chart, (L, ell) = model.chart, model.lp.rel
     E_coeffs = {a: sp.expand(e) for a, e in v.equations().items()}
     b_dens = {a: boundary_density(f) for a, f in v.b.components.items()}
     tt, xx = grid.mesh()
@@ -203,7 +203,7 @@ def hamiltonian_comparison(model: Model, shape=(129, 256)) -> tuple[float, float
     grid = make_grid(model, shape)
     _require_scalar_u(model, "hamiltonian")
     ut = model.chart.jet("u", MultiIndex.make(0))
-    p = -sp.diff(model.lp.L.top_coefficient(), ut).subs({sp.Symbol(k): x for k, x in model.bindings.items()})
+    p = -sp.diff(model.lp.rel.bulk.top_coefficient(), ut).subs({sp.Symbol(k): x for k, x in model.bindings.items()})
     c = sp.expand(p / ut)
     if not c.is_number:
         raise ModelError(f"hamiltonian needs a momentum c*u_t with a number c, not p = {p}")

@@ -35,7 +35,7 @@ from .pipeline import (
     decompose,
     one_form_families,
 )
-from .relative import BoundaryPair
+from .relative import BoundaryPair, RelForm
 
 SU2_STRUCTURE = {
     ijk: sp.Integer(levi_civita(*ijk)) for ijk in itertools.permutations(range(3))
@@ -327,7 +327,8 @@ class ExprParser(TokenCursor):
             self.expect(")")
             if vec.text not in self.vectors:
                 raise ModelError.at(f"unknown vector field {vec.text!r}", vec)
-            return iota_x(self.vectors[vec.text], self.as_form(arg, tok))
+            xi = self.vectors[vec.text]  # tangent to the boundary, so it restricts there
+            return iota_x(self.model.pair.restrict_vector(xi) if self.boundary else xi, self.as_form(arg, tok))
         if self.peek().text == ")":
             self.next()
             return self.apply(tok, [])
@@ -676,7 +677,7 @@ class ModelParser(TokenCursor):
             bparser = ExprParser(bchart, model, boundary=True)
             ell = self._top_form(bparser, lag["ell"], "ell must be a boundary top form")
         tags = {label: bc.get(m.base, "free") for label, m in meta.items()}
-        model.lp = LagrangianPair(model.pair, L, ell, bc=tags, has_boundary=has_boundary)
+        model.lp = LagrangianPair(RelForm(model.pair, L, ell), bc=tags, has_boundary=has_boundary)
 
         for stmt in blocks.get("constraints", []):
             p = bulk.start(stmt)

@@ -5,7 +5,9 @@ derives the variational decomposition (sources and symplectic potentials on
 both strata, with zero-residual certificates), the presymplectic currents and
 their Cauchy-slice restriction, lifts of space-time vector fields, invariance
 residuals, Noether currents/charges, variational-symmetry verdicts, and gauge
-diagnostics modulo the on-shell ideal.
+diagnostics modulo the on-shell ideal.  Each bulk/boundary pair is one
+``RelForm``: (L, ell), (Theta, theta_bar), (S, s_bar), (J, j_bar) and the
+Noether identity's certificate.
 """
 from __future__ import annotations
 
@@ -44,30 +46,24 @@ class FieldMeta:
 
 @dataclass
 class LagrangianPair:
-    """Bulk Lagrangian, lateral boundary Lagrangian, boundary-condition tags."""
+    """The pair (bulk Lagrangian L, lateral boundary Lagrangian ell) as one
+    relative form, and the boundary-condition tags."""
 
-    pair: BoundaryPair
-    L: Form
-    ell: Form
+    rel: RelForm
     bc: dict[str, str] = field(default_factory=dict)
     has_boundary: bool = True
 
     def __post_init__(self):
-        if self.L.chart is not self.pair.chart:
-            raise ValueError("bulk Lagrangian lives on the wrong chart")
-        if self.ell.chart is not self.pair.bchart:
-            raise ValueError("boundary Lagrangian lives on the wrong chart")
         for a, kind in self.bc.items():
             if kind not in ("free", "dirichlet", "robin"):
                 raise ValueError(f"unknown boundary condition {kind!r} for field {a!r}")
 
+    @property
+    def pair(self) -> BoundaryPair:
+        return self.rel.pair
+
     def dirichlet_fields(self) -> set[str]:
         return {a for a, k in self.bc.items() if k == "dirichlet"}
-
-    @cached_property
-    def rel(self) -> RelForm:
-        """The pair (L, ell) as one relative form."""
-        return RelForm(self.pair, self.L, self.ell)
 
     def impose_boundary_data(self, p: RelForm) -> RelForm:
         """p with the Dirichlet fields killed on its boundary slot, which is zero without a boundary."""
@@ -87,9 +83,8 @@ class VariationDecomposition:
 
     lp: LagrangianPair
     E: SourceForm
-    theta: Form
     b: SourceForm
-    theta_bar: Form
+    potential: RelForm  # (Theta, theta_bar)
     noncanonical_theta: bool = False
 
     @property
@@ -119,8 +114,7 @@ class VariationDecomposition:
 
     def residual(self) -> RelForm:
         """The steps 1-2 certificate dd(L, ell) - (E, b) - rel_d(Theta, theta_bar), boundary data imposed."""
-        potential = RelForm(self.lp.pair, self.theta, self.theta_bar)
-        return self.lp.impose_boundary_data(rel_dd(self.lp.rel) - self.sources - rel_d(potential))
+        return self.lp.impose_boundary_data(rel_dd(self.lp.rel) - self.sources - rel_d(self.potential))
 
     def equations(self) -> dict[str, sp.Expr]:
         return self.E.equations()
@@ -149,40 +143,37 @@ class VariationDecomposition:
         return _corner_ideal(self, self.slice_ideal)
 
 
-def _decompose_pair(
-    lp: LagrangianPair, L: Form, ell: Form
-) -> tuple[SourceForm, Form, SourceForm, Form]:
-    """CPS steps 1-2 for the pair (L, ell) under lp's boundary data: the
+def _decompose_pair(lp: LagrangianPair, p: RelForm) -> tuple[SourceForm, SourceForm, RelForm]:
+    """CPS steps 1-2 for the pair p = (L, ell) under lp's boundary data: the
     relative decomposition dd(L, ell) = (E, b) + d_rel(Theta, theta_bar).
     Without a boundary, b and theta_bar are zero."""
-    E, theta = integrate_by_parts(L)
-    bchart = lp.pair.bchart
+    E, theta = integrate_by_parts(p.bulk)
+    pair, bchart = lp.pair, lp.pair.bchart
     if not lp.has_boundary:
         b = SourceForm(bchart, {a: Form.zero(bchart, bchart.n, 0) for a in bchart.fields})
-        return E, theta, b, Form.zero(bchart, bchart.n - 1, 1)
-    b, theta_bar = boundary_euler_operator(
-        ell, lp.pair.pullback(theta), dirichlet=lp.dirichlet_fields()
-    )
-    return E, theta, b, theta_bar
+        return E, b, RelForm(pair, theta, Form.zero(bchart, bchart.n - 1, 1))
+    b, theta_bar = boundary_euler_operator(p.boundary, pair.pullback(theta), dirichlet=lp.dirichlet_fields())
+    return E, b, RelForm(pair, theta, theta_bar)
 
 
 def decompose(lp: LagrangianPair) -> VariationDecomposition:
     """CPS steps 1-2: bulk and boundary variational decompositions, each
     certified by a zero residual where it is computed."""
     return VariationDecomposition(
-        lp, *_decompose_pair(lp, lp.L, lp.ell), noncanonical_theta=lp.L.jet_order() > 2
+        lp, *_decompose_pair(lp, lp.rel), noncanonical_theta=lp.rel.bulk.jet_order() > 2
     )
 
 
 def presymplectic_current(v: VariationDecomposition) -> RelForm:
     """Symplectic currents: the field-space differential of the potentials."""
-    return rel_dd(RelForm(v.lp.pair, v.theta, v.theta_bar))
+    return rel_dd(v.potential)
 
 
 def slice_presymplectic(v: VariationDecomposition) -> tuple[Form, Form]:
     """The slice integrand of the presymplectic form: dd of the pulled
     potentials; the slice value stays symbolic."""
-    return dd(restrict(v.theta, v.schart)), dd(restrict(v.theta_bar, v.bschart))
+    theta, theta_bar = v.potential
+    return dd(restrict(theta, v.schart)), dd(restrict(theta_bar, v.bschart))
 
 
 # -- lifting space-time vector fields --------------------------------------------------
@@ -232,8 +223,7 @@ def xi_invariance_residual(lp: LagrangianPair, xi, A: RelForm) -> RelForm:
 @dataclass
 class SymmetryVerdict:
     is_symmetry: bool
-    S: Form | None
-    s_bar: Form | None
+    potential: RelForm | None  # (S, s_bar) with rel_d(S, s_bar) = Lie_W(L, ell)
     obstruction_bulk: SourceForm | None = None
     note: str = ""
 
@@ -253,23 +243,18 @@ def d_symmetry_check(lp: LagrangianPair, A: RelForm, potential: RelForm | None =
     boundary_exact = True
     if bulk_exact:
         try:
-            boundary_exact = _decompose_pair(lp, *A)[2].is_zero()
+            boundary_exact = _decompose_pair(lp, A)[1].is_zero()
         except NonDecomposableError:
             boundary_exact = False
     if not (bulk_exact and boundary_exact):
-        return SymmetryVerdict(False, None, None, obstruction_bulk=E_A)
+        return SymmetryVerdict(False, None, obstruction_bulk=E_A)
     if potential is not None and (rel_d(potential) - A).is_zero():
-        return SymmetryVerdict(True, *potential, note="potential = iota_xi(L, ell)")
+        return SymmetryVerdict(True, potential, note="potential = iota_xi(L, ell)")
     if A.is_zero():
-        return SymmetryVerdict(
-            True,
-            Form.zero(pair.chart, pair.chart.n - 1, 0),
-            Form.zero(pair.bchart, pair.bchart.n - 1, 0),
-            note="Lie derivative vanishes identically",
-        )
+        zero = RelForm(pair, *(Form.zero(c, c.n - 1, 0) for c in (pair.chart, pair.bchart)))
+        return SymmetryVerdict(True, zero, note="Lie derivative vanishes identically")
     return SymmetryVerdict(
         True,
-        None,
         None,
         note="exact by the source test; potential not constructed (general homotopy out of scope)",
     )
@@ -280,18 +265,13 @@ def d_symmetry_check(lp: LagrangianPair, A: RelForm, potential: RelForm | None =
 
 @dataclass
 class NoetherData:
-    """xi-current pair, its slice and corner restrictions, and the flux-identity
-    certificate."""
+    """xi-current pair (J, j_bar), the flux-identity certificate, and the
+    current's slice and corner restrictions."""
 
-    J: Form
-    j_bar: Form
-    identity_residual_bulk: Form
-    identity_residual_boundary: Form
+    current: RelForm
+    identity_residual: RelForm
     slice_current: Form
     corner_current: Form
-
-    def identity_holds(self) -> bool:
-        return self.identity_residual_bulk.is_zero() and self.identity_residual_boundary.is_zero()
 
 
 def noether_current_xi(
@@ -309,11 +289,10 @@ def noether_current_xi(
     exactly; on xi-invariant pairs the first term vanishes and the current is
     conserved on shell.
     """
-    pair = lp.pair
-    J = S - rel_iota_ev(W, RelForm(pair, v.theta, v.theta_bar))
+    J = S - rel_iota_ev(W, v.potential)
     res = rel_d(J) - invariance - rel_iota_ev(W, v.sources)
-    corner_current = restrict(J.boundary, v.bschart) if pair.bchart.n > 1 else J.boundary
-    return NoetherData(*J, *res, restrict(J.bulk, v.schart), corner_current)
+    corner_current = restrict(J.boundary, v.bschart) if lp.pair.bchart.n > 1 else J.boundary
+    return NoetherData(J, res, restrict(J.bulk, v.schart), corner_current)
 
 
 # -- on-shell ideal ----------------------------------------------------------------------

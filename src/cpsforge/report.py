@@ -60,8 +60,8 @@ def run_cps(model: Model, with_symmetries: bool = True) -> PipelineReport:
     rep = PipelineReport(model=model.name)
     lp = model.lp
     rep.steps["0"] = {
-        "L": str(lp.L),
-        "ell": str(lp.ell),
+        "L": str(lp.rel.bulk),
+        "ell": str(lp.rel.boundary),
         "bc": dict(sorted(lp.bc.items())),
     }
     try:
@@ -76,13 +76,13 @@ def run_cps(model: Model, with_symmetries: bool = True) -> PipelineReport:
     residual = v.residual()
     rep.steps["1"] = {
         "E": source_dict(v.E),
-        "Theta": str(v.theta),
+        "Theta": str(v.potential.bulk),
         "residual": str(residual.bulk),
         "theta_noncanonical": v.noncanonical_theta,
     }
     rep.steps["2"] = {
         "b": source_dict(v.b),
-        "theta_bar": str(v.theta_bar),
+        "theta_bar": str(v.potential.boundary),
         "residual": str(residual.boundary),
     }
     rep.steps["3"] = {  # the nonzero sources, as steps 1 and 2 printed them
@@ -131,13 +131,13 @@ def symmetry_block(model: Model, vname: str, xi) -> dict:
         "xi_invariant": res.is_zero(),
         "invariance_residual": {"bulk": str(res.bulk), "boundary": str(res.boundary)},
         "d_symmetry": verdict.is_symmetry,
-        "S": str(verdict.S) if verdict.S is not None else None,
-        "s_bar": str(verdict.s_bar) if verdict.s_bar is not None else None,
+        "S": str(verdict.potential.bulk) if verdict.potential is not None else None,
+        "s_bar": str(verdict.potential.boundary) if verdict.potential is not None else None,
         "noether": {
-            "J": str(noether.J),
-            "j_bar": str(noether.j_bar),
-            "identity_residual_bulk": str(noether.identity_residual_bulk),
-            "identity_residual_boundary": str(noether.identity_residual_boundary),
+            "J": str(noether.current.bulk),
+            "j_bar": str(noether.current.boundary),
+            "identity_residual_bulk": str(noether.identity_residual.bulk),
+            "identity_residual_boundary": str(noether.identity_residual.boundary),
             "slice_current": str(noether.slice_current),
             "corner_current": str(noether.corner_current),
         },

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -12,8 +13,12 @@ import warnings
 import pytest
 
 import cpsforge
+from cpsforge.chart import MultiIndex
 from cpsforge.cli import corpus_dir, load_model, main, parse_evolutionary
+from cpsforge.jetcalc import NonDecomposableError
 from cpsforge.model import ModelError, parse_model, tokenize
+from cpsforge.pipeline import _decompose_pair
+from cpsforge.relative import rel_lie_ev
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens"
 CORPUS_MODELS = sorted(f.name[: -len(".cps")] for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
@@ -109,6 +114,16 @@ def test_check_evolutionary_shift(capsys):
     assert main(["check", "scalar_wave_neumann.cps", "--evolutionary", "u: 1"]) == 0
     out = capsys.readouterr().out
     assert "d-symmetry: yes" in out
+
+
+def test_check_evolutionary_with_a_non_decomposable_boundary_variation(capsys):
+    # the Euler sources of Lie_W L vanish for W = u_x, but its boundary
+    # variation is not decomposable: not a d-symmetry
+    model = load_model("scalar_neumann.cps")
+    with pytest.raises(NonDecomposableError):
+        _decompose_pair(model.lp, rel_lie_ev({"u": model.chart.jet("u", MultiIndex.make(1))}, model.lp.rel))
+    assert main(["check", "scalar_neumann.cps", "--evolutionary", "u: u_x"]) == 0
+    assert capsys.readouterr().out == "d-symmetry: no\n"
 
 
 def test_check_evolutionary_splits_at_top_level_commas(capsys):
@@ -633,11 +648,26 @@ def test_check_gauge_accepts_a_function_background_or_a_new_name(tmp_path, capsy
     assert lines[2] == f"  boundary obstruction = ({name}(t, x, 0)) dx^th{{A_x}}"
 
 
-def test_run_corpus_names_its_expected_failure(monkeypatch, capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
-    spec = importlib.util.spec_from_file_location("run_corpus", path)
+def load_script(name: str):
+    """The module of scripts/NAME.py."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_recorded_cli_traffic_never_raises(capsys):
+    # every command that scripts/cli_outputs.py records ends in an exit status
+    script = load_script("cli_outputs")
+    for argv in script.commands():
+        out = script.run(argv)  # an exception other than SystemExit escapes
+        assert re.search(r"^status: -?\d+$", out, re.M), (argv, out)
+    capsys.readouterr()
+
+
+def test_run_corpus_names_its_expected_failure(monkeypatch, capsys):
+    script = load_script("run_corpus")
     assert script.main() == 0
     monkeypatch.setattr(script, "load_model", lambda path: pathlib.Path(path).stem)
     monkeypatch.setattr(script, "run_cps", lambda name: name)
@@ -649,10 +679,7 @@ def test_run_corpus_names_its_expected_failure(monkeypatch, capsys):
 
 
 def test_regen_goldens_fails_on_a_digest_that_differs(monkeypatch, tmp_path, capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py"
-    spec = importlib.util.spec_from_file_location("regen_goldens", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("regen_goldens")
     monkeypatch.setattr(script, "derive", lambda name, workdir: (GOLDEN / f"{name}.json").read_bytes())
     monkeypatch.setattr(sys, "argv", ["regen_goldens.py"])
     digests = {n: hashlib.sha256((GOLDEN / f"{n}.json").read_bytes()).hexdigest() for n in CORPUS_MODELS}

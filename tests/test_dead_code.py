@@ -14,7 +14,6 @@ ALLOWED = {
     "section_pullback": "test oracle: pullback along a section, for the horizontal-form identities",
     "relative_integral": "test oracle: quadrature of a relative form, for the relative Stokes tests",
     "relative_stokes_residual": "public operator of the paper's relative Stokes identity",
-    "NoetherData.identity_holds": "the Noether identity verdict that the pipeline tests assert",
     "SymmetryVerdict.obstruction_bulk": "the Euler sources of a refused d-symmetry, which the pipeline tests assert",
 }
 

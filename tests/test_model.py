@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsforge.chart import MultiIndex
+from cpsforge.forms import Form, boundary_volume, d_h, iota_x, wedge
 from cpsforge.model import ModelError, parse_model, tokenize
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "cpsforge" / "corpus"
@@ -24,8 +25,8 @@ def test_roundtrip(path):
     text = path.read_text()
     m1 = parse_model(text)
     m2 = parse_model(" ".join(t.text for t in tokenize(text)[:-1]))
-    assert str(m1.lp.L) == str(m2.lp.L)
-    assert str(m1.lp.ell) == str(m2.lp.ell)
+    assert str(m1.lp.rel.bulk) == str(m2.lp.rel.bulk)
+    assert str(m1.lp.rel.boundary) == str(m2.lp.rel.boundary)
     assert m1.coords == m2.coords
     assert m1.lp.bc == m2.lp.bc
     assert {k: [sp.sstr(c) for c in v] for k, v in m1.vectors.items()} == {
@@ -42,6 +43,24 @@ model demo {
   lagrangian { L = %s; ell = 0; }
 }
 """
+
+
+REFUSAL_MODEL = """model demo {{
+  chart {{ {chart} }}
+  fields {{ u : scalar; }}
+  background {{ {background} }}
+  lagrangian {{ {lagrangian} }}
+  vectors {{ {vectors} }}
+  constraints {{ {constraints} }}
+}}
+"""
+REFUSAL_BLOCKS = {
+    "chart": "coords = t, x; boundary = true;",
+    "background": "metric = diag(-1, 1); f : function(t, x);",
+    "lagrangian": "L = u * vol(); ell = 0;",
+    "vectors": "dt = (1, 0);",
+    "constraints": "",
+}
 
 
 class TestErrors:
@@ -94,6 +113,35 @@ model demo {
         with pytest.raises(ModelError, match=rf"is declared twice \(line 9, col {col}\)$"):
             parse_model(text.replace(old, f"background {{ {background} }}"))
 
+    @pytest.mark.parametrize("blocks, message, line, col", [
+        ({"background": "", "lagrangian": "L = wedge(d(u), hodge(d(u))); ell = 0;"},
+         "hodge requires a declared metric", 5, 32),
+        ({"lagrangian": "L = u * vol(); ell = u * vol();"},
+         "vol() is a bulk form; use bvol() on the boundary", 5, 41),
+        ({"lagrangian": "L = tr(d(u), d(u)); ell = 0;"}, "tr() pairs two Lie-algebra-valued forms", 5, 20),
+        ({"lagrangian": "L = bracket(u, u); ell = 0;"}, "bracket() needs Lie-algebra-valued forms", 5, 20),
+        ({"lagrangian": "L = f(d(u)) * vol(); ell = 0;"}, "f() takes scalar arguments", 5, 20),
+        ({"lagrangian": "L = vol() / d(u); ell = 0;"}, "division by a form", 5, 26),
+        ({"lagrangian": "L = u_ttttt * vol(); ell = 0;"}, "jet u_ttttt exceeds max jet order 4", 5, 20),
+        ({"vectors": "dt = (1, 0); dt = (0, 0);"}, "vector 'dt' is defined twice", 6, 26),
+        ({"background": "metric = diag(-1);"}, "metric needs one diagonal entry per coordinate (2)", 4, 16),
+        ({"lagrangian": "ell = 0;"}, "lagrangian block must define L", 5, 3),
+        ({"chart": "boundary = true;"}, "chart declares no coordinates", 2, 3),
+        ({"constraints": "d(u);"}, "expected a scalar", 7, 17),
+    ])
+    def test_refusal_is_positioned(self, blocks, message, line, col):
+        with pytest.raises(ModelError) as err:
+            parse_model(REFUSAL_MODEL.format(**{**REFUSAL_BLOCKS, **blocks}))
+        assert (str(err.value), err.value.line, err.value.col) == (f"{message} (line {line}, col {col})", line, col)
+
+    def test_iota_in_boundary_lagrangian_contracts_the_boundary_vector(self):
+        # on a 1+1 chart iota(dt, bvol()) is a boundary 0-form: a degree error,
+        # not a contraction with the two-component bulk vector
+        lagrangian = "L = u * vol(); ell = u * iota(dt, bvol());"
+        with pytest.raises(ModelError) as err:
+            parse_model(REFUSAL_MODEL.format(**{**REFUSAL_BLOCKS, "lagrangian": lagrangian}))
+        assert str(err.value) == "ell must be a boundary top form, got degree (0, 0) (line 5, col 31)"
+
 
 class TestResolution:
     def test_jet_names(self):
@@ -104,7 +152,7 @@ class TestResolution:
         ut = ch.jet("u", MultiIndex.make(0))
         uxx = ch.jet("u", MultiIndex.make(1, 1))
         u = ch.jet("u", MultiIndex())
-        assert sp.expand(m.lp.L.top_coefficient() - (ut**2 - uxx * u)) == 0
+        assert sp.expand(m.lp.rel.bulk.top_coefficient() - (ut**2 - uxx * u)) == 0
 
     def test_one_form_components(self):
         text = """
@@ -137,7 +185,23 @@ model demo {
         m = parse_model(text.replace("ell = 0;", "ell = (1/2) * wedge(A, hodge(A));"))
         bch = m.pair.bchart
         A_t, A_x = (bch.jet(a, MultiIndex()) for a in ("A_t", "A_x"))
-        assert m.lp.ell.top_coefficient() == sp.expand((A_x**2 - A_t**2) / 2)
+        assert m.lp.rel.boundary.top_coefficient() == sp.expand((A_x**2 - A_t**2) / 2)
+
+    def test_iota_in_boundary_expression_uses_the_boundary_vector(self):
+        m = parse_model("""
+model demo {
+  chart { coords = t, x, y; boundary = true; }
+  fields { u : scalar; }
+  background { metric = diag(-1, 1, 1); }
+  lagrangian { L = u * vol(); ell = wedge(d(u), iota(dt, bvol())); }
+  vectors { dt = (1, 0, 0); }
+}
+""")
+        pair = m.pair
+        ub = Form.scalar(pair.bchart, pair.bchart.jet("u", MultiIndex()))
+        xibar = pair.restrict_vector(m.vectors["dt"])
+        assert xibar == [1, 0]
+        assert m.lp.rel.boundary == wedge(d_h(ub), iota_x(xibar, boundary_volume(pair.bchart)))
 
 
 CORPUS_TOKENS = {p.stem: [t.text for t in tokenize(p.read_text())[:-1]] for p in corpus_files()}
