@@ -322,7 +322,7 @@ def translated_field(field: str, src: "Chart", dst: "Chart") -> str:
     raise KeyError(f"no field in target chart matching {field!r}")
 
 
-@functools.lru_cache(maxsize=None)
+@cacheit
 def _perm_sign(perm: tuple[int, ...]) -> int:
     sign = 1
     seen = [False] * len(perm)

@@ -39,20 +39,27 @@ the chart's ring when every coefficient converts.  Sympy expressions enter as
 constructor input; ``iter_terms`` and ``top_coefficient`` give them back, and
 ``str`` prints each coefficient with its ring's ``sstr``.
 
-Memos.  ``iota_x`` builds its values on the ring of xi's components.  Each
-prolongation D_J W^a (``Chart.total_derivative_multi``) and each sorted raw
-word (``_sort_word``) is memoised in sympy's cache, so ``clear_cache()``
-empties both.
+Memos.  Work whose inputs repeat is done once per sympy cache epoch: the
+sort of each raw word (``_sort_word``, unbounded), xi's components on their
+ring (``_check_xi``), the polynomial of each prolongation D_J W^a
+(``_prolonged``, over ``Chart.total_derivative_multi``) and each contact
+factor bumped by d_h (``_bumped``).  All of them live in sympy's cache, so
+``clear_cache()`` empties them and a new process or benchmark unit starts
+cold.  A memoised polynomial is shared, and nothing mutates it: no ``JetRing``
+operation changes its arguments.  A form on the chart's ring compares by its
+``terms``: canonical words, no zero coefficients and ``int`` for every
+integral rational make dict equality exact.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Mapping
 
 import sympy as sp
-from sympy.core.cache import cacheit
+from sympy.core.cache import CACHE, cacheit
 
 from .chart import Chart, MultiIndex, levi_civita
-from .jetpoly import choose_ring
+from .jetpoly import EXPR, choose_ring
 
 # factor encodings: ("x", axis) horizontal, ("v", field, entries) vertical
 Factor = tuple
@@ -75,12 +82,14 @@ def word_bidegree(word: Word) -> tuple[int, int]:
     return (r, len(word) - r)
 
 
-@cacheit
+@functools.lru_cache(maxsize=None)
 def _sort_word(raw: Word) -> tuple[Word, int]:
     """Canonically sort a raw factor sequence.
 
     Returns (word, sign); the sign counts only transpositions of like-type
     factors (cross-type factors commute).  A repeated factor gives sign 0.
+    Memoised without bound in sympy's cache: one pass over many forms sorts
+    more distinct words than ``cacheit``'s 1,000 entries hold.
     """
     keys = [_factor_sort_key(f) for f in raw]
     if all(a < b for a, b in zip(keys, keys[1:])):
@@ -101,6 +110,9 @@ def _sort_word(raw: Word) -> tuple[Word, int]:
     return tuple(hs + vs), sign
 
 
+CACHE.append(_sort_word)  # so clear_cache() empties it
+
+
 class Form:
     """Immutable linear combination of wedge words.
 
@@ -118,15 +130,23 @@ class Form:
         polynomial of ``chart.ring``."""
         self.chart = chart
         self._tag = (r, s)
-        signed = []
+        # Polynomials of chart.ring are summed as they come.  From the first
+        # other coefficient (a sympy expression) on, the terms wait in rest
+        # for one choose_ring over every coefficient.
+        ring, acc, rest = chart.ring, {}, []
         for word, coeff in terms.items() if isinstance(terms, dict) else terms:
             word, sign = _sort_word(word)
-            if sign:
-                signed.append((word, sign, coeff))
-        ring, coeffs = choose_ring(chart.ring, [c for _, _, c in signed])
-        acc: dict = {}
-        for (word, sign, _), c in zip(signed, coeffs):
-            acc[word] = ring.add(acc[word], c, sign) if word in acc else ring.scale(c, sign)
+            if not sign:
+                continue
+            if rest or coeff.__class__ is not dict:
+                rest.append((word, sign, coeff))
+            else:
+                acc[word] = ring.add(acc[word], coeff, sign) if word in acc else ring.scale(coeff, sign)
+        if rest:
+            ring, coeffs = choose_ring(ring, [*acc.values(), *(c for _, _, c in rest)])
+            acc = dict(zip(acc, coeffs))  # the sums so far, on the chosen ring
+            for (word, sign, _), c in zip(rest, coeffs[len(acc):]):
+                acc[word] = ring.add(acc[word], c, sign) if word in acc else ring.scale(c, sign)
         if ring is not chart.ring:  # a cancellation may leave representable sums
             ring, sums = choose_ring(chart.ring, acc.values())
             acc = dict(zip(acc, sums))
@@ -206,13 +226,17 @@ class Form:
     # -- algebra -----------------------------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":
+        return self._plus(other, other.terms.items())
+
+    def __sub__(self, other: "Form") -> "Form":
+        return self._plus(other, [(w, other.ring.scale(c, -1)) for w, c in other.terms.items()])
+
+    def _plus(self, other: "Form", other_terms) -> "Form":
+        """self plus other_terms, other's terms or their negatives, in one construction."""
         if self.chart is not other.chart:
             raise ValueError("forms live on different charts")
         tag = self._tag if self.terms or not other.terms else other._tag
-        return Form(self.chart, *tag, [*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + -other
+        return Form(self.chart, *tag, [*self.terms.items(), *other_terms])
 
     def __mul__(self, scalar) -> "Form":
         if isinstance(scalar, Form):
@@ -230,6 +254,8 @@ class Form:
             return NotImplemented
         if self.chart is not other.chart:
             return False
+        if self.ring is not EXPR and other.ring is not EXPR:  # both on chart.ring
+            return self.terms == other.terms
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -298,15 +324,21 @@ def d_h(f: Form) -> Form:
         terms += [((("x", i),) + word, ring.total_derivative(chart, i, coeff)) for i in range(chart.n)]
         signed = ring.scale(coeff, (-1) ** word_bidegree(word)[0])
         for pos, fac in enumerate(word):
-            if fac[0] != "v":
-                continue
-            a, mi = fac[1], MultiIndex(fac[2])
-            for i in range(chart.n):
-                chart.jet(a, mi.union(i))  # jet-cap check
-                bumped = ("v", a, mi.union(i).entries)
-                terms.append((word[:pos] + (("x", i), bumped) + word[pos + 1:], signed))
+            if fac[0] == "v":
+                terms += [(word[:pos] + (("x", i), bumped) + word[pos + 1:], signed)
+                          for i, bumped in enumerate(_bumped(chart, fac))]
     r0, s0 = f._tag
     return Form(chart, r0 + 1, s0, terms)
+
+
+@cacheit
+def _bumped(chart: Chart, fac: Factor) -> tuple:
+    """The contact factors th{u_{J+i}}, one per axis i, of th{u_J}; JetOrderError
+    past the jet cap.  Memoised per (chart, factor) in sympy's cache."""
+    a, mi = fac[1], MultiIndex(fac[2])
+    for i in range(chart.n):
+        chart.jet(a, mi.union(i))  # jet-cap check
+    return tuple(("v", a, mi.union(i).entries) for i in range(chart.n))
 
 
 def dd(f: Form) -> Form:
@@ -336,15 +368,17 @@ def d_v_anti(f: Form) -> Form:
 # -- contractions --------------------------------------------------------------------
 
 
-def _check_xi(chart: Chart, xi) -> tuple:
+@cacheit
+def _check_xi(chart: Chart, xi: tuple) -> tuple:
     """(ring, xi's components on it): the chart's ring when it represents
-    every component, else EXPR."""
+    every component, else EXPR.  Memoised per (chart, xi) in sympy's cache;
+    xi is a tuple of sympy expressions, so 1 and 1.0 are different keys."""
     if len(xi) != chart.n:
         raise ValueError(f"vector field needs {chart.n} components, got {len(xi)}")
     ring, comps = choose_ring(chart.ring, xi)
     if any(ring.jets(chart, c) for c in comps):
         raise ValueError("jet-dependent vector fields are not supported")
-    return ring, comps
+    return ring, tuple(comps)
 
 
 def _contract(f: Form, value: Callable[[Factor], object], r: int, s: int) -> Form:
@@ -375,7 +409,7 @@ def iota_x(xi, f: Form) -> Form:
     Both values are built on the ring that represents xi's components.
     """
     chart = f.chart
-    ring, comps = _check_xi(chart, xi)
+    ring, comps = _check_xi(chart, tuple(map(sp.sympify, xi)))
     live = [(m, c) for m, c in enumerate(comps) if not ring.is_zero(c)]
 
     def value(fac):
@@ -397,14 +431,24 @@ def iota_ev(W: Mapping[str, sp.Expr], f: Form) -> Form:
     vertical-grading antiderivation (Leibniz sign (-1)^s).
     """
     chart = f.chart
+    W = {a: sp.sympify(w) for a, w in W.items()}
 
     def value(fac):
         if fac[0] == "x" or fac[1] not in W:
             return 0
-        return chart.total_derivative_multi(MultiIndex(fac[2]), sp.sympify(W[fac[1]]))
+        return _prolonged(chart, fac[2], W[fac[1]])
 
     r0, s0 = f._tag
     return _contract(f, value, r0, max(s0 - 1, 0))
+
+
+@cacheit
+def _prolonged(chart: Chart, entries: tuple, w: sp.Expr):
+    """D_J w for J = entries, as a polynomial of ``chart.ring`` when that ring
+    represents it, else as the expanded expression.  Memoised per (chart, J,
+    w) in sympy's cache; the polynomial is shared, so it is never mutated."""
+    _, (p,) = choose_ring(chart.ring, [chart.total_derivative_multi(MultiIndex(entries), w)])
+    return p
 
 
 def iota_ev_anti(W: Mapping[str, sp.Expr], f: Form) -> Form:

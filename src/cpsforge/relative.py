@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Mapping
 
 import sympy as sp
+from sympy.core.cache import cacheit
 
 from .chart import Chart, NonTangentError
 from .forms import Form, d_h, dd, iota_ev, iota_x, lie_ev, lie_x, restrict, twist, wedge
@@ -52,10 +53,13 @@ class BoundaryPair:
         return comps
 
     def restrict_vector(self, xi) -> list[sp.Expr]:
+        return list(self._restricted_vector(tuple(map(sp.sympify, xi))))
+
+    @cacheit
+    def _restricted_vector(self, xi: tuple) -> tuple:
+        """``restrict_vector``'s components, memoised per (pair, xi) in sympy's cache."""
         comps = self.check_tangent(xi)
-        return [
-            self.chart.restrict_expr(c, self.bchart, value=sp.Integer(0)) for c in comps[: self.axis]
-        ]
+        return tuple(self.chart.restrict_expr(c, self.bchart, value=sp.Integer(0)) for c in comps[: self.axis])
 
     def restrict_ev(self, W: Mapping[str, sp.Expr]) -> dict[str, sp.Expr]:
         """Boundary components of an evolutionary field.

@@ -1,10 +1,15 @@
 """Form algebra: canonicalization, wedge signs, differentials, contractions."""
+import importlib
+import itertools
+import pkgutil
+
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.core.cache import clear_cache
+from sympy.core.cache import CACHE, clear_cache
 
+import cpsforge
 from cpsforge import forms as forms_module
 from cpsforge.chart import Chart, JetOrderError, MultiIndex
 from cpsforge.forms import (
@@ -26,8 +31,18 @@ from cpsforge.forms import (
 
 from cpsforge.jetcalc import kill_dirichlet
 from cpsforge.jetpoly import EXPR, JetRing
+from cpsforge.relative import BoundaryPair, RelForm, rel_lie
 
-from strategies import any_forms, atom_pool, evolutionary_fields, forms, make_chart, x_vector_fields
+from strategies import (
+    any_forms,
+    atom_pool,
+    evolutionary_fields,
+    forms,
+    make_chart,
+    normalized,
+    words,
+    x_vector_fields,
+)
 
 CH = make_chart(2, ("u", "v"))
 T, X = CH.xs
@@ -401,3 +416,94 @@ def test_each_prolongation_once_per_cache_epoch(monkeypatch):
     clear_cache()  # as at the start of a process or a benchmark unit
     assert _sort_word.cache_info().currsize == 0
     assert lie_ev(field, f) == first and len(calls) == 8
+
+
+# -- memos in sympy's cache; forms compared and built without a sympy round trip ------
+
+
+def _memos() -> dict:
+    """Every object with ``cache_clear`` that a cpsforge module, or a class in
+    one, binds, by name."""
+    out = {}
+    for info in pkgutil.iter_modules(cpsforge.__path__):
+        module = importlib.import_module(f"cpsforge.{info.name}")
+        for obj in vars(module).values():
+            for o in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
+                if hasattr(o, "cache_clear"):
+                    out[o.__qualname__] = o
+    return out
+
+
+# the memos a relative Lie derivative and an evolutionary one fill
+KERNEL_MEMOS = ("_sort_word", "_check_xi", "_prolonged", "_bumped", "BoundaryPair._restricted_vector",
+                "Chart.total_derivative_multi")
+
+
+def test_every_memo_is_emptied_by_clear_cache():
+    memos = _memos()
+    assert [name for name, m in memos.items() if m not in CACHE] == []
+    pair = BoundaryPair(CH)
+    p = RelForm(pair, Form(CH, 1, 1, {(("x", 0), ("v", "u", (1,))): U * UT}),
+                Form(pair.bchart, 0, 1, {(("v", "u", ()),): T}))
+    clear_cache()
+    assert not rel_lie([1 + T, X], p).is_zero()
+    assert not lie_ev({"u": U * UX}, p.bulk).is_zero()
+    assert [name for name in KERNEL_MEMOS if not memos[name].cache_info().currsize] == []
+    clear_cache()  # the worker's cold-cache rule: nothing survives the clear
+    assert sum(m.cache_info().currsize for m in CACHE) == 0
+
+
+def test_distinct_words_are_sorted_once_per_epoch():
+    pool = [("v", a, (0,) * i + (1,) * j) for a in ("u", "v") for i in range(5) for j in range(4)]
+    raw = list(itertools.islice(itertools.permutations(pool, 2), 1500))
+    clear_cache()
+    first = [_sort_word(w) for w in raw]
+    misses = _sort_word.cache_info().misses
+    assert misses == 1500
+    assert [_sort_word(w) for w in raw] == first
+    assert _sort_word.cache_info().misses == misses
+
+
+def _fraction_and_expr_forms(draw):
+    """A form from ``any_forms``, scaled by a rational, sometimes with a
+    1/(1+t) term that puts it on EXPR."""
+    f = draw(any_forms(CH)) * draw(st.sampled_from((1, sp.Rational(1, 2), sp.Rational(-2, 3))))
+    if draw(st.booleans()):
+        f = f + Form(CH, *f._tag, {draw(words(CH, *f._tag, max_order=1)): 1 / (1 + T)})
+    return f
+
+
+@st.composite
+def form_pairs(draw):
+    f = _fraction_and_expr_forms(draw)
+    how = draw(st.sampled_from(("other", "same", "rebuilt")))
+    if how == "other":
+        return f, _fraction_and_expr_forms(draw)
+    if how == "same":
+        return f, Form(CH, *f._tag, f.terms)
+    return f, Form(CH, *f._tag, f.iter_terms())
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(form_pairs())
+def test_equality_and_difference_agree_with_the_sum_of_the_negative(pair):
+    f, g = pair
+    through_sum = f + -g
+    assert (f == g) is through_sum.is_zero()
+    diff = f - g
+    assert diff.ring is through_sum.ring and diff.terms == through_sum.terms
+    for h in (f, g):
+        from_sympy, from_ring = Form(CH, *h._tag, h.iter_terms()), Form(CH, *h._tag, h.terms)
+        assert from_ring.ring is from_sympy.ring is h.ring
+        assert from_ring.terms == from_sympy.terms == h.terms
+        assert all(normalized(c) for c in from_ring.terms.values() if isinstance(c, dict))
+
+
+def test_equal_forms_on_either_ring():
+    half = Form(CH, 1, 0, {(("x", 0),): U / 2})
+    assert half.ring is CH.ring
+    assert half == Form(CH, 1, 0, {(("x", 1),): 0, (("x", 0),): U * sp.Rational(1, 2)})
+    assert half != half * 2 and (half * 2).terms == {(("x", 0),): CH.ring.poly(U)}
+    quotient = Form(CH, 1, 0, {(("x", 0),): U / (1 + U) + 1 / (1 + U)})  # 1, which expand does not see
+    assert quotient.ring is EXPR
+    assert quotient == Form.dx(CH, 0) and Form.dx(CH, 0) == quotient

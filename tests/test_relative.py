@@ -2,7 +2,9 @@
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.core.cache import clear_cache
 
+from cpsforge import forms as forms_module
 from cpsforge.chart import MultiIndex, NonTangentError
 from cpsforge.forms import Form, d_h, iota_x, restrict
 from cpsforge.jetpoly import JetRing
@@ -252,3 +254,32 @@ class TestRelEvolutionary:
         p = RelForm(PAIR, Form.contact(CH, "u"), Form.zero(BCH, 0, 1))
         assert rel_iota_ev({"u": U}, p).bulk == Form.scalar(CH, U)
         assert rel_lie_ev({"u": U}, p).boundary.is_zero()
+
+
+class TestVectorMemo:
+    def test_xi_is_converted_once_per_chart(self, monkeypatch):
+        xi = [1 + T, 2 * X]
+        xibar = PAIR.restrict_vector(xi)
+        p = RelForm(PAIR, Form(CH, 1, 0, {(("x", 0),): U * X}), Form.scalar(BCH, T))
+        choose = forms_module.choose_ring
+        converted = []
+
+        def counted(ring, coeffs):
+            coeffs = list(coeffs)
+            converted.append(coeffs)
+            return choose(ring, coeffs)
+
+        clear_cache()
+        monkeypatch.setattr(forms_module, "choose_ring", counted)
+        rel_lie(xi, p)
+        rel_iota(xi, p)
+        rel_iota(xi, rel_d(p))
+        assert (converted.count(xi), converted.count(xibar)) == (1, 1)
+
+    def test_restrict_vector_returns_a_fresh_list(self):
+        clear_cache()
+        xi = [T, X * T]
+        first = PAIR.restrict_vector(xi)
+        first.append(0)
+        assert PAIR.restrict_vector(xi) == [T]
+        assert PAIR.restrict_vector(tuple(xi)) is not PAIR.restrict_vector(xi)
