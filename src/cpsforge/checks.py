@@ -8,6 +8,7 @@ import numpy as np
 import sympy as sp
 
 from .chart import MultiIndex
+from .jetcalc import source_coefficients
 from .model import Model, ModelError
 from .numeric import (
     FaceBinding,
@@ -37,7 +38,8 @@ def make_grid(model: Model, shape) -> Grid:
     if (x in model.periodic) == model.lp.has_boundary:
         raise ModelError(f"numeric checks need periodic = {x} exactly when boundary = false")
     periodic = tuple(c in model.periodic for c in model.coords)
-    return Grid.make(model.chart, model.domain, tuple(shape), periodic=periodic, bindings=model.bindings)
+    one_forms = {a: m.axis for a, m in model.meta.items() if m.kind == "one_form"}
+    return Grid.make(model.chart, model.domain, tuple(shape), periodic, model.bindings, one_forms)
 
 
 def _require_scalar_u(model: Model, check: str) -> None:
@@ -86,7 +88,8 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     v = model.decomposition
     chart, (L, ell) = model.chart, model.lp.rel
     E_coeffs = {a: sp.expand(e) for a, e in v.equations().items()}
-    b_dens = {a: boundary_density(f) for a, f in v.b.components.items()}
+    b = v.sources.boundary
+    b_dens = {a: boundary_density(b.chart, b.ring.expr(e)) for a, e in source_coefficients(b).items()}
     tt, xx = grid.mesh()
     state = FieldState(grid, {a: np.sin(2 * tt + 1) * np.cos(3 * xx) for a in chart.fields})
     vpert = {a: bump_array(tt, 0.15, 0.85) * (1 + 0.3 * np.cos(2 * xx)) for a in chart.fields}
@@ -146,7 +149,9 @@ def solve_model(model: Model, grid: Grid, initial, velocity) -> FieldState:
     elif model.lp.has_boundary:
         # the density of b[u] on the oriented boundary volume is c*u - u.n1
         ub, un = bchart.jet("u", MultiIndex()), bchart.jet("u.n1", MultiIndex())
-        c = sp.expand((boundary_density(v.b.components["u"]).subs(values) + un) / ub)
+        b = v.sources.boundary
+        b_u = boundary_density(bchart, b.ring.expr(source_coefficients(b)["u"]))
+        c = sp.expand((b_u.subs(values) + un) / ub)
         if not c.is_number:
             raise ModelError(f"the wave solver needs b[u] = u.n1 - c*u with a numeric c, not c = {c}")
         bc = "robin" if c else "neumann"

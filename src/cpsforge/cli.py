@@ -69,6 +69,8 @@ def print_summary(rep: PipelineReport) -> int:
                 f"  vector {blk['vector']}: xi-invariant: {yes_no(blk['xi_invariant'])}; "
                 f"d-symmetry: {yes_no(blk['d_symmetry'])}{tail}"
             )
+        elif "not_reduced" in g:
+            print(f"  {blk['vector']}: not reduced ({g['not_reduced']})")
         else:
             print(f"  {blk['vector']}: bulk {g['bulk_residual']}; boundary {g['boundary_residual']}")
     return 0

@@ -1,19 +1,19 @@
 """Jet-bundle variational operators.
 
 Total derivatives live on the chart; this module adds the source-form layer:
-the componentwise Euler operator, the deterministic integration-by-parts sweep
-producing a symplectic-potential representative, and its boundary analogue
-(which either decomposes or raises NonDecomposableError when a transversal
-variation survives).
+the Euler operator, the deterministic integration-by-parts sweep producing a
+symplectic-potential representative, and its boundary analogue (which either
+decomposes or raises NonDecomposableError when a transversal variation
+survives).  A source is a plain (n,1) form sum_a E_a vol ^ th{a}:
+``source_form`` builds one from its coefficients by field, and
+``source_coefficients`` reads them back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import sympy as sp
+from typing import Mapping
 
 from .chart import Chart, MultiIndex
-from .forms import Form, dd, d_h, top_word, wedge
+from .forms import Form, dd, d_h, top_word
 
 
 class NonDecomposableError(ValueError):
@@ -24,33 +24,22 @@ class NonDecomposableError(ValueError):
         self.term = term
 
 
-@dataclass
-class SourceForm:
-    """Map field -> top horizontal form E_a (the coefficient pairs with th{a})."""
-
-    chart: Chart
-    components: dict[str, Form] = field(default_factory=dict)
-
-    def coefficient(self, a: str) -> sp.Expr:
-        f = self.components.get(a)
-        return sp.Integer(0) if f is None else f.top_coefficient()
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.components.values())
-
-    def paired_with_contacts(self) -> Form:
-        """Sum_a E_a ^ th{a}."""
-        vol_word = top_word(self.chart.n)
-        return Form(self.chart, self.chart.n, 1, [
-            (vol_word + (("v", a, ()),), f._top()) for a, f in self.components.items()
-        ])
-
-    def equations(self) -> dict[str, sp.Expr]:
-        return {a: self.coefficient(a) for a in self.components}
+def source_form(chart: Chart, coeffs: Mapping[str, object]) -> Form:
+    """The (n,1) source form sum_a E_a vol ^ th{a} of the coefficients E_a by field."""
+    vol_word = top_word(chart.n)
+    return Form(chart, chart.n, 1, [(vol_word + (("v", a, ()),), e) for a, e in coeffs.items()])
 
 
-def euler_operator(L: Form) -> SourceForm:
-    """Componentwise Euler operator: E_a = sum_J (-1)^|J| D_J dL/du^a_J.
+def source_coefficients(src: Form) -> dict:
+    """The coefficient of vol ^ th{a} in the source form src, on ``src.ring``,
+    for every field a of its chart, zeros included, in declaration order."""
+    vol_word, zero = top_word(src.chart.n), src.ring.poly(0)
+    return {a: src.terms.get(vol_word + (("v", a, ()),), zero) for a in src.chart.fields}
+
+
+def euler_operator(L: Form) -> Form:
+    """Euler operator: the source form sum_a E_a vol ^ th{a}, with
+    E_a = sum_J (-1)^|J| D_J dL/du^a_J.
 
     Vanishes identically iff L is a null Lagrangian on the chart.
     """
@@ -63,7 +52,7 @@ def euler_operator(L: Form) -> SourceForm:
         for axis in mi:
             d = ring.total_derivative(chart, axis, d)
         acc[a] = ring.add(acc[a], d, (-1) ** mi.order)
-    return SourceForm(chart, {a: Form.top(chart, e) for a, e in acc.items()})
+    return source_form(chart, acc)
 
 
 def _sweep(P: Form) -> tuple[dict, Form]:
@@ -101,22 +90,19 @@ def _sweep(P: Form) -> tuple[dict, Form]:
     return src, Form(chart, chart.n - 1, 1, theta_terms)
 
 
-def integrate_by_parts(L: Form) -> tuple[SourceForm, Form]:
+def integrate_by_parts(L: Form) -> tuple[Form, Form]:
     """Decompose the field-space differential of a Lagrangian form.
 
-    Returns (E, Theta) with dd(L) = sum_a E_a ^ th{a} + d_h(Theta), Theta fixed
-    by the highest-order-first sweep; the residual of the decomposition is
-    checked to be identically zero.  That E agrees with euler_operator is not
+    Returns (E, Theta) with dd(L) = E + d_h(Theta), E the source form
+    sum_a E_a vol ^ th{a} and Theta fixed by the highest-order-first sweep;
+    the residual of the decomposition is checked to be identically zero.  That E agrees with euler_operator is not
     checked here; test_jetcalc checks it on random Lagrangians.
     """
-    chart = L.chart
     L._top()  # validates shape
     P = dd(L)
     src, theta = _sweep(P)
-    E = SourceForm(chart)
-    for a in chart.fields:
-        E.components[a] = Form.top(chart, src.get(a, 0))
-    residual = P - E.paired_with_contacts() - d_h(theta)
+    E = source_form(L.chart, src)
+    residual = P - E - d_h(theta)
     if not residual.is_zero():
         raise ArithmeticError(f"integration-by-parts residual is nonzero: {residual}")
     return E, theta
@@ -140,33 +126,27 @@ def boundary_euler_operator(
     ell_bar: Form,
     pulled_theta: Form,
     dirichlet: frozenset[str] | set[str] = frozenset(),
-) -> tuple[SourceForm, Form]:
+) -> tuple[Form, Form]:
     """Decompose dd(ell_bar) - j*Theta on the boundary chart.
 
-    Returns (b, theta_bar) with dd(ell) - j*Theta = sum_a b_a ^ th{a} - d_h(theta_bar),
-    one source per boundary field.  The Dirichlet data are imposed on both
-    inputs first (``kill_dirichlet``), so Dirichlet fields get zero sources;
-    any surviving variation of a transversal family (normal-derivative field)
-    raises NonDecomposableError, since it is not a source of a boundary field.
+    Returns (b, theta_bar) with dd(ell) - j*Theta = b - d_h(theta_bar), b the
+    source form sum_a b_a vol ^ th{a} of the boundary fields.  The Dirichlet
+    data are imposed on both inputs first (``kill_dirichlet``), so Dirichlet
+    fields get zero sources; any surviving variation of a transversal family
+    (normal-derivative field) raises NonDecomposableError, since it is not a
+    source of a boundary field.
     """
     bchart = ell_bar.chart
     P = dd(kill_dirichlet(ell_bar, dirichlet)) - kill_dirichlet(pulled_theta, dirichlet)
     src, theta_sweep = _sweep(P)
-    b = SourceForm(bchart)
     for a, coeff in sorted(src.items()):
-        if P.ring.is_zero(coeff):
-            continue
-        if bchart.labels[a][1:] != (0, 0):
-            term = wedge(Form.top(bchart, coeff), Form.contact(bchart, a))
+        if bchart.labels[a][1:] != (0, 0) and not P.ring.is_zero(coeff):
             raise NonDecomposableError(
                 f"boundary variation contains a transversal-derivative variation of {a!r}",
-                term=term,
+                term=source_form(bchart, {a: coeff}),
             )
-        b.components[a] = Form.top(bchart, coeff)
-    for a in bchart.fields:
-        b.components.setdefault(a, Form.zero(bchart, bchart.n, 0))
-    theta_bar = -theta_sweep
-    residual = P - b.paired_with_contacts() + d_h(theta_bar)
+    b, theta_bar = source_form(bchart, src), -theta_sweep
+    residual = P - b + d_h(theta_bar)
     if not residual.is_zero():
         raise ArithmeticError(f"boundary decomposition residual is nonzero: {residual}")
     return b, theta_bar

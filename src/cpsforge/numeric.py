@@ -39,6 +39,7 @@ class Grid:
     shape: tuple[int, ...]
     periodic: tuple[bool, ...]
     bindings: Mapping[str, float]  # values of the model's background constants
+    one_form_axes: Mapping[str, int]  # the axis of each one-form component field
 
     def __post_init__(self):
         if self.chart.n != len(self.extents) or self.chart.n != len(self.shape):
@@ -47,10 +48,10 @@ class Grid:
             raise ValueError("numeric grids support n in {1, 2}")
 
     @staticmethod
-    def make(chart: Chart, extents, shape, periodic=None, bindings=None) -> "Grid":
+    def make(chart: Chart, extents, shape, periodic=None, bindings=None, one_form_axes=None) -> "Grid":
         periodic = tuple(periodic) if periodic is not None else (False,) * chart.n
         extents = tuple(tuple(map(float, e)) for e in extents)
-        return Grid(chart, extents, tuple(shape), periodic, dict(bindings or {}))
+        return Grid(chart, extents, tuple(shape), periodic, dict(bindings or {}), dict(one_form_axes or {}))
 
     def axis_points(self, k: int) -> np.ndarray:
         a, b = self.extents[k]
@@ -195,15 +196,22 @@ class FaceBinding:
     def restrict_array(self, arr: np.ndarray) -> np.ndarray:
         return arr[tuple(self.index if k == self.axis else slice(None) for k in range(arr.ndim))]
 
+    def flips(self, grid: Grid, label: str) -> bool:
+        """Whether the outward binding flips the sign of label on a min face,
+        where the outward normal is -axis: for an odd transversal order of the
+        label, counting one more for the axis component of a one-form."""
+        base, n_ord, t_ord = self.bchart.labels[label]
+        k = n_ord + t_ord + (grid.one_form_axes.get(base) == self.axis)
+        return self.outward and self.index == 0 and k % 2 == 1
+
     def jet(self, state: FieldState, label: str, mi: MultiIndex) -> np.ndarray:
         """The restricted jet label_mi on the hyperplane: the bulk jet of the
-        label's base field with its transversal order along the axis; an odd
-        order flips sign on a min face under the outward binding."""
+        label's base field with its transversal order along the axis, with the
+        sign of ``flips``."""
         base, n_ord, t_ord = self.bchart.labels[label]
-        k = n_ord + t_ord
-        bulk_mi = MultiIndex(tuple(self.tangential[i] for i in mi.entries) + (self.axis,) * k)
+        bulk_mi = MultiIndex(tuple(self.tangential[i] for i in mi.entries) + (self.axis,) * (n_ord + t_ord))
         arr = self.restrict_array(state.jet(base, bulk_mi))
-        return -arr if self.outward and self.index == 0 and k % 2 else arr
+        return -arr if self.flips(state.grid, label) else arr
 
     def eval(self, expr: sp.Expr, grid: Grid, state: FieldState) -> np.ndarray:
         mesh = grid.mesh()
@@ -243,12 +251,12 @@ def faces(grid: Grid, sub: Chart, outward: bool) -> list[tuple[int, FaceBinding]
             for side, index in ((-1, 0), (+1, -1))]
 
 
-def boundary_density(form: Form) -> sp.Expr:
-    """Coefficient of a boundary form relative to the oriented boundary volume."""
-    if form.is_zero():
+def boundary_density(bchart: Chart, coeff: sp.Expr) -> sp.Expr:
+    """The top coefficient coeff of the boundary chart relative to the
+    oriented boundary volume."""
+    if coeff == 0:
         return sp.Integer(0)
-    base = boundary_volume(form.chart).top_coefficient()
-    return sp.expand(form.top_coefficient() / base)
+    return sp.expand(coeff / boundary_volume(bchart).top_coefficient())
 
 
 def raw_face_integral(form: Form, grid: Grid, state: FieldState) -> float:
@@ -299,7 +307,7 @@ def action_value(L: Form, ell: Form, grid: Grid, state: FieldState) -> float:
     """
     total = bulk_integral(L, grid, state)
     if not ell.is_zero():
-        density = boundary_density(ell)
+        density = boundary_density(ell.chart, ell.top_coefficient())
         total -= sum(sign * fb.integral(density, grid, state) for sign, fb in faces(grid, ell.chart, outward=True))
     return total
 
@@ -325,7 +333,8 @@ def source_pairing(
         if dens == 0:
             continue
         for sign, fb in bfaces:
-            total -= sign * fb.integral(dens, grid, state, factor=fb.restrict_array(v))
+            flip = -1 if fb.flips(grid, a) else 1  # the variation of a binds like a
+            total -= flip * sign * fb.integral(dens, grid, state, factor=fb.restrict_array(v))
     return total
 
 

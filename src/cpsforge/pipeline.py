@@ -6,8 +6,9 @@ both strata, with zero-residual certificates), the presymplectic currents and
 their Cauchy-slice restriction, lifts of space-time vector fields, invariance
 residuals, Noether currents/charges, variational-symmetry verdicts, and gauge
 diagnostics modulo the on-shell ideal.  Each bulk/boundary pair is one
-``RelForm``: (L, ell), (Theta, theta_bar), (S, s_bar), (J, j_bar) and the
-Noether identity's certificate.
+``RelForm``: (L, ell), the sources (E, b) as (n,1) source forms,
+(Theta, theta_bar), (S, s_bar), (J, j_bar) and the Noether identity's
+certificate.
 """
 from __future__ import annotations
 
@@ -23,12 +24,12 @@ from .chart import Chart, MultiIndex, translated_field
 from .forms import Form, dd, restrict, top_word, wedge
 from .jetcalc import (
     NonDecomposableError,
-    SourceForm,
     _sweep,
     boundary_euler_operator,
     euler_operator,
     integrate_by_parts,
     kill_dirichlet,
+    source_coefficients,
 )
 from .jetpoly import EXPR, JetRing, built, choose_ring, leading_jet, prolonged_restricted_generators
 from .relative import BoundaryPair, RelForm, rel_d, rel_dd, rel_iota_ev, rel_lie
@@ -75,15 +76,14 @@ class LagrangianPair:
 class VariationDecomposition:
     """Sources and symplectic potentials of a Lagrangian pair, with residuals.
 
-    The CPS objects derived from it alone (the source pair, Omega, the slice
-    forms, the slice and corner ideals and their coefficient ring) are built
-    on first use and shared by every consumer.  The Cauchy slice {x^0 = const}
+    The CPS objects derived from it alone (Omega, the slice forms, the slice
+    and corner ideals and their coefficient ring) are built on first use and
+    shared by every consumer.  The Cauchy slice {x^0 = const}
     of the bulk (``schart``) and of the boundary (``bschart``), and the slice
     corner (``cchart``), are the charts' cached restrictions."""
 
     lp: LagrangianPair
-    E: SourceForm
-    b: SourceForm
+    sources: RelForm  # (E, b), each sum_a E_a vol ^ th{a}
     potential: RelForm  # (Theta, theta_bar)
     noncanonical_theta: bool = False
 
@@ -107,17 +107,13 @@ class VariationDecomposition:
     def cchart(self) -> Chart:
         return self.schart.restricted(self.schart.n - 1, tag="n")
 
-    @cached_property
-    def sources(self) -> RelForm:
-        """The source pair (E_a ^ th{a}, b_a ^ th{a})."""
-        return RelForm(self.lp.pair, self.E.paired_with_contacts(), self.b.paired_with_contacts())
-
     def residual(self) -> RelForm:
         """The steps 1-2 certificate dd(L, ell) - (E, b) - rel_d(Theta, theta_bar), boundary data imposed."""
         return self.lp.impose_boundary_data(rel_dd(self.lp.rel) - self.sources - rel_d(self.potential))
 
     def equations(self) -> dict[str, sp.Expr]:
-        return self.E.equations()
+        E = self.sources.bulk
+        return {a: E.ring.expr(e) for a, e in source_coefficients(E).items()}
 
     @cached_property
     def omega(self) -> RelForm:
@@ -131,29 +127,29 @@ class VariationDecomposition:
     def ring(self):
         """The on-shell ideals' coefficient ring: the chart's JetRing when it
         represents every bulk and boundary equation, EXPR otherwise."""
-        sources = [*self.E.components.values(), *self.b.components.values()]
-        return choose_ring(self.chart.ring, [f._top() for f in sources])[0]
+        return EXPR if any(f.ring is EXPR for f in self.sources) else self.chart.ring
 
     @cached_property
     def slice_ideal(self) -> "OnShellIdeal":
-        return slice_ideal(self.schart, _source_polys(self.ring, self.E), self.ring)
+        return slice_ideal(self.schart, _source_polys(self.ring, self.sources.bulk), self.ring)
 
     @cached_property
     def corner_ideal(self) -> "OnShellIdeal":
         return _corner_ideal(self, self.slice_ideal)
 
 
-def _decompose_pair(lp: LagrangianPair, p: RelForm) -> tuple[SourceForm, SourceForm, RelForm]:
+def _decompose_pair(lp: LagrangianPair, p: RelForm) -> tuple[RelForm, RelForm]:
     """CPS steps 1-2 for the pair p = (L, ell) under lp's boundary data: the
-    relative decomposition dd(L, ell) = (E, b) + d_rel(Theta, theta_bar).
-    Without a boundary, b and theta_bar are zero."""
+    relative decomposition dd(L, ell) = (E, b) + d_rel(Theta, theta_bar),
+    returned as the pairs (sources, potential).  Without a boundary, b and
+    theta_bar are zero."""
     E, theta = integrate_by_parts(p.bulk)
     pair, bchart = lp.pair, lp.pair.bchart
     if not lp.has_boundary:
-        b = SourceForm(bchart, {a: Form.zero(bchart, bchart.n, 0) for a in bchart.fields})
-        return E, b, RelForm(pair, theta, Form.zero(bchart, bchart.n - 1, 1))
-    b, theta_bar = boundary_euler_operator(p.boundary, pair.pullback(theta), dirichlet=lp.dirichlet_fields())
-    return E, b, RelForm(pair, theta, theta_bar)
+        b, theta_bar = Form.zero(bchart, bchart.n, 1), Form.zero(bchart, bchart.n - 1, 1)
+    else:
+        b, theta_bar = boundary_euler_operator(p.boundary, pair.pullback(theta), dirichlet=lp.dirichlet_fields())
+    return RelForm(pair, E, b), RelForm(pair, theta, theta_bar)
 
 
 def decompose(lp: LagrangianPair) -> VariationDecomposition:
@@ -224,7 +220,7 @@ def xi_invariance_residual(lp: LagrangianPair, xi, A: RelForm) -> RelForm:
 class SymmetryVerdict:
     is_symmetry: bool
     potential: RelForm | None  # (S, s_bar) with rel_d(S, s_bar) = Lie_W(L, ell)
-    obstruction_bulk: SourceForm | None = None
+    obstruction_bulk: Form | None = None
     note: str = ""
 
 
@@ -243,7 +239,7 @@ def d_symmetry_check(lp: LagrangianPair, A: RelForm, potential: RelForm | None =
     boundary_exact = True
     if bulk_exact:
         try:
-            boundary_exact = _decompose_pair(lp, A)[1].is_zero()
+            boundary_exact = _decompose_pair(lp, A)[0].boundary.is_zero()
         except NonDecomposableError:
             boundary_exact = False
     if not (bulk_exact and boundary_exact):
@@ -388,9 +384,10 @@ def _into(ring, src_ring, p):
     return p if src_ring is ring else src_ring.expr(p)
 
 
-def _source_polys(ring, src: SourceForm) -> list:
-    """The coefficients of src's components as polynomials of ring."""
-    return [_into(ring, f.ring, f._top()) for f in src.components.values()]
+def _source_polys(ring, src: Form) -> list:
+    """The coefficients of the source form src, field by field in declaration
+    order, as polynomials of ring."""
+    return [_into(ring, src.ring, e) for e in source_coefficients(src).values()]
 
 
 def slice_ideal(schart: Chart, equations: list, ring) -> OnShellIdeal:
@@ -502,7 +499,7 @@ def gauge_residual(
     ideal = ideal if ring is ideal.ring else ideal.on_expr
     src = {a: ideal.reduce_expr(_into(ring, pulled.ring, c)) for a, c in src.items()}
     if not all(map(ring.is_zero, src.values())):
-        gens = [ring.restrict(schart, e) for e in _source_polys(ring, v.E) if not ring.is_zero(e)]
+        gens = [ring.restrict(schart, e) for e in _source_polys(ring, v.sources.bulk) if not ring.is_zero(e)]
         rows = [_linearized_row(schart, c, gen, ring) for c in cands for gen in gens]
         rows = [({a: ideal.reduce_expr(e) for a, e in row_src.items()}, k) for row_src, k in rows]
         target, *vectors = [  # the sources as sparse vectors {(field, monomial): Fraction}
@@ -552,5 +549,5 @@ def _corner_ideal(v: VariationDecomposition, sideal: OnShellIdeal) -> OnShellIde
     gens = prolonged_restricted_generators(cchart, sideal.generators, ring, value=sp.Integer(0))
     # the pin x = 0 can kill a generator; one with a leading jet is not built here
     gens = [g for g in gens if g.lead() is not None or not ring.is_zero(g.poly)]
-    bgens = prolonged_restricted_generators(v.bschart, _source_polys(ring, v.b), ring)
+    bgens = prolonged_restricted_generators(v.bschart, _source_polys(ring, v.sources.boundary), ring)
     return OnShellIdeal(cchart, gens + [ring.translate(v.bschart, cchart, g.poly) for g in bgens], ring)

@@ -7,7 +7,8 @@ from typing import Any
 
 import sympy as sp
 
-from .jetcalc import NonDecomposableError, SourceForm
+from .forms import Form
+from .jetcalc import NonDecomposableError, source_coefficients
 from .model import Model, ModelError
 from .pipeline import (
     GaugeResidual,
@@ -42,12 +43,13 @@ class PipelineReport:
         return out
 
 
-def source_dict(src: SourceForm) -> dict[str, str]:
-    out = {}
-    for a, f in sorted(src.components.items()):
-        if f.is_zero() and src.chart.labels[a][1:] != (0, 0):
+def source_dict(src: Form) -> dict[str, str]:
+    """The printed coefficient of each field of the source form src, by name."""
+    out, ring = {}, src.ring
+    for a, e in sorted(source_coefficients(src).items()):
+        if ring.is_zero(e) and src.chart.labels[a][1:] != (0, 0):
             continue  # silent zero entries of restriction families
-        out[a] = f.ring.sstr(f._top())
+        out[a] = ring.sstr(e)
     return out
 
 
@@ -73,21 +75,21 @@ def run_cps(model: Model, with_symmetries: bool = True) -> PipelineReport:
             "term": str(err.term) if err.term is not None else "",
         }
         return rep
-    residual = v.residual()
+    residual, (E, b) = v.residual(), v.sources
     rep.steps["1"] = {
-        "E": source_dict(v.E),
+        "E": source_dict(E),
         "Theta": str(v.potential.bulk),
         "residual": str(residual.bulk),
         "theta_noncanonical": v.noncanonical_theta,
     }
     rep.steps["2"] = {
-        "b": source_dict(v.b),
+        "b": source_dict(b),
         "theta_bar": str(v.potential.boundary),
         "residual": str(residual.boundary),
     }
     rep.steps["3"] = {  # the nonzero sources, as steps 1 and 2 printed them
-        "Sol": {a: e for a, e in rep.steps["1"]["E"].items() if not v.E.components[a].is_zero()},
-        "Sol_boundary": {a: e for a, e in rep.steps["2"]["b"].items() if not v.b.components[a].is_zero()},
+        "Sol": {a: e for a, e in rep.steps["1"]["E"].items() if e != "0"},
+        "Sol_boundary": {a: e for a, e in rep.steps["2"]["b"].items() if e != "0"},
         "declared_constraints": [sp.sstr(sp.sympify(c)) for c in model.constraints],
     }
     omega, omega_bar = v.omega
@@ -144,10 +146,7 @@ def symmetry_block(model: Model, vname: str, xi) -> dict:
         "note": verdict.note,
     }
     if verdict.is_symmetry:
-        try:
-            block["gauge"] = gauge_dict(gauge_residual(lp, v, W, xi=xi, meta=model.meta))
-        except (ValueError, ArithmeticError, NotImplementedError) as err:
-            block["gauge"] = {"not_reduced": str(err)}
+        block["gauge"] = gauge_verdict(lp, v, W, xi=xi, meta=model.meta)
     return block
 
 
@@ -170,8 +169,18 @@ def gauge_direction(model: Model, name: str) -> dict[str, sp.Expr]:
 
 def gauge_parameter_block(model: Model, name: str) -> dict:
     """The gauge verdict of the direction ``gauge_direction(model, name)``."""
-    g = gauge_residual(model.lp, model.decomposition, gauge_direction(model, name))
-    return {"vector": f"gauge({name})", "kind": "gauge_parameter", "gauge": gauge_dict(g)}
+    g = gauge_verdict(model.lp, model.decomposition, gauge_direction(model, name))
+    return {"vector": f"gauge({name})", "kind": "gauge_parameter", "gauge": g}
+
+
+def gauge_verdict(lp, v, W, **kwargs) -> dict:
+    """``gauge_dict`` of ``gauge_residual(lp, v, W, **kwargs)``, or a
+    not-reduced note when the on-shell reduction cannot be carried out (an
+    equation without jets, no fixpoint, an unsupported expression)."""
+    try:
+        return gauge_dict(gauge_residual(lp, v, W, **kwargs))
+    except (ValueError, ArithmeticError, NotImplementedError) as err:
+        return {"not_reduced": str(err)}
 
 
 def gauge_dict(g: GaugeResidual) -> dict:

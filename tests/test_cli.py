@@ -96,6 +96,35 @@ def test_check_never_raises(capsys, name, args):
     assert "Traceback" not in capsys.readouterr().err
 
 
+INCONSISTENT_GAUGE_MODEL = """\
+model one_form_and_inconsistent_scalar {
+  chart { coords = t, x; boundary = true; domain = (0, 1), (0, 1); }
+  fields { A : one_form; phi : scalar; }
+  background { metric = diag(-1, 1); lam : function(t, x); }
+  lagrangian { L = (-1/2) * wedge(d(A), hodge(d(A))) + phi * vol(); ell = 0; }
+  bc { A = free; phi = free; }
+  vectors { dt = (1, 0); }
+}
+"""
+
+
+def test_gauge_parameter_with_an_equation_without_jets_is_not_reduced(tmp_path, capsys):
+    # E[phi] = 1: the on-shell ideal has an equation without jets, which the
+    # lam block reports as not reduced, in the wording of the dt block
+    path = tmp_path / "inconsistent.cps"
+    path.write_text(INCONSISTENT_GAUGE_MODEL)
+    note = "not reduced (equation without jets: 1)"
+    assert main(["check", str(path), "--xi", "dt"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"gauge direction: {note}"
+    assert main(["check", str(path), "--gauge", "lam"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"gauge direction: {note}"]
+    assert main(["derive", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"  gauge(lam): {note}"
+    assert main(["derive", str(path), "--json"]) == 0
+    blocks = json.loads(capsys.readouterr().out)["symmetries"]
+    assert [b["gauge"] for b in blocks] == [{"not_reduced": "equation without jets: 1"}] * 2
+
+
 def test_check_gauge_refuses_nonabelian_model():
     src = str(pathlib.Path(cpsforge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -212,12 +241,27 @@ def test_fd_check_slope_only_when_defined(capsys):
 
 def test_fd_check_exact_variation_is_rounding(capsys):
     # quadratic actions: the central difference is exact, so the residual is
-    # rounding at every eps and has no slope; the Neumann residual is O(eps^2)
-    for name in ("scalar_periodic", "scalar_wave_neumann"):
+    # rounding at every eps and has no slope; the Neumann residual is O(eps^2).
+    # The su(2) action is quadratic on the test state too: every component
+    # takes the same values there, so its structure-constant terms vanish.
+    for name in ("scalar_periodic", "scalar_wave_neumann", "yang_mills_abelian_n2", "yang_mills_su2_n2"):
         assert main(["numeric", "fd-check", f"{name}.cps"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "slope = n/a"
     assert main(["numeric", "fd-check", "scalar_neumann.cps"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "slope = 2.000"
+
+
+def test_fd_check_on_every_1p1_corpus_model(capsys):
+    # a pass (exit 0) on every 1+1 model but three refusals: the unbound V(u)
+    # of scalar_dirichlet and scalar_robin, and the non-decomposable boundary
+    # variation of lagrange_multiplier_L3
+    refusals = {"scalar_dirichlet": 1, "scalar_robin": 1, "lagrange_multiplier_L3": 2}
+    got, want = {}, {}
+    for name in CORPUS_MODELS:
+        if load_model(f"{name}.cps").chart.n == 2:
+            got[name], want[name] = main(["numeric", "fd-check", f"{name}.cps"]), refusals.get(name, 0)
+            capsys.readouterr()
+    assert got == want
 
 
 def test_fd_check_refuses_a_residual_that_is_not_finite(tmp_path, capsys):

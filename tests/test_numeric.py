@@ -110,6 +110,21 @@ class TestFaceBinding:
             dens = bchart.jet(label, MultiIndex())
             assert np.array_equal(low.eval(dens, grid, state), (-1) ** k * raw[:, 0])
 
+    def test_normal_component_of_a_one_form_flips_on_min_face(self):
+        # the outward normal on the min face {x = 0} is -dx, so A_n = -A_x there
+        # while the tangential A_t keeps its sign; a normal derivative flips again
+        m = parse_model((CORPUS / "yang_mills_abelian_n2.cps").read_text())
+        grid = checks.make_grid(m, (17, 21))
+        assert grid.one_form_axes == {"A_t": 0, "A_x": 1}
+        tt, xx = grid.mesh()
+        state = FieldState(grid, {"A_t": np.sin(tt + 2 * xx), "A_x": np.cos(3 * tt) + tt * xx**2})
+        low, high = (FaceBinding(m.pair.bchart, index, outward=True) for index in (0, -1))
+        for label, base, k, sign in (("A_t", "A_t", 0, 1), ("A_x", "A_x", 0, -1),
+                                     ("A_t.n1", "A_t", 1, -1), ("A_x.n1", "A_x", 1, 1)):
+            raw = state.jet(base, MultiIndex((1,) * k))
+            assert np.array_equal(low.jet(state, label, MultiIndex()), sign * raw[:, 0]), label
+            assert np.array_equal(high.jet(state, label, MultiIndex()), raw[:, -1]), label
+
 
 class TestRelativeIntegral:
     def chart1(self):
