@@ -5,12 +5,12 @@
 
 Runs each command in-process through `cpsforge.cli.main` and writes one file
 per command to OUTDIR, holding its argv, exit status, stdout and stderr.  The
-list: `derive --json` of every corpus model, `check --xi` of every corpus
-vector, `check --gauge lam` on every model, five `check --evolutionary`
-fields, the four numeric checks on every 1+1 model, two commands that hit
-the jet cap, four `--evolutionary` lists with an empty component and an
-unknown `--xi` in `check` and in `numeric flux`.  A file is named after its
-argv, with a counter when two argvs spell the same name.
+list: `derive --json` and the `derive` summary of every corpus model, `check
+--xi` of every corpus vector, `check --gauge lam` on every model, five `check
+--evolutionary` fields, the four numeric checks on every 1+1 model, two
+commands that hit the jet cap, four `--evolutionary` lists with an empty
+component and an unknown `--xi` in `check` and in `numeric flux`.  A file is
+named after its argv, with a counter when two argvs spell the same name.
 Run it on two checkouts and compare them with `diff -r` to see every output a
 change moves.
 """
@@ -30,6 +30,7 @@ def commands() -> list[list[str]]:
     names = sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
     models = {name: load_model(name) for name in names}
     out = [["derive", name, "--json"] for name in names]
+    out += [["derive", name] for name in names]
     out += [["check", name, "--xi", xi] for name in names for xi in sorted(models[name].vectors)]
     out += [["check", name, "--gauge", "lam"] for name in names]
     out += [["check", name, "--evolutionary", w]

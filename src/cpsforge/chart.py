@@ -7,7 +7,10 @@ spelled as a sorted run of coordinate names (so ``u__tx`` is the mixed second
 jet of ``u``).  Restriction to a hypersurface {axis = const} relabels jets with
 transversal entries to independent fields of the restricted chart:
 ``u.n1`` / ``u.t1`` are the first normal / time derivative families produced by
-restricting along the last / first axis.
+restricting along the last / first axis.  Every chart records the tensor
+character of each of its fields, scalar unless set: the model parser marks the
+one-form components of the root chart, and consumers of a restricted chart
+read its root.
 """
 from __future__ import annotations
 
@@ -26,6 +29,26 @@ class JetOrderError(ValueError):
 
 class NonTangentError(ValueError):
     """A vector field used in a relative operation is not tangent to the boundary."""
+
+
+@dataclass(frozen=True)
+class FieldMeta:
+    """Tensor character of a declared field component."""
+
+    kind: str  # "scalar" | "one_form"
+    base: str = ""
+    axis: int = -1  # component slot for one-form fields
+    lie_index: int = 0
+
+
+def one_form_families(meta: dict[str, FieldMeta]) -> dict[tuple[str, int], dict[int, str]]:
+    """The component fields of each one-form, {(base, lie_index): {axis: field}},
+    in declaration order."""
+    families: dict[tuple[str, int], dict[int, str]] = {}
+    for a, m in meta.items():
+        if m.kind == "one_form":
+            families.setdefault((m.base, m.lie_index), {})[m.axis] = a
+    return families
 
 
 @dataclass(frozen=True, order=True)
@@ -94,6 +117,7 @@ class Chart:
         if len(set(self.fields)) != len(self.fields):
             raise ValueError("duplicate field names")
         self.max_jet_order = max_jet_order
+        self.meta: dict[str, FieldMeta] = dict.fromkeys(self.fields, FieldMeta("scalar"))
         # metric: constant diagonal entries g_00..g_{n-1,n-1}; None = no metric declared
         self.metric: tuple[sp.Expr, ...] | None = (
             tuple(sp.sympify(m) for m in metric) if metric is not None else None

@@ -64,13 +64,13 @@ def print_summary(rep: PipelineReport) -> int:
     for blk in rep.symmetries:
         g = blk.get("gauge", {})
         if "xi_invariant" in blk:
-            tail = f"; gauge: {yes_no(g['is_gauge'])}" if "is_gauge" in g else ""
+            tail = f"; gauge: {gauge_word(g)}" if g else ""
             print(
                 f"  vector {blk['vector']}: xi-invariant: {yes_no(blk['xi_invariant'])}; "
                 f"d-symmetry: {yes_no(blk['d_symmetry'])}{tail}"
             )
         elif "not_reduced" in g:
-            print(f"  {blk['vector']}: not reduced ({g['not_reduced']})")
+            print(f"  {blk['vector']}: {gauge_word(g)}")
         else:
             print(f"  {blk['vector']}: bulk {g['bulk_residual']}; boundary {g['boundary_residual']}")
     return 0
@@ -78,6 +78,11 @@ def print_summary(rep: PipelineReport) -> int:
 
 def yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def gauge_word(g: dict) -> str:
+    """A gauge verdict block in one phrase: yes, no, or not reduced and why."""
+    return f"not reduced ({g['not_reduced']})" if "not_reduced" in g else yes_no(g["is_gauge"])
 
 
 def cmd_check(args) -> int:
@@ -107,10 +112,9 @@ def cmd_check(args) -> int:
 
 def print_gauge_verdict(g: dict) -> None:
     """Print a gauge verdict block (``report.gauge_dict`` or its not-reduced note)."""
+    print(f"gauge direction: {gauge_word(g)}")
     if "not_reduced" in g:
-        print(f"gauge direction: not reduced ({g['not_reduced']})")
         return
-    print(f"gauge direction: {yes_no(g['is_gauge'])}")
     print(f"  bulk residual = {g['bulk_residual']}")
     print(f"  boundary obstruction = {g['boundary_residual']}")
 

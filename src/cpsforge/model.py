@@ -26,15 +26,9 @@ from functools import cached_property
 
 import sympy as sp
 
-from .chart import Chart, JetOrderError, MultiIndex, NonTangentError, levi_civita
+from .chart import Chart, FieldMeta, JetOrderError, MultiIndex, NonTangentError, levi_civita, one_form_families
 from .forms import Form, boundary_volume, d_h, hodge, iota_x, vol, wedge
-from .pipeline import (
-    FieldMeta,
-    LagrangianPair,
-    VariationDecomposition,
-    decompose,
-    one_form_families,
-)
+from .pipeline import LagrangianPair, VariationDecomposition, decompose
 from .relative import BoundaryPair, RelForm
 
 SU2_STRUCTURE = {
@@ -58,14 +52,12 @@ class ModelError(ValueError):
 @dataclass
 class Model:
     name: str
-    coords: tuple[str, ...]
     backgrounds: dict[str, str]  # name -> const | function | value
     domain: tuple[tuple[float, float], ...]
     periodic: tuple[str, ...]
 
     chart: Chart = dc_field(default=None, repr=False)
     pair: BoundaryPair = dc_field(default=None, repr=False)
-    meta: dict[str, FieldMeta] = dc_field(default_factory=dict, repr=False)
     lp: LagrangianPair = dc_field(default=None, repr=False)
     vectors: dict[str, list[sp.Expr]] = dc_field(default_factory=dict, repr=False)
     constraints: list[sp.Expr] = dc_field(default_factory=list, repr=False)
@@ -180,7 +172,7 @@ class ExprParser(TokenCursor):
         self.chart = chart
         self.model = model
         self.boundary = boundary
-        self.families = one_form_families(model.meta) if model else {}
+        self.families = one_form_families(model.chart.meta) if model else {}
         self.backgrounds = model.backgrounds if model else {}
         self.vectors = model.vectors if model else {}
 
@@ -241,7 +233,7 @@ class ExprParser(TokenCursor):
         chart = self.chart
         out = Form.zero(chart, 1, 0)
         for i, c in enumerate(chart.coord_names):
-            label = family[self.model.coords.index(c)]
+            label = family[self.model.chart.coord_names.index(c)]
             out = out + Form.dx(chart, i) * chart.jet(label, MultiIndex())
         return out
 
@@ -636,15 +628,14 @@ class ModelParser(TokenCursor):
             bc[texts[0]] = texts[2]
 
         chart = Chart(coords, tuple(meta), max_jet_order=self.max_jet_order, metric=metric)
+        chart.meta = meta
         model = Model(
             name=name,
-            coords=coords,
             backgrounds=backgrounds,
             domain=domain,
             periodic=periodic,
             chart=chart,
             pair=BoundaryPair(chart),
-            meta=meta,
             bindings=bindings,
         )
         # vectors first: iota() needs them

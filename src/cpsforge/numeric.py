@@ -39,7 +39,6 @@ class Grid:
     shape: tuple[int, ...]
     periodic: tuple[bool, ...]
     bindings: Mapping[str, float]  # values of the model's background constants
-    one_form_axes: Mapping[str, int]  # the axis of each one-form component field
 
     def __post_init__(self):
         if self.chart.n != len(self.extents) or self.chart.n != len(self.shape):
@@ -48,10 +47,10 @@ class Grid:
             raise ValueError("numeric grids support n in {1, 2}")
 
     @staticmethod
-    def make(chart: Chart, extents, shape, periodic=None, bindings=None, one_form_axes=None) -> "Grid":
+    def make(chart: Chart, extents, shape, periodic=None, bindings=None) -> "Grid":
         periodic = tuple(periodic) if periodic is not None else (False,) * chart.n
         extents = tuple(tuple(map(float, e)) for e in extents)
-        return Grid(chart, extents, tuple(shape), periodic, dict(bindings or {}), dict(one_form_axes or {}))
+        return Grid(chart, extents, tuple(shape), periodic, dict(bindings or {}))
 
     def axis_points(self, k: int) -> np.ndarray:
         a, b = self.extents[k]
@@ -196,12 +195,12 @@ class FaceBinding:
     def restrict_array(self, arr: np.ndarray) -> np.ndarray:
         return arr[tuple(self.index if k == self.axis else slice(None) for k in range(arr.ndim))]
 
-    def flips(self, grid: Grid, label: str) -> bool:
+    def flips(self, label: str) -> bool:
         """Whether the outward binding flips the sign of label on a min face,
         where the outward normal is -axis: for an odd transversal order of the
         label, counting one more for the axis component of a one-form."""
         base, n_ord, t_ord = self.bchart.labels[label]
-        k = n_ord + t_ord + (grid.one_form_axes.get(base) == self.axis)
+        k = n_ord + t_ord + (self.chart.meta[base].axis == self.axis)
         return self.outward and self.index == 0 and k % 2 == 1
 
     def jet(self, state: FieldState, label: str, mi: MultiIndex) -> np.ndarray:
@@ -211,7 +210,7 @@ class FaceBinding:
         base, n_ord, t_ord = self.bchart.labels[label]
         bulk_mi = MultiIndex(tuple(self.tangential[i] for i in mi.entries) + (self.axis,) * (n_ord + t_ord))
         arr = self.restrict_array(state.jet(base, bulk_mi))
-        return -arr if self.flips(state.grid, label) else arr
+        return -arr if self.flips(label) else arr
 
     def eval(self, expr: sp.Expr, grid: Grid, state: FieldState) -> np.ndarray:
         mesh = grid.mesh()
@@ -333,7 +332,7 @@ def source_pairing(
         if dens == 0:
             continue
         for sign, fb in bfaces:
-            flip = -1 if fb.flips(grid, a) else 1  # the variation of a binds like a
+            flip = -1 if fb.flips(a) else 1  # the variation of a binds like a
             total -= flip * sign * fb.integral(dens, grid, state, factor=fb.restrict_array(v))
     return total
 

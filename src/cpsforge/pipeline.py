@@ -20,7 +20,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .chart import Chart, MultiIndex, translated_field
+from .chart import Chart, MultiIndex, one_form_families, translated_field
 from .forms import Form, dd, restrict, top_word, wedge
 from .jetcalc import (
     NonDecomposableError,
@@ -33,16 +33,6 @@ from .jetcalc import (
 )
 from .jetpoly import EXPR, JetRing, built, choose_ring, leading_jet, prolonged_restricted_generators
 from .relative import BoundaryPair, RelForm, rel_d, rel_dd, rel_iota_ev, rel_lie
-
-
-@dataclass(frozen=True)
-class FieldMeta:
-    """Tensor character of a declared field component."""
-
-    kind: str  # "scalar" | "one_form"
-    base: str = ""
-    axis: int = -1  # component slot for one-form fields
-    lie_index: int = 0
 
 
 @dataclass
@@ -175,27 +165,17 @@ def slice_presymplectic(v: VariationDecomposition) -> tuple[Form, Form]:
 # -- lifting space-time vector fields --------------------------------------------------
 
 
-def one_form_families(meta: Mapping[str, FieldMeta]) -> dict[tuple[str, int], dict[int, str]]:
-    """The component fields of each one-form, {(base, lie_index): {axis: field}},
-    in declaration order."""
-    families: dict[tuple[str, int], dict[int, str]] = {}
-    for a, m in meta.items():
-        if m.kind == "one_form":
-            families.setdefault((m.base, m.lie_index), {})[m.axis] = a
-    return families
+def lift_vector_field(chart: Chart, xi) -> dict[str, sp.Expr]:
+    """Canonical field-space lift: the Lie derivative of each field of chart
+    along xi, as the components W^a of an evolutionary field.
 
-
-def lift_vector_field(chart: Chart, meta: Mapping[str, FieldMeta], xi) -> dict[str, sp.Expr]:
-    """Canonical field-space lift: the Lie derivative of each field along xi,
-    as the components W^a of an evolutionary field.
-
-    Scalars: W^a = xi^m u^a_m; one-form components pick up the coefficient
-    gradient: W^{A_mu} = xi^m A_{mu,m} + A_m d_mu xi^m.
+    Scalars: W^a = xi^m u^a_m; one-form components (``chart.meta``) pick up the
+    coefficient gradient: W^{A_mu} = xi^m A_{mu,m} + A_m d_mu xi^m.
     """
     W: dict[str, sp.Expr] = {}
-    families = one_form_families(meta)
+    families = one_form_families(chart.meta)
     for a in chart.fields:
-        m = meta.get(a, FieldMeta("scalar"))
+        m = chart.meta[a]
         expr = sp.Integer(0)
         for i in range(chart.n):
             expr += xi[i] * chart.jet(a, MultiIndex.make(i))
@@ -271,11 +251,7 @@ class NoetherData:
 
 
 def noether_current_xi(
-    lp: LagrangianPair,
-    v: VariationDecomposition,
-    S: RelForm,
-    W: Mapping[str, sp.Expr],
-    invariance: RelForm,
+    v: VariationDecomposition, S: RelForm, W: Mapping[str, sp.Expr], invariance: RelForm
 ) -> NoetherData:
     """xi-current (J, j_bar) = S - iota_W (Theta, theta_bar), with S = iota_xi (L, ell),
     W the lift of xi and ``invariance`` its ``xi_invariance_residual``.
@@ -287,7 +263,7 @@ def noether_current_xi(
     """
     J = S - rel_iota_ev(W, v.potential)
     res = rel_d(J) - invariance - rel_iota_ev(W, v.sources)
-    corner_current = restrict(J.boundary, v.bschart) if lp.pair.bchart.n > 1 else J.boundary
+    corner_current = restrict(J.boundary, v.bschart) if v.bchart.n > 1 else J.boundary
     return NoetherData(J, res, restrict(J.bulk, v.schart), corner_current)
 
 
@@ -444,7 +420,7 @@ def span_multipliers(target: dict, rows: list[dict]) -> list | None:
     return None if pivot is not None else [-vec.get((None, i), 0) for i in range(len(rows))]
 
 
-def gauge_multiplier_candidates(schart: Chart, W: Mapping[str, sp.Expr], xi, meta) -> list[sp.Expr]:
+def gauge_multiplier_candidates(schart: Chart, W: Mapping[str, sp.Expr], xi) -> list[sp.Expr]:
     """Multipliers for the absorbable rows of a gauge check.
 
     Lifted vector fields contribute the contractions xi^mu A_mu per one-form
@@ -453,8 +429,8 @@ def gauge_multiplier_candidates(schart: Chart, W: Mapping[str, sp.Expr], xi, met
     """
     chart = schart.parent
     cands: list[sp.Expr] = []
-    if xi is not None and meta is not None:
-        for family in one_form_families(meta).values():
+    if xi is not None:
+        for family in one_form_families(chart.meta).values():
             e = sp.Integer(0)
             for axis, a in family.items():
                 e += xi[axis] * chart.jet(a, MultiIndex())
@@ -466,13 +442,7 @@ def gauge_multiplier_candidates(schart: Chart, W: Mapping[str, sp.Expr], xi, met
     return [c for c in cands if c != 0]
 
 
-def gauge_residual(
-    lp: LagrangianPair,
-    v: VariationDecomposition,
-    W: Mapping[str, sp.Expr],
-    xi=None,
-    meta: Mapping[str, FieldMeta] | None = None,
-) -> GaugeResidual:
+def gauge_residual(v: VariationDecomposition, W: Mapping[str, sp.Expr], xi=None) -> GaugeResidual:
     """Contract the symplectic current with W, pull to a Cauchy slice, and
     reduce modulo the on-shell ideal.
 
@@ -493,7 +463,7 @@ def gauge_residual(
     G = rel_iota_ev(W, v.omega)
     pulled = restrict(G.bulk, schart)
     src, kappa = _sweep(pulled)
-    cands = gauge_multiplier_candidates(schart, W, xi, meta)
+    cands = gauge_multiplier_candidates(schart, W, xi)
     # the stage runs on the ideal's ring unless the current or a multiplier is off it
     ring = choose_ring(ideal.ring, cands)[0] if pulled.ring is ideal.ring else EXPR
     ideal = ideal if ring is ideal.ring else ideal.on_expr
@@ -522,8 +492,8 @@ def gauge_residual(
     corner = restrict(kappa, v.cchart, value=sp.Integer(0))
     if not G.boundary.is_zero():
         corner = corner - translate_form(restrict(G.boundary, v.bschart), v.cchart)
-    corner = kill_dirichlet(corner, lp.dirichlet_fields())
-    if not corner.is_zero() and lp.has_boundary:
+    corner = kill_dirichlet(corner, v.lp.dirichlet_fields())
+    if not corner.is_zero() and v.lp.has_boundary:
         corner = v.corner_ideal.reduce_form(corner)
     return GaugeResidual(bulk_res, corner)
 

@@ -7,6 +7,7 @@ from typing import Any
 
 import sympy as sp
 
+from .chart import one_form_families
 from .forms import Form
 from .jetcalc import NonDecomposableError, source_coefficients
 from .model import Model, ModelError
@@ -17,7 +18,6 @@ from .pipeline import (
     gauge_residual,
     lift_vector_field,
     noether_current_xi,
-    one_form_families,
     xi_invariance_residual,
 )
 from .relative import rel_iota, rel_lie_ev
@@ -123,11 +123,11 @@ def symmetry_block(model: Model, vname: str, xi) -> dict:
     """Steps 5-6 for one vector field: invariance, d-symmetry, Noether current
     and, for a d-symmetry, the gauge verdict of its lift."""
     lp, v = model.lp, model.decomposition
-    W = lift_vector_field(lp.pair.chart, model.meta, xi)
+    W = lift_vector_field(model.chart, xi)
     A, S = rel_lie_ev(W, lp.rel), rel_iota(xi, lp.rel)
     res = xi_invariance_residual(lp, xi, A)
     verdict = d_symmetry_check(lp, A, potential=S if res.is_zero() else None)
-    noether = noether_current_xi(lp, v, S, W, res)
+    noether = noether_current_xi(v, S, W, res)
     block = {
         "vector": vname,
         "xi_invariant": res.is_zero(),
@@ -146,7 +146,7 @@ def symmetry_block(model: Model, vname: str, xi) -> dict:
         "note": verdict.note,
     }
     if verdict.is_symmetry:
-        block["gauge"] = gauge_verdict(lp, v, W, xi=xi, meta=model.meta)
+        block["gauge"] = gauge_verdict(v, W, xi=xi)
     return block
 
 
@@ -157,10 +157,10 @@ def gauge_direction(model: Model, name: str) -> dict[str, sp.Expr]:
     another name, or a model without abelian one-form fields, raises
     ModelError."""
     chart = model.chart
-    families = one_form_families(model.meta).values()
-    if not families or any(m.lie_index for m in model.meta.values()):
+    families = one_form_families(chart.meta).values()
+    if not families or any(m.lie_index for m in chart.meta.values()):
         raise ModelError("gauge parameter checks need an abelian one-form field")
-    taken = {*chart.coord_names, *chart.fields, *(m.base for m in model.meta.values())}
+    taken = {*chart.coord_names, *chart.fields, *(m.base for m in chart.meta.values())}
     if not name.isidentifier() or name in taken | {b for b, k in model.backgrounds.items() if k != "function"}:
         raise ModelError(f"gauge parameter {name!r} must be a new identifier or a function background")
     lam = sp.Function(name)(*chart.xs)
@@ -169,16 +169,16 @@ def gauge_direction(model: Model, name: str) -> dict[str, sp.Expr]:
 
 def gauge_parameter_block(model: Model, name: str) -> dict:
     """The gauge verdict of the direction ``gauge_direction(model, name)``."""
-    g = gauge_verdict(model.lp, model.decomposition, gauge_direction(model, name))
+    g = gauge_verdict(model.decomposition, gauge_direction(model, name))
     return {"vector": f"gauge({name})", "kind": "gauge_parameter", "gauge": g}
 
 
-def gauge_verdict(lp, v, W, **kwargs) -> dict:
-    """``gauge_dict`` of ``gauge_residual(lp, v, W, **kwargs)``, or a
-    not-reduced note when the on-shell reduction cannot be carried out (an
-    equation without jets, no fixpoint, an unsupported expression)."""
+def gauge_verdict(v, W, xi=None) -> dict:
+    """``gauge_dict`` of ``gauge_residual(v, W, xi)``, or a not-reduced note
+    when the on-shell reduction cannot be carried out (an equation without
+    jets, no fixpoint, an unsupported expression)."""
     try:
-        return gauge_dict(gauge_residual(lp, v, W, **kwargs))
+        return gauge_dict(gauge_residual(v, W, xi))
     except (ValueError, ArithmeticError, NotImplementedError) as err:
         return {"not_reduced": str(err)}
 

@@ -169,13 +169,13 @@ def test_02_chern_simons():
     assert v.residual().is_zero()
     # gauge: lifted vector fields are degenerate directions modulo the ideal
     for xi in ([1, 0, 0], [ch.xs[1], 1, 0]):
-        W = lift_vector_field(ch, m.meta, xi)
-        g = gauge_residual(m.lp, v, W, xi=xi, meta=m.meta)
+        W = lift_vector_field(ch, xi)
+        g = gauge_residual(v, W, xi=xi)
         assert g.bulk.is_zero() and g.boundary.is_zero()
     # lambda-gauge: verbatim boundary obstruction for free data, killed by Dirichlet
     lam = sp.Function("lam")(*ch.xs)
-    W = {a: sp.diff(lam, ch.xs[mt.axis]) for a, mt in m.meta.items()}
-    g = gauge_residual(m.lp, v, W)
+    W = {a: sp.diff(lam, ch.xs[mt.axis]) for a, mt in ch.meta.items()}
+    g = gauge_residual(v, W)
     assert g.bulk.is_zero()
     cchart = g.boundary.chart
     expected_obstruction = Form(
@@ -187,9 +187,9 @@ def test_02_chern_simons():
     vd = decompose(md.lp)
     Wd = {
         a: sp.diff(sp.Function("lam")(*md.chart.xs), md.chart.xs[mt.axis])
-        for a, mt in md.meta.items()
+        for a, mt in md.chart.meta.items()
     }
-    gd = gauge_residual(md.lp, vd, Wd)
+    gd = gauge_residual(vd, Wd)
     assert gd.bulk.is_zero() and gd.boundary.is_zero()
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s"

@@ -34,7 +34,7 @@ def check_runs():
             continue
         model = load_model(f"{name}.cps")
         args = [("--xi", v) for v in sorted(model.vectors)]
-        if any(m.kind == "one_form" for m in model.meta.values()):
+        if any(m.kind == "one_form" for m in model.chart.meta.values()):
             args.append(("--gauge", "lam"))
         runs += [pytest.param(name, a, id=f"{name}{a[0]}={a[1]}") for a in args]
     return runs
@@ -110,7 +110,8 @@ model one_form_and_inconsistent_scalar {
 
 def test_gauge_parameter_with_an_equation_without_jets_is_not_reduced(tmp_path, capsys):
     # E[phi] = 1: the on-shell ideal has an equation without jets, which the
-    # lam block reports as not reduced, in the wording of the dt block
+    # lam block reports as not reduced, in the wording of the dt block; the
+    # derive summary prints both verdicts
     path = tmp_path / "inconsistent.cps"
     path.write_text(INCONSISTENT_GAUGE_MODEL)
     note = "not reduced (equation without jets: 1)"
@@ -119,7 +120,10 @@ def test_gauge_parameter_with_an_equation_without_jets_is_not_reduced(tmp_path, 
     assert main(["check", str(path), "--gauge", "lam"]) == 0
     assert capsys.readouterr().out.splitlines() == [f"gauge direction: {note}"]
     assert main(["derive", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == f"  gauge(lam): {note}"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"  vector dt: xi-invariant: yes; d-symmetry: yes; gauge: {note}",
+        f"  gauge(lam): {note}",
+    ]
     assert main(["derive", str(path), "--json"]) == 0
     blocks = json.loads(capsys.readouterr().out)["symmetries"]
     assert [b["gauge"] for b in blocks] == [{"not_reduced": "equation without jets: 1"}] * 2
@@ -262,6 +266,22 @@ def test_fd_check_on_every_1p1_corpus_model(capsys):
             got[name], want[name] = main(["numeric", "fd-check", f"{name}.cps"]), refusals.get(name, 0)
             capsys.readouterr()
     assert got == want
+
+
+@pytest.mark.parametrize("name,field,slope", [
+    ("scalar_neumann", "u", "slope = 2.006"), ("yang_mills_abelian_n2", "A", "slope = n/a"),
+])
+def test_fd_check_varies_a_dirichlet_field_admissibly(tmp_path, capsys, name, field, slope):
+    # Dirichlet data leave no face term of the field in the sources, so its
+    # test variation vanishes on the lateral faces; one that does not leaves
+    # the face term of the action unpaired, a residual that is the same at every eps
+    text = (corpus_dir() / f"{name}.cps").read_text()
+    old = f"bc {{ {field} = free; }}"
+    assert text.count(old) == 1
+    path = tmp_path / "dirichlet.cps"
+    path.write_text(text.replace(old, f"bc {{ {field} = dirichlet; }}"))
+    assert main(["numeric", "fd-check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == slope
 
 
 def test_fd_check_refuses_a_residual_that_is_not_finite(tmp_path, capsys):

@@ -27,7 +27,7 @@ def test_roundtrip(path):
     m2 = parse_model(" ".join(t.text for t in tokenize(text)[:-1]))
     assert str(m1.lp.rel.bulk) == str(m2.lp.rel.bulk)
     assert str(m1.lp.rel.boundary) == str(m2.lp.rel.boundary)
-    assert m1.coords == m2.coords
+    assert m1.chart.coord_names == m2.chart.coord_names
     assert m1.lp.bc == m2.lp.bc
     assert {k: [sp.sstr(c) for c in v] for k, v in m1.vectors.items()} == {
         k: [sp.sstr(c) for c in v] for k, v in m2.vectors.items()
@@ -168,7 +168,7 @@ model demo {
     def test_su2_components(self):
         m = parse_model((CORPUS / "yang_mills_su2_n2.cps").read_text())
         assert "A1_t" in m.chart.fields and "A3_x" in m.chart.fields
-        assert {f.lie_index for f in m.meta.values() if f.base == "A"} == {1, 2, 3}
+        assert {f.lie_index for f in m.chart.meta.values() if f.base == "A"} == {1, 2, 3}
 
     def test_formal_function_and_binding(self):
         m = parse_model((CORPUS / "scalar_robin_const.cps").read_text())

@@ -115,7 +115,7 @@ class TestFaceBinding:
         # while the tangential A_t keeps its sign; a normal derivative flips again
         m = parse_model((CORPUS / "yang_mills_abelian_n2.cps").read_text())
         grid = checks.make_grid(m, (17, 21))
-        assert grid.one_form_axes == {"A_t": 0, "A_x": 1}
+        assert {a: mt.axis for a, mt in m.chart.meta.items() if mt.kind == "one_form"} == {"A_t": 0, "A_x": 1}
         tt, xx = grid.mesh()
         state = FieldState(grid, {"A_t": np.sin(tt + 2 * xx), "A_x": np.cos(3 * tt) + tt * xx**2})
         low, high = (FaceBinding(m.pair.bchart, index, outward=True) for index in (0, -1))

@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 
 from cpsforge import pipeline, relative
-from cpsforge.chart import Chart, MultiIndex
+from cpsforge.chart import Chart, FieldMeta, MultiIndex
 from cpsforge.forms import (
     Form,
     boundary_volume,
@@ -24,7 +24,6 @@ from cpsforge.model import parse_model
 from cpsforge.jetcalc import NonDecomposableError, euler_operator
 from cpsforge.jetpoly import EXPR, JetRing, LazyGenerator, built, leading_jet
 from cpsforge.pipeline import (
-    FieldMeta,
     LagrangianPair,
     OnShellIdeal,
     _corner_ideal,
@@ -68,9 +67,6 @@ def scalar_pair(bc="free", with_potential=True, with_robin=True, f_static=True):
         f = sp.Symbol("f") if f_static else sp.Function("f")(pair.bchart.xs[0])
         ell = boundary_volume(pair.bchart) * (f * ub**2 / 2)
     return LagrangianPair(RelForm(pair, L, ell), bc={"u": bc})
-
-
-SCALAR_META = {"u": FieldMeta("scalar")}
 
 
 class TestScalarRobin:
@@ -174,41 +170,41 @@ class TestEquivalence:
         assert rel_d(shift).is_zero()
 
 
-def lift(lp, xi, meta):
+def lift(lp, xi):
     """The lift W of xi, A = Lie_W(L, ell), S = iota_xi(L, ell) and the
     invariance residual, each computed once as the report does."""
-    W = lift_vector_field(lp.pair.chart, meta, xi)
+    W = lift_vector_field(lp.pair.chart, xi)
     A, S = rel_lie_ev(W, lp.rel), rel_iota(xi, lp.rel)
     return W, A, S, xi_invariance_residual(lp, xi, A)
 
 
-def noether(lp, v, xi, meta):
-    """The xi-current of lp, from the lift as the report computes it."""
-    W, _, S, res = lift(lp, xi, meta)
-    return noether_current_xi(lp, v, S, W, res)
+def noether(v, xi):
+    """The xi-current of v's pair, from the lift as the report computes it."""
+    W, _, S, res = lift(v.lp, xi)
+    return noether_current_xi(v, S, W, res)
 
 
 class TestInvarianceAndSymmetry:
     def test_time_translation_invariant(self):
         lp = scalar_pair(with_robin=True)
-        *_, res = lift(lp, [1, 0], SCALAR_META)
+        *_, res = lift(lp, [1, 0])
         assert res.bulk.is_zero() and res.boundary.is_zero()
 
     def test_time_dependent_robin_function_breaks_invariance(self):
         lp = scalar_pair(with_robin=True, f_static=False)
-        *_, res = lift(lp, [1, 0], SCALAR_META)
+        *_, res = lift(lp, [1, 0])
         assert res.bulk.is_zero()
         assert not res.boundary.is_zero()  # residual carries L_xi f = f'(t)
 
     def test_boost_like_not_invariant(self):
         lp = scalar_pair(with_robin=False)
         t = lp.pair.chart.xs[0]
-        *_, res = lift(lp, [t, 0], SCALAR_META)
+        *_, res = lift(lp, [t, 0])
         assert not res.bulk.is_zero()
 
     def test_killing_lift_is_symmetry(self):
         lp = scalar_pair()
-        _, A, S, res = lift(lp, [1, 0], SCALAR_META)
+        _, A, S, res = lift(lp, [1, 0])
         assert res.is_zero()
         verdict = d_symmetry_check(lp, A, potential=S)
         assert verdict.is_symmetry
@@ -218,7 +214,7 @@ class TestInvarianceAndSymmetry:
         # rel_d(2 S) = 2 A, not A: the source test still accepts W, but the
         # verdict carries no potential
         lp = scalar_pair()
-        _, A, S, _ = lift(lp, [1, 0], SCALAR_META)
+        _, A, S, _ = lift(lp, [1, 0])
         assert not A.is_zero()
         verdict = d_symmetry_check(lp, A, potential=S * 2)
         assert verdict.is_symmetry
@@ -247,7 +243,7 @@ class TestNoether:
     def test_flux_identity_energy(self):
         lp = scalar_pair()
         v = decompose(lp)
-        data = noether(lp, v, [1, 0], SCALAR_META)
+        data = noether(v, [1, 0])
         assert data.identity_residual.is_zero()
         # slice current = energy density integrand
         ch = lp.pair.chart
@@ -263,23 +259,23 @@ class TestNoether:
     def test_zero_vector_field(self):
         lp = scalar_pair()
         v = decompose(lp)
-        data = noether(lp, v, [0, 0], SCALAR_META)
+        data = noether(v, [0, 0])
         assert data.current.is_zero()
 
     def test_nonkilling_identity_still_holds(self):
         lp = scalar_pair(with_robin=False)
         v = decompose(lp)
         t = lp.pair.chart.xs[0]
-        data = noether(lp, v, [t, 0], SCALAR_META)
+        data = noether(v, [t, 0])
         assert data.identity_residual.is_zero()
 
     def test_linearity_in_xi(self):
         lp = scalar_pair(with_robin=False)
         v = decompose(lp)
         t = lp.pair.chart.xs[0]
-        d1 = noether(lp, v, [1, 0], SCALAR_META)
-        d2 = noether(lp, v, [t, 0], SCALAR_META)
-        d12 = noether(lp, v, [1 + t, 0], SCALAR_META)
+        d1 = noether(v, [1, 0])
+        d2 = noether(v, [t, 0])
+        d12 = noether(v, [1 + t, 0])
         assert d12.current == d1.current + d2.current
 
 
@@ -288,12 +284,8 @@ class TestNoether:
 
 def cs_chart():
     ch = Chart(("t", "x", "y"), ("A_t", "A_x", "A_y"), max_jet_order=5)
-    meta = {
-        "A_t": FieldMeta("one_form", base="A", axis=0),
-        "A_x": FieldMeta("one_form", base="A", axis=1),
-        "A_y": FieldMeta("one_form", base="A", axis=2),
-    }
-    return ch, meta
+    ch.meta = {a: FieldMeta("one_form", base="A", axis=i) for i, a in enumerate(ch.fields)}
+    return ch
 
 
 def cs_one_form(ch):
@@ -304,19 +296,19 @@ def cs_one_form(ch):
 
 
 def cs_pair(bc="free"):
-    ch, meta = cs_chart()
+    ch = cs_chart()
     pair = BoundaryPair(ch)
     A = cs_one_form(ch)
     L = wedge(A, d_h(A)) * sp.Rational(-1, 2)
     lp = LagrangianPair(
         RelForm(pair, L, Form.zero(pair.bchart, 2, 0)), bc={a: bc for a in ch.fields}
     )
-    return lp, meta, A
+    return lp, A
 
 
 class TestChernSimons:
     def test_sources(self):
-        lp, meta, A = cs_pair()
+        lp, A = cs_pair()
         v = decompose(lp)
         ch = lp.pair.chart
         # E_mu vol = -(dA) ^ dx^mu, expanded independently
@@ -332,25 +324,25 @@ class TestChernSimons:
         assert v.sources.boundary == expected_pairing
 
     def test_diff_invariance_any_tangent_xi(self):
-        lp, meta, _ = cs_pair()
+        lp, _ = cs_pair()
         t, x, y = lp.pair.chart.xs
         for xi in ([1, 0, 0], [x, 1 + t, 0], [t * x, -2, y]):
-            *_, res = lift(lp, xi, meta)
+            *_, res = lift(lp, xi)
             assert res.bulk.is_zero() and res.boundary.is_zero()
 
     def test_lift_is_d_symmetry(self):
-        lp, meta, _ = cs_pair()
+        lp, _ = cs_pair()
         xi = [1, 0, 0]
-        _, A, S, res = lift(lp, xi, meta)
+        _, A, S, res = lift(lp, xi)
         assert res.is_zero()
         verdict = d_symmetry_check(lp, A, potential=S)
         assert verdict.is_symmetry
 
     def test_noether_identity_and_charge_on_shell(self):
-        lp, meta, _ = cs_pair()
+        lp, _ = cs_pair()
         v = decompose(lp)
         xi = [1, 0, 0]
-        data = noether(lp, v, xi, meta)
+        data = noether(v, xi)
         assert data.identity_residual.is_zero()
         # the charge integrand equals (iota_xi A) * E + an explicit divergence
         # (J = 1/2 d(A_t A) + A_t E), so on shell it reduces to the divergence:
@@ -364,11 +356,11 @@ class TestChernSimons:
         assert ideal.reduce_form(data.slice_current - witness).is_zero()
 
     def test_xi_lift_is_gauge(self):
-        lp, meta, _ = cs_pair()
+        lp, _ = cs_pair()
         v = decompose(lp)
         for xi in ([1, 0, 0], [lp.pair.chart.xs[1], 1, 0]):
-            W = lift_vector_field(lp.pair.chart, meta, xi)
-            res = gauge_residual(lp, v, W, xi=xi, meta=meta)
+            W = lift_vector_field(lp.pair.chart, xi)
+            res = gauge_residual(v, W, xi=xi)
             assert res.bulk.is_zero()
             assert res.boundary.is_zero()
 
@@ -377,38 +369,38 @@ class TestChernSimons:
         return {a: sp.diff(lam, ch.xs[i]) for i, a in enumerate(ch.fields)}
 
     def test_lambda_gauge_boundary_obstruction(self):
-        lp, meta, _ = cs_pair()
+        lp, _ = cs_pair()
         v = decompose(lp)
         W = self.lam_field(lp.pair.chart)
-        res = gauge_residual(lp, v, W)
+        res = gauge_residual(v, W)
         assert res.bulk.is_zero()
         assert not res.boundary.is_zero()
 
     def test_lambda_gauge_dirichlet_restores(self):
-        lp, meta, _ = cs_pair(bc="dirichlet")
+        lp, _ = cs_pair(bc="dirichlet")
         v = decompose(lp)
         W = self.lam_field(lp.pair.chart)
-        res = gauge_residual(lp, v, W)
+        res = gauge_residual(v, W)
         assert res.bulk.is_zero()
         assert res.boundary.is_zero()
 
     def test_gauge_residual_is_odd_in_w(self):
         # absorption must find the rows of -c as well as those of c
-        lp, meta, _ = cs_pair()
+        lp, _ = cs_pair()
         v = decompose(lp)
         ch = lp.pair.chart
         for W, kw in ((self.lam_field(ch), {}),
-                      (lift_vector_field(ch, meta, [1, 0, 0]), {"xi": [1, 0, 0], "meta": meta})):
+                      (lift_vector_field(ch, [1, 0, 0]), {"xi": [1, 0, 0]})):
             minus = {a: -e for a, e in W.items()}
-            res, neg = gauge_residual(lp, v, W, **kw), gauge_residual(lp, v, minus, **kw)
+            res, neg = gauge_residual(v, W, **kw), gauge_residual(v, minus, **kw)
             assert res.bulk.is_zero() and neg.bulk.is_zero()
             assert neg.boundary == -res.boundary
 
     def test_zero_field_is_gauge(self):
-        lp, meta, _ = cs_pair()
+        lp, _ = cs_pair()
         v = decompose(lp)
         W = {}
-        res = gauge_residual(lp, v, W)
+        res = gauge_residual(v, W)
         assert res.is_gauge()
 
 
@@ -702,9 +694,9 @@ def test_nonabelian_gauge_parameter_restricts_to_the_corner():
     for sign in (1, -1):
         W = {
             a: sign * sp.diff(lam, chart.xs[m.axis]) if m.lie_index == 1 else sp.Integer(0)
-            for a, m in model.meta.items()
+            for a, m in chart.meta.items()
         }
-        residuals.append(gauge_residual(model.lp, model.decomposition, W))
+        residuals.append(gauge_residual(model.decomposition, W))
     plus, minus = residuals
     assert not plus.bulk.is_zero() and (plus.bulk + minus.bulk).is_zero()
     assert (plus.boundary + minus.boundary).is_zero()
@@ -731,10 +723,10 @@ def test_gauge_verdict_is_homogeneous_in_w(name, vector):
         W, kw = gauge_direction(model, "lam"), {}
     else:
         xi = model.vectors[vector]
-        W, kw = lift_vector_field(model.chart, model.meta, xi), {"xi": xi, "meta": model.meta}
-    base = gauge_residual(model.lp, model.decomposition, W, **kw)
+        W, kw = lift_vector_field(model.chart, xi), {"xi": xi}
+    base = gauge_residual(model.decomposition, W, **kw)
     for c in (2, sp.Rational(1, 2), -3):
-        res = gauge_residual(model.lp, model.decomposition, scaled(W, c), **kw)
+        res = gauge_residual(model.decomposition, scaled(W, c), **kw)
         assert res.bulk == base.bulk * c, c
         assert res.boundary == base.boundary * c, c
 
@@ -750,11 +742,11 @@ def test_boundary_current_enters_the_corner_piece(monkeypatch):
     assert str(model.decomposition.omega.boundary) == "(-1) th{u}^th{u_t}"
     assert counts["translate_form"] == 1
     xi = model.vectors["dt"]
-    W, kw = lift_vector_field(model.chart, model.meta, xi), {"xi": xi, "meta": model.meta}
-    base = gauge_residual(model.lp, model.decomposition, W, **kw)
+    W, kw = lift_vector_field(model.chart, xi), {"xi": xi}
+    base = gauge_residual(model.decomposition, W, **kw)
     assert not base.boundary.is_zero()
     for c in (2, sp.Rational(1, 2), -3):
-        res = gauge_residual(model.lp, model.decomposition, scaled(W, c), **kw)
+        res = gauge_residual(model.decomposition, scaled(W, c), **kw)
         assert res.bulk == base.bulk * c, c
         assert res.boundary == base.boundary * c, c
     # the same report with every chart's forms and the ideals on EXPR
@@ -765,15 +757,36 @@ def test_boundary_current_enters_the_corner_piece(monkeypatch):
     assert reference.lp.rel.bulk.ring is EXPR
 
 
+@pytest.mark.parametrize("vector", ["dt", "xdt"])
+def test_gauge_residual_reads_the_one_forms_off_the_chart(vector):
+    # the multiplier xi^mu A_mu of each one-form comes from the model's chart,
+    # so the decomposition, W and xi are the whole input
+    model = load_model("chern_simons_k1.cps")
+    xi = model.vectors[vector]
+    assert gauge_residual(model.decomposition, lift_vector_field(model.chart, xi), xi=xi).is_gauge()
+
+
+def test_lift_adds_the_gradient_term_for_one_form_components():
+    # W^{A_mu} = xi^m A_{mu,m} + A_m d_mu xi^m once the chart marks A_t, A_x as
+    # the components of A; for xi = (x, 0) only d_x xi^t = 1 is nonzero
+    ch = Chart(("t", "x"), ("A_t", "A_x"))
+    x = ch.xs[1]
+    transport = {a: x * ch.jet(a, MultiIndex.make(0)) for a in ch.fields}
+    assert lift_vector_field(ch, [x, 0]) == transport
+    ch.meta = {a: FieldMeta("one_form", base="A", axis=i) for i, a in enumerate(ch.fields)}
+    W = lift_vector_field(ch, [x, 0])
+    assert W == {"A_t": transport["A_t"], "A_x": transport["A_x"] + ch.jet("A_t", MultiIndex())}
+
+
 def test_gauge_stage_leaves_the_ring_with_w():
     # with pi in xi, the lift W and the multiplier pi*A_t are not kernel
     # polynomials: the stage reduces on EXPR, the slice and corner ideals
     # through their copies on EXPR, and the rows absorb the sources as for xi/pi
     model = load_model("chern_simons_k1.cps")
-    lp, v, meta, (t, x, y) = model.lp, model.decomposition, model.meta, model.chart.xs
+    v, (t, x, y) = model.decomposition, model.chart.xs
     for xi in ([sp.pi, 0, 0], [sp.pi * x, sp.pi, 0]):
-        W = lift_vector_field(model.chart, meta, xi)
-        assert gauge_residual(lp, v, W, xi=xi, meta=meta).is_gauge(), xi
+        W = lift_vector_field(model.chart, xi)
+        assert gauge_residual(v, W, xi=xi).is_gauge(), xi
     assert "on_expr" in vars(v.slice_ideal) and "on_expr" in vars(v.corner_ideal)  # the copies were used
 
 
