@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload with alternating pairs of runs.
+"""Compare two checkouts on benchmark workloads with alternating pairs of runs.
 
-    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --seconds S
-                                [--first-seed K]
+    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
+                                --pairs N --seconds S [--first-seed K]
 
-Pair i runs `python3 perfbench/run.py --workload W --seed K+i --seconds S
---trace 0` from the root of each checkout, with the same seed on both sides.
-The parent goes first in even pairs and the change in odd ones, so a drift of
-the machine's speed during the comparison falls on both sides alike.
+For each workload in turn, pair i runs `python3 perfbench/run.py --workload W
+--seed K+i --seconds S --trace 0` from the root of each checkout, with the
+same seed on both sides.  The parent goes first in even pairs and the change
+in odd ones, so a drift of the machine's speed during the comparison falls on
+both sides alike.
 
 For every end-to-end metric of BENCHMARK.json (read from this checkout) it
-prints each side's median and quartiles, how many pairs the change won and
-tied, and whether the claim rule holds: the change wins at least 9 of every 10
-pairs, and its median is better than the parent's by more than the parent's
-interquartile range.  It also prints the failed and attempted operations of
-each side.  Exit status 1 when a run gives no result.
+prints each side's median and quartiles, the relative change of the median,
+how many pairs the change won and tied, and whether the claim rule holds: the
+change wins at least 9 of every 10 pairs, and its median is better than the
+parent's by more than the parent's interquartile range.  A metric whose
+median is worse than the parent's by more than its `bound` is flagged
+`exceeds bound`.  It also prints the failed and attempted operations of each
+side.  Exit status 1 when a run gives no result.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import statistics
 import subprocess
@@ -36,13 +40,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def relative_change(parent: float, change: float) -> float:
+    """(change - parent) / |parent|; infinite, with the change's sign, when the parent reads 0."""
+    if parent:
+        return (change - parent) / abs(parent)
+    return math.copysign(math.inf, change) if change else 0.0
+
+
+def summarize(parent: list[float], change: list[float], better: str, bound: float = math.inf) -> dict:
     """The comparison of one metric over pairs (parent[i], change[i]).
 
     ``better`` is "lower" or "higher".  A pair is a win when the change is
     strictly better, a tie when both read the same.  The claim holds with
     wins >= 0.9 * pairs and a median gap, in the better direction, larger
-    than the parent's interquartile range."""
+    than the parent's interquartile range.  ``relative`` is the change of the
+    median over the parent's, and the median exceeds ``bound`` when it is
+    worse than the parent's by more than that fraction of it."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on both sides")
     sign = 1 if better == "lower" else -1
@@ -51,9 +64,11 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (pq[1] - cq[1])
     iqr = pq[2] - pq[0]
+    relative = relative_change(pq[1], cq[1])
     return {
         "parent": pq, "change": cq, "wins": wins, "ties": ties, "pairs": len(parent),
         "gap": gap, "parent_iqr": iqr, "claim": 10 * wins >= 9 * len(parent) and gap > iqr,
+        "relative": relative, "exceeds_bound": sign * relative > bound,
     }
 
 
@@ -61,7 +76,8 @@ def format_summary(name: str, unit: str, s: dict) -> str:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
-    return (f"{name} ({unit}): parent {side(s['parent'])}, change {side(s['change'])}; "
+    return (f"{name} ({unit}): parent {side(s['parent'])}, change {side(s['change'])} "
+            f"({s['relative']:+.1%}{', exceeds bound' if s['exceeds_bound'] else ''}); "
             f"change wins {s['wins']}/{s['pairs']}, ties {s['ties']}; "
             f"gap {s['gap']:.4g} vs parent IQR {s['parent_iqr']:.4g}; "
             f"claim {'holds' if s['claim'] else 'fails'}")
@@ -78,35 +94,40 @@ def run(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> dict 
     return json.loads(lines[-1]) if proc.returncode == 0 and lines else None
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=pathlib.Path)
-    ap.add_argument("change", type=pathlib.Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=int, required=True)
-    ap.add_argument("--first-seed", type=int, default=1)
-    args = ap.parse_args(argv)
+def compare(args, workload: str, bench: dict) -> int:
+    """Run the pairs of one workload and print its summary; 1 when a run gives no result."""
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.first_seed + i
         for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            res = run(sides[name], args.workload, seed, args.seconds)
+            res = run(sides[name], workload, seed, args.seconds)
             if res is None:
-                print(f"pair {i + 1}: the {name} run at seed {seed} gave no result", file=sys.stderr)
+                print(f"{workload} pair {i + 1}: the {name} run at seed {seed} gave no result", file=sys.stderr)
                 return 1
             results[name].append(res)
         p, c = (results[k][-1]["metrics"]["pass_s"]["value"] for k in ("parent", "change"))
-        print(f"pair {i + 1} seed {seed}: pass_s parent {p:.4f} s, change {c:.4f} s", flush=True)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        print(f"{workload} pair {i + 1} seed {seed}: pass_s parent {p:.4f} s, change {c:.4f} s", flush=True)
     for metric in bench["end_to_end"]:
         values = {k: [r["metrics"][metric["name"]]["value"] for r in rs] for k, rs in results.items()}
-        summary = summarize(values["parent"], values["change"], metric["better"])
-        print(format_summary(metric["name"], metric["unit"], summary))
+        summary = summarize(values["parent"], values["change"], metric["better"], metric["bound"])
+        print(f"{workload} {format_summary(metric['name'], metric['unit'], summary)}")
     for name, rs in results.items():
-        print(f"{name}: failed {sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}")
+        print(f"{workload} {name}: failed {sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}")
     return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=pathlib.Path)
+    ap.add_argument("change", type=pathlib.Path)
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=int, required=True)
+    ap.add_argument("--first-seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return max(compare(args, workload, bench) for workload in args.workload)
 
 
 if __name__ == "__main__":

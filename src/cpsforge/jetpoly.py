@@ -37,6 +37,10 @@ created them; nothing here is cached at module level.
 
 The on-shell ideals' generators are ``LazyGenerator``s, built on first use;
 each one's leading jet and coefficient come from its unprolonged equation.
+A corner generator prolongs a slice generator along the normal without
+building it, and reads its lead off the bulk equation; a boundary generator
+is relabeled to the corner chart on first use, and its lead is ranked under
+its corner name.  Each prolongation chain ranks its candidate jets once.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ from functools import cached_property
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .chart import Chart, MultiIndex, translate_expr
+from .chart import Chart, MultiIndex, translate_expr, translated_field
 
 
 class NotRepresentable(ValueError):
@@ -509,31 +513,85 @@ def built(g):
 
 
 class _Prolongation:
-    """D_axis^k eq (axis = sub.axis), each taken on first use, for the generators on sub."""
+    """restrict(D_axis^k eq) to sub (axis = sub.axis), relabeled to dst, for k
+    up to the jet cap less the jet order of eq; each D_axis^k eq on first use.
 
-    def __init__(self, ring, sub: Chart, eq, value):
-        self.ring, self.sub, self.value, self.terms = ring, sub, value, [eq]
-        jets = ring.jets(sub.parent, eq)
-        self.order = max((mi.order for _, _, mi in jets), default=0)
-        # restrict(u^a_(J + j*axis)) is u^(family[c + j])_kept on sub, J having c entries axis
-        self.bases = [(sym, sub.families[a], kept.shift_down(sub.axis), c)
-                      for sym, a, mi in jets for kept, c in [mi.split_axis(sub.axis)]]
+    eq is a polynomial on sub.parent or, unbuilt, a ``LazyGenerator`` there
+    of an unpinned chain.  A base is a jet u_J of the root equation, the steps
+    the outer chains prolonged it by, and the name and multi-index on dst of
+    its candidate J + k*axis for each k: the candidates of generator k, those
+    of every base up to step k, hold every jet of the built generator."""
+
+    def __init__(self, ring, sub: Chart, eq, value=None, dst: Chart | None = None):
+        self.ring, self.sub, self.value, self.dst = ring, sub, value, dst or sub
+        self.eq, self.terms, self._coefficients = eq, [], {}
+        if isinstance(eq, LazyGenerator):  # one candidate of eq per outer base and step
+            outer = eq._chain
+            self.steps = (*outer.steps, eq.k)
+            jets = [(sym, (*steps, j), names[j], kept) for sym, steps, names, kept in outer.bases
+                    for j in range(eq.k + 1)]
+        else:
+            self.steps = ()
+            jets = [(sym, (), a, mi) for sym, a, mi in ring.jets(sub.parent, eq)]
+        self.length = sub.parent.max_jet_order - max((mi.order for *_, mi in jets), default=0) + 1
+        self.bases = []
+        for sym, steps, a, mi in jets:
+            # restrict(u^a_(J + k*axis)) is u^(family[c + k])_kept on sub, J having c entries axis
+            kept, c = mi.split_axis(sub.axis)
+            names = sub.families[a][c:c + self.length]
+            if self.dst is not sub:
+                names = tuple(translated_field(name, sub, self.dst) for name in names)
+            self.bases.append((sym, steps, names, kept.shift_down(sub.axis)))
 
     def __getitem__(self, k: int):
+        if not self.terms:
+            self.terms.append(built(self.eq))
         while len(self.terms) <= k:
             self.terms.append(self.ring.total_derivative(self.sub.parent, self.sub.axis, self.terms[-1]))
         return self.terms[k]
 
+    @cached_property
+    def tops(self) -> list:
+        """Per generator k, the base whose step-k candidate alone is top-ranked
+        among the candidates of generator k, if the base's steps are the
+        chain's own, else None; each candidate is ranked once."""
+        tops, top, who = [], None, []  # who: the (base, step) pairs of the top candidate
+        for k in range(self.length):
+            for base in self.bases:
+                rank = _rank(base[2][k], base[3])  # the name and multi-index of its step-k candidate
+                if top is None or rank > top:
+                    top, who = rank, [(base, k)]
+                elif rank == top:
+                    who.append((base, k))
+            base, step = who[0] if len(who) == 1 else (None, None)
+            tops.append(base if step == k and base[1] == self.steps else None)
+        return tops
+
+    def coefficient(self, sym):
+        """restrict(d eq/d sym) to dst through the outer chains, sym a jet of
+        the root equation; memoised per jet."""
+        got = self._coefficients.get(sym)
+        if got is None:
+            eq = self.eq
+            got = eq._chain.coefficient(sym) if isinstance(eq, LazyGenerator) else self.ring.diff(eq, sym)
+            got = self.ring.restrict(self.sub, got, value=self.value)
+            if self.dst is not self.sub:
+                got = self.ring.translate(self.sub, self.dst, got)
+            self._coefficients[sym] = got
+        return got
+
 
 class LazyGenerator:
-    """restrict(D_axis^k eq) to sub, built on first use of ``poly``.
+    """restrict(D_axis^k eq) to sub, relabeled to dst, built on first use of ``poly``.
 
-    By [d/du_M, D_i] = d/du_{M-i}, the jets of D^k eq are J + j*axis for the
-    jets J of eq (inside formal atoms too) and 0 <= j <= k, and d(D^k eq)/du_{J+k*axis}
-    is d eq/du_J when no other such pair gives J + k*axis.  Restriction relabels
-    jets one to one, so ``lead()`` reads the leading jet and its coefficient
-    off eq when the top-ranked restricted candidate comes from (J, k) alone
-    and restrict(d eq/du_J) is not zero; otherwise it builds the generator."""
+    By [d/du_M, D_i] = d/du_{M-i}, the jets of D_K eq are J + L for the jets J
+    of eq (inside formal atoms too) and L <= K, and d(D_K eq)/du_{J+K} is
+    d eq/du_J when no other such pair gives J + K; for a corner generator
+    prolonged from a slice generator, K = k_t*t + k*n.  Restriction and
+    translation relabel jets one to one, so ``lead()`` reads the leading jet
+    and its coefficient off the root equation when the top-ranked candidate
+    comes from (J, K) alone and the restricted d eq/du_J is not zero;
+    otherwise it builds the generator."""
 
     def __init__(self, chain: _Prolongation, k: int):
         self._chain, self.k = chain, k
@@ -541,42 +599,41 @@ class LazyGenerator:
     @cached_property
     def poly(self):
         chain = self._chain
-        return chain.ring.restrict(chain.sub, chain[self.k], value=chain.value)
+        p = chain.ring.restrict(chain.sub, chain[self.k], value=chain.value)
+        return p if chain.dst is chain.sub else chain.ring.translate(chain.sub, chain.dst, p)
 
     def lead(self):
-        """``leading_jet`` of the generator on sub."""
+        """``leading_jet`` of the generator on dst."""
         return self._lead
 
     @cached_property
     def _lead(self):
         chain, k = self._chain, self.k
-        sources: dict = {}  # rank of a restricted candidate -> [(J, j)]
-        for sym, family, kept, c in chain.bases:
-            for j in range(k + 1):
-                sources.setdefault(_rank(family[c + j], kept), []).append((sym, j))
-        if sources:
-            top = max(sources)
-            ((sym, j), *others) = sources[top]
-            if j == k and not others:
-                coeff = chain.ring.restrict(chain.sub, chain.ring.diff(chain.terms[0], sym), value=chain.value)
-                if not chain.ring.is_zero(coeff):
-                    a, mi = top[3], MultiIndex(top[2])
-                    return chain.sub.jet(a, mi), a, mi, coeff
-        return leading_jet(chain.ring, chain.sub, self.poly)
+        base = chain.tops[k]
+        if base is not None:
+            sym, _, names, kept = base
+            coeff = chain.coefficient(sym)
+            if not chain.ring.is_zero(coeff):
+                return chain.dst.jet(names[k], kept), names[k], kept, coeff
+        return leading_jet(chain.ring, chain.dst, self.poly)
 
 
-def prolonged_restricted_generators(sub: Chart, equations: list, ring, value=None) -> list:
+def prolonged_restricted_generators(sub: Chart, equations: list, ring, value=None, dst: Chart | None = None) -> list:
     """Restrict each generator and its prolongations along ``sub.axis`` (up to
-    the jet cap) to the hypersurface chart sub; this is how "all differential
-    consequences" of an equation survive the loss of the transversal direction,
-    and how an evolutionary field's components reach the boundary families.
-    The equations are polynomials of ``ring`` on ``sub.parent`` (or
-    ``LazyGenerator``s there, built here); the ``LazyGenerator``s returned of
-    one equation share its prolongation chain."""
+    the jet cap) to the hypersurface chart sub, relabeled to the corner chart
+    dst if given; this is how "all differential consequences" of an equation
+    survive the loss of the transversal direction, and how an evolutionary
+    field's components reach the boundary families.  The equations are
+    polynomials of ``ring`` on ``sub.parent``, or ``LazyGenerator``s there;
+    the ``LazyGenerator``s returned of one equation share its prolongation
+    chain.  A ``LazyGenerator`` of an unpinned chain with jets stays unbuilt:
+    it is nonzero, of its candidates' jet order.  Any other is built here."""
     gens: list = []
-    for eq in map(built, equations):
-        if ring.is_zero(eq):
-            continue
-        chain = _Prolongation(ring, sub, eq, value)
-        gens += [LazyGenerator(chain, k) for k in range(sub.parent.max_jet_order - chain.order + 1)]
+    for eq in equations:
+        if not (isinstance(eq, LazyGenerator) and eq._chain.value is None and eq._chain.bases):
+            eq = built(eq)
+            if ring.is_zero(eq):
+                continue
+        chain = _Prolongation(ring, sub, eq, value, dst)
+        gens += [LazyGenerator(chain, k) for k in range(chain.length)]
     return gens

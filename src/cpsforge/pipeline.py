@@ -208,27 +208,29 @@ def d_symmetry_check(lp: LagrangianPair, A: RelForm, potential: RelForm | None =
     """Decide whether the evolutionary field W with A = Lie_W(L, ell) generates
     a variational symmetry of the pair: iff A has identically vanishing bulk
     and boundary sources (decided constructively on the chart; without a
-    boundary the bulk sources decide alone).  The verdict carries
-    ``potential``, the iota_xi(L, ell) of a xi whose lift is W, when
-    rel_d(potential) = A exactly, the zero potential when A vanishes
-    identically, and otherwise a not-constructed note.
+    boundary the bulk sources decide alone).  The bulk sources are tested
+    first.  Then ``potential``, the iota_xi(L, ell) of a xi whose lift is W,
+    is certified when rel_d(potential) = A exactly: A is then relatively
+    exact, so its boundary sources vanish and are not computed.  A that
+    vanishes identically carries the zero potential.  Otherwise the boundary
+    sources of A's decomposition decide, and a symmetry carries a
+    not-constructed note.
     """
     pair = lp.pair
     E_A = euler_operator(A.bulk) if not A.bulk.is_zero() else None
-    bulk_exact = A.bulk.is_zero() or E_A.is_zero()
-    boundary_exact = True
-    if bulk_exact:
-        try:
-            boundary_exact = _decompose_pair(lp, A)[0].boundary.is_zero()
-        except NonDecomposableError:
-            boundary_exact = False
-    if not (bulk_exact and boundary_exact):
+    if E_A is not None and not E_A.is_zero():
         return SymmetryVerdict(False, None, obstruction_bulk=E_A)
     if potential is not None and (rel_d(potential) - A).is_zero():
         return SymmetryVerdict(True, potential, note="potential = iota_xi(L, ell)")
     if A.is_zero():
         zero = RelForm(pair, *(Form.zero(c, c.n - 1, 0) for c in (pair.chart, pair.bchart)))
         return SymmetryVerdict(True, zero, note="Lie derivative vanishes identically")
+    try:
+        boundary_exact = _decompose_pair(lp, A)[0].boundary.is_zero()
+    except NonDecomposableError:
+        boundary_exact = False
+    if not boundary_exact:
+        return SymmetryVerdict(False, None, obstruction_bulk=E_A)
     return SymmetryVerdict(
         True,
         None,
@@ -513,11 +515,14 @@ def _corner_ideal(v: VariationDecomposition, sideal: OnShellIdeal) -> OnShellIde
     """On-shell ideal on the slice corner, over the slice ideal's ring: the
     slice ideal's generators (bulk equations restricted to the slice with their
     time prolongations) restricted again with their normal prolongations, plus
-    the boundary equations restricted to the corner, all relabeled to the
-    canonical corner chart."""
+    the boundary equations restricted to the corner with their time
+    prolongations and relabeled to the canonical corner chart.  Every
+    generator is a ``LazyGenerator`` whose lead is read off its bulk or
+    boundary equation: building the ideal builds no slice generator and
+    translates no boundary generator, and a reduction builds the rules it uses."""
     ring, cchart = sideal.ring, v.cchart
     gens = prolonged_restricted_generators(cchart, sideal.generators, ring, value=sp.Integer(0))
     # the pin x = 0 can kill a generator; one with a leading jet is not built here
     gens = [g for g in gens if g.lead() is not None or not ring.is_zero(g.poly)]
-    bgens = prolonged_restricted_generators(v.bschart, _source_polys(ring, v.sources.boundary), ring)
-    return OnShellIdeal(cchart, gens + [ring.translate(v.bschart, cchart, g.poly) for g in bgens], ring)
+    bsources = _source_polys(ring, v.sources.boundary)
+    return OnShellIdeal(cchart, gens + prolonged_restricted_generators(v.bschart, bsources, ring, dst=cchart), ring)
