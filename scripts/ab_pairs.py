@@ -2,7 +2,7 @@
 """Compare two checkouts on benchmark workloads with alternating pairs of runs.
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
-                                --pairs N --seconds S [--first-seed K]
+                                --pairs N --seconds S [--first-seed K] [--json PATH]
 
 For each workload in turn, pair i runs `python3 perfbench/run.py --workload W
 --seed K+i --seconds S --trace 0` from the root of each checkout, with the
@@ -18,13 +18,27 @@ parent's by more than the parent's interquartile range.  A metric whose
 median is worse than the parent's by more than its `bound` is flagged
 `exceeds bound`.  It also prints the failed and attempted operations of each
 side.  Exit status 1 when a run gives no result.
+
+With `--json PATH` it also writes the comparison as one JSON object: both
+sides' commits, the machine (CPU count, Python, sympy, platform), the
+command, and per workload and metric every pair's values with the summary
+printed above.  A side's commit is its `git rev-parse HEAD`, with `modified`
+true when tracked files differ from it (both null for a checkout without
+git, so make the parent's copy with `git clone`).
+A change that claims a speed-up commits this file at the repository root as
+`BENCH_<short-sha>.json`, named after its parent commit, because the
+change's own commit does not exist yet when it is measured;
+`tests/test_bench_ledger.py` recomputes every summary from the stored pairs.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import pathlib
+import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -94,8 +108,9 @@ def run(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> dict 
     return json.loads(lines[-1]) if proc.returncode == 0 and lines else None
 
 
-def compare(args, workload: str, bench: dict) -> int:
-    """Run the pairs of one workload and print its summary; 1 when a run gives no result."""
+def compare(args, workload: str, bench: dict) -> dict | None:
+    """Run the pairs of one workload and print its summary; returns its record
+    for the JSON file, or None when a run gives no result."""
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -104,17 +119,44 @@ def compare(args, workload: str, bench: dict) -> int:
             res = run(sides[name], workload, seed, args.seconds)
             if res is None:
                 print(f"{workload} pair {i + 1}: the {name} run at seed {seed} gave no result", file=sys.stderr)
-                return 1
+                return None
             results[name].append(res)
         p, c = (results[k][-1]["metrics"]["pass_s"]["value"] for k in ("parent", "change"))
         print(f"{workload} pair {i + 1} seed {seed}: pass_s parent {p:.4f} s, change {c:.4f} s", flush=True)
+    record = {"seeds": [args.first_seed + i for i in range(args.pairs)], "metrics": {}}
     for metric in bench["end_to_end"]:
         values = {k: [r["metrics"][metric["name"]]["value"] for r in rs] for k, rs in results.items()}
         summary = summarize(values["parent"], values["change"], metric["better"], metric["bound"])
         print(f"{workload} {format_summary(metric['name'], metric['unit'], summary)}")
+        record["metrics"][metric["name"]] = {**metric, **values, "summary": summary}
     for name, rs in results.items():
-        print(f"{workload} {name}: failed {sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}")
-    return 0
+        failed, attempted = sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)
+        print(f"{workload} {name}: failed {failed}/{attempted}")
+        record[f"{name}_failed"], record[f"{name}_attempted"] = failed, attempted
+    return record
+
+
+def git(checkout: pathlib.Path, *args: str) -> str | None:
+    """The output of a git command in checkout, or None when it fails."""
+    proc = subprocess.run(["git", "-C", str(checkout), *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def side_record(checkout: pathlib.Path) -> dict:
+    """A side's HEAD commit and whether its tracked files differ from it;
+    both None without git."""
+    head = git(checkout, "rev-parse", "HEAD")
+    if head is None:
+        return {"commit": None, "modified": None}
+    return {"commit": head, "modified": bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))}
+
+
+def machine() -> dict:
+    import sympy
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(), "sympy": sympy.__version__,
+            "platform": platform.platform()}
 
 
 def main(argv=None) -> int:
@@ -125,9 +167,23 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=int, required=True)
     ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--json", type=pathlib.Path, help="also write the comparison to this JSON file")
+    argv = sys.argv[1:] if argv is None else argv
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return max(compare(args, workload, bench) for workload in args.workload)
+    records = {workload: compare(args, workload, bench) for workload in args.workload}
+    if None in records.values():
+        return 1
+    if args.json is not None:
+        out = {
+            "parent": side_record(args.parent),
+            "change": side_record(args.change),
+            "machine": machine(),
+            "command": shlex.join(["python3", "scripts/ab_pairs.py", *argv]),
+            "pairs": args.pairs, "seconds": args.seconds, "workloads": records,
+        }
+        args.json.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

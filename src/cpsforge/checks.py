@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from sympy.core.cache import cacheit
 
 from .chart import MultiIndex
 from .jetcalc import source_coefficients
@@ -20,6 +21,7 @@ from .numeric import (
     contract_two_vertical,
     eval_bulk_expr,
     fd_variation_residual,
+    source_pairing,
     wave_solver,
 )
 from .pipeline import (
@@ -57,10 +59,15 @@ class AnalyticState(FieldState):
         super().__init__(grid, values)
 
     def _derive(self, field: str, mi: MultiIndex) -> np.ndarray:
-        e = self.exprs[field]
-        for ax in mi:
-            e = sp.diff(e, self.grid.chart.xs[ax])
+        e = _jet_expr(self.exprs[field], tuple(self.grid.chart.xs[ax] for ax in mi))
         return eval_bulk_expr(self.grid.chart, e, self.grid, self)
+
+
+@cacheit
+def _jet_expr(expr: sp.Expr, xs: tuple) -> sp.Expr:
+    """expr differentiated along the coordinates xs in turn; each step is
+    memoised in sympy's cache, so the states of one session share it."""
+    return sp.diff(_jet_expr(expr, xs[:-1]), xs[-1]) if xs else expr
 
 
 def bump_array(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -94,13 +101,16 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     vpert = {a: bump_array(tt, 0.15, 0.85) * (1 + 0.3 * np.cos(2 * xx)) for a in chart.fields}
     for a in model.lp.dirichlet_fields():  # an admissible variation vanishes on the lateral faces
         vpert[a] = vpert[a] * bump_array(xx, *grid.extents[1])
-    rows, ablated = [], []
+
+    def rows_for(b_densities):  # the source pairing does not depend on eps
+        pairing = source_pairing(E_coeffs, b_densities, ell.chart, grid, state, vpert)
+        return [(eps, fd_variation_residual(L, ell, pairing, grid, state, vpert, eps)) for eps in eps_list]
+
     with np.errstate(all="ignore"):  # a value that is not finite is refused below
-        for eps in eps_list:
-            rows.append((eps, fd_variation_residual(L, ell, E_coeffs, b_dens, grid, state, vpert, eps)))
-            if model.lp.has_boundary and not ell.is_zero():
-                ablated.append((eps, fd_variation_residual(L, ell, E_coeffs, {}, grid, state, vpert, eps)))
+        # the action first, so that a model it cannot evaluate is refused naming L
         action = action_value(L, ell, grid, state)
+        rows = rows_for(b_dens)
+        ablated = rows_for({}) if model.lp.has_boundary and not ell.is_zero() else []
     if not np.all(np.isfinite([action] + [r for _, r in rows + ablated])):
         raise ModelError("fd-check: the action or a variation residual is not finite on the test state")
     # Each action sum of the central difference rounds to a few eps_mach |S|,

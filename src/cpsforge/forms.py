@@ -387,7 +387,9 @@ def _contract(f: Form, value: Callable[[Factor], object], r: int, s: int) -> For
     with the sign (-1)^k for k like-type factors before it."""
     values = {fac: value(fac) for fac in dict.fromkeys(fac for word in f.terms for fac in word)}
     nf = len(f.terms)
-    ring, coeffs = choose_ring(f.chart.ring, [*f.terms.values(), *values.values()])
+    ring, coeffs = f.chart.ring, [*f.terms.values(), *values.values()]
+    if not all(isinstance(c, dict) for c in coeffs):  # else all are polynomials of the ring
+        ring, coeffs = choose_ring(ring, coeffs)
     values = {fac: v for fac, v in zip(values, coeffs[nf:]) if not ring.is_zero(v)}
     terms = []
     for word, c in zip(f.terms, coeffs[:nf]):
@@ -408,20 +410,27 @@ def iota_x(xi, f: Form) -> Form:
     iota th{u_J} = -u_{J+m} xi^m (antiderivation in the vertical grading).
     Both values are built on the ring that represents xi's components.
     """
-    chart = f.chart
-    ring, comps = _check_xi(chart, tuple(map(sp.sympify, xi)))
-    live = [(m, c) for m, c in enumerate(comps) if not ring.is_zero(c)]
+    chart, xi = f.chart, tuple(map(sp.sympify, xi))
+    _, comps = _check_xi(chart, xi)
 
     def value(fac):
-        if fac[0] == "x":
-            return comps[fac[1]]
-        mi, out = MultiIndex(fac[2]), ring.poly(0)
-        for m, c in live:
-            out = ring.add(out, ring.mul(c, ring.poly(chart.jet(fac[1], mi.union(m)))), -1)
-        return out
+        return comps[fac[1]] if fac[0] == "x" else _contact_value(chart, xi, fac)
 
     r0, s0 = f._tag
     return _contract(f, value, max(r0 - 1, 0), s0)
+
+
+@cacheit
+def _contact_value(chart: Chart, xi: tuple, fac: Factor):
+    """iota_xi th{u_J} = -sum_m xi^m u_{J+m}, on the ring of ``_check_xi``.
+    Memoised per (chart, xi, factor) in sympy's cache; the polynomial is
+    shared, so it is never mutated."""
+    ring, comps = _check_xi(chart, xi)
+    mi, out = MultiIndex(fac[2]), ring.poly(0)
+    for m, c in enumerate(comps):
+        if not ring.is_zero(c):
+            out = ring.add(out, ring.mul(c, ring.poly(chart.jet(fac[1], mi.union(m)))), -1)
+    return out
 
 
 def iota_ev(W: Mapping[str, sp.Expr], f: Form) -> Form:
@@ -435,7 +444,7 @@ def iota_ev(W: Mapping[str, sp.Expr], f: Form) -> Form:
 
     def value(fac):
         if fac[0] == "x" or fac[1] not in W:
-            return 0
+            return chart.ring.poly(0)
         return _prolonged(chart, fac[2], W[fac[1]])
 
     r0, s0 = f._tag

@@ -12,15 +12,24 @@ chart's axis, none when that axis is periodic, each with a sign.  Densities on
 the outward-oriented lateral volume bind outward-normal jets and take sign +1
 (plain positive quadrature); raw chart forms bind raw +axis jets and take the
 outward-first sign side * (-1)^axis.
+
+Symbolic preparation is done once, numpy work on every call.  Memoised in
+sympy's cache, so ``clear_cache()`` empties them: the compiled numpy function
+of each (arguments, expression), the formal-function scan and sorted argument
+symbols of each evaluated expression (its refusals still run on every call),
+and the density of each boundary top coefficient.  A grid builds its
+coordinate mesh once, as read-only arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 import sympy as sp
 from sympy.core.cache import cacheit
+from sympy.core.function import AppliedUndef
 
 from .chart import Chart, MultiIndex
 from .forms import Form, boundary_volume, d_h, restrict, top_word
@@ -64,9 +73,17 @@ class Grid:
         m = self.shape[k]
         return (b - a) / m if self.periodic[k] else (b - a) / (m - 1)
 
-    def mesh(self) -> list[np.ndarray]:
-        pts = [self.axis_points(k) for k in range(self.chart.n)]
-        return list(np.meshgrid(*pts, indexing="ij"))
+    def mesh(self) -> tuple[np.ndarray, ...]:
+        """The coordinate arrays in "ij" indexing, built once per grid; they are
+        read-only because every evaluation on the grid shares them."""
+        return self._mesh
+
+    @cached_property
+    def _mesh(self) -> tuple[np.ndarray, ...]:
+        arrays = np.meshgrid(*[self.axis_points(k) for k in range(self.chart.n)], indexing="ij")
+        for arr in arrays:
+            arr.flags.writeable = False
+        return tuple(arrays)
 
     def weights(self, axes=None, span: tuple[int, int] | None = None) -> np.ndarray:
         """Trapezoid weights on the given axes (default: all), as an outer
@@ -134,9 +151,18 @@ class FieldState:
 def _compiled(args: tuple, expr: sp.Expr) -> Callable:
     """The numpy function of expr over args, compiled once per (args, expr).
 
-    The memo lives in sympy's cache, so ``clear_cache()`` empties it.
+    The memo lives in sympy's cache, so ``clear_cache()`` empties it.  No
+    docstring is rendered: printing expr into it was half of a cold compile.
     """
-    return sp.lambdify(args, expr, modules="numpy")
+    return sp.lambdify(args, expr, modules="numpy", docstring_limit=0)
+
+
+@cacheit
+def _signature(expr: sp.Expr) -> tuple[bool, tuple]:
+    """(whether expr holds a formal function, its free symbols sorted by name),
+    found once per expression; the memo lives in sympy's cache."""
+    formal = bool(expr.atoms(sp.Derivative, AppliedUndef))
+    return formal, tuple(sorted(expr.free_symbols, key=lambda s: s.name))
 
 
 def _evaluate(expr: sp.Expr, grid: Grid, shape: tuple[int, ...], value_of) -> np.ndarray:
@@ -146,20 +172,20 @@ def _evaluate(expr: sp.Expr, grid: Grid, shape: tuple[int, ...], value_of) -> np
     other symbols take their value from ``grid.bindings``.
     """
     expr = sp.sympify(expr)
-    if expr.atoms(sp.Derivative) or expr.atoms(sp.core.function.AppliedUndef):
+    formal, args = _signature(expr)
+    if formal:
         raise ModelError(f"expression contains unbound formal functions: {expr}")
-    args, vals = [], []
-    for sym in sorted(expr.free_symbols, key=lambda s: s.name):
+    vals = []
+    for sym in args:
         val = value_of(sym)
         if val is None:
             if sym.name not in grid.bindings:
                 raise ModelError(f"no numeric binding for symbol {sym}")
             val = grid.bindings[sym.name]
-        args.append(sym)
         vals.append(val)
     if not args:
         return float(expr) * np.ones(shape)
-    return np.broadcast_to(_compiled(tuple(args), expr)(*vals), shape).astype(float)
+    return np.broadcast_to(_compiled(args, expr)(*vals), shape).astype(float)
 
 
 def eval_bulk_expr(chart: Chart, expr: sp.Expr, grid: Grid, state: FieldState):
@@ -250,9 +276,10 @@ def faces(grid: Grid, sub: Chart, outward: bool) -> list[tuple[int, FaceBinding]
             for side, index in ((-1, 0), (+1, -1))]
 
 
+@cacheit
 def boundary_density(bchart: Chart, coeff: sp.Expr) -> sp.Expr:
     """The top coefficient coeff of the boundary chart relative to the
-    oriented boundary volume."""
+    oriented boundary volume; memoised per (bchart, coeff) in sympy's cache."""
     if coeff == 0:
         return sp.Integer(0)
     return sp.expand(coeff / boundary_volume(bchart).top_coefficient())
@@ -340,14 +367,14 @@ def source_pairing(
 def fd_variation_residual(
     L: Form,
     ell: Form,
-    E_coeffs: Mapping[str, sp.Expr],
-    b_densities: Mapping[str, sp.Expr],
+    pairing: float,
     grid: Grid,
     state: FieldState,
     perturbations: Mapping[str, np.ndarray],
     eps: float,
 ) -> float:
-    """|central FD of the action - source pairing| for one epsilon."""
+    """|central FD of the action - pairing| for one epsilon, where pairing is
+    the ``source_pairing`` of the perturbations, which does not depend on eps."""
 
     def shifted(sgn: float) -> FieldState:
         vals = dict(state.values)
@@ -358,8 +385,7 @@ def fd_variation_residual(
     sp_ = action_value(L, ell, grid, shifted(+1))
     sm_ = action_value(L, ell, grid, shifted(-1))
     fd = (sp_ - sm_) / (2 * eps)
-    pair = source_pairing(E_coeffs, b_densities, ell.chart, grid, state, perturbations)
-    return abs(fd - pair)
+    return abs(fd - pairing)
 
 
 # -- slices ---------------------------------------------------------------------------

@@ -435,8 +435,8 @@ def _memos() -> dict:
 
 
 # the memos a relative Lie derivative and an evolutionary one fill
-KERNEL_MEMOS = ("_sort_word", "_check_xi", "_prolonged", "_bumped", "BoundaryPair._restricted_vector",
-                "Chart.total_derivative_multi")
+KERNEL_MEMOS = ("_sort_word", "_check_xi", "_contact_value", "_prolonged", "_bumped",
+                "BoundaryPair._restricted_vector", "Chart.total_derivative_multi")
 
 
 def test_every_memo_is_emptied_by_clear_cache():

@@ -21,6 +21,7 @@ from cpsforge.numeric import (
     fd_variation_residual,
     relative_integral,
     relative_stokes_residual,
+    source_pairing,
     wave_solver,
 )
 from cpsforge.relative import BoundaryPair, RelForm
@@ -212,18 +213,44 @@ class TestVariation:
 
     def test_eps_squared_slope_neumann(self):
         ch, pair, L, ell, E, b, grid, state, v = self.setup_scalar()
+        pairing = source_pairing(E, b, pair.bchart, grid, state, {"u": v})
         rs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            rs.append(fd_variation_residual(L, ell, E, b, grid, state, {"u": v}, eps))
+            rs.append(fd_variation_residual(L, ell, pairing, grid, state, {"u": v}, eps))
         slope = (np.log10(rs[0]) - np.log10(rs[2])) / 2
         assert slope >= 1.9
 
     def test_robin_ablation_breaks(self):
         ch, pair, L, ell, E, b, grid, state, v = self.setup_scalar(robin=0.5)
-        ok = fd_variation_residual(L, ell, E, b, grid, state, {"u": v}, 1e-3)
-        broken = fd_variation_residual(L, ell, E, {}, grid, state, {"u": v}, 1e-3)
+        pairing = source_pairing(E, b, pair.bchart, grid, state, {"u": v})
+        ablated = source_pairing(E, {}, pair.bchart, grid, state, {"u": v})
+        ok = fd_variation_residual(L, ell, pairing, grid, state, {"u": v}, 1e-3)
+        broken = fd_variation_residual(L, ell, ablated, grid, state, {"u": v}, 1e-3)
         assert ok < 1e-4
         assert broken / max(ok, 1e-15) >= 1e2
+
+    @pytest.mark.parametrize("name, pairings", [("scalar_neumann.cps", 1), ("scalar_robin_const.cps", 2)])
+    def test_fd_check_pairs_the_sources_once_per_row_kind(self, monkeypatch, name, pairings):
+        """The source pairing does not depend on eps: one fd_check computes it
+        once for its rows and once more for the ablated rows of a model with a
+        boundary Lagrangian, however many eps it takes."""
+        model = parse_model((CORPUS / name).read_text())
+        calls = []
+        real = checks.source_pairing
+        monkeypatch.setattr(checks, "source_pairing", lambda *a: calls.append(a) or real(*a))
+        res = checks.fd_check(model, (33, 33))
+        assert len(calls) == pairings
+        assert len(res.rows) == 3 and len(res.ablated_rows) == (3 if pairings == 2 else 0)
+
+
+def test_mesh_is_built_once_and_read_only():
+    grid = Grid.make(make_chart(2, ("u",)), [(0, 1), (0, 2)], (5, 7))
+    tt, xx = grid.mesh()
+    assert all(a is b for a, b in zip((tt, xx), grid.mesh()))
+    assert tt.shape == xx.shape == (5, 7) and xx[0, -1] == 2.0
+    for arr in (tt, xx):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 class TestWaveSolver:
