@@ -3,6 +3,7 @@
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
                                 --pairs N --seconds S [--first-seed K] [--json PATH]
+    python3 scripts/ab_pairs.py --ledger
 
 For each workload in turn, pair i runs `python3 perfbench/run.py --workload W
 --seed K+i --seconds S --trace 0` from the root of each checkout, with the
@@ -29,6 +30,10 @@ A change that claims a speed-up commits this file at the repository root as
 `BENCH_<short-sha>.json`, named after its parent commit, because the
 change's own commit does not exist yet when it is measured;
 `tests/test_bench_ledger.py` recomputes every summary from the stored pairs.
+
+`--ledger` runs nothing: it prints every committed `BENCH_*.json` as one
+table, a row per workload, metric and file, giving the file's parent commit,
+the relative change of the median and how many pairs the change won.
 """
 from __future__ import annotations
 
@@ -152,6 +157,24 @@ def side_record(checkout: pathlib.Path) -> dict:
     return {"commit": head, "modified": bool(git(checkout, "status", "--porcelain", "--untracked-files=no"))}
 
 
+def ledger(paths: list[pathlib.Path]) -> list[str]:
+    """The lines of the ledger table of the given BENCH files, ordered by
+    workload, metric (in BENCHMARK.json's order) and file."""
+    records = [json.loads(p.read_text()) for p in paths]
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    rows = [("workload", "metric", "parent", "median change", "wins")]
+    for workload in sorted({w for r in records for w in r["workloads"]}):
+        for metric in metrics:
+            for r in records:
+                m = r["workloads"].get(workload, {}).get("metrics", {}).get(metric)
+                if m is not None:
+                    s = m["summary"]
+                    rows.append((workload, metric, r["parent"]["commit"][:7], f"{s['relative']:+.1%}",
+                                 f"{s['wins']}/{s['pairs']}"))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
 def machine() -> dict:
     import sympy
 
@@ -161,15 +184,21 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=pathlib.Path)
-    ap.add_argument("change", type=pathlib.Path)
-    ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=int, required=True)
+    ap.add_argument("parent", type=pathlib.Path, nargs="?")
+    ap.add_argument("change", type=pathlib.Path, nargs="?")
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--pairs", type=int)
+    ap.add_argument("--seconds", type=int)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--json", type=pathlib.Path, help="also write the comparison to this JSON file")
+    ap.add_argument("--ledger", action="store_true", help="print the committed BENCH_*.json files as one table")
     argv = sys.argv[1:] if argv is None else argv
     args = ap.parse_args(argv)
+    if args.ledger:
+        print("\n".join(ledger(sorted(ROOT.glob("BENCH_*.json")))))
+        return 0
+    if None in (args.change, args.workload, args.pairs, args.seconds):
+        ap.error("a comparison needs PARENT_DIR, CHANGE_DIR, --workload, --pairs and --seconds")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     records = {workload: compare(args, workload, bench) for workload in args.workload}
     if None in records.values():

@@ -11,6 +11,14 @@ restricting along the last / first axis.  Every chart records the tensor
 character of each of its fields, scalar unless set: the model parser marks the
 one-form components of the root chart, and consumers of a restricted chart
 read its root.
+
+Jet symbols are made on first use: ``Chart.jet`` makes and registers one, and
+``Chart.jet_key`` registers a field's order-0 jet the first time it meets that
+symbol, so a restricted chart with hundreds of fields builds none up front.
+A formal-function atom (``V(u)``, ``lam(t, x)``, its derivatives, or such a
+derivative at a rational point) is differentiated in closed form by
+``diff_function_atom``, which builds sympy's canonical result without
+``sp.diff``.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ from typing import Iterable
 
 import sympy as sp
 from sympy.core.cache import cacheit
+from sympy.core.expr import Expr
 from sympy.core.function import AppliedUndef
 
 
@@ -49,6 +58,42 @@ def one_form_families(meta: dict[str, FieldMeta]) -> dict[tuple[str, int], dict[
         if m.kind == "one_form":
             families.setdefault((m.base, m.lie_index), {})[m.axis] = a
     return families
+
+
+def is_function_atom(e: sp.Expr) -> bool:
+    """An undefined function of distinct symbols and rational constants, its
+    derivative in some of those symbols, or such a derivative at a rational
+    point (the ``Subs`` a pinned restriction makes)."""
+    if isinstance(e, AppliedUndef):
+        syms = [a for a in e.args if not a.is_Rational]
+        return all(a.is_Symbol for a in syms) and len(set(syms)) == len(syms)
+    if isinstance(e, sp.Derivative):
+        return is_function_atom(e.expr) and all(v in e.expr.args for v in e.variables)
+    if isinstance(e, sp.Subs):
+        at_rational_point = all(p.is_Rational for p in e.point)
+        return isinstance(e.expr, sp.Derivative) and is_function_atom(e.expr) and at_rational_point
+    return False
+
+
+def diff_function_atom(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
+    """``sp.diff(e, s)`` of a formal-function atom e, built in sympy's
+    canonical form: f(args) gives Derivative(f, s) when s is an argument,
+    Derivative(f, vc) gives Derivative(f, vc + s) with the variables sorted
+    and merged as sympy does, and Subs(D, vars, point) gives
+    Subs(dD/ds, vars, point), or 0 when s is bound; 0 where s does not occur."""
+    if isinstance(e, sp.Subs):
+        if s in e.variables:
+            return sp.S.Zero
+        d = diff_function_atom(e.expr, s)
+        return sp.S.Zero if d == 0 else sp.Subs(d, e.variables, e.point)
+    if isinstance(e, sp.Derivative):
+        if s not in e.expr.args:
+            return sp.S.Zero
+        variable_count = sp.Derivative._sort_variable_count([*e.variable_count, (s, 1)])
+        return Expr.__new__(sp.Derivative, e.expr, *variable_count)
+    if s not in e.args:
+        return sp.S.Zero
+    return Expr.__new__(sp.Derivative, e, sp.Tuple(s, sp.S.One))
 
 
 @dataclass(frozen=True, order=True)
@@ -133,8 +178,6 @@ class Chart:
         self.parent: Chart | None = None
         self.axis: int | None = None
         self._restricted: dict[tuple[int, str], Chart] = {}
-        for a in self.fields:
-            self.jet(a, MultiIndex())
 
     # -- jet symbols -----------------------------------------------------------------
 
@@ -156,20 +199,26 @@ class Chart:
         return sym
 
     def jet_key(self, sym: sp.Symbol) -> tuple[str, MultiIndex] | None:
-        return self._jet_by_symbol.get(sym)
+        """(field, multi-index) of a jet symbol of this chart, else None.  A
+        symbol equal to a field's order-0 jet is registered as that jet here,
+        wherever it was made."""
+        key = self._jet_by_symbol.get(sym)
+        if key is None and sym.name in self.labels and sym == self.jet(sym.name, MultiIndex()):
+            key = (sym.name, MultiIndex())
+        return key
 
     def jets_in(self, expr: sp.Expr) -> list[tuple[sp.Symbol, str, MultiIndex]]:
         """All jet symbols occurring in expr, deterministically ordered."""
         out = []
         for sym in expr.atoms(sp.Symbol):
-            key = self._jet_by_symbol.get(sym)
+            key = self.jet_key(sym)
             if key is not None:
                 out.append((sym, key[0], key[1]))
         out.sort(key=lambda t: (t[1], t[2].order, t[2].entries))
         return out
 
     def pretty_jet(self, sym: sp.Symbol) -> str:
-        key = self._jet_by_symbol.get(sym)
+        key = self.jet_key(sym)
         if key is None:
             return str(sym)
         field, mi = key
@@ -187,24 +236,24 @@ class Chart:
     # -- derivatives -----------------------------------------------------------------
 
     def factor_derivative(self, axis: int, f: sp.Expr) -> tuple[sp.Expr, bool]:
-        """D_axis of one factor of a monomial; the flag marks a sympy fallback,
-        whose result may need expanding."""
+        """D_axis of one factor of a monomial; the flag marks a formal-function
+        or sympy result, a sum that may need expanding."""
         x = self.xs[axis]
         if f.is_Symbol or (f.is_Pow and f.base.is_Symbol and f.exp.is_Number):
             base, e = f.as_base_exp()
             if base == x:
                 inner = sp.S.One
-            elif base in self._jet_by_symbol:
-                field, mi = self._jet_by_symbol[base]
-                inner = self.jet(field, mi.union(axis))
+            elif (key := self.jet_key(base)) is not None:
+                inner = self.jet(key[0], key[1].union(axis))
             else:
                 return sp.S.Zero, False
             return e * base ** (e - 1) * inner, False
         if not f.free_symbols:
             return sp.S.Zero, False
-        out = sp.diff(f, x)
+        diff = diff_function_atom if is_function_atom(f) else sp.diff
+        out = diff(f, x)
         for sym, field, mi in self.jets_in(f):
-            d = sp.diff(f, sym)
+            d = diff(f, sym)
             if d != 0:
                 out += self.jet(field, mi.union(axis)) * d
         return out, True
@@ -215,11 +264,12 @@ class Chart:
         The input is expanded once; on each monomial the chain rule acts
         factor by factor (Leibniz rule).  A jet power s**e with numeric e gives
         e*s**(e-1)*s_{J+axis} and a power of x^axis its ordinary derivative;
-        any other factor that depends on x^axis or on a jet (a formal function
-        or its derivative, a symbolic exponent, a non-polynomial power) is
-        differentiated by sympy on its own.  Constants and parameters give
-        nothing.  JetOrderError is raised only when a jet at the cap occurs
-        with a nonzero derivative.
+        a formal-function atom is differentiated in closed form
+        (``diff_function_atom``), with the chain rule through the jets among
+        its arguments; any other factor that depends on x^axis or on a jet (a
+        symbolic exponent, a non-polynomial power) is differentiated by sympy
+        on its own.  Constants and parameters give nothing.  JetOrderError is
+        raised only when a jet at the cap occurs with a nonzero derivative.
         """
         expr = sp.expand(sp.sympify(expr))
         memo: dict[sp.Expr, tuple[sp.Expr, bool]] = {}
@@ -315,7 +365,7 @@ class Chart:
         kinds = (sp.Symbol,) if value is None else (sp.Symbol, AppliedUndef, sp.Derivative, sp.Subs)
         repl, funcs = {}, []
         for a in expr.atoms(*kinds):
-            key = self._jet_by_symbol.get(a)
+            key = self.jet_key(a) if a.is_Symbol else None
             if key is not None:
                 repl[a] = self.restricted_jet(*key, sub)
             elif not a.is_Symbol and x in a.free_symbols:

@@ -102,15 +102,15 @@ def fd_check(model: Model, shape=(129, 129), eps_list=(1e-2, 1e-3, 1e-4)) -> FdC
     for a in model.lp.dirichlet_fields():  # an admissible variation vanishes on the lateral faces
         vpert[a] = vpert[a] * bump_array(xx, *grid.extents[1])
 
-    def rows_for(b_densities):  # the source pairing does not depend on eps
-        pairing = source_pairing(E_coeffs, b_densities, ell.chart, grid, state, vpert)
-        return [(eps, fd_variation_residual(L, ell, pairing, grid, state, vpert, eps)) for eps in eps_list]
-
+    kinds = [b_dens, {}] if model.lp.has_boundary and not ell.is_zero() else [b_dens]
     with np.errstate(all="ignore"):  # a value that is not finite is refused below
         # the action first, so that a model it cannot evaluate is refused naming L
         action = action_value(L, ell, grid, state)
-        rows = rows_for(b_dens)
-        ablated = rows_for({}) if model.lp.has_boundary and not ell.is_zero() else []
+        # the source pairings do not depend on eps, and one central difference serves both row kinds
+        pairings = [source_pairing(E_coeffs, b_densities, ell.chart, grid, state, vpert) for b_densities in kinds]
+        residuals = [(eps, fd_variation_residual(L, ell, pairings, grid, state, vpert, eps)) for eps in eps_list]
+    rows = [(eps, r[0]) for eps, r in residuals]
+    ablated = [(eps, r[1]) for eps, r in residuals if len(r) > 1]
     if not np.all(np.isfinite([action] + [r for _, r in rows + ablated])):
         raise ModelError("fd-check: the action or a variation residual is not finite on the test state")
     # Each action sum of the central difference rounds to a few eps_mach |S|,

@@ -110,16 +110,19 @@ def integrate_by_parts(L: Form) -> tuple[Form, Form]:
 
 def kill_dirichlet(form: Form, dirichlet: set[str] | frozenset[str]) -> Form:
     """Impose homogeneous Dirichlet data: boundary restrictions of the listed
-    fields vanish with all their tangential jets and variations."""
+    fields vanish with all their tangential jets and variations; the jets are
+    read off the coefficients."""
     if not dirichlet:
         return form
-    sub = dict.fromkeys([s for (a, _), s in form.chart._jet_by_key.items() if a in dirichlet], form.ring.poly(0))
+    ring, chart = form.ring, form.chart
+    jets = [s for c in form.terms.values() for s, a, _ in ring.jets(chart, c) if a in dirichlet]
+    sub = dict.fromkeys(jets, ring.poly(0))
     terms = [
-        (word, form.ring.subs(coeff, sub))
+        (word, ring.subs(coeff, sub))
         for word, coeff in form.terms.items()
         if not any(f[0] == "v" and f[1] in dirichlet for f in word)
     ]
-    return Form(form.chart, *form._tag, terms)
+    return Form(chart, *form._tag, terms)
 
 
 def boundary_euler_operator(

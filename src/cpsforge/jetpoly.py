@@ -14,8 +14,10 @@ symbols (jets, coordinates, parameters) and formal-function atoms: an
 undefined function of distinct symbols and rational constants, such as
 ``V(u)``, ``lam(t, x, y)`` or ``lam(t, x, 0)``, its derivative in some of
 those symbols, or such a derivative at a rational point (the ``Subs`` a
-boundary restriction makes).  A formal-function atom gets its chain rule from
-sympy's ``diff`` on that atom alone, as ``Chart.factor_derivative`` does.
+boundary restriction makes); ``chart.is_function_atom`` tells them apart.  A
+formal-function atom gets its chain rule from ``chart.diff_function_atom``,
+sympy's derivative of that atom alone built in closed form, as
+``Chart.factor_derivative`` does.
 
 The ring prints its own polynomials: ``JetRing.sstr(p)`` is
 ``sp.sstr(ring.expr(p))`` without building the expression.  It orders terms as
@@ -48,25 +50,12 @@ from fractions import Fraction
 from functools import cached_property
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
 
-from .chart import Chart, MultiIndex, translate_expr, translated_field
+from .chart import Chart, MultiIndex, diff_function_atom, is_function_atom, translate_expr, translated_field
 
 
 class NotRepresentable(ValueError):
     """An expression outside the sparse kernel's atoms and rational coefficients."""
-
-
-def _is_function_atom(e: sp.Expr) -> bool:
-    if isinstance(e, AppliedUndef):
-        syms = [a for a in e.args if not a.is_Rational]
-        return all(a.is_Symbol for a in syms) and len(set(syms)) == len(syms)
-    if isinstance(e, sp.Derivative):
-        return _is_function_atom(e.expr) and all(v in e.expr.args for v in e.variables)
-    if isinstance(e, sp.Subs):
-        at_rational_point = all(p.is_Rational for p in e.point)
-        return isinstance(e.expr, sp.Derivative) and _is_function_atom(e.expr) and at_rational_point
-    return False
 
 
 def _add_to(out: dict, mono: tuple, c) -> None:
@@ -164,7 +153,7 @@ class JetRing:
             return out
         if e.is_Rational:
             return {(): _number(Fraction(int(e.p), int(e.q)))} if e != 0 else {}
-        if e.is_Symbol or _is_function_atom(e):
+        if e.is_Symbol or is_function_atom(e):
             return {((self._atom(e), 1),): 1}
         raise NotRepresentable(f"not a polynomial in jet atoms: {e}")
 
@@ -303,7 +292,7 @@ class JetRing:
         return self._derive(p, self._images(("D", chart, axis), image))
 
     def _partials(self, sym: sp.Symbol):
-        return self._images(("d", sym), lambda a: int(a == sym) if a.is_Symbol else sp.diff(a, sym))
+        return self._images(("d", sym), lambda a: int(a == sym) if a.is_Symbol else diff_function_atom(a, sym))
 
     def diff(self, p: dict, sym: sp.Symbol) -> dict:
         """Partial derivative by one symbol, through formal-function atoms too;

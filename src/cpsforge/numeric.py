@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import sympy as sp
@@ -367,14 +367,15 @@ def source_pairing(
 def fd_variation_residual(
     L: Form,
     ell: Form,
-    pairing: float,
+    pairings: Sequence[float],
     grid: Grid,
     state: FieldState,
     perturbations: Mapping[str, np.ndarray],
     eps: float,
-) -> float:
-    """|central FD of the action - pairing| for one epsilon, where pairing is
-    the ``source_pairing`` of the perturbations, which does not depend on eps."""
+) -> list[float]:
+    """|central FD of the action - pairing| for one epsilon and each pairing,
+    a ``source_pairing`` of the perturbations, which does not depend on eps;
+    the action is evaluated twice however many pairings are given."""
 
     def shifted(sgn: float) -> FieldState:
         vals = dict(state.values)
@@ -385,7 +386,7 @@ def fd_variation_residual(
     sp_ = action_value(L, ell, grid, shifted(+1))
     sm_ = action_value(L, ell, grid, shifted(-1))
     fd = (sp_ - sm_) / (2 * eps)
-    return abs(fd - pairing)
+    return [abs(fd - pairing) for pairing in pairings]
 
 
 # -- slices ---------------------------------------------------------------------------

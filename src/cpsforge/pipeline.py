@@ -448,15 +448,16 @@ def gauge_residual(v: VariationDecomposition, W: Mapping[str, sp.Expr], xi=None)
     """Contract the symplectic current with W, pull to a Cauchy slice, and
     reduce modulo the on-shell ideal.
 
-    The bulk sources, reduced modulo the slice ideal, are absorbed by one
-    exact linear solve over Q: if src = sum lam_i row_i for the source rows
+    The bulk sources, reduced modulo the slice ideal, are absorbed by exact
+    linear solves over Q: if src = sum lam_i row_i for the source rows
     proportional to linearized equations (multipliers from the structure of
     W: field contractions for lifts, gauge functions for parameter
     directions), swept and reduced the same way, src vanishes and each row's
     integration-by-parts boundary term kappa_i enters the corner piece as
-    -lam_i kappa_i.  Otherwise a second solve on the monomials of src alone
-    subtracts the rows that cancel them all, if any, which leaves what the
-    equations cannot absorb (a mass term).  The corner piece keeps its
+    -lam_i kappa_i.  Otherwise the rows that cancel all the monomials of src
+    on those monomials alone, if any, are subtracted, which leaves what the
+    equations cannot absorb (a mass term).  That restricted solve runs
+    first, and the full one only when it succeeds.  The corner piece keeps its
     contact factors and only reduces coefficients modulo the boundary/corner
     equations; Dirichlet fields drop their corner variations.  Both residuals
     are linear in W, and zero in both means W is a degenerate direction.
@@ -478,9 +479,11 @@ def gauge_residual(v: VariationDecomposition, W: Mapping[str, sp.Expr], xi=None)
             {(a, m): Fraction(q) for a, p in s.items() for m, q in ring.terms(p)}
             for s in [src, *(row_src for row_src, _ in rows)]
         ]
-        lam = span_multipliers(target, vectors)
-        if lam is None:  # cancel the source's own monomials, if the rows can
-            lam = span_multipliers(target, [{k: x for k, x in vec.items() if k in target} for vec in vectors])
+        # a full solution also solves the rows restricted to the source's own
+        # monomials, so the full solve runs only when that one succeeds
+        lam = span_multipliers(target, [{k: x for k, x in vec.items() if k in target} for vec in vectors])
+        if lam is not None:  # the full solve's multipliers, when there are any (a nonempty list)
+            lam = span_multipliers(target, vectors) or lam
         for q, (row_src, row_kappa) in zip(lam or (), rows):
             if q:
                 for a, e in row_src.items():

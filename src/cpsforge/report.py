@@ -7,7 +7,7 @@ from typing import Any
 
 import sympy as sp
 
-from .chart import one_form_families
+from .chart import diff_function_atom, one_form_families
 from .forms import Form
 from .jetcalc import NonDecomposableError, source_coefficients
 from .model import Model, ModelError
@@ -164,7 +164,7 @@ def gauge_direction(model: Model, name: str) -> dict[str, sp.Expr]:
     if not name.isidentifier() or name in taken | {b for b, k in model.backgrounds.items() if k != "function"}:
         raise ModelError(f"gauge parameter {name!r} must be a new identifier or a function background")
     lam = sp.Function(name)(*chart.xs)
-    return {a: sp.diff(lam, chart.xs[axis]) for family in families for axis, a in family.items()}
+    return {a: diff_function_atom(lam, chart.xs[axis]) for family in families for axis, a in family.items()}
 
 
 def gauge_parameter_block(model: Model, name: str) -> dict:

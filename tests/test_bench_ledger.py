@@ -95,3 +95,22 @@ def test_json_mode_writes_a_record_that_agrees_with_itself(monkeypatch, tmp_path
     m = w["metrics"]["pass_s"]
     assert (m["parent"], m["change"], m["bound"]) == ([1.0, 1.2], [0.5, 0.7], 0.25)
     assert m["summary"]["wins"] == 2 and m["summary"]["change"][1] == pytest.approx(0.6)
+
+
+def test_ledger_tabulates_every_committed_record(capsys):
+    # one row per file, workload and metric, built from the files alone
+    lines = ab_pairs.ledger(LEDGER)
+    assert lines[0].split() == ["workload", "metric", "parent", "median", "change", "wins"]
+    rows = [line.split() for line in lines[1:]]
+    expected = []
+    for path in LEDGER:
+        record = json.loads(path.read_text())
+        for workload, w in record["workloads"].items():
+            for name, m in w["metrics"].items():
+                s = m["summary"]
+                expected.append([workload, name, record["parent"]["commit"][:7], f"{s['relative']:+.1%}",
+                                 f"{s['wins']}/{s['pairs']}"])
+    assert sorted(rows) == sorted(expected) and len(rows) == len(expected)
+    assert [r[0] for r in rows] == sorted(r[0] for r in rows)  # grouped by workload
+    assert ab_pairs.main(["--ledger"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines

@@ -1,5 +1,6 @@
 """Total derivatives, Euler operator, integration by parts, boundary decomposition."""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,18 +8,24 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsforge.chart import Chart, JetOrderError, MultiIndex
+from sympy.core.cache import clear_cache
+from sympy.core.function import AppliedUndef
+
+from cpsforge.chart import Chart, JetOrderError, MultiIndex, diff_function_atom, is_function_atom
+from cpsforge.cli import corpus_dir, load_model
 from cpsforge.forms import Form, d_h, dd, hodge, restrict, vol, boundary_volume, wedge
 from cpsforge.jetcalc import (
     NonDecomposableError,
     boundary_euler_operator,
     euler_operator,
     integrate_by_parts,
+    kill_dirichlet,
     source_coefficients,
     source_form,
 )
 from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable, leading_jet
 from cpsforge.pipeline import prolonged_restricted_generators
+from cpsforge.report import run_cps
 
 from strategies import any_forms, exprs, forms, make_chart, normalized
 
@@ -506,3 +513,109 @@ class TestBoundaryEuler:
         ell = Form.zero(bch, 1, 0)
         with pytest.raises(NonDecomposableError):
             boundary_euler_operator(ell, jtheta)
+
+
+# -- formal-function atoms in closed form; jets made on first use ---------------------------
+
+LAM3 = sp.Function("lam")(*CH3.xs)
+T3, X3, Y3 = CH3.xs
+U3 = CH3.jet("u", MultiIndex())
+EDGE_ATOMS = [
+    (sp.Function("lam")(T, X), Y3),  # an argument that is not s
+    (V(U), T),
+    (V(U), U),  # V(u) by a jet
+    (sp.Derivative(V(U), U), U),  # a repeated variable
+    (sp.Derivative(LAM3, Y3), T3),  # s sorts before the variables already there
+    (sp.Derivative(LAM3, T3, Y3), X3),
+    (sp.Derivative(LAM3, X3, X3), X3),
+    (sp.Function("lam")(T3, X3, 0), X3),
+    (sp.Subs(sp.Derivative(LAM3, X3), X3, 0), X3),  # by its bound variable
+    (sp.Subs(sp.Derivative(LAM3, X3), X3, 0), T3),
+    (sp.Subs(sp.Derivative(LAM3, X3, Y3), (X3, Y3), (0, 1)), Y3),
+    (sp.Subs(sp.Derivative(LAM3, X3), X3, 0), U3),
+]
+
+
+@pytest.mark.parametrize("atom, s", EDGE_ATOMS, ids=lambda a: str(a))
+def test_function_atom_derivative_is_sympys(atom, s):
+    assert is_function_atom(atom)
+    got = diff_function_atom(atom, s)
+    assert got == sp.diff(atom, s) and sp.srepr(got) == sp.srepr(sp.diff(atom, s))
+
+
+def record_function_atom_derivatives(monkeypatch) -> list:
+    """Record (atom, s) of every diff_function_atom call, wherever a cpsforge
+    module binds it."""
+    seen = []
+
+    def recording(atom, s):
+        seen.append((atom, s))
+        return diff_function_atom(atom, s)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cpsforge.") and getattr(mod, "diff_function_atom", None) is diff_function_atom:
+            monkeypatch.setattr(mod, "diff_function_atom", recording)
+    return seen
+
+
+def test_corpus_function_atom_derivatives_are_sympys(monkeypatch):
+    seen = record_function_atom_derivatives(monkeypatch)
+    for name in sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps")):
+        clear_cache()
+        run_cps(load_model(name))
+    kinds = {next(k for k in (sp.Subs, sp.Derivative, AppliedUndef) if isinstance(atom, k)) for atom, _ in seen}
+    assert kinds == {sp.Derivative, AppliedUndef}  # no derive differentiates a Subs; see EDGE_ATOMS
+    for atom, s in set(seen):
+        assert diff_function_atom(atom, s) == sp.diff(atom, s), (atom, s)
+
+
+def test_a_derive_calls_sympys_diff_on_no_function_atom(monkeypatch):
+    # yang_mills_abelian_n3 declares lam : function(t, x, y), whose
+    # derivatives and their Subs at the corner meet every total derivative
+    atoms, diff = [], sp.diff
+
+    def recording(e, *args, **kwargs):
+        if is_function_atom(e):
+            atoms.append(e)
+        return diff(e, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "diff", recording)
+    seen = record_function_atom_derivatives(monkeypatch)
+    clear_cache()
+    run_cps(load_model("yang_mills_abelian_n3.cps"))
+    assert seen and atoms == []
+
+
+def test_restricted_charts_make_no_jet_symbol(monkeypatch):
+    # su2_n3's corner chart has 225 fields; their jets are made when read
+    chart = load_model("yang_mills_su2_n3.cps").chart
+    made = []
+    jet = Chart.jet
+    monkeypatch.setattr(Chart, "jet", lambda self, *key: made.append(key) or jet(self, *key))
+    schart = chart.restricted(0, tag="t")
+    cchart = schart.restricted(schart.n - 1, tag="n")
+    assert len(cchart.fields) == 225 and made == []
+    a = cchart.fields[7]
+    assert cchart.jet_key(cchart.jet(a, MultiIndex())) == (a, MultiIndex())
+
+
+def test_jet_key_registers_an_order_zero_symbol_made_elsewhere():
+    ch = make_chart(2, ("u", "v"))
+    u = sp.Symbol("u", real=True)  # made outside the chart
+    assert ch.jet_key(u) == ("u", MultiIndex())
+    assert ch.jets_in(u * ch.xs[0]) == [(u, "u", MultiIndex())]
+    assert ch.total_derivative(1, u**2) == 2 * u * ch.jet("u", MultiIndex.make(1))
+    assert ch.pretty_jet(sp.Symbol("v", real=True)) == "v"
+    # a symbol of another name or other assumptions is no jet of the chart
+    for other in (sp.Symbol("u"), sp.Symbol("w", real=True), ch.xs[1], sp.Dummy("u", real=True)):
+        assert ch.jet_key(other) is None, other
+
+
+def test_kill_dirichlet_kills_a_jet_the_chart_never_made():
+    ch = make_chart(2, ("u", "v"), metric=[-1, 1])
+    bch = ch.restricted(1)
+    v, vt, u = sp.Symbol("v", real=True), bch.jet("v", MultiIndex.make(0)), sp.Symbol("u", real=True)
+    assert ("v", MultiIndex()) not in bch._jet_by_key
+    for coeff in (u * v + u, u * vt * V(v) + u, u * V(v)):  # a jet inside a formal-function atom too
+        killed = kill_dirichlet(boundary_volume(bch) * coeff, {"v"})
+        assert killed == boundary_volume(bch) * coeff.subs({v: 0, vt: 0})

@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 from sympy.core.cache import clear_cache
 
-from cpsforge import checks
+from cpsforge import checks, numeric
 from cpsforge.chart import Chart, MultiIndex
 from cpsforge.forms import Form, boundary_volume, vol
 from cpsforge.model import ModelError, parse_model
@@ -216,7 +216,7 @@ class TestVariation:
         pairing = source_pairing(E, b, pair.bchart, grid, state, {"u": v})
         rs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            rs.append(fd_variation_residual(L, ell, pairing, grid, state, {"u": v}, eps))
+            rs += fd_variation_residual(L, ell, [pairing], grid, state, {"u": v}, eps)
         slope = (np.log10(rs[0]) - np.log10(rs[2])) / 2
         assert slope >= 1.9
 
@@ -224,8 +224,7 @@ class TestVariation:
         ch, pair, L, ell, E, b, grid, state, v = self.setup_scalar(robin=0.5)
         pairing = source_pairing(E, b, pair.bchart, grid, state, {"u": v})
         ablated = source_pairing(E, {}, pair.bchart, grid, state, {"u": v})
-        ok = fd_variation_residual(L, ell, pairing, grid, state, {"u": v}, 1e-3)
-        broken = fd_variation_residual(L, ell, ablated, grid, state, {"u": v}, 1e-3)
+        ok, broken = fd_variation_residual(L, ell, [pairing, ablated], grid, state, {"u": v}, 1e-3)
         assert ok < 1e-4
         assert broken / max(ok, 1e-15) >= 1e2
 
@@ -241,6 +240,22 @@ class TestVariation:
         res = checks.fd_check(model, (33, 33))
         assert len(calls) == pairings
         assert len(res.rows) == 3 and len(res.ablated_rows) == (3 if pairings == 2 else 0)
+
+    @pytest.mark.parametrize("name", ["scalar_neumann.cps", "scalar_robin_const.cps"])
+    def test_fd_check_evaluates_each_action_once(self, monkeypatch, name):
+        """The base action, then u +- eps v once per eps: the ablated rows
+        share the rows' central differences."""
+        model = parse_model((CORPUS / name).read_text())
+        calls, real = [], numeric.action_value
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(numeric, "action_value", counted)
+        monkeypatch.setattr(checks, "action_value", counted)
+        res = checks.fd_check(model, (33, 33))
+        assert len(calls) == 1 + 2 * len(res.rows) == 7
 
 
 def test_mesh_is_built_once_and_read_only():

@@ -941,7 +941,7 @@ GAUGE_ROWS = {
 def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
     # every coefficient the derive's gauge stage reduces on the kernel reduces
     # to the same expression modulo the ideal rebuilt on EXPR, and the rows of
-    # every absorption solve are independent, so its multipliers are unique
+    # every full absorption solve are independent, so its multipliers are unique
     calls, solves = [], []
     reduce, solve = OnShellIdeal.reduce_expr, pipeline.span_multipliers
 
@@ -951,8 +951,10 @@ def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
         return out
 
     def recording_solve(target, rows):
-        if not solves or solves[-1][0] is not target:  # not the second solve on src's monomials
-            solves.append((target, rows))
+        # per source: the solve on its own monomials, then the full one if that succeeds
+        if not solves or solves[-1][0] is not target:
+            solves.append((target, []))
+        solves[-1][1].append(rows)
         return solve(target, rows)
 
     monkeypatch.setattr(OnShellIdeal, "reduce_expr", recording_reduce)
@@ -966,10 +968,20 @@ def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
         if id(ideal) not in references:
             references[id(ideal)] = OnShellIdeal(ideal.chart, [ring.expr(built(g)) for g in ideal.generators], EXPR)
         assert ring.expr(out) == reduce(references[id(ideal)], ring.expr(p))
-    assert [len(rows) for _, rows in solves if rows] == GAUGE_ROWS.get(name, [])
-    for _, rows in solves:
-        keys = sorted({k for row in rows for k in row}, key=str)
-        assert sp.Matrix([[row.get(k, 0) for k in keys] for row in rows]).rank() == len(rows)
+    assert [len(runs[0]) for _, runs in solves if runs[0]] == GAUGE_ROWS.get(name, [])
+    for _, (_, *full) in solves:
+        for rows in full:
+            keys = sorted({k for row in rows for k in row}, key=str)
+            assert sp.Matrix([[row.get(k, 0) for k in keys] for row in rows]).rank() == len(rows)
+
+
+def test_absorption_solves_the_sources_own_monomials_first(monkeypatch):
+    # su(2)'s gauge sources lie outside the rows' span even on their own
+    # monomials, so the full solve, which could only succeed where that one
+    # does, is not run
+    counts = count_calls(monkeypatch, pipeline.span_multipliers)
+    run_cps(load_model("yang_mills_su2_n2.cps"))
+    assert counts["span_multipliers"] == 1
 
 
 @pytest.mark.parametrize("kind", [int, Fraction])
