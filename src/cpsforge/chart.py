@@ -80,7 +80,15 @@ def diff_function_atom(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
     canonical form: f(args) gives Derivative(f, s) when s is an argument,
     Derivative(f, vc) gives Derivative(f, vc + s) with the variables sorted
     and merged as sympy does, and Subs(D, vars, point) gives
-    Subs(dD/ds, vars, point), or 0 when s is bound; 0 where s does not occur."""
+    Subs(dD/ds, vars, point), or 0 when s is bound; 0 where s does not occur.
+
+    The result must equal ``sp.diff``'s by ``srepr``, not only by ``==``: it
+    leans on sympy internals (the private ``Derivative._sort_variable_count``
+    for the canonical variable order, and ``Expr.__new__`` to skip
+    Derivative's constructor), checked on sympy 1.14.0.  The tests
+    ``test_function_atom_derivative_is_sympys`` and
+    ``test_corpus_function_atom_derivatives_are_sympys`` enforce it, so a
+    sympy release that changes either fails there first."""
     if isinstance(e, sp.Subs):
         if s in e.variables:
             return sp.S.Zero

@@ -479,11 +479,7 @@ def gauge_residual(v: VariationDecomposition, W: Mapping[str, sp.Expr], xi=None)
             {(a, m): Fraction(q) for a, p in s.items() for m, q in ring.terms(p)}
             for s in [src, *(row_src for row_src, _ in rows)]
         ]
-        # a full solution also solves the rows restricted to the source's own
-        # monomials, so the full solve runs only when that one succeeds
-        lam = span_multipliers(target, [{k: x for k, x in vec.items() if k in target} for vec in vectors])
-        if lam is not None:  # the full solve's multipliers, when there are any (a nonempty list)
-            lam = span_multipliers(target, vectors) or lam
+        lam = absorption_multipliers(target, vectors)
         for q, (row_src, row_kappa) in zip(lam or (), rows):
             if q:
                 for a, e in row_src.items():
@@ -501,6 +497,17 @@ def gauge_residual(v: VariationDecomposition, W: Mapping[str, sp.Expr], xi=None)
     if not corner.is_zero() and v.lp.has_boundary:
         corner = v.corner_ideal.reduce_form(corner)
     return GaugeResidual(bulk_res, corner)
+
+
+def absorption_multipliers(target: dict, rows: list[dict]) -> list | None:
+    """Multipliers lam with target = sum lam_i rows_i, else ones that match
+    target on its own monomials only, else None.  A full solution also solves
+    the rows restricted to target's monomials, so the full solve runs only
+    when that one succeeds."""
+    lam = span_multipliers(target, [{k: x for k, x in row.items() if k in target} for row in rows])
+    if lam is not None:  # the full solve's multipliers, when there are any (a nonempty list)
+        lam = span_multipliers(target, rows) or lam
+    return lam
 
 
 def translate_form(f: Form, dst: Chart) -> Form:

@@ -117,9 +117,19 @@ def x_vector_fields(chart: Chart):
     return st.tuples(*[comp for _ in range(chart.n)]).map(list)
 
 
+def _rebind(monkeypatch, fn, wrapper) -> None:
+    """Replace ``fn`` by ``wrapper`` wherever a loaded cpsforge module binds it
+    (modules import each other's names)."""
+    for name, mod in list(sys.modules.items()):
+        if name == "cpsforge" or name.startswith("cpsforge."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
 def count_calls(monkeypatch, *fns) -> collections.Counter:
     """Count the calls of each cpsforge function in ``fns`` by name, wherever a
-    loaded cpsforge module binds it (modules import each other's names)."""
+    loaded cpsforge module binds it."""
     counts: collections.Counter = collections.Counter()
 
     def counted(fn):
@@ -130,13 +140,21 @@ def count_calls(monkeypatch, *fns) -> collections.Counter:
         return wrapper
 
     for fn in fns:
-        wrapper = counted(fn)
-        for name, mod in list(sys.modules.items()):
-            if name == "cpsforge" or name.startswith("cpsforge."):
-                for attr, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, attr, wrapper)
+        _rebind(monkeypatch, fn, counted(fn))
     return counts
+
+
+def record_calls(monkeypatch, fn) -> list:
+    """Record the positional arguments of every call of the cpsforge function
+    ``fn``, wherever a loaded cpsforge module binds it."""
+    calls: list = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    _rebind(monkeypatch, fn, wrapper)
+    return calls
 
 
 def normalized(p: dict) -> bool:

@@ -1,6 +1,5 @@
 """Total derivatives, Euler operator, integration by parts, boundary decomposition."""
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +26,7 @@ from cpsforge.jetpoly import EXPR, JetRing, NotRepresentable, leading_jet
 from cpsforge.pipeline import prolonged_restricted_generators
 from cpsforge.report import run_cps
 
-from strategies import any_forms, exprs, forms, make_chart, normalized
+from strategies import any_forms, exprs, forms, make_chart, normalized, record_calls
 
 settings.register_profile("jetcalc", max_examples=40, deadline=None)
 settings.load_profile("jetcalc")
@@ -543,30 +542,15 @@ def test_function_atom_derivative_is_sympys(atom, s):
     assert got == sp.diff(atom, s) and sp.srepr(got) == sp.srepr(sp.diff(atom, s))
 
 
-def record_function_atom_derivatives(monkeypatch) -> list:
-    """Record (atom, s) of every diff_function_atom call, wherever a cpsforge
-    module binds it."""
-    seen = []
-
-    def recording(atom, s):
-        seen.append((atom, s))
-        return diff_function_atom(atom, s)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("cpsforge.") and getattr(mod, "diff_function_atom", None) is diff_function_atom:
-            monkeypatch.setattr(mod, "diff_function_atom", recording)
-    return seen
-
-
 def test_corpus_function_atom_derivatives_are_sympys(monkeypatch):
-    seen = record_function_atom_derivatives(monkeypatch)
+    seen = record_calls(monkeypatch, diff_function_atom)
     for name in sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps")):
         clear_cache()
         run_cps(load_model(name))
     kinds = {next(k for k in (sp.Subs, sp.Derivative, AppliedUndef) if isinstance(atom, k)) for atom, _ in seen}
     assert kinds == {sp.Derivative, AppliedUndef}  # no derive differentiates a Subs; see EDGE_ATOMS
     for atom, s in set(seen):
-        assert diff_function_atom(atom, s) == sp.diff(atom, s), (atom, s)
+        assert sp.srepr(diff_function_atom(atom, s)) == sp.srepr(sp.diff(atom, s)), (atom, s)
 
 
 def test_a_derive_calls_sympys_diff_on_no_function_atom(monkeypatch):
@@ -580,7 +564,7 @@ def test_a_derive_calls_sympys_diff_on_no_function_atom(monkeypatch):
         return diff(e, *args, **kwargs)
 
     monkeypatch.setattr(sp, "diff", recording)
-    seen = record_function_atom_derivatives(monkeypatch)
+    seen = record_calls(monkeypatch, diff_function_atom)
     clear_cache()
     run_cps(load_model("yang_mills_abelian_n3.cps"))
     assert seen and atoms == []

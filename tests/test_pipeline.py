@@ -43,7 +43,7 @@ from cpsforge.pipeline import (
 from cpsforge.relative import BoundaryPair, RelForm, rel_d, rel_iota, rel_lie_ev
 from cpsforge.report import gauge_direction, report_json, run_cps
 
-from strategies import count_calls, forms, make_chart, normalized
+from strategies import count_calls, forms, make_chart, normalized, record_calls
 from test_jetcalc import coefficient, lead_exprs
 
 CORPUS_NAMES = sorted(f.name[:-4] for f in corpus_dir().iterdir() if f.name.endswith(".cps"))
@@ -941,24 +941,17 @@ GAUGE_ROWS = {
 def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
     # every coefficient the derive's gauge stage reduces on the kernel reduces
     # to the same expression modulo the ideal rebuilt on EXPR, and the rows of
-    # every full absorption solve are independent, so its multipliers are unique
-    calls, solves = [], []
-    reduce, solve = OnShellIdeal.reduce_expr, pipeline.span_multipliers
+    # every absorption solve are independent, so its multipliers are unique
+    calls = []
+    reduce = OnShellIdeal.reduce_expr
 
     def recording_reduce(ideal, p):
         out = reduce(ideal, p)
         calls.append((ideal, p, out))
         return out
 
-    def recording_solve(target, rows):
-        # per source: the solve on its own monomials, then the full one if that succeeds
-        if not solves or solves[-1][0] is not target:
-            solves.append((target, []))
-        solves[-1][1].append(rows)
-        return solve(target, rows)
-
     monkeypatch.setattr(OnShellIdeal, "reduce_expr", recording_reduce)
-    monkeypatch.setattr(pipeline, "span_multipliers", recording_solve)
+    solves = record_calls(monkeypatch, pipeline.absorption_multipliers)  # (target, full rows) per source
     run_cps(load_model(f"{name}.cps"))
     assert bool(calls) or name not in GAUGE_ROWS
     references = {}
@@ -968,11 +961,10 @@ def test_gauge_stage_reductions_match_expr_path(name, monkeypatch):
         if id(ideal) not in references:
             references[id(ideal)] = OnShellIdeal(ideal.chart, [ring.expr(built(g)) for g in ideal.generators], EXPR)
         assert ring.expr(out) == reduce(references[id(ideal)], ring.expr(p))
-    assert [len(runs[0]) for _, runs in solves if runs[0]] == GAUGE_ROWS.get(name, [])
-    for _, (_, *full) in solves:
-        for rows in full:
-            keys = sorted({k for row in rows for k in row}, key=str)
-            assert sp.Matrix([[row.get(k, 0) for k in keys] for row in rows]).rank() == len(rows)
+    assert [len(rows) for _, rows in solves if rows] == GAUGE_ROWS.get(name, [])
+    for _, rows in solves:
+        keys = sorted({k for row in rows for k in row}, key=str)
+        assert sp.Matrix([[row.get(k, 0) for k in keys] for row in rows]).rank() == len(rows)
 
 
 def test_absorption_solves_the_sources_own_monomials_first(monkeypatch):
@@ -982,6 +974,14 @@ def test_absorption_solves_the_sources_own_monomials_first(monkeypatch):
     counts = count_calls(monkeypatch, pipeline.span_multipliers)
     run_cps(load_model("yang_mills_su2_n2.cps"))
     assert counts["span_multipliers"] == 1
+
+
+def test_absorption_keeps_the_full_solution_else_the_restricted_one():
+    # target = row0 + row1 in full; on target's monomial "a" alone, row0 does it
+    rows = [{"a": 1, "b": 1}, {"b": -1}]
+    assert pipeline.absorption_multipliers({"a": 1}, rows) == [1, 1]
+    assert pipeline.absorption_multipliers({"a": 1}, [{"a": 1, "b": 1}]) == [1]  # full solve fails
+    assert pipeline.absorption_multipliers({"c": 1}, rows) is None  # restricted solve fails
 
 
 @pytest.mark.parametrize("kind", [int, Fraction])
