@@ -43,7 +43,7 @@ Memos.  Work whose inputs repeat is done once per sympy cache epoch: the
 sort of each raw word (``_sort_word``, unbounded), xi's components on their
 ring (``_check_xi``), the polynomial of each prolongation D_J W^a
 (``_prolonged``, over ``Chart.total_derivative_multi``) and each contact
-factor bumped by d_h (``_bumped``).  All of them live in sympy's cache, so
+factor bumped by d_h along a word's free axes (``_bumped``).  All of them live in sympy's cache, so
 ``clear_cache()`` empties them and a new process or benchmark unit starts
 cold.  A memoised polynomial is shared, and nothing mutates it: no ``JetRing``
 operation changes its arguments.  A form on the chart's ring compares by its
@@ -317,28 +317,37 @@ def wedge(f: Form, g: Form) -> Form:
 
 
 def d_h(f: Form) -> Form:
-    """Horizontal differential; (r,s) -> (r+1,s)."""
+    """Horizontal differential; (r,s) -> (r+1,s).
+
+    dx^i ^ word vanishes when the word holds dx^i, so a term's coefficient is
+    differentiated, and its contact factors bumped, only along the other
+    (free) axes; JetOrderError exactly where such a kept term needs a jet
+    past the cap."""
     chart, ring = f.chart, f.ring
     terms = []
     for word, coeff in f.terms.items():
-        terms += [((("x", i),) + word, ring.total_derivative(chart, i, coeff)) for i in range(chart.n)]
-        signed = ring.scale(coeff, (-1) ** word_bidegree(word)[0])
+        free = tuple(i for i in range(chart.n) if ("x", i) not in word)
+        if not free:
+            continue
+        terms += [((("x", i),) + word, ring.total_derivative(chart, i, coeff)) for i in free]
+        signed = ring.scale(coeff, (-1) ** (chart.n - len(free)))  # (-1)^r
         for pos, fac in enumerate(word):
             if fac[0] == "v":
                 terms += [(word[:pos] + (("x", i), bumped) + word[pos + 1:], signed)
-                          for i, bumped in enumerate(_bumped(chart, fac))]
+                          for i, bumped in zip(free, _bumped(chart, fac, free))]
     r0, s0 = f._tag
     return Form(chart, r0 + 1, s0, terms)
 
 
 @cacheit
-def _bumped(chart: Chart, fac: Factor) -> tuple:
-    """The contact factors th{u_{J+i}}, one per axis i, of th{u_J}; JetOrderError
-    past the jet cap.  Memoised per (chart, factor) in sympy's cache."""
+def _bumped(chart: Chart, fac: Factor, axes: tuple) -> tuple:
+    """The contact factors th{u_{J+i}}, one per axis i of axes, of th{u_J};
+    JetOrderError past the jet cap.  Memoised per (chart, factor, axes) in
+    sympy's cache."""
     a, mi = fac[1], MultiIndex(fac[2])
-    for i in range(chart.n):
+    for i in axes:
         chart.jet(a, mi.union(i))  # jet-cap check
-    return tuple(("v", a, mi.union(i).entries) for i in range(chart.n))
+    return tuple(("v", a, mi.union(i).entries) for i in axes)
 
 
 def dd(f: Form) -> Form:
@@ -494,22 +503,25 @@ def vol(chart: Chart) -> Form:
 
 
 def hodge(f: Form) -> Form:
-    """Hodge star on horizontal forms, for the chart's constant diagonal metric."""
+    """Hodge star on horizontal forms, for the chart's constant diagonal metric;
+    each word's constant multiplies its coefficient on ``choose_ring``'s ring."""
     chart = f.chart
     g = chart.require_metric()
     root = sp.sqrt(sp.Abs(chart.metric_det()))
-    terms = []
+    words, scales = [], []
     k = None
-    for word, coeff in f.iter_terms():
+    for word in f.terms:
         r, s = word_bidegree(word)
         if s != 0:
             raise ValueError("hodge star implemented on horizontal forms only")
         k = r
         idx = [fac[1] for fac in word]
         comp = [i for i in range(chart.n) if i not in idx]
-        scale = sp.Mul(*[sp.Integer(1) / g[i] for i in idx])
-        terms.append((tuple(("x", i) for i in comp), levi_civita(*(idx + comp)) * scale * root * coeff))
+        words.append(tuple(("x", i) for i in comp))
+        scales.append(levi_civita(*(idx + comp)) * sp.Mul(*[sp.Integer(1) / g[i] for i in idx]) * root)
+    ring, coeffs = choose_ring(f.ring, [*scales, *f.terms.values()])
     r0, _ = f._tag
+    terms = zip(words, map(ring.mul, coeffs[:len(scales)], coeffs[len(scales):]))
     return Form(chart, chart.n - (k if k is not None else r0), 0, terms)
 
 

@@ -61,6 +61,8 @@ def _sweep(P: Form) -> tuple[dict, Form]:
     Writes P = sum_a src_a ^ th{a} + d_h(theta); jet indices on contact factors
     are removed highest-order-first, largest axis first.  Returns (src, theta),
     the sources as polynomials of P's ring.
+    Removing an index from a key of jet order k adds into one of order k - 1,
+    so each order's keys are taken once, in descending (field, entries) order.
     """
     chart, ring = P.chart, P.ring
     vol_word = top_word(chart.n)
@@ -73,19 +75,18 @@ def _sweep(P: Form) -> tuple[dict, Form]:
         key = (vfacs[0][1], vfacs[0][2])
         work[key] = ring.add(work[key], coeff) if key in work else coeff
     theta_terms = []
-    while True:
-        pending = [k for k in work if len(k[1]) > 0 and not ring.is_zero(work[k])]
-        if not pending:
-            break
-        a, ent = max(pending, key=lambda k: (len(k[1]), k[0], k[1]))
-        coeff = work.pop((a, ent))
-        axis = max(ent)
-        kept = MultiIndex(ent).remove_one(axis)
-        # c vol ^ th{a,J+axis} = d_h(c iota_axis(vol) ^ th{a,J}) - (D_axis c) vol ^ th{a,J}
-        word = tuple(("x", i) for i in range(chart.n) if i != axis) + (("v", a, kept.entries),)
-        theta_terms.append((word, ring.scale(coeff, (-1) ** axis)))
-        prev = (a, kept.entries)
-        work[prev] = ring.add(work.get(prev, ring.poly(0)), ring.total_derivative(chart, axis, coeff), -1)
+    for order in range(max((len(ent) for _, ent in work), default=0), 0, -1):
+        for a, ent in sorted((k for k in work if len(k[1]) == order), reverse=True):
+            coeff = work.pop((a, ent))
+            if ring.is_zero(coeff):
+                continue
+            axis = max(ent)
+            kept = MultiIndex(ent).remove_one(axis)
+            # c vol ^ th{a,J+axis} = d_h(c iota_axis(vol) ^ th{a,J}) - (D_axis c) vol ^ th{a,J}
+            word = tuple(("x", i) for i in range(chart.n) if i != axis) + (("v", a, kept.entries),)
+            theta_terms.append((word, ring.scale(coeff, (-1) ** axis)))
+            prev = (a, kept.entries)
+            work[prev] = ring.add(work.get(prev, ring.poly(0)), ring.total_derivative(chart, axis, coeff), -1)
     src = {a: coeff for (a, ent), coeff in work.items() if ent == ()}
     return src, Form(chart, chart.n - 1, 1, theta_terms)
 

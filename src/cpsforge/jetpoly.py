@@ -35,14 +35,17 @@ solved with a quotient) puts its whole ideal on ``EXPR``.
 
 Every chart owns one ring (``Chart.ring``, made by the root chart and shared
 by its restrictions), so a ring and its memos live as long as the model that
-created them; nothing here is cached at module level.
+created them.  The one module-level memo, ``_chain_candidates``, lives in
+sympy's cache, which ``clear_cache()`` empties.
 
 The on-shell ideals' generators are ``LazyGenerator``s, built on first use;
 each one's leading jet and coefficient come from its unprolonged equation.
 A corner generator prolongs a slice generator along the normal without
 building it, and reads its lead off the bulk equation; a boundary generator
 is relabeled to the corner chart on first use, and its lead is ranked under
-its corner name.  Each prolongation chain ranks its candidate jets once.
+its corner name.  Each prolongation chain ranks its candidate jets once,
+and reads each base's candidate names on the corner chart from that memo
+instead of scanning the corner chart's labels.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import sympy as sp
+from sympy.core.cache import cacheit
 
 from .chart import Chart, MultiIndex, diff_function_atom, is_function_atom, translate_expr, translated_field
 
@@ -501,6 +505,18 @@ def built(g):
     return g.poly if isinstance(g, LazyGenerator) else g
 
 
+@cacheit
+def _chain_candidates(sub: Chart, dst: Chart, a: str, mi: MultiIndex, length: int) -> tuple:
+    """(names, kept): restrict(u^a_(J + k*axis)) to sub is u^(family[c + k])_kept,
+    J = mi having c entries axis; names holds those fields on dst for k <
+    length.  Memoised in sympy's cache: relabeling scans dst's labels per name."""
+    kept, c = mi.split_axis(sub.axis)
+    names = sub.families[a][c:c + length]
+    if dst is not sub:
+        names = tuple(translated_field(name, sub, dst) for name in names)
+    return names, kept.shift_down(sub.axis)
+
+
 class _Prolongation:
     """restrict(D_axis^k eq) to sub (axis = sub.axis), relabeled to dst, for k
     up to the jet cap less the jet order of eq; each D_axis^k eq on first use.
@@ -523,14 +539,8 @@ class _Prolongation:
             self.steps = ()
             jets = [(sym, (), a, mi) for sym, a, mi in ring.jets(sub.parent, eq)]
         self.length = sub.parent.max_jet_order - max((mi.order for *_, mi in jets), default=0) + 1
-        self.bases = []
-        for sym, steps, a, mi in jets:
-            # restrict(u^a_(J + k*axis)) is u^(family[c + k])_kept on sub, J having c entries axis
-            kept, c = mi.split_axis(sub.axis)
-            names = sub.families[a][c:c + self.length]
-            if self.dst is not sub:
-                names = tuple(translated_field(name, sub, self.dst) for name in names)
-            self.bases.append((sym, steps, names, kept.shift_down(sub.axis)))
+        self.bases = [(sym, steps, *_chain_candidates(sub, self.dst, a, mi, self.length))
+                      for sym, steps, a, mi in jets]
 
     def __getitem__(self, k: int):
         if not self.terms:

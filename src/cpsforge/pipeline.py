@@ -388,18 +388,18 @@ class GaugeResidual:
         return self.bulk.is_zero() and self.boundary.is_zero()
 
 
-def _linearized_row(schart: Chart, c: sp.Expr, gen, ring):
+def _linearized_row(schart: Chart, c: sp.Expr, grad: list, ring):
     """Sweep c * dd(gen) ^ vol on the slice chart: returns (sources, kappa).
 
     These are the on-shell-trivial source rows (terms proportional to the
     linearized equations, integrated by parts) that absorb a gauge residual;
-    kappa is the boundary term the integration by parts sheds.  ``gen`` and
-    the sources are polynomials of ``ring``, the slice chart's ring or EXPR.
+    kappa is the boundary term the integration by parts sheds.  ``grad`` is
+    ``ring.gradient(schart, gen)``, taken once per generator and shared by
+    its rows; the generator and the sources are polynomials of ``ring``, the
+    slice chart's ring or EXPR.
     """
     vol_word = top_word(schart.n)
-    row = Form(schart, schart.n, 1, [
-        (vol_word + (("v", b, mi.entries),), dgen) for _, b, mi, dgen in ring.gradient(schart, gen)
-    ]) * c
+    row = Form(schart, schart.n, 1, [(vol_word + (("v", b, mi.entries),), dgen) for _, b, mi, dgen in grad]) * c
     if row.is_zero():
         return {}, Form.zero(schart, schart.n - 1, 1)
     src, kappa = _sweep(row)
@@ -457,7 +457,8 @@ def gauge_residual(v: VariationDecomposition, W: Mapping[str, sp.Expr], xi=None)
     -lam_i kappa_i.  Otherwise the rows that cancel all the monomials of src
     on those monomials alone, if any, are subtracted, which leaves what the
     equations cannot absorb (a mass term).  That restricted solve runs
-    first, and the full one only when it succeeds.  The corner piece keeps its
+    first, and the full one only when it succeeds; without a candidate
+    multiplier there are no rows and no solve.  The corner piece keeps its
     contact factors and only reduces coefficients modulo the boundary/corner
     equations; Dirichlet fields drop their corner variations.  Both residuals
     are linear in W, and zero in both means W is a degenerate direction.
@@ -471,9 +472,10 @@ def gauge_residual(v: VariationDecomposition, W: Mapping[str, sp.Expr], xi=None)
     ring = choose_ring(ideal.ring, cands)[0] if pulled.ring is ideal.ring else EXPR
     ideal = ideal if ring is ideal.ring else ideal.on_expr
     src = {a: ideal.reduce_expr(_into(ring, pulled.ring, c)) for a, c in src.items()}
-    if not all(map(ring.is_zero, src.values())):
+    if cands and not all(map(ring.is_zero, src.values())):
         gens = [ring.restrict(schart, e) for e in _source_polys(ring, v.sources.bulk) if not ring.is_zero(e)]
-        rows = [_linearized_row(schart, c, gen, ring) for c in cands for gen in gens]
+        grads = [ring.gradient(schart, gen) for gen in gens]  # one per generator, shared by its rows
+        rows = [_linearized_row(schart, c, grad, ring) for c in cands for grad in grads]
         rows = [({a: ideal.reduce_expr(e) for a, e in row_src.items()}, k) for row_src, k in rows]
         target, *vectors = [  # the sources as sparse vectors {(field, monomial): Fraction}
             {(a, m): Fraction(q) for a, p in s.items() for m, q in ring.terms(p)}

@@ -11,7 +11,8 @@ from sympy.core.cache import CACHE, clear_cache
 
 import cpsforge
 from cpsforge import forms as forms_module
-from cpsforge.chart import Chart, JetOrderError, MultiIndex
+from cpsforge.chart import Chart, JetOrderError, MultiIndex, levi_civita
+from cpsforge.cli import corpus_dir, load_model
 from cpsforge.forms import (
     Form,
     _sort_word,
@@ -31,7 +32,8 @@ from cpsforge.forms import (
 
 from cpsforge.jetcalc import kill_dirichlet
 from cpsforge.jetpoly import EXPR, JetRing
-from cpsforge.relative import BoundaryPair, RelForm, rel_lie
+from cpsforge.report import run_cps
+from cpsforge.relative import BoundaryPair, RelForm, rel_lie, rel_lie_ev
 
 from strategies import (
     any_forms,
@@ -40,6 +42,7 @@ from strategies import (
     forms,
     make_chart,
     normalized,
+    record_calls,
     words,
     x_vector_fields,
 )
@@ -167,6 +170,50 @@ class TestDifferentials:
         with pytest.raises(JetOrderError):
             d_h(f)
 
+    def test_jet_cap_only_where_a_kept_term_needs_the_jet(self):
+        # at cap 2, u_xx is differentiated and th{u_xx} bumped only along an
+        # axis whose dx the word lacks: a top form lacks none, dx lacks dt
+        ch = Chart(("t", "x"), ("u",), max_jet_order=2)
+        uxx = MultiIndex.make(1, 1)
+        assert d_h(vol(ch) * ch.jet("u", uxx)).is_zero()
+        assert d_h(wedge(vol(ch), Form.contact(ch, "u", uxx))).is_zero()
+        with pytest.raises(JetOrderError):
+            d_h(Form.dx(ch, 1) * ch.jet("u", uxx))
+
+    @given(any_forms(CH))
+    def test_dh_is_the_every_axis_definition(self, f):
+        assert d_h(f) == every_axis_d_h(f)
+
+    def test_dh_differentiates_along_free_axes_only(self, monkeypatch):
+        # a (2, 0) form on three axes: one total derivative per coefficient
+        ch = make_chart(3, ("u", "v"))
+        t, x, y = ch.xs
+        u, v = ch.jet("u", MultiIndex()), ch.jet("v", MultiIndex.make(2))
+        f = Form(ch, 2, 0, {(("x", 0), ("x", 1)): u * v, (("x", 0), ("x", 2)): t * u, (("x", 1), ("x", 2)): v})
+        axes = []
+        total_derivative = JetRing.total_derivative
+        monkeypatch.setattr(JetRing, "total_derivative",
+                            lambda ring, chart, axis, p: axes.append(axis) or total_derivative(ring, chart, axis, p))
+        got = d_h(f)
+        assert sorted(axes) == [0, 1, 2]
+        assert not got.is_zero() and got == every_axis_d_h(f)
+
+
+def every_axis_d_h(f: Form) -> Form:
+    """d_h by its definition on sympy expressions: every coefficient
+    differentiated, and every contact factor bumped, along every axis; the
+    words that repeat a dx vanish in the construction."""
+    chart, terms = f.chart, []
+    for word, coeff in f.iter_terms():
+        terms += [((("x", i),) + word, chart.total_derivative(i, coeff)) for i in range(chart.n)]
+        sign = (-1) ** sum(1 for fac in word if fac[0] == "x")
+        for pos, fac in enumerate(word):
+            if fac[0] == "v":
+                mi = MultiIndex(fac[2])
+                terms += [(word[:pos] + (("x", i), ("v", fac[1], mi.union(i).entries)) + word[pos + 1:], sign * coeff)
+                          for i in range(chart.n)]
+    return Form(chart, f._tag[0] + 1, f._tag[1], terms)
+
 
 class TestIotaHorizontal:
     def test_contract_first_slot(self):
@@ -275,6 +322,55 @@ class TestHodge:
         chm = make_chart(2, ("u",), metric=[-1, 1])
         with pytest.raises(ValueError):
             hodge(Form.contact(chm, "u"))
+
+    @pytest.mark.parametrize("metric,on_ring", [((-1, 2, sp.Rational(1, 3)), False), ((-4, 1, sp.Rational(1, 9)), True)])
+    def test_metric_constants_match_the_sympy_path(self, metric, on_ring):
+        # sqrt|det g| = sqrt(2/3) is not a polynomial of the ring, 2/3 is
+        ch = make_chart(3, ("u", "v"), metric=list(metric))
+
+        @given(st.integers(0, 3).flatmap(lambda r: forms(ch, r, 0, max_terms=3)))
+        def check(f):
+            got = hodge(f)
+            assert _identical(got, sympy_hodge(f))
+            assert (got.ring is ch.ring) is (on_ring or got.is_zero())
+
+        check()
+
+    def test_corpus_forms_match_the_sympy_path(self, monkeypatch):
+        # every horizontal form that parsing and deriving a corpus model builds
+        # on a chart with a metric, the inputs of the models' hodge among them
+        built, init = [], Form.__init__
+        monkeypatch.setattr(Form, "__init__", lambda self, *a, **kw: init(self, *a, **kw) or built.append(self))
+        inputs = record_calls(monkeypatch, hodge)
+        for name in sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps")):
+            run_cps(load_model(name))
+        monkeypatch.undo()
+        horizontal = [f for f in built if f.chart.metric is not None and all(
+            fac[0] == "x" for w in f.terms for fac in w)]
+        assert len(inputs) == 16 and len(horizontal) > 1000
+        for f in horizontal:
+            assert _identical(hodge(f), sympy_hodge(f)), f
+
+
+def sympy_hodge(f: Form) -> Form:
+    """The Hodge star built from sympy expressions, word by word: the
+    constant, sign times sqrt|det g| over the word's metric entries, times
+    the coefficient, converted by the construction."""
+    chart, g = f.chart, f.chart.require_metric()
+    root = sp.sqrt(sp.Abs(chart.metric_det()))
+    terms, r = [], f._tag[0]
+    for word, coeff in f.iter_terms():
+        idx = [fac[1] for fac in word]
+        comp = [i for i in range(chart.n) if i not in idx]
+        scale = sp.Mul(*[sp.Integer(1) / g[i] for i in idx])
+        terms.append((tuple(("x", i) for i in comp), levi_civita(*(idx + comp)) * scale * root * coeff))
+        r = len(word)
+    return Form(chart, chart.n - r, 0, terms)
+
+
+def _identical(got: Form, want: Form) -> bool:
+    """Same ring, bidegree and coefficients (on EXPR, the same expressions)."""
+    return got.ring is want.ring and got._tag == want._tag and got.terms == want.terms
 
 
 # -- forms whose coefficients leave the jet-polynomial kernel ----------------------------
@@ -434,9 +530,9 @@ def _memos() -> dict:
     return out
 
 
-# the memos a relative Lie derivative and an evolutionary one fill
+# the memos a relative Lie derivative and a relative evolutionary one fill
 KERNEL_MEMOS = ("_sort_word", "_check_xi", "_contact_value", "_prolonged", "_bumped",
-                "BoundaryPair._restricted_vector", "Chart.total_derivative_multi")
+                "BoundaryPair._restricted_vector", "Chart.total_derivative_multi", "_chain_candidates")
 
 
 def test_every_memo_is_emptied_by_clear_cache():
@@ -447,7 +543,7 @@ def test_every_memo_is_emptied_by_clear_cache():
                 Form(pair.bchart, 0, 1, {(("v", "u", ()),): T}))
     clear_cache()
     assert not rel_lie([1 + T, X], p).is_zero()
-    assert not lie_ev({"u": U * UX}, p.bulk).is_zero()
+    assert not rel_lie_ev({"u": U * UX}, p).is_zero()
     assert [name for name in KERNEL_MEMOS if not memos[name].cache_info().currsize] == []
     clear_cache()  # the worker's cold-cache rule: nothing survives the clear
     assert sum(m.cache_info().currsize for m in CACHE) == 0

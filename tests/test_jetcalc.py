@@ -15,6 +15,7 @@ from cpsforge.cli import corpus_dir, load_model
 from cpsforge.forms import Form, d_h, dd, hodge, restrict, vol, boundary_volume, wedge
 from cpsforge.jetcalc import (
     NonDecomposableError,
+    _sweep,
     boundary_euler_operator,
     euler_operator,
     integrate_by_parts,
@@ -450,6 +451,59 @@ class TestIntegrateByParts:
         _, t1 = integrate_by_parts(L)
         _, t2 = integrate_by_parts(L)
         assert str(t1) == str(t2)
+
+
+def running_max_sweep(P: Form) -> tuple[dict, Form]:
+    """``_sweep`` as a running maximum: every step rescans the keys and pops
+    the largest (jet order, field, entries) whose coefficient is not zero."""
+    chart, ring = P.chart, P.ring
+    work = {}
+    for word, coeff in P.terms.items():
+        (_, a, ent), = [f for f in word if f[0] == "v"]
+        work[(a, ent)] = ring.add(work[(a, ent)], coeff) if (a, ent) in work else coeff
+    theta_terms = []
+    while True:
+        pending = [k for k in work if len(k[1]) > 0 and not ring.is_zero(work[k])]
+        if not pending:
+            break
+        a, ent = max(pending, key=lambda k: (len(k[1]), k[0], k[1]))
+        coeff = work.pop((a, ent))
+        axis = max(ent)
+        kept = MultiIndex(ent).remove_one(axis)
+        word = tuple(("x", i) for i in range(chart.n) if i != axis) + (("v", a, kept.entries),)
+        theta_terms.append((word, ring.scale(coeff, (-1) ** axis)))
+        prev = (a, kept.entries)
+        work[prev] = ring.add(work.get(prev, ring.poly(0)), ring.total_derivative(chart, axis, coeff), -1)
+    src = {a: coeff for (a, ent), coeff in work.items() if ent == ()}
+    return src, Form(chart, chart.n - 1, 1, theta_terms)
+
+
+def _same_sweep(P: Form) -> bool:
+    """``_sweep`` and the running maximum give the same sources, in the same
+    key order, and the same theta, term by term in the same order."""
+    (src, theta), (want_src, want_theta) = _sweep(P), running_max_sweep(P)
+    return list(src.items()) == list(want_src.items()) and theta.ring is want_theta.ring and (
+        list(theta.terms.items()) == list(want_theta.terms.items()))
+
+
+CH3 = make_chart(3, ("u", "v"), max_jet_order=6)
+
+
+class TestSweep:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.sampled_from((CH, CH3)).flatmap(
+        lambda ch: forms(ch, ch.n, 1, max_order=2, max_terms=4) | exprs(ch).map(
+            lambda e: dd(Form.top(ch, e * ch.jet("v", MultiIndex.make(0, ch.n - 1)))))))
+    def test_matches_the_running_maximum(self, P):
+        assert _same_sweep(P)
+
+    def test_matches_the_running_maximum_on_every_corpus_row(self, monkeypatch):
+        swept = record_calls(monkeypatch, _sweep)
+        for name in sorted(f.name for f in corpus_dir().iterdir() if f.name.endswith(".cps")):
+            run_cps(load_model(name))
+        monkeypatch.undo()
+        assert len(swept) > 100
+        assert [P for (P,) in swept if not _same_sweep(P)] == []
 
 
 def scalar_robin_setup():

@@ -976,6 +976,30 @@ def test_absorption_solves_the_sources_own_monomials_first(monkeypatch):
     assert counts["span_multipliers"] == 1
 
 
+def test_gauge_stage_takes_each_generators_gradient_once(monkeypatch):
+    # su(2) on two axes: 3 multipliers x 6 equations = 18 rows share the
+    # 6 equations' gradients
+    model = load_model("yang_mills_su2_n2.cps")
+    v, xi = model.decomposition, model.vectors["dt"]
+    W = lift_vector_field(model.chart, xi)
+    want = gauge_residual(v, W, xi=xi)  # builds omega and the ideals
+    rows = record_calls(monkeypatch, pipeline._linearized_row)
+    gradients, gradient = [], JetRing.gradient
+    monkeypatch.setattr(JetRing, "gradient", lambda ring, chart, p: gradients.append(p) or gradient(ring, chart, p))
+    got = gauge_residual(v, W, xi=xi)
+    assert len(rows) == 18 and len(gradients) == 6
+    assert got.bulk == want.bulk and got.boundary == want.boundary
+
+
+@pytest.mark.parametrize("name", ["scalar_neumann", "lagrange_multiplier_L2", "no_equation_L1"])
+def test_no_absorption_solve_without_multipliers(name, monkeypatch):
+    # without a candidate multiplier there are no rows, so nothing is absorbed
+    counts = count_calls(monkeypatch, pipeline.span_multipliers, pipeline._linearized_row, pipeline.gauge_residual)
+    run_cps(load_model(f"{name}.cps"))
+    assert counts["gauge_residual"] > 0
+    assert counts["span_multipliers"] == counts["_linearized_row"] == 0
+
+
 def test_absorption_keeps_the_full_solution_else_the_restricted_one():
     # target = row0 + row1 in full; on target's monomial "a" alone, row0 does it
     rows = [{"a": 1, "b": 1}, {"b": -1}]
